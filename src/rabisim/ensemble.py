@@ -229,11 +229,31 @@ def _quadrature(config) -> tuple[np.ndarray, np.ndarray]:
     return shifts, weights / mass
 
 
-def _analytic_average(drive: DriveParams, shifts, weights, gamma, times):
+def _two_level_block(drive: DriveParams, shifts, envelope, times, out):
+    """Per-atom populations 0.5 amp (1 - envelope cos(omega_r t)) into out.
+
+    out is an (len(shifts), len(times)) buffer, so one allocation per call
+    replaces the expression's N x T temporaries. The ufuncs and their order
+    are those of the expression, so the values are bitwise the same.
+    """
     omega_r = np.hypot(drive.omega0, drive.delta + shifts)[:, None]
     amp = (drive.omega0 / omega_r) ** 2
-    envelope = np.exp(-0.5 * gamma * times)[None, :] if gamma > 0 else 1.0
-    per_atom = 0.5 * amp * (1.0 - envelope * np.cos(omega_r * times[None, :]))
+    np.multiply(omega_r, times[None, :], out=out)
+    np.cos(out, out=out)
+    if envelope is not None:
+        np.multiply(envelope, out, out=out)
+    np.subtract(1.0, out, out=out)
+    np.multiply(0.5 * amp, out, out=out)
+    return out
+
+
+def _envelope(gamma, times):
+    return np.exp(-0.5 * gamma * times)[None, :] if gamma > 0 else None
+
+
+def _analytic_average(drive: DriveParams, shifts, weights, gamma, times):
+    per_atom = _two_level_block(drive, shifts, _envelope(gamma, times), times,
+                                np.empty((shifts.size, times.size)))
     return weights @ per_atom
 
 
@@ -292,16 +312,14 @@ def monte_carlo_signal(config: EnsembleConfig, times, n_samples, seed=0) -> Osci
     times = np.asarray(times, dtype=float)
     rng = np.random.default_rng(seed)
     samples = _sample_shifts(config.distribution, n_samples, rng)
-    drive = config.drive
-    gamma = config.atom_model.gamma
-    envelope = np.exp(-0.5 * gamma * times)[None, :] if gamma > 0 else 1.0
+    envelope = _envelope(config.atom_model.gamma, times)
     acc = np.zeros_like(times)
     chunk = 20000
+    buf = np.empty((min(chunk, n_samples), times.size))
     for start in range(0, n_samples, chunk):
         part = samples[start:start + chunk]
-        omega_r = np.hypot(drive.omega0, drive.delta + part)[:, None]
-        amp = (drive.omega0 / omega_r) ** 2
-        acc += (0.5 * amp * (1.0 - envelope * np.cos(omega_r * times[None, :]))).sum(axis=0)
+        acc += _two_level_block(config.drive, part, envelope, times,
+                                buf[:part.size]).sum(axis=0)
     return OscillationTrace.from_times(times, acc / n_samples)
 
 

@@ -245,15 +245,13 @@ def field_magnitude_histogram(model: FieldGridModel, beam: ProbeBeam,
                           b_set=model.b_set, current_sign=sign)
 
 
-def histogram_to_distribution(hist: FieldHistogram, b_set=None) -> DetuningDistribution:
+def histogram_to_distribution(hist: FieldHistogram) -> DetuningDistribution:
     """Convert a field-deviation histogram into an empirical detuning distribution.
 
     A positive field deviation lowers the detuning (the drive frequency sits
     fixed while the atomic splitting grows), so shifts are the negated bin
     centers, converted to angular units. Zero-weight bins are dropped.
-    b_set is informational only; deviations are already relative to it.
     """
-    del b_set
     keep = hist.weights > 0
     if not np.any(keep):
         raise ValueError("histogram has no weight")

@@ -21,6 +21,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.special import stdtrit
 
 from .lsq import ci95_half_widths, levenberg_marquardt
 from .model import OscillationTrace
@@ -420,9 +421,7 @@ def _package_two(res, t, y, omega0) -> TwoFreqFit:
             grads["fraction_a"] = d_a - d_b
         elif total > 0 and amp_b > 0:
             grads["fraction_a"] = (1.0 / amp_b) * np.array([1.0, 1.0, 0, 0, 0, 0, 0])
-        from scipy.stats import t as _student_t
-
-        tq = float(_student_t.ppf(0.975, y.size - 7))
+        tq = float(stdtrit(y.size - 7, 0.975))
         for name, grad in grads.items():
             var = float(grad @ res.cov @ grad)
             ci[name] = tq * math.sqrt(max(var, 0.0))

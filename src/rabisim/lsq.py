@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import t as _student_t
+from scipy.special import stdtrit
 
 
 @dataclass
@@ -55,7 +55,7 @@ def ci95_half_widths(cov, dof):
     """
     if cov is None or dof <= 0:
         return None
-    tq = float(_student_t.ppf(0.975, dof))
+    tq = float(stdtrit(dof, 0.975))
     return tq * np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
 

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .units import GYROMAGNETIC_KHZ_PER_MG
-
 
 @dataclass(frozen=True)
 class DriveParams:
@@ -30,16 +28,6 @@ class DriveParams:
     def __post_init__(self):
         if not self.omega0 > 0:
             raise ValueError(f"omega0 must be positive, got {self.omega0}")
-
-
-@dataclass(frozen=True)
-class PhysicalConstants:
-    """Fixed constants and the unit convention tag."""
-
-    gyromagnetic_conversion: float = GYROMAGNETIC_KHZ_PER_MG  # kHz per mG
-    frequency_unit_convention: str = (
-        "internal frequencies angular (rad/ms); external frequencies ordinary (kHz)"
-    )
 
 
 @dataclass(frozen=True)

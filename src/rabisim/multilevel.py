@@ -4,13 +4,18 @@ Levels are indexed 0..4 for m = +2..-2. The RF drive couples adjacent m
 with the F=2 ladder matrix elements, normalized so the (m=2 <-> m=1)
 element equals the bare Rabi frequency exactly. A quadratic Zeeman term
 pushes the neighboring transitions out of resonance, which is what isolates
-the measured pair; decoherence is pure dephasing at rate gamma, with an
-optional population-relaxation rate that defaults to off.
+the measured pair; decoherence is pure dephasing at rate gamma.
 
-The master equation drho/dt = -i [H, rho] + D(rho) is linear, so it is
-integrated as a fixed 25x25 superoperator acting on the flattened density
-matrix, either with an adaptive high-order method or with a fixed-step
-classical Runge-Kutta loop kept for step-size convergence checks.
+The master equation drho/dt = -i [H, rho] + D(rho) is linear and
+time-independent, so it is a fixed 25x25 superoperator L acting on the
+flattened density matrix, and rho(t) = exp(L (t - t0)) rho(t0). The default
+"spectral" method eigendecomposes L once and evaluates every sample in one
+expression. Near an exceptional point of L its eigenvectors become almost
+parallel; when their condition number exceeds 1e8 the method falls back to
+a matrix exponential per sample instead of returning inaccurate values. An
+adaptive high-order integrator ("adaptive") and a fixed-step classical
+Runge-Kutta loop ("rk4", for step-halving checks) are kept as independent
+oracles, reachable by passing method= explicitly.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.linalg import expm
 
 from .model import DriveParams, OscillationTrace
 from .units import khz_to_angular
@@ -29,6 +34,10 @@ _LADDER = np.array([1.0, np.sqrt(6.0) / 2.0, np.sqrt(6.0) / 2.0, 1.0])
 M_VALUES = np.array([2.0, 1.0, 0.0, -1.0, -2.0])
 
 DEFAULT_QUADRATIC_SHIFT = khz_to_angular(100.0)
+
+# Above this condition number of the eigenvector matrix the spectral
+# propagator is judged too close to a defective Liouvillian.
+MAX_EIGENVECTOR_COND = 1e8
 
 
 class IntegrationFailure(RuntimeError):
@@ -41,7 +50,7 @@ class InvariantViolation(RuntimeError):
 
 @dataclass(frozen=True)
 class LevelSystem:
-    """Rotating-frame level shifts, drive couplings, and decoherence rates.
+    """Rotating-frame level shifts, drive couplings, and dephasing rate.
 
     level_shifts is the (5,) diagonal of the rotating-frame Hamiltonian and
     coupling the symmetric (5,5) matrix of drive strengths, nonzero only
@@ -52,7 +61,6 @@ class LevelSystem:
     level_shifts: np.ndarray
     coupling: np.ndarray
     gamma: float
-    population_relaxation: float = 0.0
 
     def __post_init__(self):
         if self.n_levels != 5:
@@ -68,8 +76,8 @@ class LevelSystem:
         adjacency = np.abs(np.subtract.outer(np.arange(5), np.arange(5)))
         if np.any(coupling[adjacency != 1] != 0.0):
             raise ValueError("couplings are allowed between adjacent levels only")
-        if self.gamma < 0 or self.population_relaxation < 0:
-            raise ValueError("decoherence rates must be non-negative")
+        if self.gamma < 0:
+            raise ValueError("gamma must be non-negative")
         object.__setattr__(self, "level_shifts", shifts)
         object.__setattr__(self, "coupling", coupling)
 
@@ -107,8 +115,7 @@ class DensityMatrix:
 
 
 def build_f2_system(drive: DriveParams, local_shift=0.0,
-                    quadratic_shift=DEFAULT_QUADRATIC_SHIFT, gamma=0.0,
-                    n_levels=5, population_relaxation=0.0) -> LevelSystem:
+                    quadratic_shift=DEFAULT_QUADRATIC_SHIFT, gamma=0.0) -> LevelSystem:
     """Construct the rotating-frame five-level system.
 
     The 2<->1 transition is detuned by delta = drive.delta + local_shift;
@@ -116,8 +123,6 @@ def build_f2_system(drive: DriveParams, local_shift=0.0,
     remaining two at twice and three times that, the ladder signature of an
     m^2 level shift.
     """
-    if n_levels != 5:
-        raise ValueError("only the five-level F=2 manifold is supported")
     if quadratic_shift < 0:
         raise ValueError("quadratic_shift must be non-negative")
     delta = drive.delta + local_shift
@@ -128,7 +133,7 @@ def build_f2_system(drive: DriveParams, local_shift=0.0,
     for i, rel in enumerate(_LADDER):
         coupling[i, i + 1] = coupling[i + 1, i] = drive.omega0 * rel
     return LevelSystem(n_levels=5, level_shifts=shifts, coupling=coupling,
-                       gamma=gamma, population_relaxation=population_relaxation)
+                       gamma=gamma)
 
 
 def _liouvillian(system: LevelSystem) -> np.ndarray:
@@ -139,18 +144,22 @@ def _liouvillian(system: LevelSystem) -> np.ndarray:
     lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
     off_diagonal = (np.ones((n, n)) - np.eye(n)).ravel()
     lv += np.diag(-system.gamma * off_diagonal)
-    rate = system.population_relaxation
-    if rate > 0:
-        # Populations relax toward the maximally mixed diagonal; coherences
-        # pick up the usual half-rate on top of the pure dephasing.
-        diag_idx = np.arange(n) * (n + 1)
-        relax = np.zeros((n * n, n * n))
-        for i in diag_idx:
-            relax[i, i] -= rate
-            relax[i, diag_idx] += rate / n
-        relax -= 0.5 * rate * np.diag(off_diagonal)
-        lv += relax
     return lv
+
+
+def _spectral(lv, y0, times):
+    """exp(lv (t - t0)) y0 at every sample, t0 = times[0].
+
+    One eigendecomposition lv = V diag(lam) V^-1 serves all samples. When V
+    is too ill-conditioned for that to be accurate (lv at or near a
+    defective matrix), each sample is a matrix exponential instead.
+    """
+    dt = times - times[0]
+    lam, vecs = np.linalg.eig(lv)
+    if not np.linalg.cond(vecs) <= MAX_EIGENVECTOR_COND:
+        return np.stack([expm(lv * tau) @ y0 for tau in dt])
+    coeffs = np.linalg.solve(vecs, y0)
+    return (np.exp(np.outer(dt, lam)) * coeffs) @ vecs.T
 
 
 def _rk4(lv, y0, times, step):
@@ -177,29 +186,39 @@ def _rk4(lv, y0, times, step):
 def _check_invariants(rhos):
     trace_drift = float(np.abs(np.einsum("tii->t", rhos) - 1.0).max())
     herm_drift = float(np.abs(rhos - np.conj(np.swapaxes(rhos, 1, 2))).max())
-    if trace_drift > 1e-6 or herm_drift > 1e-6:
+    if not (trace_drift <= 1e-6 and herm_drift <= 1e-6):
         raise InvariantViolation(
             f"trace drift {trace_drift:.2e}, hermiticity drift {herm_drift:.2e}"
         )
 
 
 def evolve_density(system: LevelSystem, rho0: DensityMatrix, times, *,
-                   method="adaptive", rtol=1e-10, atol=1e-12,
+                   method="spectral", rtol=1e-10, atol=1e-12,
                    rk4_step=2.5e-5) -> np.ndarray:
-    """Integrate the master equation; returns the (n_times, 5, 5) state stack.
+    """Evolve under the master equation; returns the (n_times, 5, 5) state stack.
 
-    method "adaptive" is a high-order adaptive integrator evaluated at the
-    requested samples; "rk4" a fixed-step path with step rk4_step (ms) used
-    by the step-halving convergence checks. Raises IntegrationFailure when
-    the adaptive solver gives up and InvariantViolation when trace or
-    Hermiticity drifts beyond 1e-6.
+    method "spectral" (the default) propagates exactly through one
+    eigendecomposition of the Liouvillian, falling back to a per-sample
+    matrix exponential when its eigenvector matrix has condition number
+    above MAX_EIGENVECTOR_COND. "adaptive" is the DOP853 integrator at
+    rtol/atol, evaluated at the requested samples; "rk4" a fixed-step path
+    with step rk4_step (ms) used by the step-halving convergence checks.
+    Both are oracles for the spectral path. Every method raises
+    InvariantViolation when trace or Hermiticity drifts beyond 1e-6 (or is
+    not finite); "adaptive" raises IntegrationFailure when DOP853 gives up.
     """
     times = np.asarray(times, dtype=float)
     if times.size < 2:
         raise ValueError("need at least two sample times")
     lv = _liouvillian(system)
     y0 = rho0.elements.ravel().astype(complex)
-    if method == "adaptive":
+    if method == "spectral":
+        ys = _spectral(lv, y0, times)
+    elif method == "adaptive":
+        # Imported here: scipy.integrate is slow to load and only the
+        # oracle path needs it.
+        from scipy.integrate import solve_ivp
+
         sol = solve_ivp(lambda _t, y: lv @ y, (times[0], times[-1]), y0,
                         t_eval=times, method="DOP853", rtol=rtol, atol=atol)
         if not sol.success:

@@ -13,6 +13,8 @@ from rabisim.ensemble import (
     EnsembleConfig,
     QuadratureSupportError,
     _leggauss_cached,
+    _quadrature,
+    _sample_shifts,
     ensemble_signal,
     load_empirical_distribution,
     monte_carlo_signal,
@@ -154,6 +156,32 @@ def test_monte_carlo_same_seed_bit_identical():
     a = monte_carlo_signal(cfg, TIMES, 10_000, seed=13)
     b = monte_carlo_signal(cfg, TIMES, 10_000, seed=13)
     assert np.array_equal(a.values, b.values)
+
+
+def _expression_populations(drive, shifts, gamma, times):
+    """Per-atom populations as one array expression: the reference for the
+    buffered evaluation in the ensemble module."""
+    omega_r = np.hypot(drive.omega0, drive.delta + shifts)[:, None]
+    amp = (drive.omega0 / omega_r) ** 2
+    envelope = np.exp(-0.5 * gamma * times)[None, :] if gamma > 0 else 1.0
+    return 0.5 * amp * (1.0 - envelope * np.cos(omega_r * times[None, :]))
+
+
+@pytest.mark.parametrize("gamma_khz", [0.0, 0.7])
+def test_buffered_averages_bitwise_equal_expression(gamma_khz):
+    config = _config(12.0, delta_khz=3.0, skew=-3.0, gamma_khz=gamma_khz)
+    gamma = config.atom_model.gamma
+    shifts, weights = _quadrature(config)
+    expected = weights @ _expression_populations(config.drive, shifts, gamma, TIMES)
+    assert np.array_equal(ensemble_signal(config, TIMES).values, expected)
+    # 45000 samples leave a partial last chunk of 20000
+    n = 45000
+    samples = _sample_shifts(config.distribution, n, np.random.default_rng(3))
+    acc = np.zeros_like(TIMES)
+    for start in range(0, n, 20000):
+        part = samples[start:start + 20000]
+        acc += _expression_populations(config.drive, part, gamma, TIMES).sum(axis=0)
+    assert np.array_equal(monte_carlo_signal(config, TIMES, n, seed=3).values, acc / n)
 
 
 def test_monte_carlo_approaches_quadrature():

@@ -1,10 +1,17 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
+from rabisim.ensemble import AtomModel, DetuningDistribution, EnsembleConfig, ensemble_signal
 from rabisim.model import DriveParams
 from rabisim.multilevel import (
+    MAX_EIGENVECTOR_COND,
     DensityMatrix,
+    InvariantViolation,
     LevelSystem,
+    _check_invariants,
+    _liouvillian,
+    _spectral,
     build_f2_system,
     evolve,
     evolve_density,
@@ -108,7 +115,7 @@ def test_rk4_step_halving_converged():
 def test_rk4_agrees_with_adaptive():
     system = build_f2_system(DRIVE, 0.0, khz_to_angular(100.0), 0.0)
     rho0 = DensityMatrix.pure(0)
-    a = evolve_density(system, rho0, TIMES)
+    a = evolve_density(system, rho0, TIMES, method="adaptive")
     b = evolve_density(system, rho0, TIMES, method="rk4", rk4_step=5e-5)
     assert np.max(np.abs(a - b)) < 1e-7
 
@@ -128,3 +135,57 @@ def test_evolve_rejects_bad_input():
         evolve_density(system, DensityMatrix.pure(0), TIMES, method="euler")
     with pytest.raises(ValueError):
         build_f2_system(DRIVE, 0.0, -1.0, 0.0)
+
+
+# quadratic_shift = 0 puts the neighboring transitions on resonance
+# (degenerate spectrum); gamma > 0 makes the Liouvillian non-normal.
+SPECTRAL_GRID = [(q, g) for q in (0.0, 25.0, 250.0) for g in (0.0, 2.0)]
+
+
+@pytest.mark.parametrize("quad_khz,gamma_khz", SPECTRAL_GRID)
+def test_spectral_matches_expm_and_adaptive(quad_khz, gamma_khz):
+    system = build_f2_system(DRIVE, khz_to_angular(1.5),
+                             khz_to_angular(quad_khz), khz_to_angular(gamma_khz))
+    rho0 = DensityMatrix.pure(0)
+    spectral = evolve_density(system, rho0, TIMES)
+    lv = _liouvillian(system)
+    y0 = rho0.elements.ravel().astype(complex)
+    exact = np.stack([expm(lv * t) @ y0 for t in TIMES]).reshape(-1, 5, 5)
+    assert np.max(np.abs(spectral - exact)) < 1e-10
+    adaptive = evolve_density(system, rho0, TIMES, method="adaptive",
+                              rtol=1e-12, atol=1e-14)
+    assert np.max(np.abs(spectral - adaptive)) < 1e-8
+
+
+def test_spectral_falls_back_to_expm_on_defective_matrix():
+    # a 2x2 Jordan block has a single eigenvector, so the eigenbasis is
+    # singular and only the matrix-exponential path is exact
+    a = -0.3
+    lv = np.array([[a, 1.0], [0.0, a]], dtype=complex)
+    assert np.linalg.cond(np.linalg.eig(lv)[1]) > MAX_EIGENVECTOR_COND
+    y0 = np.array([0.2, 1.0], dtype=complex)
+    times = np.linspace(0.5, 2.5, 11)
+    dt = times - times[0]
+    exact = np.stack([np.exp(a * dt) * (y0[0] + dt * y0[1]),
+                      np.exp(a * dt) * y0[1]], axis=1)
+    assert np.max(np.abs(_spectral(lv, y0, times) - exact)) < 1e-12
+
+
+def test_invariant_check_rejects_non_finite_states():
+    rhos = np.broadcast_to(np.eye(5) / 5.0, (3, 5, 5)).astype(complex)
+    _check_invariants(rhos)
+    bad = rhos.copy()
+    bad[1, 2, 3] = np.nan
+    with pytest.raises(InvariantViolation):
+        _check_invariants(bad)
+
+
+def test_multilevel_ensemble_matches_two_level_at_large_shift():
+    dist = DetuningDistribution("gaussian", sigma=khz_to_angular(2.0))
+    two = ensemble_signal(EnsembleConfig(DRIVE, dist, quadrature_nodes=201), TIMES)
+    five = ensemble_signal(
+        EnsembleConfig(DRIVE, dist, AtomModel("multilevel", 0.0, khz_to_angular(1000.0)),
+                       quadrature_nodes=201),
+        TIMES,
+    )
+    assert np.max(np.abs(five.values - two.values)) < 1e-3
