@@ -12,7 +12,12 @@ model
 
 pins one component at the known bare Rabi frequency and lets the other move;
 the amplitude ratio |A| / (|A| + |B|) is the pinned fraction of the signal.
-Both are least-squares fits with analytic Jacobians, seeded from the FFT.
+Both are least-squares fits with analytic Jacobians. The models and
+Jacobians are written for a stack of parameter rows, so every start of a
+fit advances in one `stacked_levenberg_marquardt` loop; each start's result
+is bitwise the one it would reach alone. Single-frequency starts come from
+the FFT, two-frequency starts from a coarse grid screened in one stacked
+solve.
 """
 
 from __future__ import annotations
@@ -23,7 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import stdtrit
 
-from .lsq import ci95_half_widths, levenberg_marquardt
+from .lsq import ci95_half_widths, stacked_levenberg_marquardt
+# Re-exported, not called: perfbench/tracing.py wraps this binding.
+from .lsq import levenberg_marquardt  # noqa: F401
 from .model import OscillationTrace
 
 
@@ -150,29 +157,33 @@ def _env_exp(gamma, t):
     return np.exp(np.minimum(-gamma * t, 50.0))
 
 
-def _single_model(p, t, decay):
-    a, gamma, omega, phi, b, c = p
+def _single_model(P, t, decay):
+    """(m, n) model values for an (m, 6) stack of parameter rows."""
+    a, gamma, omega, phi, b, c = P.T[..., None]
     env = _env_exp(gamma, t) if decay == "exp" else np.exp(-0.5 * (gamma * t) ** 2)
     return a * env * np.cos(omega * t + phi) + b * t + c
 
 
-def _single_jacobian(p, t, decay):
-    a, gamma, omega, phi, b, c = p
+def _single_jacobian(P, t, decay):
+    """(m, n, 6) derivatives of _single_model."""
+    a, gamma, omega, phi, b, c = P.T[..., None]
     if decay == "exp":
         env = _env_exp(gamma, t)
         denv = -t * env
     else:
         env = np.exp(-0.5 * (gamma * t) ** 2)
         denv = -gamma * t * t * env
-    cos_part = np.cos(omega * t + phi)
-    sin_part = np.sin(omega * t + phi)
-    jac = np.empty((t.size, 6))
-    jac[:, 0] = env * cos_part
-    jac[:, 1] = a * denv * cos_part
-    jac[:, 2] = -a * env * t * sin_part
-    jac[:, 3] = -a * env * sin_part
-    jac[:, 4] = t
-    jac[:, 5] = 1.0
+    phase = omega * t + phi
+    cos_part = np.cos(phase)
+    sin_part = np.sin(phase)
+    jac = np.empty((len(P), t.size, 6))
+    jac[..., 0] = env * cos_part
+    jac[..., 1] = a * denv * cos_part
+    neg_a_env = -a * env
+    jac[..., 2] = neg_a_env * t * sin_part
+    jac[..., 3] = neg_a_env * sin_part
+    jac[..., 4] = t
+    jac[..., 5] = 1.0
     return jac
 
 
@@ -216,21 +227,22 @@ def fit_single_frequency(trace: OscillationTrace, window=(0.01, 0.6), *,
     if gamma_guesses is not None:
         rate_starts += [float(g) for g in gamma_guesses if g > 0]
 
-    def residual_fn(p):
-        return _single_model(p, t, decay) - y
+    def residual_fn(P):
+        return _single_model(P, t, decay) - y
 
-    def jacobian_fn(p):
-        return _single_jacobian(p, t, decay)
+    def jacobian_fn(P):
+        return _single_jacobian(P, t, decay)
 
     best = None
     best_converged = None
+    a_guess = max(scale / 2.0, 1e-12)
     for omega_guess in omega_starts:
         demod = np.sum(resid * np.exp(-1j * omega_guess * t))
         phi_guess = float(np.angle(demod))
-        a_guess = max(scale / 2.0, 1e-12)
-        for rate in rate_starts:
-            p0 = np.array([a_guess, rate, omega_guess, phi_guess, b0, c0])
-            res = levenberg_marquardt(residual_fn, jacobian_fn, p0, max_iter=max_iter)
+        p0 = np.array([[a_guess, rate, omega_guess, phi_guess, b0, c0]
+                       for rate in rate_starts])
+        for res in stacked_levenberg_marquardt(residual_fn, jacobian_fn, p0,
+                                               max_iter=max_iter):
             if best is None or res.ssr < best.ssr:
                 best = res
             if res.converged and (best_converged is None or res.ssr < best_converged.ssr):
@@ -270,41 +282,98 @@ def _package_single(res, y, decay) -> SingleFreqFit:
                          converged=res.converged, ssr=res.ssr, n_iter=res.n_iter)
 
 
-def _two_freq_design(t, omega0, omega_bar, gamma_b):
-    env = np.exp(-0.5 * (gamma_b * t) ** 2)
-    return np.column_stack([
-        np.cos(omega0 * t),
-        np.sin(omega0 * t),
-        env * np.cos(omega_bar * t),
-        env * np.sin(omega_bar * t),
-        np.ones_like(t),
-    ])
+def _two_freq_designs(t, y, omega0, omega_bar, gamma_b):
+    """(w * g, n, 6) linear designs of the (omega_bar, gamma_b) grid nodes,
+    each followed by the data column y.
+
+    Node i is (omega_bar[i // g], gamma_b[i % g]); its design columns are
+    the amplitudes of cos and sin at omega0 and at omega_bar, and the offset.
+    """
+    env = np.exp(-0.5 * (gamma_b[:, None] * t) ** 2)
+    phase = omega_bar[:, None] * t
+    augmented = np.empty((omega_bar.size, gamma_b.size, t.size, 6))
+    augmented[..., 0] = np.cos(omega0 * t)
+    augmented[..., 1] = np.sin(omega0 * t)
+    augmented[..., 2] = env * np.cos(phase)[:, None]
+    augmented[..., 3] = env * np.sin(phase)[:, None]
+    augmented[..., 4] = 1.0
+    augmented[..., 5] = y
+    return augmented.reshape(-1, t.size, 6)
 
 
-def _two_freq_model(p, t, omega0):
-    a1, a2, b1, b2, c, du, gb = p
-    omega_bar = omega0 + abs(du)
-    env = np.exp(-0.5 * (abs(gb) * t) ** 2)
+def _lstsq(design, y):
+    """Least-squares coefficients of one node and their residual sum."""
+    coef, res_ss, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+    if res_ss.size and rank == design.shape[1]:
+        return float(res_ss[0]), coef
+    diff = design @ coef - y
+    return float(diff @ diff), coef
+
+
+def _grid_starts(t, y, omega0):
+    """The best (omega_bar, gamma_b) grid node and the best one from a
+    different grid region, as (grid index, omega_bar, gamma_b, coef) tuples.
+
+    Nodes rank by their lstsq residual sum, ties to the lower grid index.
+    One stacked QR of every node's [design | y] screens the grid: |R[5, 5]|
+    is the norm of y's residual after projection onto the design's column
+    space, so its square equals the node's residual sum to rounding and
+    never exceeds it (a rank-deficient node's lstsq solution drops small
+    singular directions). Nodes are then solved exactly with lstsq in screen
+    order until the screen passes the best exact sum by 1e-9 |y|^2, far
+    above the rounding, so no node left unsolved can win or tie.
+    """
+    omega_bar = omega0 * np.linspace(1.0, 4.0, 24)
+    gamma_b = omega0 * np.linspace(0.02, 2.0, 16)
+    node_omega_bar = np.repeat(omega_bar, gamma_b.size)
+    node_gamma_b = np.tile(gamma_b, omega_bar.size)
+    augmented = _two_freq_designs(t, y, omega0, omega_bar, gamma_b)
+    screen = np.linalg.qr(augmented, mode="r")[:, 5, 5] ** 2
+    tol = 1e-9 * float(y @ y)
+
+    def best_of(nodes):
+        best = None
+        for i in nodes[np.argsort(screen[nodes], kind="stable")]:
+            if best is not None and screen[i] > best[0] + tol:
+                break
+            ssr, coef = _lstsq(augmented[i, :, :5], y)
+            if best is None or (ssr, i) < (best[0], best[2]):
+                best = (ssr, coef, i)
+        _, coef, i = best
+        return i, node_omega_bar[i], node_gamma_b[i], coef
+
+    first = best_of(np.arange(len(augmented)))
+    far = np.flatnonzero((np.abs(node_omega_bar - first[1]) > 0.25 * omega0)
+                         | (np.abs(node_gamma_b - first[2]) > 0.25 * omega0))
+    return [first, best_of(far)] if far.size else [first]
+
+
+def _two_freq_model(P, t, omega0):
+    """(m, n) model values for an (m, 7) stack of parameter rows."""
+    a1, a2, b1, b2, c, du, gb = P.T[..., None]
+    omega_bar = omega0 + np.abs(du)
+    env = np.exp(-0.5 * (np.abs(gb) * t) ** 2)
     return (a1 * np.cos(omega0 * t) + a2 * np.sin(omega0 * t)
             + env * (b1 * np.cos(omega_bar * t) + b2 * np.sin(omega_bar * t)) + c)
 
 
-def _two_freq_jacobian(p, t, omega0):
-    a1, a2, b1, b2, c, du, gb = p
-    omega_bar = omega0 + abs(du)
-    gb_abs = abs(gb)
+def _two_freq_jacobian(P, t, omega0):
+    """(m, n, 7) derivatives of _two_freq_model."""
+    a1, a2, b1, b2, c, du, gb = P.T[..., None]
+    omega_bar = omega0 + np.abs(du)
+    gb_abs = np.abs(gb)
     env = np.exp(-0.5 * (gb_abs * t) ** 2)
     cos_bar = np.cos(omega_bar * t)
     sin_bar = np.sin(omega_bar * t)
     fast = b1 * cos_bar + b2 * sin_bar
-    jac = np.empty((t.size, 7))
-    jac[:, 0] = np.cos(omega0 * t)
-    jac[:, 1] = np.sin(omega0 * t)
-    jac[:, 2] = env * cos_bar
-    jac[:, 3] = env * sin_bar
-    jac[:, 4] = 1.0
-    jac[:, 5] = math.copysign(1.0, du) * env * t * (-b1 * sin_bar + b2 * cos_bar)
-    jac[:, 6] = math.copysign(1.0, gb) * (-gb_abs * t * t) * env * fast
+    jac = np.empty((len(P), t.size, 7))
+    jac[..., 0] = np.cos(omega0 * t)
+    jac[..., 1] = np.sin(omega0 * t)
+    jac[..., 2] = env * cos_bar
+    jac[..., 3] = env * sin_bar
+    jac[..., 4] = 1.0
+    jac[..., 5] = np.copysign(1.0, du) * env * t * (-b1 * sin_bar + b2 * cos_bar)
+    jac[..., 6] = np.copysign(1.0, gb) * (-gb_abs * t * t) * env * fast
     return jac
 
 
@@ -315,9 +384,13 @@ def fit_two_frequency(trace: OscillationTrace, omega0, window=None, *,
     omega0 is the known bare Rabi frequency (a model input, never fitted);
     the default window is ten bare periods from the start of the trace,
     clipped to its end. The slow component's decay is fixed at zero.
-    Initialization scans a coarse (omega_bar, gamma_b) grid where the
-    amplitudes and offset are linear and solved exactly, then polishes the
-    best candidates with the full nonlinear fit.
+    Initialization scans a coarse 24 x 16 (omega_bar, gamma_b) grid where
+    the amplitudes and offset are linear: one stacked QR screens the
+    residual sum of every node, and the nodes the screen cannot separate
+    from the best are re-solved exactly with lstsq and ranked by (residual
+    sum, grid index), as a per-node lstsq scan would rank them.
+    The best node and the best node from a different grid region are then
+    polished together in one stacked nonlinear fit.
     """
     omega0 = float(omega0)
     if omega0 <= 0:
@@ -337,41 +410,18 @@ def fit_two_frequency(trace: OscillationTrace, omega0, window=None, *,
                           fraction_a=0.0, ci95=ci, indistinguishable=True,
                           fraction_ci_wide=True, converged=True)
 
-    # Coarse variable-projection scan.
-    omega_bar_grid = omega0 * np.linspace(1.0, 4.0, 24)
-    gamma_b_grid = omega0 * np.linspace(0.02, 2.0, 16)
-    candidates = []
-    for omega_bar in omega_bar_grid:
-        for gamma_b in gamma_b_grid:
-            design = _two_freq_design(t, omega0, omega_bar, gamma_b)
-            coef, res_ss, rank, _ = np.linalg.lstsq(design, y, rcond=None)
-            if res_ss.size and rank == design.shape[1]:
-                ssr = float(res_ss[0])
-            else:
-                diff = design @ coef - y
-                ssr = float(diff @ diff)
-            candidates.append((ssr, omega_bar, gamma_b, coef))
-    candidates.sort(key=lambda c: c[0])
+    def residual_fn(P):
+        return _two_freq_model(P, t, omega0) - y
 
-    def residual_fn(p):
-        return _two_freq_model(p, t, omega0) - y
+    def jacobian_fn(P):
+        return _two_freq_jacobian(P, t, omega0)
 
-    def jacobian_fn(p):
-        return _two_freq_jacobian(p, t, omega0)
-
-    # Polish the best node and the best node from a different grid region.
-    starts = [candidates[0]]
-    for cand in candidates[1:]:
-        if (abs(cand[1] - starts[0][1]) > 0.25 * omega0
-                or abs(cand[2] - starts[0][2]) > 0.25 * omega0):
-            starts.append(cand)
-            break
+    p0 = np.array([[*coef, max(omega_bar - omega0, 1e-6), gamma_b]
+                   for _, omega_bar, gamma_b, coef in _grid_starts(t, y, omega0)])
     best = None
     best_converged = None
-    for _ssr, omega_bar, gamma_b, coef in starts:
-        p0 = np.array([coef[0], coef[1], coef[2], coef[3], coef[4],
-                       max(omega_bar - omega0, 1e-6), gamma_b])
-        res = levenberg_marquardt(residual_fn, jacobian_fn, p0, max_iter=max_iter)
+    for res in stacked_levenberg_marquardt(residual_fn, jacobian_fn, p0,
+                                           max_iter=max_iter):
         if best is None or res.ssr < best.ssr:
             best = res
         if res.converged and (best_converged is None or res.ssr < best_converged.ssr):

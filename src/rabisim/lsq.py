@@ -1,9 +1,14 @@
 """Damped least-squares core shared by the fitting routines.
 
-A small Levenberg-style damped Gauss-Newton loop over user-supplied residual
-and Jacobian callables. Problem sizes here are tiny (hundreds of samples,
-at most eight parameters), so dense normal equations are perfectly fine and
-keep the implementation auditable.
+One Levenberg-style damped Gauss-Newton loop, `stacked_levenberg_marquardt`,
+advances a stack of starts at once: every row keeps its own damping, step
+acceptance, stop rule, iteration count and message, and a row that has
+finished is frozen and leaves the stack. The stacked products and solves
+are bitwise equal to the per-row 2-D calls, so each row's result equals
+that start run alone. `levenberg_marquardt` is the one-start wrapper.
+Problem sizes here are tiny (hundreds of samples, at most eight
+parameters), so dense normal equations are perfectly fine and keep the
+implementation auditable.
 """
 
 from __future__ import annotations
@@ -25,12 +30,30 @@ class LsqResult:
 
 
 def _solve_damped(jtj, jtr, lam):
-    scale = np.diag(jtj).clip(min=1e-300)
-    a = jtj + lam * np.diag(scale)
+    """Solve (J^T J + lam diag(J^T J)) dp = J^T r for a stack of rows.
+
+    jtj is (m, k, k), jtr (m, k, 1), lam (m,). A singular row falls back to
+    its least-squares solution without touching the other rows.
+    """
+    m, k, _ = jtj.shape
+    scale = np.zeros((m, k * k))  # diag(J^T J) as a matrix, one per row
+    np.maximum(jtj.reshape(m, k * k)[:, ::k + 1], 1e-300, out=scale[:, ::k + 1])
+    a = jtj + lam[:, None, None] * scale.reshape(m, k, k)
     try:
-        return np.linalg.solve(a, jtr)
+        return np.linalg.solve(a, jtr)[..., 0]
     except np.linalg.LinAlgError:
-        return np.linalg.lstsq(a, jtr, rcond=None)[0]
+        out = np.empty((m, k))
+        for i, (a_i, b_i) in enumerate(zip(a, jtr[..., 0])):
+            try:
+                out[i] = np.linalg.solve(a_i, b_i)
+            except np.linalg.LinAlgError:
+                out[i] = np.linalg.lstsq(a_i, b_i, rcond=None)[0]
+        return out
+
+
+def _sq_norms(r):
+    # Row-wise r @ r; the stacked matmul is bitwise the 1-D dot (einsum is not).
+    return (r[:, None] @ r[..., None])[:, 0, 0]
 
 
 def covariance(jac, ssr):
@@ -59,55 +82,106 @@ def ci95_half_widths(cov, dof):
     return tq * np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
 
+def stacked_levenberg_marquardt(residual, jacobian, p0, *, max_iter=200,
+                                ftol=1e-12, xtol=1e-12, lam0=1e-3):
+    """Minimize sum(residual(p)^2) from every row of the (s, k) starts p0.
+
+    residual(P) maps an (m, k) stack of parameter rows to the (m, n)
+    residuals and jacobian(P) to the (m, n, k) derivatives; both are called
+    on subsets of the rows, so each output row may depend on its own input
+    row only. Damping lambda shrinks on accepted steps and grows on rejected
+    ones, per row. Returns one LsqResult per start, in order. Never raises
+    for non-convergence; the caller checks `converged` and decides.
+    """
+    p = np.array(p0, dtype=float)
+    s = p.shape[0]
+    out_p = p.copy()
+    out_ssr = np.empty(s)
+    n_iter = np.full(s, max(max_iter, 0))
+    converged = np.zeros(s, dtype=bool)
+    message = ["iteration cap reached"] * s
+
+    rows = np.arange(s)  # the start each active row belongs to
+    r = residual(p)
+    ssr = _sq_norms(r)
+    lam = np.full(s, float(lam0))
+
+    def retire(done, it, text, conv):
+        for pos in np.flatnonzero(done):
+            row = rows[pos]
+            out_p[row], out_ssr[row] = p[pos], ssr[pos]
+            n_iter[row], converged[row], message[row] = it, conv, text[pos]
+
+    for it in range(1, max_iter + 1):
+        jac = jacobian(p)
+        bad = ~(np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(ssr))
+        if bad.any():
+            retire(bad, it, ["non-finite residual or Jacobian"] * len(p), False)
+            p, r, ssr, lam, rows, jac = (x[~bad] for x in (p, r, ssr, lam, rows, jac))
+            if not rows.size:
+                break
+        jt = jac.transpose(0, 2, 1)
+        jtj = jt @ jac
+        jtr = jt @ r[..., None]
+
+        # Damped step search: a rejected row retries with lambda * 5, up to
+        # 30 tries; accepted rows keep their first decreasing step.
+        # Every ssr is finite here, so `<=` also rejects non-finite trials.
+        dp = _solve_damped(jtj, jtr, lam)
+        p_new = p - dp
+        r_new = residual(p_new)
+        ssr_new = _sq_norms(r_new)
+        ok = ssr_new <= ssr
+        retry = np.flatnonzero(~ok)
+        for _ in range(29):
+            if not retry.size:
+                break
+            lam[retry] *= 5.0
+            dp_t = _solve_damped(jtj[retry], jtr[retry], lam[retry])
+            p_t = p[retry] - dp_t
+            r_t = residual(p_t)
+            ssr_t = _sq_norms(r_t)
+            ok_t = ssr_t <= ssr[retry]
+            hit = retry[ok_t]
+            dp[hit], p_new[hit], r_new[hit] = dp_t[ok_t], p_t[ok_t], r_t[ok_t]
+            ssr_new[hit] = ssr_t[ok_t]
+            ok[hit] = True
+            retry = retry[~ok_t]
+
+        if retry.size:
+            # No damped direction improves these rows: stationary to float
+            # precision. They keep their current iterate and stop.
+            p_new[retry], r_new[retry], ssr_new[retry] = p[retry], r[retry], ssr[retry]
+        rel_drop = (ssr - ssr_new) / np.maximum(ssr, 1e-300)
+        rel_step = np.max(np.abs(dp) / np.maximum(np.abs(p_new), 1e-12), axis=1)
+        stop = ~ok | (rel_drop < ftol) | (rel_step < xtol)
+        p, r, ssr = p_new, r_new, ssr_new
+        lam = np.maximum(lam / 3.0, 1e-14)
+        if stop.any():
+            retire(stop, it, ["converged" if o else "no decreasing step" for o in ok], True)
+            p, r, ssr, lam, rows = (x[~stop] for x in (p, r, ssr, lam, rows))
+            if not rows.size:
+                break
+    out_p[rows], out_ssr[rows] = p, ssr
+
+    jac = jacobian(out_p)
+    return [LsqResult(params=out_p[i], ssr=float(out_ssr[i]),
+                      cov=covariance(jac[i], float(out_ssr[i])),
+                      n_iter=int(n_iter[i]), converged=bool(converged[i]),
+                      message=message[i])
+            for i in range(s)]
+
+
 def levenberg_marquardt(residual, jacobian, p0, *, max_iter=200, ftol=1e-12,
                         xtol=1e-12, lam0=1e-3):
-    """Minimize sum(residual(p)^2) from the starting point p0.
+    """Minimize sum(residual(p)^2) from the single starting point p0.
 
     residual(p) returns the (n,) residual vector, jacobian(p) the (n, k)
-    matrix of its derivatives. Damping lambda shrinks on accepted steps and
-    grows on rejected ones. Never raises for non-convergence; the caller
-    checks `converged` and decides.
+    matrix of its derivatives. The one-start form of
+    stacked_levenberg_marquardt.
     """
-    p = np.asarray(p0, dtype=float).copy()
-    r = residual(p)
-    ssr = float(r @ r)
-    lam = lam0
-    n_iter = 0
-    converged = False
-    message = "iteration cap reached"
-    for n_iter in range(1, max_iter + 1):
-        jac = jacobian(p)
-        if not np.all(np.isfinite(jac)) or not np.isfinite(ssr):
-            message = "non-finite residual or Jacobian"
-            break
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
-        accepted = False
-        dp = np.zeros_like(p)
-        ssr_new = ssr
-        for _ in range(30):
-            dp = _solve_damped(jtj, jtr, lam)
-            p_try = p - dp
-            r_try = residual(p_try)
-            ssr_try = float(r_try @ r_try)
-            if np.isfinite(ssr_try) and ssr_try <= ssr:
-                p_new, r_new, ssr_new = p_try, r_try, ssr_try
-                accepted = True
-                break
-            lam *= 5.0
-        if not accepted:
-            # No damped direction improves the fit: stationary to float precision.
-            converged = True
-            message = "no decreasing step"
-            break
-        rel_drop = (ssr - ssr_new) / max(ssr, 1e-300)
-        rel_step = float(np.max(np.abs(dp) / np.maximum(np.abs(p_new), 1e-12)))
-        p, r, ssr = p_new, r_new, ssr_new
-        lam = max(lam / 3.0, 1e-14)
-        if rel_drop < ftol or rel_step < xtol:
-            converged = True
-            message = "converged"
-            break
-    cov = covariance(jacobian(p), ssr)
-    return LsqResult(params=p, ssr=ssr, cov=cov, n_iter=n_iter,
-                     converged=converged, message=message)
+    (res,) = stacked_levenberg_marquardt(
+        lambda P: residual(P[0])[None], lambda P: jacobian(P[0])[None],
+        np.asarray(p0, dtype=float)[None], max_iter=max_iter, ftol=ftol,
+        xtol=xtol, lam0=lam0)
+    return res

@@ -27,7 +27,8 @@ class ScanRow:
     Which fields are populated depends on the analysis: single-frequency
     fits fill frequency/amplitude/gamma and their CIs; two-frequency fits
     fill fraction/omega_bar/gamma_b; FFT analysis fills the peak list.
-    error is empty on success and holds the failure text otherwise.
+    error is empty on success and holds the failure text otherwise; an FFT
+    point whose spectrum has no peak is a failure.
     """
 
     detuning_khz: float
@@ -92,13 +93,14 @@ def _analyze_two(trace, config, window):
 
 
 def _analyze_fft(trace, config, fft_options):
-    opts = dict(fft_options or {})
-    spec = fft_spectrum(trace, **opts)
+    spec = fft_spectrum(trace, **dict(fft_options or {}))
+    detuning_khz = angular_to_khz(config.drive.delta)
+    if not spec.peak_frequencies_khz.size:
+        return ScanRow(detuning_khz=detuning_khz,
+                       error="no spectral peak: the FFT power has no interior "
+                             "maximum of the required prominence")
     peaks = tuple(float(f) for f in spec.peak_frequencies_khz)
-    row = ScanRow(detuning_khz=angular_to_khz(config.drive.delta), peaks_khz=peaks)
-    if peaks:
-        row = replace(row, frequency_khz=peaks[0])
-    return row
+    return ScanRow(detuning_khz=detuning_khz, frequency_khz=peaks[0], peaks_khz=peaks)
 
 
 def scan_detuning(base_config: EnsembleConfig, detunings, *, analysis="single",

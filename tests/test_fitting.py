@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from rabisim.fitting import (
     FitFailure,
+    _grid_starts,
+    _window_slice,
     fit_single_frequency,
     fit_two_frequency,
 )
@@ -181,3 +183,62 @@ def test_two_frequency_default_window_is_ten_periods():
     fit = fit_two_frequency(trace, omega0)
     assert fit.converged
     assert fit.omega_bar == pytest.approx(khz_to_angular(13.0), rel=2e-2)
+
+
+def _reference_grid_starts(t, y, omega0):
+    """Per-node lstsq ranking of the (omega_bar, gamma_b) grid, node by node.
+
+    Returns the (grid index, coef) of the best node and of the best node
+    from a different grid region, ranked by a stable sort on the residual
+    sum: the oracle for the stacked screen.
+    """
+    candidates = []
+    for omega_bar in omega0 * np.linspace(1.0, 4.0, 24):
+        for gamma_b in omega0 * np.linspace(0.02, 2.0, 16):
+            env = np.exp(-0.5 * (gamma_b * t) ** 2)
+            design = np.column_stack([
+                np.cos(omega0 * t), np.sin(omega0 * t),
+                env * np.cos(omega_bar * t), env * np.sin(omega_bar * t),
+                np.ones_like(t),
+            ])
+            coef, res_ss, rank, _ = np.linalg.lstsq(design, y, rcond=None)
+            if res_ss.size and rank == design.shape[1]:
+                ssr = float(res_ss[0])
+            else:
+                diff = design @ coef - y
+                ssr = float(diff @ diff)
+            candidates.append((ssr, len(candidates), omega_bar, gamma_b, coef))
+    candidates.sort(key=lambda c: c[0])
+    starts = [candidates[0]]
+    for cand in candidates[1:]:
+        if (abs(cand[2] - starts[0][2]) > 0.25 * omega0
+                or abs(cand[3] - starts[0][3]) > 0.25 * omega0):
+            starts.append(cand)
+            break
+    return [(index, coef) for _, index, _, _, coef in starts]
+
+
+def _assert_same_starts(trace, omega0):
+    t, y = _window_slice(trace, (0.0, 1.5))
+    got = _grid_starts(t, y, omega0)
+    want = _reference_grid_starts(t, y, omega0)
+    assert [int(s[0]) for s in got] == [index for index, _ in want]
+    for (_, _, _, coef), (_, ref_coef) in zip(got, want):
+        assert np.array_equal(coef, ref_coef)
+
+
+def test_grid_starts_match_per_node_ranking_on_exact_ties():
+    # No fast component: every node fits the trace to rounding, so the
+    # choice rests on exact residual sums and the grid-index tie break.
+    omega0 = khz_to_angular(9.0)
+    trace = _two_component(0.3, 0.0, 0.0, khz_to_angular(14.0), 0.0, 10.0, 0.5, omega0)
+    _assert_same_starts(trace, omega0)
+
+
+def test_grid_starts_match_per_node_ranking_on_noisy_trace():
+    omega0 = khz_to_angular(9.0)
+    rng = np.random.default_rng(17)
+    clean = _two_component(0.15, 0.3, 0.25, khz_to_angular(15.0), -0.2, 12.0, 0.5, omega0)
+    noise = 0.02 * rng.standard_normal(TIMES.size)
+    trace = OscillationTrace.from_times(TIMES, clean.values + noise)
+    _assert_same_starts(trace, omega0)

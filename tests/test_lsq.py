@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
-from rabisim.lsq import LsqResult, ci95_half_widths, covariance, levenberg_marquardt
+from rabisim.lsq import (
+    LsqResult,
+    ci95_half_widths,
+    covariance,
+    levenberg_marquardt,
+    stacked_levenberg_marquardt,
+)
 
 
 def _linear_problem(slope=2.0, intercept=-1.0, noise=None):
@@ -94,3 +100,122 @@ def test_covariance_none_when_underdetermined():
     assert covariance(jac, 1.0) is None
     assert ci95_half_widths(None, 10) is None
     assert ci95_half_widths(np.eye(2), 0) is None
+
+
+def _reference_solve_damped(jtj, jtr, lam):
+    scale = np.diag(jtj).clip(min=1e-300)
+    a = jtj + lam * np.diag(scale)
+    try:
+        return np.linalg.solve(a, jtr)
+    except np.linalg.LinAlgError:
+        return np.linalg.lstsq(a, jtr, rcond=None)[0]
+
+
+def _reference_lm(residual, jacobian, p0, *, max_iter=200, ftol=1e-12, xtol=1e-12,
+                  lam0=1e-3):
+    """The one-start loop the stacked loop replaced, kept as the oracle."""
+    p = np.asarray(p0, dtype=float).copy()
+    r = residual(p)
+    ssr = float(r @ r)
+    lam = lam0
+    n_iter = 0
+    converged = False
+    message = "iteration cap reached"
+    for n_iter in range(1, max_iter + 1):
+        jac = jacobian(p)
+        if not np.all(np.isfinite(jac)) or not np.isfinite(ssr):
+            message = "non-finite residual or Jacobian"
+            break
+        jtj = jac.T @ jac
+        jtr = jac.T @ r
+        accepted = False
+        dp = np.zeros_like(p)
+        ssr_new = ssr
+        for _ in range(30):
+            dp = _reference_solve_damped(jtj, jtr, lam)
+            p_try = p - dp
+            r_try = residual(p_try)
+            ssr_try = float(r_try @ r_try)
+            if np.isfinite(ssr_try) and ssr_try <= ssr:
+                p_new, r_new, ssr_new = p_try, r_try, ssr_try
+                accepted = True
+                break
+            lam *= 5.0
+        if not accepted:
+            converged = True
+            message = "no decreasing step"
+            break
+        rel_drop = (ssr - ssr_new) / max(ssr, 1e-300)
+        rel_step = float(np.max(np.abs(dp) / np.maximum(np.abs(p_new), 1e-12)))
+        p, r, ssr = p_new, r_new, ssr_new
+        lam = max(lam / 3.0, 1e-14)
+        if rel_drop < ftol or rel_step < xtol:
+            converged = True
+            message = "converged"
+            break
+    cov = covariance(jacobian(p), ssr)
+    return LsqResult(params=p, ssr=ssr, cov=cov, n_iter=n_iter,
+                     converged=converged, message=message)
+
+
+def _assert_bitwise_equal(res, ref):
+    assert np.array_equal(res.params, ref.params, equal_nan=True)
+    assert res.ssr == ref.ssr or (np.isnan(res.ssr) and np.isnan(ref.ssr))
+    assert (res.cov is None) == (ref.cov is None)
+    if ref.cov is not None:
+        assert np.array_equal(res.cov, ref.cov, equal_nan=True)
+    assert (res.n_iter, res.converged, res.message) == (ref.n_iter, ref.converged, ref.message)
+
+
+_T = np.linspace(0.0, 2.0, 80)
+_Y = 3.0 * np.exp(-1.7 * _T)
+
+
+def _decay_residual(P):
+    a, b = P.T[..., None]
+    return a * np.exp(-b * _T) - _Y
+
+
+def _decay_jacobian(P):
+    a, b = P.T[..., None]
+    e = np.exp(-b * _T)
+    jac = np.stack([e, -a * _T * e], axis=-1)
+    # Rows with a negative amplitude see a Jacobian that points uphill, so
+    # no damped step can lower their residual.
+    return np.where((a < 0)[..., None], -1e-10 * jac, jac)
+
+
+def _solo(fn):
+    return lambda p: fn(p[None])[0]
+
+
+def test_stacked_rows_match_solo_runs():
+    p0 = np.array([[1.0, 0.5], [-5.0, 1.0], [50.0, 30.0], [1.0, -1000.0]])
+    with np.errstate(all="ignore"):
+        stacked = stacked_levenberg_marquardt(_decay_residual, _decay_jacobian, p0,
+                                              max_iter=10)
+        for row, res in zip(p0, stacked):
+            ref = _reference_lm(_solo(_decay_residual), _solo(_decay_jacobian), row,
+                                max_iter=10)
+            _assert_bitwise_equal(res, ref)
+            alone = levenberg_marquardt(_solo(_decay_residual), _solo(_decay_jacobian),
+                                        row, max_iter=10)
+            _assert_bitwise_equal(alone, ref)
+    assert [r.message for r in stacked] == [
+        "converged", "no decreasing step", "iteration cap reached",
+        "non-finite residual or Jacobian"]
+    assert [r.n_iter for r in stacked] == [7, 1, 10, 1]
+
+
+def test_singular_damped_system_falls_back_to_lstsq():
+    # With no damping, a zero amplitude zeroes the rate column of the
+    # Jacobian, so the first normal-equation solve of that row is singular.
+    p0 = np.array([[1.0, 0.5], [0.0, 0.5]])
+    jac0 = _decay_jacobian(p0[1:])[0]
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(jac0.T @ jac0, jac0.T @ _decay_residual(p0[1:])[0])
+    stacked = stacked_levenberg_marquardt(_decay_residual, _decay_jacobian, p0, lam0=0.0)
+    for row, res in zip(p0, stacked):
+        ref = _reference_lm(_solo(_decay_residual), _solo(_decay_jacobian), row, lam0=0.0)
+        _assert_bitwise_equal(res, ref)
+    assert stacked[0].converged

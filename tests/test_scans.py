@@ -68,6 +68,18 @@ def test_fft_analysis_reports_peaks():
     assert abs(rows[0].peaks_khz[0] - 9.0) < 0.2
 
 
+def test_fft_point_without_peak_is_error_row():
+    # On the far tail of a strongly skewed spread the signal is a monotone
+    # settle with no oscillation, so the spectrum has no interior peak.
+    detunings = khz_to_angular(np.array([0.0, -30.0]))
+    rows = scan_detuning(_config(10.0, skew=-3.0, gamma_khz=1.0), detunings, analysis="fft")
+    peaked, flat = rows
+    assert peaked.error == "" and peaked.peaks_khz
+    assert flat.peaks_khz == ()
+    assert math.isnan(flat.frequency_khz)
+    assert "no spectral peak" in flat.error
+
+
 def test_thread_fanout_matches_serial():
     detunings = khz_to_angular(np.linspace(-10.0, 10.0, 5))
     serial = scan_detuning(_config(8.0, gamma_khz=1.0), detunings, max_workers=1)
