@@ -5,6 +5,14 @@ distribution of Zeeman shifts; the measured signal is the
 distribution-weighted average of the per-atom population. The quadrature
 here is the reference implementation and the Monte Carlo estimator is its
 independent cross-check.
+
+Both sum two-level atoms through one kernel, `_two_level_sum`. On a grid of
+T samples t_k = t0 + k dt it writes k = b q + r with b = ceil(sqrt(T)) and
+splits each phase by angle addition,
+1 - cos(a + c) = (1 - cos a) + cos a (1 - cos c) + sin a sin c, with
+a = omega (t0 + b dt q) and c = omega dt r. The weighted sum over atoms is
+then one matrix product, and each atom needs cos and sin on about 2 sqrt(T)
+phases instead of T cosines.
 """
 
 from __future__ import annotations
@@ -18,7 +26,7 @@ from numpy.polynomial.legendre import legder, legval
 from scipy.linalg import eigvalsh_tridiagonal
 from scipy.special import erf
 
-from .model import DriveParams, OscillationTrace
+from .model import DriveParams, OscillationTrace, uniform_grid
 from .units import khz_to_angular
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -229,32 +237,52 @@ def _quadrature(config) -> tuple[np.ndarray, np.ndarray]:
     return shifts, weights / mass
 
 
-def _two_level_block(drive: DriveParams, shifts, envelope, times, out):
-    """Per-atom populations 0.5 amp (1 - envelope cos(omega_r t)) into out.
+def _two_level_sum(drive: DriveParams, shifts, coef, gamma, times):
+    """Sum over atoms of coef_i p1_i(t), the two-level populations
+    p1_i(t) = 0.5 A_i (1 - exp(-gamma t / 2) cos(omega_i t)).
 
-    out is an (len(shifts), len(times)) buffer, so one allocation per call
-    replaces the expression's N x T temporaries. The ufuncs and their order
-    are those of the expression, so the values are bitwise the same.
+    coef is one coefficient per shift, or a scalar for all of them. The
+    grid is validated first; sample k sits at t0 + k dt. With
+    b = ceil(sqrt(T)) and k = b q + r (0 <= r < b) the phase omega t_k splits
+    into a_q = omega (t0 + b dt q) and c_r = omega dt r, and angle addition
+    gives
+
+        1 - cos(a + c) = (1 - cos a) + cos a (1 - cos c) + sin a sin c.
+
+    With w_i = 0.5 A_i coef_i the undamped sum S(t_k) = sum_i w_i (1 - cos)
+    is therefore the (q, r) entry of one matrix product plus a row term,
+
+        S[q, r] = sum_i w_i (1 - cos a_iq)
+                  + [w cos a | w sin a]^T (Q x 2N) @ [1 - cos c ; sin c] (2N x b),
+
+    so each atom needs cos and sin on Q + b ~ 2 sqrt(T) phases instead of T
+    cosines, and no N x T array is formed. S is exactly 0 at t = 0. The
+    envelope enters as C (1 - env) + env S with C = sum_i w_i.
     """
-    omega_r = np.hypot(drive.omega0, drive.delta + shifts)[:, None]
-    amp = (drive.omega0 / omega_r) ** 2
-    np.multiply(omega_r, times[None, :], out=out)
-    np.cos(out, out=out)
-    if envelope is not None:
-        np.multiply(envelope, out, out=out)
-    np.subtract(1.0, out, out=out)
-    np.multiply(0.5 * amp, out, out=out)
-    return out
-
-
-def _envelope(gamma, times):
-    return np.exp(-0.5 * gamma * times)[None, :] if gamma > 0 else None
-
-
-def _analytic_average(drive: DriveParams, shifts, weights, gamma, times):
-    per_atom = _two_level_block(drive, shifts, _envelope(gamma, times), times,
-                                np.empty((shifts.size, times.size)))
-    return weights @ per_atom
+    t0, dt = uniform_grid(times)
+    n_t = times.size
+    b = math.isqrt(n_t - 1) + 1
+    n_q = -(-n_t // b)
+    omega_r = np.hypot(drive.omega0, drive.delta + shifts)
+    w = coef * (0.5 * (drive.omega0 / omega_r) ** 2)
+    n = omega_r.size
+    a = np.multiply.outer(omega_r, t0 + dt * (b * np.arange(n_q)))
+    c = np.multiply.outer(omega_r, dt * np.arange(b))
+    lhs = np.empty((2, n, n_q))
+    np.cos(a, out=lhs[0])
+    np.sin(a, out=lhs[1])
+    rhs = np.empty((2, n, b))
+    np.cos(c, out=rhs[0])
+    np.subtract(1.0, rhs[0], out=rhs[0])
+    np.sin(c, out=rhs[1])
+    row = w @ (1.0 - lhs[0])
+    lhs *= w[:, None]
+    total = row[:, None] + lhs.reshape(2 * n, n_q).T @ rhs.reshape(2 * n, b)
+    total = total.reshape(-1)[:n_t]
+    if gamma > 0:
+        envelope = np.exp(-0.5 * gamma * times)
+        total = w.sum() * (1.0 - envelope) + envelope * total
+    return total
 
 
 def ensemble_signal(config: EnsembleConfig, times) -> OscillationTrace:
@@ -263,7 +291,7 @@ def ensemble_signal(config: EnsembleConfig, times) -> OscillationTrace:
     shifts, weights = _quadrature(config)
     model = config.atom_model
     if model.kind == "analytic_two_level":
-        values = _analytic_average(config.drive, shifts, weights, model.gamma, times)
+        values = _two_level_sum(config.drive, shifts, weights, model.gamma, times)
     else:
         from .multilevel import p1_multilevel
 
@@ -312,14 +340,11 @@ def monte_carlo_signal(config: EnsembleConfig, times, n_samples, seed=0) -> Osci
     times = np.asarray(times, dtype=float)
     rng = np.random.default_rng(seed)
     samples = _sample_shifts(config.distribution, n_samples, rng)
-    envelope = _envelope(config.atom_model.gamma, times)
+    gamma = config.atom_model.gamma
     acc = np.zeros_like(times)
     chunk = 20000
-    buf = np.empty((min(chunk, n_samples), times.size))
     for start in range(0, n_samples, chunk):
-        part = samples[start:start + chunk]
-        acc += _two_level_block(config.drive, part, envelope, times,
-                                buf[:part.size]).sum(axis=0)
+        acc += _two_level_sum(config.drive, samples[start:start + chunk], 1.0, gamma, times)
     return OscillationTrace.from_times(times, acc / n_samples)
 
 

@@ -13,20 +13,34 @@ implementation auditable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import stdtrit
 
 
-@dataclass
 class LsqResult:
-    params: np.ndarray
-    ssr: float
-    cov: np.ndarray | None
-    n_iter: int
-    converged: bool
-    message: str = ""
+    """Where one start ended: params, ssr, n_iter, converged and message.
+
+    cov is the linearized covariance s^2 (J^T J)^-1 at params, or None
+    without residual degrees of freedom. A result given `jac`, the Jacobian
+    at params, computes cov from it on first read: a stacked run hands every
+    start its Jacobian, and a fit reads the covariance of the one start it
+    returns.
+    """
+
+    def __init__(self, params, ssr, cov, n_iter, converged, message="", jac=None):
+        self.params = params
+        self.ssr = ssr
+        self.n_iter = n_iter
+        self.converged = converged
+        self.message = message
+        self._cov = cov
+        self._jac = jac
+
+    @property
+    def cov(self) -> np.ndarray | None:
+        if self._jac is not None:
+            self._cov, self._jac = covariance(self._jac, self.ssr), None
+        return self._cov
 
 
 def _solve_damped(jtj, jtr, lam):
@@ -165,10 +179,9 @@ def stacked_levenberg_marquardt(residual, jacobian, p0, *, max_iter=200,
     out_p[rows], out_ssr[rows] = p, ssr
 
     jac = jacobian(out_p)
-    return [LsqResult(params=out_p[i], ssr=float(out_ssr[i]),
-                      cov=covariance(jac[i], float(out_ssr[i])),
+    return [LsqResult(params=out_p[i], ssr=float(out_ssr[i]), cov=None,
                       n_iter=int(n_iter[i]), converged=bool(converged[i]),
-                      message=message[i])
+                      message=message[i], jac=jac[i])
             for i in range(s)]
 
 

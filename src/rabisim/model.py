@@ -51,18 +51,28 @@ class OscillationTrace:
 
     @classmethod
     def from_times(cls, times, values) -> "OscillationTrace":
-        times = np.asarray(times, dtype=float)
-        if times.size == 0:
-            raise ValueError("empty time grid")
-        if times.size < 2:
-            raise ValueError("need at least two sample times")
-        dt = float(times[1] - times[0])
-        if dt <= 0 or not np.allclose(np.diff(times), dt, rtol=0.0, atol=1e-9 * dt):
-            raise ValueError("sample times must be uniformly spaced and increasing")
-        return cls(t0=float(times[0]), dt=dt, values=values)
+        t0, dt = uniform_grid(times)
+        return cls(t0=t0, dt=dt, values=values)
 
     def __len__(self) -> int:
         return self.values.size
+
+
+def uniform_grid(times) -> tuple[float, float]:
+    """Start t0 and spacing dt of a uniform, increasing time grid.
+
+    Raises ValueError for an empty grid, a single sample, or spacings that
+    differ from times[1] - times[0] by more than 1e-9 dt.
+    """
+    times = np.asarray(times, dtype=float)
+    if times.size == 0:
+        raise ValueError("empty time grid")
+    if times.size < 2:
+        raise ValueError("need at least two sample times")
+    dt = float(times[1] - times[0])
+    if dt <= 0 or not np.allclose(np.diff(times), dt, rtol=0.0, atol=1e-9 * dt):
+        raise ValueError("sample times must be uniformly spaced and increasing")
+    return float(times[0]), dt
 
 
 def generalized_rabi(drive: DriveParams, local_shift=0.0):

@@ -20,7 +20,7 @@ from rabisim.ensemble import (
     monte_carlo_signal,
     skewed_gaussian_density,
 )
-from rabisim.model import DriveParams, p1_two_level_damped
+from rabisim.model import DriveParams, p1_two_level, p1_two_level_damped
 from rabisim.units import khz_to_angular
 
 OMEGA0 = khz_to_angular(9.0)
@@ -158,30 +158,76 @@ def test_monte_carlo_same_seed_bit_identical():
     assert np.array_equal(a.values, b.values)
 
 
-def _expression_populations(drive, shifts, gamma, times):
-    """Per-atom populations as one array expression: the reference for the
-    buffered evaluation in the ensemble module."""
-    omega_r = np.hypot(drive.omega0, drive.delta + shifts)[:, None]
-    amp = (drive.omega0 / omega_r) ** 2
-    envelope = np.exp(-0.5 * gamma * times)[None, :] if gamma > 0 else 1.0
-    return 0.5 * amp * (1.0 - envelope * np.cos(omega_r * times[None, :]))
+def _oracle_populations(drive, shifts, gamma, times):
+    """Per-atom populations, one row per shift, from model.p1_two_level: the
+    reference for the ensemble module's kernel. The envelope damps the
+    oscillating part, 0.5 A (1 - env cos) = 0.5 A (1 - env) + env p1."""
+    amp = (drive.omega0 / np.hypot(drive.omega0, drive.delta + shifts))[:, None] ** 2
+    envelope = np.exp(-0.5 * gamma * times)[None, :]
+    p1 = p1_two_level(drive, shifts[:, None], times[None, :])
+    return 0.5 * amp * (1.0 - envelope) + envelope * p1
+
+
+def _oracle_configs(gamma_khz):
+    rng = np.random.default_rng(11)
+    empirical = DetuningDistribution(kind="empirical",
+                                     shifts=khz_to_angular(rng.normal(0.0, 6.0, 300)),
+                                     weights=rng.random(300))
+    return [
+        _config(12.0, delta_khz=3.0, gamma_khz=gamma_khz),
+        _config(12.0, delta_khz=3.0, skew=-3.0, gamma_khz=gamma_khz),
+        EnsembleConfig(drive=DriveParams(omega0=OMEGA0, delta=khz_to_angular(-2.0)),
+                       distribution=empirical,
+                       atom_model=AtomModel(gamma=khz_to_angular(gamma_khz))),
+    ]
 
 
 @pytest.mark.parametrize("gamma_khz", [0.0, 0.7])
-def test_buffered_averages_bitwise_equal_expression(gamma_khz):
-    config = _config(12.0, delta_khz=3.0, skew=-3.0, gamma_khz=gamma_khz)
-    gamma = config.atom_model.gamma
-    shifts, weights = _quadrature(config)
-    expected = weights @ _expression_populations(config.drive, shifts, gamma, TIMES)
-    assert np.array_equal(ensemble_signal(config, TIMES).values, expected)
-    # 45000 samples leave a partial last chunk of 20000
-    n = 45000
-    samples = _sample_shifts(config.distribution, n, np.random.default_rng(3))
-    acc = np.zeros_like(TIMES)
-    for start in range(0, n, 20000):
-        part = samples[start:start + 20000]
-        acc += _expression_populations(config.drive, part, gamma, TIMES).sum(axis=0)
-    assert np.array_equal(monte_carlo_signal(config, TIMES, n, seed=3).values, acc / n)
+def test_averages_match_independent_oracle(gamma_khz):
+    # T = 8, 9 and 126, 127 sit on both sides of a square (b = ceil(sqrt(T))
+    # and the number of blocks change there); 1001 is the dense-scan length.
+    for config in _oracle_configs(gamma_khz):
+        shifts, weights = _quadrature(config)
+        for n_t in (8, 9, 126, 127, 1001):
+            for t0 in (0.0, 0.37):
+                times = t0 + 0.004 * np.arange(n_t)
+                expected = weights @ _oracle_populations(
+                    config.drive, shifts, config.atom_model.gamma, times)
+                values = ensemble_signal(config, times).values
+                assert values.shape == expected.shape
+                assert np.max(np.abs(values - expected)) < 1e-13
+                if t0 == 0.0:
+                    assert values[0] == 0.0
+
+
+@pytest.mark.parametrize("gamma_khz", [0.0, 0.7])
+def test_monte_carlo_matches_chunked_oracle(gamma_khz):
+    for config in _oracle_configs(gamma_khz):
+        # 45000 samples leave a partial last chunk of 20000
+        n = 45000
+        samples = _sample_shifts(config.distribution, n, np.random.default_rng(3))
+        acc = np.zeros_like(TIMES)
+        for start in range(0, n, 20000):
+            part = samples[start:start + 20000]
+            acc += _oracle_populations(config.drive, part, config.atom_model.gamma,
+                                       TIMES).sum(axis=0)
+        values = monte_carlo_signal(config, TIMES, n, seed=3).values
+        assert np.max(np.abs(values - acc / n)) < 1e-13
+        assert values[0] == 0.0
+
+
+@pytest.mark.parametrize("times, message", [
+    (np.array([]), "empty time grid"),
+    (np.array([0.5]), "need at least two sample times"),
+    (np.array([0.0, 0.1, 0.2, 0.35, 0.4, 0.5, 0.6, 0.7]), "uniformly spaced"),
+    (0.7 - 0.1 * np.arange(8), "uniformly spaced"),
+])
+def test_bad_time_grids_raise(times, message):
+    config = _config(8.0, delta_khz=3.0)
+    with pytest.raises(ValueError, match=message):
+        ensemble_signal(config, times)
+    with pytest.raises(ValueError, match=message):
+        monte_carlo_signal(config, times, 1000)
 
 
 def test_monte_carlo_approaches_quadrature():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rabisim import lsq
 from rabisim.fitting import (
     FitFailure,
     _grid_starts,
@@ -135,6 +136,25 @@ def test_two_frequency_round_trip():
     assert fit.offset == pytest.approx(0.45, abs=1e-2)
     assert fit.fraction_a == pytest.approx(0.1 / 0.35, rel=3e-2)
     assert not fit.indistinguishable
+
+
+def test_fits_compute_the_covariance_of_the_returned_start_only(monkeypatch):
+    calls = []
+    real = lsq.covariance
+    monkeypatch.setattr(lsq, "covariance",
+                        lambda jac, ssr: calls.append(ssr) or real(jac, ssr))
+    # at least three rate starts run for the one FFT frequency
+    single = fit_single_frequency(
+        _damped_cosine(0.4, 2.0, khz_to_angular(9.0), 0.3, slope=0.05, offset=0.5),
+        (0.01, 1.8))
+    assert calls == [single.ssr]
+    # the two grid starts are polished in one stack
+    omega0 = khz_to_angular(9.0)
+    two = fit_two_frequency(
+        _two_component(0.1, 0.2, 0.25, khz_to_angular(14.0), -0.4, 12.0, 0.45, omega0),
+        omega0, window=(0.0, 1.5))
+    assert len(calls) == 2
+    assert math.isfinite(two.ci95["omega_bar"])
 
 
 def test_two_frequency_single_component_is_indistinguishable():
