@@ -32,6 +32,7 @@ from .lsq import ci95_half_widths, stacked_levenberg_marquardt
 # Re-exported, not called: perfbench/tracing.py wraps this binding.
 from .lsq import levenberg_marquardt  # noqa: F401
 from .model import OscillationTrace
+from .spectrum import _find_peaks
 
 
 class FitFailure(RuntimeError):
@@ -128,14 +129,12 @@ def _window_slice(trace: OscillationTrace, window):
 
 def _fft_peak_frequencies(t, y, n_peaks):
     """Angular frequencies of the strongest spectral peaks of y (detrended)."""
-    from scipy.signal import find_peaks
-
     n = y.size
     nfft = 4 * n
     power = np.abs(np.fft.rfft(y * np.hanning(n), n=nfft))
     freqs = np.fft.rfftfreq(nfft, d=t[1] - t[0])
     floor = 0.5 / (t[-1] - t[0])  # stay clear of the DC leakage
-    idx, _ = find_peaks(power, prominence=0.05 * power.max()) if power.max() > 0 else ([], None)
+    idx = _find_peaks(power, 0.05 * power.max()) if power.max() > 0 else []
     idx = [i for i in idx if freqs[i] > floor]
     idx.sort(key=lambda i: -power[i])
     out = [2.0 * math.pi * freqs[i] for i in idx[:n_peaks]]

@@ -33,6 +33,16 @@ COMMANDS = ("simulate", "scan", "spectrum", "field-dist")
 PRESET_NAMES = ("fig1b", "fig3a", "fig3b", "fig4", "fig5", "fig6a", "fig6b",
                 "fig6-field", "fig7a", "fig7b", "fig8")
 
+# Size caps, checked before anything of that size is allocated, so that a
+# huge value fails fast instead of exhausting memory. They sit far above
+# every shipped preset, which use at most 1,001 samples, 41 detunings,
+# 2,001 quadrature nodes, 436,689 field-grid points and 120 bins.
+MAX_SAMPLES = 100_000
+MAX_DETUNINGS = 10_000
+MAX_QUADRATURE_NODES = 20_001
+MAX_GRID_POINTS = 10_000_000
+MAX_BINS = 100_000
+
 
 class ScenarioError(ValueError):
     """Configuration rejected; the message names the offending field."""
@@ -73,12 +83,21 @@ def _nonnegative(value, path):
     return v
 
 
-def _integer(value, path, minimum=None):
+def _integer(value, path, minimum=None, maximum=None):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ScenarioError(f"{path}: expected an integer")
     if minimum is not None and value < minimum:
         raise ScenarioError(f"{path}: must be at least {minimum}")
+    if maximum is not None and value > maximum:
+        raise ScenarioError(f"{path}: must be at most {maximum}")
     return value
+
+
+def _check_size(count, cap, path, what):
+    """Reject a grid of count elements (a float, possibly inf) above cap."""
+    if not count <= cap:
+        raise ScenarioError(f"{path}: {what} gives {count:.4g} points, "
+                            f"above the cap of {cap}")
 
 
 def _string(value, path, choices=None):
@@ -244,7 +263,8 @@ def _parse_field_dist(d, path) -> FieldDistSpec:
     max_dev = None
     if "max_deviation_khz" in d:
         max_dev = _positive(d["max_deviation_khz"], f"{path}.max_deviation_khz")
-    n_bins = _integer(d.get("n_bins", 120), f"{path}.n_bins", minimum=1)
+    n_bins = _integer(d.get("n_bins", 120), f"{path}.n_bins", minimum=1,
+                      maximum=MAX_BINS)
 
     beam_d = _expect_mapping(d.get("beam", {}), f"{path}.beam")
     _check_keys(beam_d, ("profile", "diameter_mm", "axis"), f"{path}.beam")
@@ -260,6 +280,11 @@ def _parse_field_dist(d, path) -> FieldDistSpec:
         if isinstance(exc, ScenarioError):
             raise
         raise ScenarioError(f"{path}.beam: {exc}") from exc
+
+    n_xy = (bounds_xy[1] - bounds_xy[0]) / spacing + 1
+    n_z = (bounds_z[1] - bounds_z[0]) / (spacing_z or spacing) + 1
+    _check_size(n_xy * n_xy * n_z, MAX_GRID_POINTS, path,
+                "bounds_xy_mm, bounds_z_mm and the spacing")
 
     profiles_d = _expect_mapping(d.get("profiles", {}), f"{path}.profiles")
     profiles = {key: _parse_profile(val, f"{path}.profiles.{key}")
@@ -344,6 +369,8 @@ def _parse_times(d, path):
     _check_keys(d, ("t_max_ms", "dt_ms"), path)
     t_max = _positive(d.get("t_max_ms"), f"{path}.t_max_ms")
     dt = _positive(d.get("dt_ms"), f"{path}.dt_ms")
+    # np.arange's own length, ceil((stop - start) / step), before it allocates.
+    _check_size((t_max + dt / 2) / dt, MAX_SAMPLES, path, "t_max_ms / dt_ms")
     times = np.arange(0.0, t_max + dt / 2, dt)
     if times.size < 8:
         raise ScenarioError(f"{path}: grid must contain at least 8 samples")
@@ -369,6 +396,8 @@ def _parse_deltas(d, path):
         step = _positive(r.get("step"), f"{path}.delta_range_khz.step")
         if stop < start:
             raise ScenarioError(f"{path}.delta_range_khz: stop must not precede start")
+        _check_size((stop + step / 2 - start) / step, MAX_DETUNINGS,
+                    f"{path}.delta_range_khz", "(stop - start) / step")
         values = np.arange(start, stop + step / 2, step)
         return tuple(khz_to_angular(v) for v in values)
     raise ScenarioError(f"{path}: needs delta_list_khz or delta_range_khz")
@@ -402,9 +431,7 @@ def _parse_analysis(d, path, command) -> AnalysisOptions:
     window_fn = _string(fft_d.get("window_fn", "hann"), f"{path}.fft.window_fn",
                         ("hann", "none"))
     pad = _integer(fft_d.get("pad_factor", 4), f"{path}.fft.pad_factor",
-                   minimum=1)
-    if pad > 4:
-        raise ScenarioError(f"{path}.fft.pad_factor: must be at most 4")
+                   minimum=1, maximum=4)
     prominence = _positive(fft_d.get("prominence", 0.05),
                            f"{path}.fft.prominence")
     if prominence >= 1:
@@ -494,7 +521,8 @@ def parse_scenario(data: dict, base_dir=None) -> Scenario:
     ens_d = _expect_mapping(data.get("ensemble", {}), "ensemble")
     _check_keys(ens_d, ("quadrature_nodes", "support_half_width"), "ensemble")
     nodes = _integer(ens_d.get("quadrature_nodes", 2001),
-                     "ensemble.quadrature_nodes", minimum=201)
+                     "ensemble.quadrature_nodes", minimum=201,
+                     maximum=MAX_QUADRATURE_NODES)
     half_width = _float(ens_d.get("support_half_width", 8.0),
                         "ensemble.support_half_width")
     if half_width < 5.0:

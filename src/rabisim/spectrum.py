@@ -15,6 +15,61 @@ import numpy as np
 from .model import OscillationTrace
 from .units import TWO_PI, angular_to_khz
 
+# Most peaks x samples compared in one block of the prominence walk, which
+# keeps its boolean matrices at a few MB on any spectrum length.
+_PEAK_BLOCK = 1 << 22
+
+
+def _prominence_bases(x, peaks):
+    """Reference level of each peak's prominence.
+
+    From each peak, walk out to the nearest strictly higher sample on each
+    side (or to the end of the array); the base is the higher of the two
+    minima met on the way.
+    """
+    n = x.size
+    idx = np.arange(n)
+    higher = x > x[peaks][:, None]
+    left = higher & (idx < peaks[:, None])
+    right = higher & ~left
+    # First sample of the left walk and last sample of the right walk.
+    lo = np.where(left.any(axis=1), n - np.argmax(left[:, ::-1], axis=1), 0)
+    hi = np.where(right.any(axis=1), np.argmax(right, axis=1), n) - 1
+    # mins[0::4] is min x[lo:peak + 1], mins[2::4] is min x[peak:hi]; the
+    # right walk's last sample x[hi] is added separately so that no index
+    # reaches n.
+    mins = np.minimum.reduceat(x, np.column_stack([lo, peaks + 1, peaks, hi]).ravel())
+    return np.maximum(mins[0::4], np.minimum(mins[2::4], x[hi]))
+
+
+def _find_peaks(x, prominence):
+    """Indices, ascending, of the peaks of x with at least this prominence.
+
+    A peak is a run of equal samples strictly above both neighbouring
+    samples, placed at the run's midpoint; runs touching either end are not
+    peaks. Its prominence is its height above the base that
+    _prominence_bases finds. This is scipy.signal.find_peaks(x,
+    prominence=prominence) without the scipy.signal import.
+    """
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    if n < 3:
+        return np.empty(0, dtype=np.intp)
+    last = np.flatnonzero(x[1:] != x[:-1])
+    starts = np.concatenate(([0], last + 1))
+    ends = np.concatenate((last, [n - 1]))
+    v = x[starts]
+    runs = np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])) + 1
+    peaks = (starts[runs] + ends[runs]) // 2
+    # A base is never below the global minimum, so this drops only peaks
+    # that would fail the prominence test anyway.
+    peaks = peaks[x[peaks] - x.min() >= prominence]
+    base = np.empty(peaks.size)
+    step = max(1, _PEAK_BLOCK // n)
+    for s in range(0, peaks.size, step):
+        base[s:s + step] = _prominence_bases(x, peaks[s:s + step])
+    return peaks[x[peaks] - base >= prominence]
+
 
 @dataclass(frozen=True)
 class SpectrumResult:
@@ -51,12 +106,14 @@ def fft_spectrum(trace: OscillationTrace, *, detrend=True, window_fn="hann",
     detrend removes the least-squares line before transforming (otherwise
     only the mean is removed); window_fn is "hann" or "none"; pad_factor
     in 1..4 zero-pads the transform for smoother peak positions.
-    prominence is the find_peaks prominence as a fraction of the maximum
-    power. Power is scaled by the window's coherent gain so a cosine of
-    amplitude a contributes a peak of height close to a^2.
+    A peak is a local maximum of the power (the midpoint of a flat top);
+    its prominence is its height above the higher of the two minima met
+    walking out from it to the nearest higher power on each side, or to
+    the end of the spectrum. Peaks are listed when their prominence is at
+    least prominence times the maximum power. Power is scaled by the
+    window's coherent gain so a cosine of amplitude a contributes a peak of
+    height close to a^2.
     """
-    from scipy.signal import find_peaks
-
     y = trace.values.astype(float)
     n = y.size
     if n < 16:
@@ -90,7 +147,7 @@ def fft_spectrum(trace: OscillationTrace, *, detrend=True, window_fn="hann",
     freqs = np.fft.rfftfreq(nfft, d=trace.dt)
 
     if power.max() > 0:
-        idx, _ = find_peaks(power, prominence=prominence * power.max())
+        idx = _find_peaks(power, prominence * power.max())
     else:
         idx = np.array([], dtype=int)
     order = np.argsort(power[idx])[::-1]

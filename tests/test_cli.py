@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rabisim
 from rabisim.cli import main
 from rabisim.model import DriveParams, p1_two_level_damped
 from rabisim.output import read_csv
@@ -186,3 +189,25 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "rabisim" in proc.stdout
+
+
+def test_presets_leave_heavy_scipy_modules_unimported(tmp_path):
+    # Only scipy.linalg and scipy.special are needed. Importing scipy.signal
+    # would pull in the other four and cost about 0.4 s per process.
+    script = f"""
+import sys
+from rabisim.cli import main
+from rabisim.scenario import PRESET_NAMES
+for name in PRESET_NAMES:
+    assert main(["reproduce", name, "--out", {str(tmp_path)!r}]) == 0, name
+heavy = ("scipy.signal", "scipy.stats", "scipy.integrate",
+         "scipy.interpolate", "scipy.optimize")
+print(sorted(m for m in heavy if m in sys.modules))
+"""
+    src = str(Path(rabisim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"

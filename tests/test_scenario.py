@@ -1,7 +1,13 @@
+import copy
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rabisim.scenario import (
+    MAX_QUADRATURE_NODES,
     PRESET_NAMES,
     Scenario,
     ScenarioError,
@@ -125,8 +131,71 @@ def test_quadrature_settings_bounds():
     data["ensemble"] = {"quadrature_nodes": 401, "support_half_width": 2.0}
     with pytest.raises(ScenarioError):
         parse_scenario(data)
+    data["ensemble"] = {"quadrature_nodes": MAX_QUADRATURE_NODES + 2}
+    with pytest.raises(ScenarioError, match="ensemble.quadrature_nodes"):
+        parse_scenario(data)
     data["ensemble"] = {"quadrature_nodes": 401, "support_half_width": 6.0}
     assert parse_scenario(data).quadrature_nodes == 401
+
+
+@pytest.mark.parametrize("section, field, value, named", [
+    ("time_grid", "t_max_ms", 1e308, "time_grid: t_max_ms / dt_ms"),
+    ("time_grid", "t_max_ms", 2**70, "time_grid: t_max_ms / dt_ms"),
+    ("time_grid", "dt_ms", 1e-300, "time_grid: t_max_ms / dt_ms"),
+    ("time_grid", "t_max_ms", 1e4, "time_grid: t_max_ms / dt_ms"),
+    ("delta_range_khz", "stop", 1e308, "drive.delta_range_khz"),
+    ("delta_range_khz", "start", -1e308, "drive.delta_range_khz"),
+    ("delta_range_khz", "step", 1e-300, "drive.delta_range_khz"),
+    ("fieldmap", "bounds_xy_mm", [-8.0, 1e308], "fieldmap: bounds_xy_mm"),
+    ("fieldmap", "bounds_z_mm", [-1e308, 20.0], "fieldmap: bounds_xy_mm"),
+    ("fieldmap", "spacing_mm", 1e-3, "fieldmap: bounds_xy_mm"),
+    ("fieldmap", "n_bins", 2**70, "fieldmap.n_bins"),
+])
+def test_size_caps_name_their_field(section, field, value, named):
+    # Every value here is over its cap; none is allocated at.
+    preset = {"time_grid": "fig1b", "delta_range_khz": "fig3a",
+              "fieldmap": "fig8"}[section]
+    data = load_scenario_dict(preset_file(preset))
+    target = data["drive"][section] if section == "delta_range_khz" else data[section]
+    target[field] = value
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(data, base_dir=preset_file(preset).parent)
+    assert named in str(info.value)
+
+
+def _field_paths(obj, prefix=()):
+    """Key paths to every mapping value and list element below obj."""
+    items = obj.items() if isinstance(obj, dict) else enumerate(obj)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from _field_paths(value, prefix + (key,))
+
+
+_PRESETS = {name: load_scenario_dict(preset_file(name)) for name in PRESET_NAMES}
+_PRESET_FIELDS = [(name, path) for name, data in _PRESETS.items()
+                  for path in _field_paths(data)]
+_DELETE = object()
+_MUTATIONS = [None, 1e308, -1e308, math.nan, math.inf, -math.inf, "text",
+              [1.0], 2**70, _DELETE]
+
+
+@settings(max_examples=300, deadline=None)
+@given(field=st.sampled_from(_PRESET_FIELDS), value=st.sampled_from(_MUTATIONS))
+def test_mutated_presets_parse_or_raise_scenario_error(field, value):
+    name, path = field
+    data = copy.deepcopy(_PRESETS[name])
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    try:
+        parse_scenario(data, base_dir=preset_file(name).parent)
+    except ScenarioError:
+        pass
 
 
 def test_analysis_validation():

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.signal import find_peaks  # the oracle; rabisim never imports it
 
+from rabisim import spectrum
 from rabisim.model import OscillationTrace
-from rabisim.spectrum import fft_spectrum, sliding_window_frequency
+from rabisim.spectrum import _find_peaks, fft_spectrum, sliding_window_frequency
 from rabisim.units import khz_to_angular
 
 
@@ -121,3 +123,52 @@ def test_sliding_window_rejects_short_window():
         sliding_window_frequency(trace, -0.5, 0.5)
     with pytest.raises(ValueError):
         sliding_window_frequency(trace, 0.5, 0.0)
+
+
+def _hann_fft_magnitude(rng, n):
+    t = 0.01 * np.arange(n)
+    y = sum(rng.random() * np.exp(-rng.random() * t)
+            * np.cos(50.0 * rng.random() * t + rng.random()) for _ in range(3))
+    return np.abs(np.fft.rfft(y * np.hanning(n), n=4 * n))
+
+
+@pytest.mark.parametrize("block", [spectrum._PEAK_BLOCK, 500])
+@pytest.mark.parametrize("kind", ["uniform", "plateaus", "hann_fft"])
+def test_find_peaks_matches_scipy(kind, block, monkeypatch):
+    # A block of 500 splits the prominence walk over many blocks.
+    monkeypatch.setattr(spectrum, "_PEAK_BLOCK", block)
+    rng = np.random.default_rng(["uniform", "plateaus", "hann_fft"].index(kind))
+    for _ in range(200):
+        n = int(rng.integers(3, 400))
+        if kind == "uniform":
+            x = rng.random(n)
+        elif kind == "plateaus":
+            x = np.round(rng.random(n) * rng.integers(1, 6)).astype(float)
+        else:
+            x = _hann_fft_magnitude(rng, n)
+        for fraction in (0.0, 0.05, 0.3):
+            p = fraction * x.max()
+            np.testing.assert_array_equal(_find_peaks(x, p),
+                                          find_peaks(x, prominence=p)[0])
+
+
+@pytest.mark.parametrize("x, p, expected", [
+    ([], 0.0, []),
+    ([1.0], 0.0, []),
+    ([0.0, 1.0], 0.0, []),
+    ([4.0] * 10, 0.0, []),                      # all constant
+    ([3.0, 3.0, 1.0, 2.0, 1.0], 0.5, [3]),      # plateau at the left end
+    ([1.0, 2.0, 1.0, 3.0, 3.0], 0.5, [1]),      # plateau at the right end
+    ([3.0, 3.0, 1.0, 3.0, 3.0], 0.0, []),       # plateaus at both ends
+    ([0.0, 2.0, 2.0, 0.0], 0.0, [1]),           # even plateau: left midpoint
+    ([0.0, 2.0, 2.0, 2.0, 0.0], 0.0, [2]),
+    ([0.0, 1.0, 0.5, 2.0, 0.0], 0.5, [1, 3]),   # prominence exactly p
+    ([0.0, 1.0, 0.5, 2.0, 0.0], 0.5000000000000001, [3]),
+    ([0.0, 1.0, 0.0], 1.0, [1]),                # height above global min = p
+])
+def test_find_peaks_edge_cases(x, p, expected):
+    x = np.array(x, dtype=float)
+    got = _find_peaks(x, p)
+    assert got.dtype == np.intp
+    np.testing.assert_array_equal(got, expected)
+    np.testing.assert_array_equal(got, find_peaks(x, prominence=p)[0])
