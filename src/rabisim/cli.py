@@ -19,7 +19,7 @@ from .ensemble import EnsembleConfig, ensemble_signal
 from .fieldmap import field_magnitude_histogram
 from .model import DriveParams
 from .scans import scan_detuning
-from .scenario import (PRESET_NAMES, Scenario, ScenarioError,
+from .scenario import (PRESET_NAMES, Scenario, ScenarioError, _named,
                        distribution_with_sigma, load_scenario_dict,
                        parse_scenario, preset_file, scenario_hash)
 from .spectrum import fft_spectrum, sliding_window_frequency
@@ -81,7 +81,7 @@ _FFT_COLUMNS = ("omega0_khz", "sigma_khz", "detuning_khz", "frequency_khz",
                 "peaks_khz", "error")
 
 
-def run_scan(scenario: Scenario, digest, out_dir, svg, threads):
+def run_scan(scenario: Scenario, digest, out_dir, svg):
     analysis = scenario.analysis
     rows = []
     series = []
@@ -96,7 +96,7 @@ def run_scan(scenario: Scenario, digest, out_dir, svg, threads):
             results = scan_detuning(
                 config, scenario.deltas, analysis=analysis.kind,
                 times=scenario.times, window=window, decay=analysis.decay,
-                fft_options=analysis.fft_options(), max_workers=threads)
+                fft_options=analysis.fft_options())
             o_khz = angular_to_khz(omega0)
             s_khz = angular_to_khz(sigma)
             label = f"O0={o_khz:g}, sigma={s_khz:g} kHz"
@@ -202,7 +202,8 @@ def run_field_dist(scenario: Scenario, digest, out_dir, svg):
     series = []
     for sign in spec.signs:
         model = replace(spec.model, current_sign=sign)
-        hist = field_magnitude_histogram(model, spec.beam, spec.n_bins)
+        with _named("fieldmap"):
+            hist = field_magnitude_histogram(model, spec.beam, spec.n_bins)
         tag = f"sign_{'+' if sign > 0 else '-'}1"
         meta[f"{tag}_mean_khz"] = hist.mean_khz
         meta[f"{tag}_std_khz"] = hist.std_khz
@@ -224,12 +225,12 @@ def run_field_dist(scenario: Scenario, digest, out_dir, svg):
     return written
 
 
-def run_scenario(scenario: Scenario, digest, out_dir, *, svg=False, threads=1):
+def run_scenario(scenario: Scenario, digest, out_dir, *, svg=False):
     """Dispatch a parsed scenario; returns the list of files written."""
     if scenario.command == "simulate":
         return run_simulate(scenario, digest, out_dir, svg)
     if scenario.command == "scan":
-        return run_scan(scenario, digest, out_dir, svg, threads)
+        return run_scan(scenario, digest, out_dir, svg)
     if scenario.command == "spectrum":
         return run_spectrum(scenario, digest, out_dir, svg)
     return run_field_dist(scenario, digest, out_dir, svg)
@@ -255,8 +256,6 @@ def _build_parser():
                        help="also write SVG plots")
         p.add_argument("--seed", type=int, default=None,
                        help="override the scenario seed")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for scans")
 
     for name in ("simulate", "scan", "spectrum", "field-dist"):
         add_common(sub.add_parser(name, help=f"run a {name} scenario"))
@@ -289,9 +288,7 @@ def main(argv=None) -> int:
             raise ScenarioError(
                 f"command: scenario declares {scenario.command!r}, "
                 f"invoked as {args.subcommand!r}")
-        threads = max(1, args.threads)
-        written = run_scenario(scenario, digest, args.out, svg=args.svg,
-                               threads=threads)
+        written = run_scenario(scenario, digest, args.out, svg=args.svg)
     except ScenarioError as exc:
         print(f"rabisim: {exc}", file=sys.stderr)
         return 2

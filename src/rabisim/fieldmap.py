@@ -224,9 +224,13 @@ def field_magnitude_histogram(model: FieldGridModel, beam: ProbeBeam,
     dy = model.component("b0y", xy) + sign * model.component("b1y", xy)
     dz = model.component("b0z", z) + sign * model.component("b1z", z)
 
-    magnitude = np.sqrt(dx[:, None, None] ** 2 + dy[None, :, None] ** 2
-                        + (model.b_set + dz[None, None, :]) ** 2)
-    deviation = magnitude - model.b_set
+    with np.errstate(over="ignore", invalid="ignore"):
+        magnitude = np.sqrt(dx[:, None, None] ** 2 + dy[None, :, None] ** 2
+                            + (model.b_set + dz[None, None, :]) ** 2)
+        deviation = magnitude - model.b_set
+    if not np.isfinite(deviation).all():
+        raise ValueError("field deviation is not finite on the grid: "
+                         f"b_set_khz ({model.b_set:.4g}) or a profile is too large")
 
     w_xy = beam.weight_xy(xy, xy)
     total = float(w_xy.sum()) * z.size

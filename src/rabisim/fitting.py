@@ -193,6 +193,35 @@ def _r_squared(y, ssr):
     return 1.0 - ssr / ss_tot
 
 
+def _fit_starts(residual, jacobian, groups, y, package, what, max_iter):
+    """Run each group of starts as one stacked LM fit; package the winner.
+
+    groups yields (k, n_params) start arrays. The best converged start wins;
+    the remaining groups are skipped once it reaches r^2 > 0.9999. When no
+    start converges, FitFailure carries the best start packaged anyway.
+    """
+    best = None
+    best_converged = None
+    for p0 in groups:
+        for res in stacked_levenberg_marquardt(residual, jacobian, p0,
+                                               max_iter=max_iter):
+            if best is None or res.ssr < best.ssr:
+                best = res
+            if res.converged and (best_converged is None or res.ssr < best_converged.ssr):
+                best_converged = res
+        if best_converged is not None and _r_squared(y, best_converged.ssr) > 0.9999:
+            break
+
+    chosen = best_converged if best_converged is not None else best
+    fit = package(chosen)
+    if best_converged is None:
+        raise FitFailure(
+            f"{what} fit did not converge within {max_iter} iterations",
+            last_fit=fit,
+        )
+    return fit
+
+
 _SINGLE_PARAM_NAMES = ("A", "gamma", "omega", "phi", "B", "C")
 
 
@@ -226,37 +255,20 @@ def fit_single_frequency(trace: OscillationTrace, window=(0.01, 0.6), *,
     if gamma_guesses is not None:
         rate_starts += [float(g) for g in gamma_guesses if g > 0]
 
-    def residual_fn(P):
-        return _single_model(P, t, decay) - y
-
-    def jacobian_fn(P):
-        return _single_jacobian(P, t, decay)
-
-    best = None
-    best_converged = None
     a_guess = max(scale / 2.0, 1e-12)
-    for omega_guess in omega_starts:
-        demod = np.sum(resid * np.exp(-1j * omega_guess * t))
-        phi_guess = float(np.angle(demod))
-        p0 = np.array([[a_guess, rate, omega_guess, phi_guess, b0, c0]
-                       for rate in rate_starts])
-        for res in stacked_levenberg_marquardt(residual_fn, jacobian_fn, p0,
-                                               max_iter=max_iter):
-            if best is None or res.ssr < best.ssr:
-                best = res
-            if res.converged and (best_converged is None or res.ssr < best_converged.ssr):
-                best_converged = res
-        if best_converged is not None and _r_squared(y, best_converged.ssr) > 0.9999:
-            break
 
-    chosen = best_converged if best_converged is not None else best
-    fit = _package_single(chosen, y, decay)
-    if best_converged is None:
-        raise FitFailure(
-            f"single-frequency fit did not converge within {max_iter} iterations",
-            last_fit=fit,
-        )
-    return fit
+    def groups():
+        # One group of rate starts per FFT peak, built only when reached.
+        for omega_guess in omega_starts:
+            demod = np.sum(resid * np.exp(-1j * omega_guess * t))
+            phi_guess = float(np.angle(demod))
+            yield np.array([[a_guess, rate, omega_guess, phi_guess, b0, c0]
+                            for rate in rate_starts])
+
+    return _fit_starts(lambda P: _single_model(P, t, decay) - y,
+                       lambda P: _single_jacobian(P, t, decay), groups(), y,
+                       lambda res: _package_single(res, y, decay),
+                       "single-frequency", max_iter)
 
 
 def _package_single(res, y, decay) -> SingleFreqFit:
@@ -409,31 +421,12 @@ def fit_two_frequency(trace: OscillationTrace, omega0, window=None, *,
                           fraction_a=0.0, ci95=ci, indistinguishable=True,
                           fraction_ci_wide=True, converged=True)
 
-    def residual_fn(P):
-        return _two_freq_model(P, t, omega0) - y
-
-    def jacobian_fn(P):
-        return _two_freq_jacobian(P, t, omega0)
-
     p0 = np.array([[*coef, max(omega_bar - omega0, 1e-6), gamma_b]
                    for _, omega_bar, gamma_b, coef in _grid_starts(t, y, omega0)])
-    best = None
-    best_converged = None
-    for res in stacked_levenberg_marquardt(residual_fn, jacobian_fn, p0,
-                                           max_iter=max_iter):
-        if best is None or res.ssr < best.ssr:
-            best = res
-        if res.converged and (best_converged is None or res.ssr < best_converged.ssr):
-            best_converged = res
-
-    chosen = best_converged if best_converged is not None else best
-    fit = _package_two(chosen, t, y, omega0)
-    if best_converged is None:
-        raise FitFailure(
-            f"two-frequency fit did not converge within {max_iter} iterations",
-            last_fit=fit,
-        )
-    return fit
+    return _fit_starts(lambda P: _two_freq_model(P, t, omega0) - y,
+                       lambda P: _two_freq_jacobian(P, t, omega0), [p0], y,
+                       lambda res: _package_two(res, t, y, omega0),
+                       "two-frequency", max_iter)
 
 
 _TWO_PARAM_NAMES = ("A", "phi_a", "B_amp", "omega_bar", "phi_b", "gamma_b",

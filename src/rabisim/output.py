@@ -21,8 +21,6 @@ def format_value(value) -> str:
         if math.isnan(value):
             return "nan"
         return "%.12g" % value
-    if isinstance(value, int):
-        return str(value)
     return str(value)
 
 

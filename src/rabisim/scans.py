@@ -8,14 +8,13 @@ always completes.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .ensemble import EnsembleConfig, ensemble_signal
-from .fitting import FitFailure, fit_single_frequency, fit_two_frequency
-from .model import DriveParams, OscillationTrace
+from .fitting import fit_single_frequency, fit_two_frequency
+from .model import DriveParams
 from .spectrum import fft_spectrum
 from .units import angular_to_khz
 
@@ -104,15 +103,13 @@ def _analyze_fft(trace, config, fft_options):
 
 
 def scan_detuning(base_config: EnsembleConfig, detunings, *, analysis="single",
-                  times=None, window=None, decay="exp", fft_options=None,
-                  max_workers=1):
+                  times=None, window=None, decay="exp", fft_options=None):
     """Run the ensemble simulation and analysis at each angular detuning.
 
-    detunings are angular (rad/ms), matching DriveParams.delta. Returns
-    ScanRow results in input order; a failing point gets its error message
-    recorded instead of aborting the scan. max_workers > 1 fans the
-    per-detuning work over threads (the work is numpy-bound, so threads
-    help despite the interpreter lock).
+    detunings are angular (rad/ms), matching DriveParams.delta. The points
+    run one after another, and the result is a list of ScanRow in input
+    order. A point whose simulation or analysis fails gets its error
+    message recorded instead of aborting the scan.
     """
     detunings = [float(d) for d in detunings]
     if not detunings:
@@ -124,22 +121,20 @@ def scan_detuning(base_config: EnsembleConfig, detunings, *, analysis="single",
     if window is None and analysis == "single":
         window = (0.01, 0.6)
 
-    def run_one(delta):
+    rows = []
+    for delta in detunings:
         drive = DriveParams(omega0=base_config.drive.omega0, delta=delta)
         config = replace(base_config, drive=drive)
         try:
             trace = ensemble_signal(config, t)
             if analysis == "single":
-                return _analyze_single(trace, config, window, decay)
-            if analysis == "two":
-                return _analyze_two(trace, config, window)
-            return _analyze_fft(trace, config, fft_options)
-        except FitFailure as exc:
-            return ScanRow(detuning_khz=angular_to_khz(delta), error=str(exc))
+                row = _analyze_single(trace, config, window, decay)
+            elif analysis == "two":
+                row = _analyze_two(trace, config, window)
+            else:
+                row = _analyze_fft(trace, config, fft_options)
         except (ValueError, RuntimeError) as exc:
-            return ScanRow(detuning_khz=angular_to_khz(delta), error=str(exc))
-
-    if max_workers <= 1:
-        return [run_one(d) for d in detunings]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(run_one, detunings))
+            # FitFailure is a RuntimeError
+            row = ScanRow(detuning_khz=angular_to_khz(delta), error=str(exc))
+        rows.append(row)
+    return rows

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -93,6 +94,26 @@ def _integer(value, path, minimum=None, maximum=None):
     return value
 
 
+def _khz(value, path, check):
+    """Validate value with check(value, path), then convert kHz to angular
+    units, rejecting a result that overflows to inf."""
+    angular = khz_to_angular(check(value, path))
+    if not math.isfinite(angular):
+        raise ScenarioError(f"{path}: {value:.4g} kHz overflows in angular units")
+    return angular
+
+
+@contextmanager
+def _named(path):
+    """Turn a ValueError raised inside into a ScenarioError naming path."""
+    try:
+        yield
+    except ScenarioError:
+        raise
+    except ValueError as exc:
+        raise ScenarioError(f"{path}: {exc}") from exc
+
+
 def _check_size(count, cap, path, what):
     """Reject a grid of count elements (a float, possibly inf) above cap."""
     if not count <= cap:
@@ -108,11 +129,11 @@ def _string(value, path, choices=None):
     return value
 
 
-def _float_list(value, path, allow_empty=False):
+def _float_list(value, path):
     if not isinstance(value, (list, tuple)):
         raise ScenarioError(f"{path}: expected a list of numbers")
     out = tuple(_float(v, f"{path}[{i}]") for i, v in enumerate(value))
-    if not out and not allow_empty:
+    if not out:
         raise ScenarioError(f"{path}: must not be empty")
     return out
 
@@ -211,7 +232,7 @@ def _parse_profile(d, path) -> AxisProfile:
     _check_keys(d, ("kind", "value", "nodes", "coefficients"), path)
     kind = _string(d.get("kind"), f"{path}.kind",
                    ("constant", "piecewise_linear", "polynomial"))
-    try:
+    with _named(path):
         if kind == "constant":
             return AxisProfile(kind=kind, value=_float(d.get("value", 0.0),
                                                        f"{path}.value"))
@@ -228,10 +249,6 @@ def _parse_profile(d, path) -> AxisProfile:
             return AxisProfile(kind=kind, nodes=tuple(nodes))
         coeffs = _float_list(d.get("coefficients"), f"{path}.coefficients")
         return AxisProfile(kind=kind, coefficients=coeffs)
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"{path}: {exc}") from exc
 
 
 def _parse_field_dist(d, path) -> FieldDistSpec:
@@ -268,7 +285,7 @@ def _parse_field_dist(d, path) -> FieldDistSpec:
 
     beam_d = _expect_mapping(d.get("beam", {}), f"{path}.beam")
     _check_keys(beam_d, ("profile", "diameter_mm", "axis"), f"{path}.beam")
-    try:
+    with _named(f"{path}.beam"):
         beam = ProbeBeam(
             profile=_string(beam_d.get("profile", "flat_top"),
                             f"{path}.beam.profile", ("flat_top", "gaussian")),
@@ -276,10 +293,6 @@ def _parse_field_dist(d, path) -> FieldDistSpec:
                                f"{path}.beam.diameter_mm"),
             axis=_string(beam_d.get("axis", "z"), f"{path}.beam.axis"),
         )
-    except ValueError as exc:
-        if isinstance(exc, ScenarioError):
-            raise
-        raise ScenarioError(f"{path}.beam: {exc}") from exc
 
     n_xy = (bounds_xy[1] - bounds_xy[0]) / spacing + 1
     n_z = (bounds_z[1] - bounds_z[0]) / (spacing_z or spacing) + 1
@@ -289,14 +302,12 @@ def _parse_field_dist(d, path) -> FieldDistSpec:
     profiles_d = _expect_mapping(d.get("profiles", {}), f"{path}.profiles")
     profiles = {key: _parse_profile(val, f"{path}.profiles.{key}")
                 for key, val in profiles_d.items()}
-    try:
+    with _named(path):
         model = FieldGridModel(b_set=b_set, profiles=profiles,
                                current_sign=signs[0], bounds_xy=bounds_xy,
                                bounds_z=bounds_z, spacing=spacing,
                                spacing_z=spacing_z,
                                max_deviation_khz=max_dev)
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
     return FieldDistSpec(model=model, signs=signs, beam=beam, n_bins=n_bins)
 
 
@@ -315,9 +326,11 @@ def _resolve_fieldmap_reference(ref, path, base_dir) -> DetuningDistribution:
         sub = load_scenario_dict(sub_path)
     if "fieldmap" not in sub:
         raise ScenarioError(f"{path}: {sub_path} has no fieldmap section")
-    spec = _parse_field_dist(sub["fieldmap"], f"{path}({ref}).fieldmap")
-    hist = field_magnitude_histogram(spec.model, spec.beam, spec.n_bins)
-    return histogram_to_distribution(hist)
+    spec_path = f"{path}({ref}).fieldmap"
+    spec = _parse_field_dist(sub["fieldmap"], spec_path)
+    with _named(spec_path):
+        hist = field_magnitude_histogram(spec.model, spec.beam, spec.n_bins)
+        return histogram_to_distribution(hist)
 
 
 def _parse_distribution(d, path, base_dir) -> DetuningDistribution:
@@ -335,19 +348,14 @@ def _parse_distribution(d, path, base_dir) -> DetuningDistribution:
         file_path = Path(base_dir) / _string(d["file"], f"{path}.file")
         if not file_path.is_file():
             raise ScenarioError(f"{path}.file: file not found: {file_path}")
-        try:
+        with _named(f"{path}.file"):
             return load_empirical_distribution(file_path)
-        except ValueError as exc:
-            raise ScenarioError(f"{path}.file: {exc}") from exc
     kind = _string(d.get("kind", "gaussian"), f"{path}.kind",
                    ("gaussian", "skewed_gaussian"))
-    sigma_khz = _nonnegative(d.get("sigma_khz", 0.0), f"{path}.sigma_khz")
+    sigma = _khz(d.get("sigma_khz", 0.0), f"{path}.sigma_khz", _nonnegative)
     skew = _float(d.get("skew", 0.0), f"{path}.skew")
-    try:
-        return DetuningDistribution(kind=kind, sigma=khz_to_angular(sigma_khz),
-                                    skew=skew)
-    except ValueError as exc:
-        raise ScenarioError(f"{path}: {exc}") from exc
+    with _named(path):
+        return DetuningDistribution(kind=kind, sigma=sigma, skew=skew)
 
 
 def _parse_atom_model(d, path) -> AtomModel:
@@ -357,10 +365,9 @@ def _parse_atom_model(d, path) -> AtomModel:
     _check_keys(d, ("kind", "gamma_khz", "quadratic_shift_khz"), path)
     kind = _string(d.get("kind", "analytic_two_level"), f"{path}.kind",
                    ("analytic_two_level", "multilevel"))
-    gamma = khz_to_angular(_nonnegative(d.get("gamma_khz", 0.0),
-                                        f"{path}.gamma_khz"))
-    quad = khz_to_angular(_positive(d.get("quadratic_shift_khz", 100.0),
-                                    f"{path}.quadratic_shift_khz"))
+    gamma = _khz(d.get("gamma_khz", 0.0), f"{path}.gamma_khz", _nonnegative)
+    quad = _khz(d.get("quadratic_shift_khz", 100.0),
+                f"{path}.quadratic_shift_khz", _positive)
     return AtomModel(kind=kind, gamma=gamma, quadratic_shift=quad)
 
 
@@ -383,11 +390,9 @@ def _parse_deltas(d, path):
     if has_list and has_range:
         raise ScenarioError(f"{path}: give delta_list_khz or delta_range_khz, not both")
     if has_list:
-        values = _float_list(d["delta_list_khz"], f"{path}.delta_list_khz",
-                             allow_empty=True)
-        if not values:
-            raise ScenarioError(f"{path}.delta_list_khz: must not be empty")
-        return tuple(khz_to_angular(v) for v in values)
+        values = _float_list(d["delta_list_khz"], f"{path}.delta_list_khz")
+        return tuple(_khz(v, f"{path}.delta_list_khz[{i}]", _float)
+                     for i, v in enumerate(values))
     if has_range:
         r = _expect_mapping(d["delta_range_khz"], f"{path}.delta_range_khz")
         _check_keys(r, ("start", "stop", "step"), f"{path}.delta_range_khz")
@@ -399,7 +404,7 @@ def _parse_deltas(d, path):
         _check_size((stop + step / 2 - start) / step, MAX_DETUNINGS,
                     f"{path}.delta_range_khz", "(stop - start) / step")
         values = np.arange(start, stop + step / 2, step)
-        return tuple(khz_to_angular(v) for v in values)
+        return tuple(_khz(v, f"{path}.delta_range_khz", _float) for v in values)
     raise ScenarioError(f"{path}: needs delta_list_khz or delta_range_khz")
 
 
@@ -478,29 +483,23 @@ def parse_scenario(data: dict, base_dir=None) -> Scenario:
     drive_d = _expect_mapping(data.get("drive", {}), "drive")
     _check_keys(drive_d, ("omega0_khz", "delta_khz", "delta_list_khz",
                           "delta_range_khz"), "drive")
-    omega0 = khz_to_angular(_positive(drive_d.get("omega0_khz"),
-                                      "drive.omega0_khz"))
+    omega0 = _khz(drive_d.get("omega0_khz"), "drive.omega0_khz", _positive)
 
     scan_d = _expect_mapping(data.get("scan", {}), "scan")
     _check_keys(scan_d, ("omega0_list_khz", "sigma_list_khz"), "scan")
     omega0_list = (omega0,)
     if "omega0_list_khz" in scan_d:
         values = _float_list(scan_d["omega0_list_khz"], "scan.omega0_list_khz")
-        for i, v in enumerate(values):
-            if v <= 0:
-                raise ScenarioError(f"scan.omega0_list_khz[{i}]: must be positive")
-        omega0_list = tuple(khz_to_angular(v) for v in values)
+        omega0_list = tuple(_khz(v, f"scan.omega0_list_khz[{i}]", _positive)
+                            for i, v in enumerate(values))
     sigma_list = None
     if "sigma_list_khz" in scan_d:
         values = _float_list(scan_d["sigma_list_khz"], "scan.sigma_list_khz")
-        for i, v in enumerate(values):
-            if v < 0:
-                raise ScenarioError(f"scan.sigma_list_khz[{i}]: must be non-negative")
-        sigma_list = tuple(khz_to_angular(v) for v in values)
+        sigma_list = tuple(_khz(v, f"scan.sigma_list_khz[{i}]", _nonnegative)
+                           for i, v in enumerate(values))
 
     if command == "simulate":
-        deltas = (khz_to_angular(_float(drive_d.get("delta_khz", 0.0),
-                                        "drive.delta_khz")),)
+        deltas = (_khz(drive_d.get("delta_khz", 0.0), "drive.delta_khz", _float),)
     else:
         deltas = _parse_deltas(drive_d, "drive")
 

@@ -10,6 +10,7 @@ import rabisim
 from rabisim.cli import main
 from rabisim.model import DriveParams, p1_two_level_damped
 from rabisim.output import read_csv
+from rabisim.scenario import ScenarioError, load_scenario_dict, parse_scenario
 from rabisim.units import khz_to_angular
 
 SIMULATE_YAML = """\
@@ -105,28 +106,48 @@ def test_command_mismatch_exits_2(tmp_path, capsys):
     assert "simulate" in capsys.readouterr().err
 
 
-def test_scan_output_columns(tmp_path):
-    yaml_text = """\
+@pytest.mark.parametrize("kind, columns", [
+    ("single", ["omega0_khz", "sigma_khz", "detuning_khz", "frequency_khz",
+                "frequency_ci_khz", "homogeneous_khz", "amplitude",
+                "amplitude_ci", "gamma", "gamma_ci", "tau_ms", "r_squared",
+                "error"]),
+    ("two", ["omega0_khz", "sigma_khz", "detuning_khz", "fraction_a",
+             "fraction_a_ci", "omega_bar_khz", "gamma_b", "indistinguishable",
+             "fraction_ci_wide", "r_squared", "error"]),
+    ("fft", ["omega0_khz", "sigma_khz", "detuning_khz", "frequency_khz",
+             "peaks_khz", "error"]),
+], ids=["single", "two", "fft"])
+def test_scan_output_columns(tmp_path, kind, columns):
+    yaml_text = f"""\
 name: tiny-scan
 command: scan
 seed: 0
-output: {basename: tiny}
-drive: {omega0_khz: 9.0, delta_list_khz: [0.0, 9.0]}
-distribution: {kind: gaussian, sigma_khz: 0.0}
-atom_model: {kind: analytic_two_level, gamma_khz: 0.0}
-time_grid: {t_max_ms: 1.0, dt_ms: 0.004}
-analysis: {kind: single, window_ms: [0.01, 0.6]}
+output: {{basename: tiny}}
+drive: {{omega0_khz: 9.0, delta_list_khz: [0.0, 9.0]}}
+distribution: {{kind: gaussian, sigma_khz: 0.0}}
+atom_model: {{kind: analytic_two_level, gamma_khz: 0.0}}
+time_grid: {{t_max_ms: 1.0, dt_ms: 0.004}}
+analysis: {{kind: {kind}, window_ms: [0.01, 0.6]}}
 """
     config = _write(tmp_path, yaml_text)
-    assert main(["scan", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert main(["scan", "--config", str(config), "--out", str(tmp_path),
+                 "--svg"]) == 0
     meta, cols, rows = read_csv(tmp_path / "tiny.csv")
-    assert cols[:4] == ["omega0_khz", "sigma_khz", "detuning_khz", "frequency_khz"]
+    assert cols == columns
     assert len(rows) == 2
     resonant = dict(zip(cols, rows[0]))
     detuned = dict(zip(cols, rows[1]))
-    assert float(resonant["frequency_khz"]) == pytest.approx(9.0, rel=1e-3)
-    assert float(detuned["frequency_khz"]) == pytest.approx(np.hypot(9.0, 9.0), rel=1e-2)
-    assert float(detuned["homogeneous_khz"]) == pytest.approx(np.hypot(9.0, 9.0), rel=1e-9)
+    assert resonant["error"] == "" and detuned["error"] == ""
+    if kind == "single":
+        assert float(resonant["frequency_khz"]) == pytest.approx(9.0, rel=1e-3)
+        assert float(detuned["frequency_khz"]) == pytest.approx(np.hypot(9.0, 9.0), rel=1e-2)
+        assert float(detuned["homogeneous_khz"]) == pytest.approx(np.hypot(9.0, 9.0), rel=1e-9)
+    elif kind == "two":
+        assert 0.0 <= float(detuned["fraction_a"]) <= 1.0
+    else:
+        assert float(resonant["frequency_khz"]) == pytest.approx(9.0, abs=0.3)
+        assert resonant["peaks_khz"].split(";")[0] == resonant["frequency_khz"]
+    assert (tmp_path / "tiny.svg").read_text().startswith("<svg")
 
 
 def test_spectrum_outputs_with_track(tmp_path):
@@ -144,7 +165,8 @@ analysis:
   track: {window_ms: 0.4, hop_ms: 0.4, t_stop_ms: 1.2}
 """
     config = _write(tmp_path, yaml_text)
-    assert main(["spectrum", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert main(["spectrum", "--config", str(config), "--out", str(tmp_path),
+                 "--svg"]) == 0
     _, spec_cols, spec_rows = read_csv(tmp_path / "spec_spectra.csv")
     assert spec_cols == ["detuning_khz", "frequency_khz", "power"]
     assert len(spec_rows) > 100
@@ -154,6 +176,7 @@ analysis:
     _, track_cols, track_rows = read_csv(tmp_path / "spec_track.csv")
     assert track_cols == ["detuning_khz", "t_center_ms", "frequency_khz", "ci95_khz"]
     assert len(track_rows) >= 2
+    assert (tmp_path / "spec.svg").read_text().startswith("<svg")
 
 
 def test_field_dist_outputs(tmp_path):
@@ -171,7 +194,8 @@ fieldmap:
     b1z: {kind: piecewise_linear, nodes: [[-20.0, -1.0], [0.0, 4.0], [20.0, 0.5]]}
 """
     config = _write(tmp_path, yaml_text)
-    assert main(["field-dist", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert main(["field-dist", "--config", str(config), "--out", str(tmp_path),
+                 "--svg"]) == 0
     meta, cols, rows = read_csv(tmp_path / "field.csv")
     assert cols == ["current_sign", "bin_center_khz", "weight"]
     signs = {r[0] for r in rows}
@@ -179,6 +203,30 @@ fieldmap:
     m_plus = float(meta["sign_+1_third_moment"])
     m_minus = float(meta["sign_-1_third_moment"])
     assert m_plus * m_minus < 0
+    assert (tmp_path / "field.svg").read_text().startswith("<svg")
+
+
+@pytest.mark.parametrize("fieldmap, named", [
+    ("b_set_khz: 1.0e+300\n  beam: {profile: flat_top, diameter_mm: 12.0}",
+     "b_set_khz"),
+    ("b_set_khz: 18167.0\n  bounds_xy_mm: [-8.25, 8.0]\n"
+     "  beam: {profile: flat_top, diameter_mm: 0.2}",
+     "beam weight vanishes"),
+], ids=["b_set_overflow", "beam_misses_grid"])
+def test_field_histogram_errors_name_fieldmap(tmp_path, capsys, fieldmap, named):
+    # field-dist builds the histogram at run time, a fieldmap distribution
+    # while parsing; both end in a ScenarioError.
+    config = _write(tmp_path, "name: cell\ncommand: field-dist\n"
+                              f"fieldmap:\n  {fieldmap}\n", name="cell.yaml")
+    assert main(["field-dist", "--config", str(config), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert "fieldmap: " in err and named in err
+    data = load_scenario_dict(_write(tmp_path, SIMULATE_YAML))
+    data["distribution"] = {"fieldmap": "cell.yaml"}
+    with pytest.raises(ScenarioError) as info:
+        parse_scenario(data, base_dir=tmp_path)
+    assert "distribution.fieldmap(cell.yaml).fieldmap: " in str(info.value)
+    assert named in str(info.value)
 
 
 def test_module_entry_point_runs():

@@ -80,14 +80,6 @@ def test_fft_point_without_peak_is_error_row():
     assert "no spectral peak" in flat.error
 
 
-def test_thread_fanout_matches_serial():
-    detunings = khz_to_angular(np.linspace(-10.0, 10.0, 5))
-    serial = scan_detuning(_config(8.0, gamma_khz=1.0), detunings, max_workers=1)
-    threaded = scan_detuning(_config(8.0, gamma_khz=1.0), detunings, max_workers=2)
-    for a, b in zip(serial, threaded):
-        assert a == b
-
-
 def test_scan_validation():
     with pytest.raises(ValueError):
         scan_detuning(_config(0.0), [])

@@ -163,6 +163,40 @@ def test_size_caps_name_their_field(section, field, value, named):
     assert named in str(info.value)
 
 
+_OVERFLOW_CASES = [
+    ("simulate", ("drive", "omega0_khz"), 1e308, "drive.omega0_khz"),
+    ("simulate", ("drive", "delta_khz"), 1e308, "drive.delta_khz"),
+    ("simulate", ("distribution", "sigma_khz"), 1e308, "distribution.sigma_khz"),
+    ("simulate", ("atom_model", "gamma_khz"), 1e308, "atom_model.gamma_khz"),
+    ("simulate", ("atom_model", "quadratic_shift_khz"), 1e308,
+     "atom_model.quadratic_shift_khz"),
+    ("scan", ("scan", "omega0_list_khz", 1), 1e308, "scan.omega0_list_khz[1]"),
+    ("scan", ("scan", "sigma_list_khz", 1), 1e308, "scan.sigma_list_khz[1]"),
+    ("scan", ("drive", "delta_list_khz", 1), -1e308, "drive.delta_list_khz[1]"),
+    # few enough points for the count cap, but the start overflows
+    ("scan", ("drive",), {"omega0_khz": 9.0, "delta_range_khz":
+                          {"start": -1e308, "stop": 0.0, "step": 1e305}},
+     "drive.delta_range_khz"),
+]
+
+
+@pytest.mark.parametrize("command, path, value, named", _OVERFLOW_CASES,
+                         ids=[case[3] for case in _OVERFLOW_CASES])
+def test_khz_overflow_names_its_field(command, path, value, named):
+    # Each value is finite in kHz but overflows to inf once multiplied by 2 pi.
+    data = _minimal_simulate(command=command)
+    if command == "scan":
+        data["drive"] = {"omega0_khz": 9.0, "delta_list_khz": [0.0, 4.5]}
+        data["scan"] = {"omega0_list_khz": [9.0, 4.5], "sigma_list_khz": [8.0, 4.0]}
+    parent = data
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(ScenarioError, match="overflows in angular units") as info:
+        parse_scenario(data)
+    assert str(info.value).startswith(named + ": ")
+
+
 def _field_paths(obj, prefix=()):
     """Key paths to every mapping value and list element below obj."""
     items = obj.items() if isinstance(obj, dict) else enumerate(obj)
@@ -193,9 +227,16 @@ def test_mutated_presets_parse_or_raise_scenario_error(field, value):
     else:
         parent[path[-1]] = value
     try:
-        parse_scenario(data, base_dir=preset_file(name).parent)
+        scenario = parse_scenario(data, base_dir=preset_file(name).parent)
     except ScenarioError:
-        pass
+        return
+    # Whatever parses must give finite angular frequencies.
+    dist = scenario.distribution
+    freqs = [*scenario.omega0_list, *scenario.deltas, *(scenario.sigma_list or ()),
+             scenario.atom_model.gamma, scenario.atom_model.quadratic_shift]
+    if dist is not None:
+        freqs += [dist.sigma] if dist.is_parametric else list(dist.shifts)
+    assert np.isfinite(freqs).all()
 
 
 def test_analysis_validation():
