@@ -27,15 +27,6 @@ from .output import write_csv, write_svg_lines
 from .units import angular_to_khz
 
 
-def _base_metadata(scenario: Scenario, digest):
-    return {
-        "tool": f"rabisim {__version__}",
-        "scenario": scenario.name,
-        "scenario_hash": digest,
-        "seed": scenario.seed,
-    }
-
-
 def _ensemble_config(scenario: Scenario, omega0, delta, sigma=None):
     dist = scenario.distribution
     if sigma is not None:
@@ -52,37 +43,44 @@ def _sigma_blocks(scenario: Scenario):
     return (scenario.distribution.std_shift(),)
 
 
-def run_simulate(scenario: Scenario, digest, out_dir, svg):
+# Each command takes (scenario, meta) and returns (tables, plot): tables is a
+# list of (file suffix, columns, rows) and plot is (series, x_label, y_label).
+# run_scenario names and writes the files.
+
+def run_simulate(scenario: Scenario, meta):
     config = _ensemble_config(scenario, scenario.omega0_list[0],
                               scenario.deltas[0])
     trace = ensemble_signal(config, scenario.times)
-    csv_path = Path(out_dir) / f"{scenario.basename}.csv"
-    rows = [(t, v) for t, v in zip(trace.times, trace.values)]
-    write_csv(csv_path, ("t_ms", "signal"), rows,
-              metadata=_base_metadata(scenario, digest))
-    written = [csv_path]
-    if svg:
-        svg_path = Path(out_dir) / f"{scenario.basename}.svg"
-        write_svg_lines(svg_path, [("", trace.times, trace.values)],
-                        x_label="t (ms)", y_label="signal",
-                        title=scenario.name)
-        written.append(svg_path)
-    return written
+    rows = list(zip(trace.times, trace.values))
+    return ([("", ("t_ms", "signal"), rows)],
+            ([("", trace.times, trace.values)], "t (ms)", "signal"))
 
 
-_SINGLE_COLUMNS = ("omega0_khz", "sigma_khz", "detuning_khz", "frequency_khz",
-                   "frequency_ci_khz", "homogeneous_khz", "amplitude",
-                   "amplitude_ci", "gamma", "gamma_ci", "tau_ms", "r_squared",
-                   "error")
-_TWO_COLUMNS = ("omega0_khz", "sigma_khz", "detuning_khz", "fraction_a",
-                "fraction_a_ci", "omega_bar_khz", "gamma_b",
-                "indistinguishable", "fraction_ci_wide", "r_squared", "error")
-_FFT_COLUMNS = ("omega0_khz", "sigma_khz", "detuning_khz", "frequency_khz",
-                "peaks_khz", "error")
+# Scan columns and the plotted column, per analysis kind. A cell is the
+# ScanRow field of the same name unless _scan_cells derives it.
+_SCAN_TABLES = {
+    "single": (("omega0_khz", "sigma_khz", "detuning_khz", "frequency_khz",
+                "frequency_ci_khz", "homogeneous_khz", "amplitude",
+                "amplitude_ci", "gamma", "gamma_ci", "tau_ms", "r_squared",
+                "error"), "frequency_khz"),
+    "two": (("omega0_khz", "sigma_khz", "detuning_khz", "fraction_a",
+             "fraction_a_ci", "omega_bar_khz", "gamma_b", "indistinguishable",
+             "fraction_ci_wide", "r_squared", "error"), "fraction_a"),
+    "fft": (("omega0_khz", "sigma_khz", "detuning_khz", "frequency_khz",
+             "peaks_khz", "error"), "frequency_khz"),
+}
 
 
-def run_scan(scenario: Scenario, digest, out_dir, svg):
+def _scan_cells(row, o_khz, s_khz):
+    return {"omega0_khz": o_khz, "sigma_khz": s_khz,
+            "homogeneous_khz": math.hypot(o_khz, row.detuning_khz),
+            "tau_ms": 1.0 / row.gamma if row.gamma > 0 else math.inf,
+            "peaks_khz": ";".join("%.12g" % p for p in row.peaks_khz)}
+
+
+def run_scan(scenario: Scenario, meta):
     analysis = scenario.analysis
+    columns, plotted = _SCAN_TABLES[analysis.kind]
     rows = []
     series = []
     for omega0 in scenario.omega0_list:
@@ -96,64 +94,32 @@ def run_scan(scenario: Scenario, digest, out_dir, svg):
             results = scan_detuning(
                 config, scenario.deltas, analysis=analysis.kind,
                 times=scenario.times, window=window, decay=analysis.decay,
-                fft_options=analysis.fft_options())
+                fft_options=analysis.fft)
             o_khz = angular_to_khz(omega0)
             s_khz = angular_to_khz(sigma)
-            label = f"O0={o_khz:g}, sigma={s_khz:g} kHz"
-            if analysis.kind == "single":
-                for r in results:
-                    homog = math.hypot(o_khz, r.detuning_khz)
-                    tau = 1.0 / r.gamma if r.gamma > 0 else math.inf
-                    rows.append((o_khz, s_khz, r.detuning_khz, r.frequency_khz,
-                                 r.frequency_ci_khz, homog, r.amplitude,
-                                 r.amplitude_ci, r.gamma, r.gamma_ci, tau,
-                                 r.r_squared, r.error))
-                series.append((label, [r.detuning_khz for r in results],
-                               [r.frequency_khz for r in results]))
-            elif analysis.kind == "two":
-                for r in results:
-                    rows.append((o_khz, s_khz, r.detuning_khz, r.fraction_a,
-                                 r.fraction_a_ci, r.omega_bar_khz, r.gamma_b,
-                                 r.indistinguishable, r.fraction_ci_wide,
-                                 r.r_squared, r.error))
-                series.append((label, [r.detuning_khz for r in results],
-                               [r.fraction_a for r in results]))
-            else:
-                for r in results:
-                    peaks = ";".join("%.12g" % p for p in r.peaks_khz)
-                    rows.append((o_khz, s_khz, r.detuning_khz, r.frequency_khz,
-                                 peaks, r.error))
-                series.append((label, [r.detuning_khz for r in results],
-                               [r.frequency_khz for r in results]))
-
-    columns = {"single": _SINGLE_COLUMNS, "two": _TWO_COLUMNS,
-               "fft": _FFT_COLUMNS}[analysis.kind]
-    csv_path = Path(out_dir) / f"{scenario.basename}.csv"
-    write_csv(csv_path, columns, rows,
-              metadata=_base_metadata(scenario, digest))
-    written = [csv_path]
-    if svg:
-        y_label = "fraction_a" if analysis.kind == "two" else "frequency (kHz)"
-        svg_path = Path(out_dir) / f"{scenario.basename}.svg"
-        write_svg_lines(svg_path, series, x_label="detuning (kHz)",
-                        y_label=y_label, title=scenario.name)
-        written.append(svg_path)
-    return written
+            for r in results:
+                cells = _scan_cells(r, o_khz, s_khz)
+                rows.append(tuple(cells[c] if c in cells else getattr(r, c)
+                                  for c in columns))
+            series.append((f"O0={o_khz:g}, sigma={s_khz:g} kHz",
+                           [r.detuning_khz for r in results],
+                           [getattr(r, plotted) for r in results]))
+    y_label = "fraction_a" if analysis.kind == "two" else "frequency (kHz)"
+    return [("", columns, rows)], (series, "detuning (kHz)", y_label)
 
 
-def run_spectrum(scenario: Scenario, digest, out_dir, svg):
+def run_spectrum(scenario: Scenario, meta):
     analysis = scenario.analysis
     omega0 = scenario.omega0_list[0]
-    meta = _base_metadata(scenario, digest)
     spectra_rows = []
     peak_rows = []
     track_rows = []
     series = []
     offset = 0.0
-    for i, delta in enumerate(scenario.deltas):
+    for delta in scenario.deltas:
         config = _ensemble_config(scenario, omega0, delta)
         trace = ensemble_signal(config, scenario.times)
-        spec = fft_spectrum(trace, **analysis.fft_options())
+        spec = fft_spectrum(trace, **analysis.fft)
         d_khz = angular_to_khz(delta)
         for f, p in zip(spec.frequencies_khz, spec.power):
             spectra_rows.append((d_khz, f, p))
@@ -173,31 +139,18 @@ def run_spectrum(scenario: Scenario, digest, out_dir, svg):
                 track_rows.append((d_khz, pt.t_center, pt.frequency_khz,
                                    pt.ci95_khz))
 
-    base = Path(out_dir) / scenario.basename
-    spectra_path = base.with_name(base.name + "_spectra.csv")
-    peaks_path = base.with_name(base.name + "_peaks.csv")
-    write_csv(spectra_path, ("detuning_khz", "frequency_khz", "power"),
-              spectra_rows, metadata=meta)
-    write_csv(peaks_path, ("detuning_khz", "rank", "peak_frequency_khz",
-                           "peak_height"), peak_rows, metadata=meta)
-    written = [spectra_path, peaks_path]
+    tables = [("_spectra", ("detuning_khz", "frequency_khz", "power"),
+               spectra_rows),
+              ("_peaks", ("detuning_khz", "rank", "peak_frequency_khz",
+                          "peak_height"), peak_rows)]
     if analysis.track is not None:
-        track_path = base.with_name(base.name + "_track.csv")
-        write_csv(track_path, ("detuning_khz", "t_center_ms", "frequency_khz",
-                               "ci95_khz"), track_rows, metadata=meta)
-        written.append(track_path)
-    if svg:
-        svg_path = base.with_suffix(".svg")
-        write_svg_lines(svg_path, series, x_label="frequency (kHz)",
-                        y_label="power (offset per curve)",
-                        title=scenario.name)
-        written.append(svg_path)
-    return written
+        tables.append(("_track", ("detuning_khz", "t_center_ms",
+                                  "frequency_khz", "ci95_khz"), track_rows))
+    return tables, (series, "frequency (kHz)", "power (offset per curve)")
 
 
-def run_field_dist(scenario: Scenario, digest, out_dir, svg):
+def run_field_dist(scenario: Scenario, meta):
     spec = scenario.field_dist
-    meta = _base_metadata(scenario, digest)
     rows = []
     series = []
     for sign in spec.signs:
@@ -213,27 +166,36 @@ def run_field_dist(scenario: Scenario, digest, out_dir, svg):
         for c, w in zip(hist.bin_centers_khz, hist.weights):
             rows.append((sign, c, w))
         series.append((f"sign {sign:+d}", hist.bin_centers_khz, hist.weights))
-    csv_path = Path(out_dir) / f"{scenario.basename}.csv"
-    write_csv(csv_path, ("current_sign", "bin_center_khz", "weight"), rows,
-              metadata=meta)
-    written = [csv_path]
-    if svg:
-        svg_path = Path(out_dir) / f"{scenario.basename}.svg"
-        write_svg_lines(svg_path, series, x_label="field deviation (kHz)",
-                        y_label="weight", title=scenario.name)
-        written.append(svg_path)
-    return written
+    return ([("", ("current_sign", "bin_center_khz", "weight"), rows)],
+            (series, "field deviation (kHz)", "weight"))
+
+
+_COMMANDS = {"simulate": run_simulate, "scan": run_scan,
+             "spectrum": run_spectrum, "field-dist": run_field_dist}
 
 
 def run_scenario(scenario: Scenario, digest, out_dir, *, svg=False):
-    """Dispatch a parsed scenario; returns the list of files written."""
-    if scenario.command == "simulate":
-        return run_simulate(scenario, digest, out_dir, svg)
-    if scenario.command == "scan":
-        return run_scan(scenario, digest, out_dir, svg)
-    if scenario.command == "spectrum":
-        return run_spectrum(scenario, digest, out_dir, svg)
-    return run_field_dist(scenario, digest, out_dir, svg)
+    """Run a parsed scenario and write its outputs; returns the paths written.
+
+    Each table goes to <out_dir>/<basename><suffix>.csv under one metadata
+    block, and with svg the command's plot goes to <out_dir>/<basename>.svg.
+    """
+    meta = {"tool": f"rabisim {__version__}", "scenario": scenario.name,
+            "scenario_hash": digest, "seed": scenario.seed}
+    run = _COMMANDS[scenario.command]
+    tables, (series, x_label, y_label) = run(scenario, meta)
+    out_dir = Path(out_dir)
+    written = []
+    for suffix, columns, rows in tables:
+        path = out_dir / f"{scenario.basename}{suffix}.csv"
+        write_csv(path, columns, rows, metadata=meta)
+        written.append(path)
+    if svg:
+        path = out_dir / f"{scenario.basename}.svg"
+        write_svg_lines(path, series, x_label=x_label, y_label=y_label,
+                        title=scenario.name)
+        written.append(path)
+    return written
 
 
 def _build_parser():

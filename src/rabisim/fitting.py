@@ -226,12 +226,12 @@ _SINGLE_PARAM_NAMES = ("A", "gamma", "omega", "phi", "B", "C")
 
 
 def fit_single_frequency(trace: OscillationTrace, window=(0.01, 0.6), *,
-                         decay="exp", max_iter=200, n_starts=5,
+                         decay="exp", max_iter=200,
                          gamma_guesses=None) -> SingleFreqFit:
     """Fit the single damped cosine with drift on the given time window.
 
     Initial guesses come from the FFT peaks of the detrended window (up to
-    n_starts of them), a quadrature demodulation for amplitude and phase,
+    five of them), a quadrature demodulation for amplitude and phase,
     and a straight line for the drift. gamma_guesses extends the built-in
     decay-rate starts with caller knowledge (a known spread, say). A flat
     window returns an A ~ 0 fit with infinite CIs rather than raising;
@@ -250,7 +250,7 @@ def fit_single_frequency(trace: OscillationTrace, window=(0.01, 0.6), *,
 
     b0, c0 = _detrend_line(t, y)
     resid = y - (b0 * t + c0)
-    omega_starts = _fft_peak_frequencies(t, resid, n_starts)
+    omega_starts = _fft_peak_frequencies(t, resid, 5)
     rate_starts = [0.1 / span, 1.0 / span, 3.0 / span]
     if gamma_guesses is not None:
         rate_starts += [float(g) for g in gamma_guesses if g > 0]

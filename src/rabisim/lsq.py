@@ -97,7 +97,7 @@ def ci95_half_widths(cov, dof):
 
 
 def stacked_levenberg_marquardt(residual, jacobian, p0, *, max_iter=200,
-                                ftol=1e-12, xtol=1e-12, lam0=1e-3):
+                                lam0=1e-3):
     """Minimize sum(residual(p)^2) from every row of the (s, k) starts p0.
 
     residual(P) maps an (m, k) stack of parameter rows to the (m, n)
@@ -168,7 +168,7 @@ def stacked_levenberg_marquardt(residual, jacobian, p0, *, max_iter=200,
             p_new[retry], r_new[retry], ssr_new[retry] = p[retry], r[retry], ssr[retry]
         rel_drop = (ssr - ssr_new) / np.maximum(ssr, 1e-300)
         rel_step = np.max(np.abs(dp) / np.maximum(np.abs(p_new), 1e-12), axis=1)
-        stop = ~ok | (rel_drop < ftol) | (rel_step < xtol)
+        stop = ~ok | (rel_drop < 1e-12) | (rel_step < 1e-12)
         p, r, ssr = p_new, r_new, ssr_new
         lam = np.maximum(lam / 3.0, 1e-14)
         if stop.any():
@@ -185,8 +185,7 @@ def stacked_levenberg_marquardt(residual, jacobian, p0, *, max_iter=200,
             for i in range(s)]
 
 
-def levenberg_marquardt(residual, jacobian, p0, *, max_iter=200, ftol=1e-12,
-                        xtol=1e-12, lam0=1e-3):
+def levenberg_marquardt(residual, jacobian, p0, *, max_iter=200, lam0=1e-3):
     """Minimize sum(residual(p)^2) from the single starting point p0.
 
     residual(p) returns the (n,) residual vector, jacobian(p) the (n, k)
@@ -195,6 +194,5 @@ def levenberg_marquardt(residual, jacobian, p0, *, max_iter=200, ftol=1e-12,
     """
     (res,) = stacked_levenberg_marquardt(
         lambda P: residual(P[0])[None], lambda P: jacobian(P[0])[None],
-        np.asarray(p0, dtype=float)[None], max_iter=max_iter, ftol=ftol,
-        xtol=xtol, lam0=lam0)
+        np.asarray(p0, dtype=float)[None], max_iter=max_iter, lam0=lam0)
     return res

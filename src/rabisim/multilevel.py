@@ -57,14 +57,11 @@ class LevelSystem:
     between adjacent m. All angular (rad/ms).
     """
 
-    n_levels: int
     level_shifts: np.ndarray
     coupling: np.ndarray
     gamma: float
 
     def __post_init__(self):
-        if self.n_levels != 5:
-            raise ValueError("only the five-level F=2 manifold is supported")
         shifts = np.asarray(self.level_shifts, dtype=float)
         coupling = np.asarray(self.coupling, dtype=float)
         if shifts.shape != (5,):
@@ -108,8 +105,8 @@ class DensityMatrix:
         object.__setattr__(self, "elements", el)
 
     @classmethod
-    def pure(cls, level: int, n_levels: int = 5) -> "DensityMatrix":
-        el = np.zeros((n_levels, n_levels), dtype=complex)
+    def pure(cls, level: int) -> "DensityMatrix":
+        el = np.zeros((5, 5), dtype=complex)
         el[level, level] = 1.0
         return cls(el)
 
@@ -132,8 +129,7 @@ def build_f2_system(drive: DriveParams, local_shift=0.0,
     coupling = np.zeros((5, 5))
     for i, rel in enumerate(_LADDER):
         coupling[i, i + 1] = coupling[i + 1, i] = drive.omega0 * rel
-    return LevelSystem(n_levels=5, level_shifts=shifts, coupling=coupling,
-                       gamma=gamma)
+    return LevelSystem(level_shifts=shifts, coupling=coupling, gamma=gamma)
 
 
 def _liouvillian(system: LevelSystem) -> np.ndarray:
@@ -233,16 +229,16 @@ def evolve_density(system: LevelSystem, rho0: DensityMatrix, times, *,
     return rhos
 
 
-def evolve(system: LevelSystem, rho0: DensityMatrix, times, **kwargs) -> OscillationTrace:
+def evolve(system: LevelSystem, rho0: DensityMatrix, times) -> OscillationTrace:
     """Master-equation evolution reduced to the m=1 population trace."""
-    rhos = evolve_density(system, rho0, times, **kwargs)
+    rhos = evolve_density(system, rho0, times)
     return OscillationTrace.from_times(np.asarray(times, dtype=float),
                                        rhos[:, 1, 1].real)
 
 
 def p1_multilevel(drive: DriveParams, local_shift=0.0,
                   quadratic_shift=DEFAULT_QUADRATIC_SHIFT, gamma=0.0,
-                  times=None, **kwargs) -> OscillationTrace:
+                  times=None) -> OscillationTrace:
     """build_f2_system + evolve from all population in m=2."""
     system = build_f2_system(drive, local_shift, quadratic_shift, gamma)
-    return evolve(system, DensityMatrix.pure(0), times, **kwargs)
+    return evolve(system, DensityMatrix.pure(0), times)

@@ -32,6 +32,10 @@ def _atomic_write_text(path, text):
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
             handle.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would.
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -153,16 +154,8 @@ class AnalysisOptions:
     window: tuple | None = None
     decay: str = "exp"
     window_periods: float = 10.0
-    fft_detrend: bool = True
-    fft_window_fn: str = "hann"
-    fft_pad_factor: int = 4
-    fft_prominence: float = 0.05
+    fft: dict = field(default_factory=dict)  # fft_spectrum keywords
     track: dict | None = None
-
-    def fft_options(self):
-        return {"detrend": self.fft_detrend, "window_fn": self.fft_window_fn,
-                "pad_factor": self.fft_pad_factor,
-                "prominence": self.fft_prominence}
 
 
 @dataclass(frozen=True)
@@ -452,10 +445,10 @@ def _parse_analysis(d, path, command) -> AnalysisOptions:
             "t_stop": (_positive(t_d["t_stop_ms"], f"{path}.track.t_stop_ms")
                        if "t_stop_ms" in t_d else None),
         }
+    fft = {"detrend": detrend, "window_fn": window_fn, "pad_factor": pad,
+           "prominence": prominence}
     return AnalysisOptions(kind=kind, window=window, decay=decay,
-                           window_periods=periods, fft_detrend=detrend,
-                           fft_window_fn=window_fn, fft_pad_factor=pad,
-                           fft_prominence=prominence, track=track)
+                           window_periods=periods, fft=fft, track=track)
 
 
 def parse_scenario(data: dict, base_dir=None) -> Scenario:
@@ -471,7 +464,12 @@ def parse_scenario(data: dict, base_dir=None) -> Scenario:
 
     out_d = _expect_mapping(data.get("output", {}), "output")
     _check_keys(out_d, ("basename",), "output")
-    basename = _string(out_d.get("basename", name), "output.basename")
+    basename_path = "output.basename" if "basename" in out_d else "name"
+    basename = _string(out_d.get("basename", name), basename_path)
+    if not basename or any(sep in basename for sep in ("/", os.sep, "\0")):
+        # The basename names files inside the output directory.
+        raise ScenarioError(f"{basename_path}: must be a non-empty file name "
+                            "without a path separator or NUL")
 
     if command == "field-dist":
         if "fieldmap" not in data:

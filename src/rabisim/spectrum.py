@@ -167,7 +167,7 @@ class FrequencyTrackPoint:
 
 
 def sliding_window_frequency(trace: OscillationTrace, window_length, hop, *,
-                             t_stop=None, decay="exp"):
+                             t_stop=None):
     """Track the dominant frequency with short overlapping window fits.
 
     Each window of the given length (hopping by hop, both in ms) gets a
@@ -199,7 +199,7 @@ def sliding_window_frequency(trace: OscillationTrace, window_length, hop, *,
     while start + window_length <= t_end + 0.5 * trace.dt:
         stop = min(start + window_length, t[-1])
         try:
-            fit = fit_single_frequency(trace, (start, stop), decay=decay,
+            fit = fit_single_frequency(trace, (start, stop),
                                        gamma_guesses=[TWO_PI * f0 / 10.0])
         except (FitFailure, ValueError):
             start += hop

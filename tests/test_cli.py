@@ -25,10 +25,36 @@ time_grid: {t_max_ms: 1.0, dt_ms: 0.008}
 """
 
 
+SPECTRUM_YAML = """\
+name: tiny-spectrum
+command: spectrum
+seed: 0
+output: {basename: spec}
+drive: {omega0_khz: 9.0, delta_list_khz: [-6.0]}
+distribution: {kind: gaussian, sigma_khz: 8.0}
+atom_model: {kind: analytic_two_level, gamma_khz: 1.0}
+time_grid: {t_max_ms: 2.0, dt_ms: 0.008}
+"""
+
+
 def _write(tmp_path, text, name="scenario.yaml"):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+def _run_fresh(tmp_path, capsys, argv):
+    """Run main into a fresh --out under tmp_path; return that directory and
+    the names of the files main printed, after checking that they are
+    exactly the files in it and that nothing appeared beside it."""
+    out = tmp_path / "out"
+    before = set(tmp_path.iterdir())
+    assert main(argv + ["--out", str(out)]) == 0
+    printed = [Path(line) for line in capsys.readouterr().out.splitlines()]
+    assert all(path.parent == out for path in printed)
+    assert sorted(out.iterdir()) == sorted(printed)
+    assert set(tmp_path.iterdir()) == before | {out}
+    return out, [path.name for path in printed]
 
 
 def test_version_flag(capsys):
@@ -38,8 +64,9 @@ def test_version_flag(capsys):
 
 def test_simulate_matches_closed_form(tmp_path, capsys):
     config = _write(tmp_path, SIMULATE_YAML)
-    assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 0
-    meta, cols, rows = read_csv(tmp_path / "homog.csv")
+    out, names = _run_fresh(tmp_path, capsys, ["simulate", "--config", str(config)])
+    assert names == ["homog.csv"]
+    meta, cols, rows = read_csv(out / "homog.csv")
     assert cols == ["t_ms", "signal"]
     assert meta["seed"] == "5"
     assert len(meta["scenario_hash"]) == 64
@@ -88,6 +115,20 @@ def test_scenario_error_exits_2(tmp_path, capsys):
     assert "sigma_khz" in capsys.readouterr().err
 
 
+def test_negative_seed_exits_2(tmp_path, capsys):
+    config = _write(tmp_path, SIMULATE_YAML)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path),
+                 "--seed", "-1"]) == 2
+    assert "seed: " in capsys.readouterr().err
+
+
+def test_out_naming_a_file_exits_1(tmp_path, capsys):
+    config = _write(tmp_path, SIMULATE_YAML)
+    blocker = _write(tmp_path, "", name="taken")
+    assert main(["simulate", "--config", str(config), "--out", str(blocker)]) == 1
+    assert "taken" in capsys.readouterr().err
+
+
 def test_missing_config_names_path(tmp_path, capsys):
     missing = tmp_path / "nope.yaml"
     assert main(["simulate", "--config", str(missing), "--out", str(tmp_path)]) == 2
@@ -117,7 +158,7 @@ def test_command_mismatch_exits_2(tmp_path, capsys):
     ("fft", ["omega0_khz", "sigma_khz", "detuning_khz", "frequency_khz",
              "peaks_khz", "error"]),
 ], ids=["single", "two", "fft"])
-def test_scan_output_columns(tmp_path, kind, columns):
+def test_scan_output_columns(tmp_path, capsys, kind, columns):
     yaml_text = f"""\
 name: tiny-scan
 command: scan
@@ -130,9 +171,9 @@ time_grid: {{t_max_ms: 1.0, dt_ms: 0.004}}
 analysis: {{kind: {kind}, window_ms: [0.01, 0.6]}}
 """
     config = _write(tmp_path, yaml_text)
-    assert main(["scan", "--config", str(config), "--out", str(tmp_path),
-                 "--svg"]) == 0
-    meta, cols, rows = read_csv(tmp_path / "tiny.csv")
+    out, names = _run_fresh(tmp_path, capsys, ["scan", "--config", str(config), "--svg"])
+    assert names == ["tiny.csv", "tiny.svg"]
+    meta, cols, rows = read_csv(out / "tiny.csv")
     assert cols == columns
     assert len(rows) == 2
     resonant = dict(zip(cols, rows[0]))
@@ -147,39 +188,57 @@ analysis: {{kind: {kind}, window_ms: [0.01, 0.6]}}
     else:
         assert float(resonant["frequency_khz"]) == pytest.approx(9.0, abs=0.3)
         assert resonant["peaks_khz"].split(";")[0] == resonant["frequency_khz"]
-    assert (tmp_path / "tiny.svg").read_text().startswith("<svg")
+    assert (out / "tiny.svg").read_text().startswith("<svg")
 
 
-def test_spectrum_outputs_with_track(tmp_path):
-    yaml_text = """\
-name: tiny-spectrum
-command: spectrum
-seed: 0
-output: {basename: spec}
-drive: {omega0_khz: 9.0, delta_list_khz: [-6.0]}
-distribution: {kind: gaussian, sigma_khz: 8.0}
-atom_model: {kind: analytic_two_level, gamma_khz: 1.0}
-time_grid: {t_max_ms: 2.0, dt_ms: 0.008}
+def test_spectrum_outputs_with_track(tmp_path, capsys):
+    yaml_text = SPECTRUM_YAML + """\
 analysis:
   kind: fft
   track: {window_ms: 0.4, hop_ms: 0.4, t_stop_ms: 1.2}
 """
     config = _write(tmp_path, yaml_text)
-    assert main(["spectrum", "--config", str(config), "--out", str(tmp_path),
-                 "--svg"]) == 0
-    _, spec_cols, spec_rows = read_csv(tmp_path / "spec_spectra.csv")
+    out, names = _run_fresh(tmp_path, capsys,
+                            ["spectrum", "--config", str(config), "--svg"])
+    assert names == ["spec_spectra.csv", "spec_peaks.csv", "spec_track.csv",
+                     "spec.svg"]
+    _, spec_cols, spec_rows = read_csv(out / "spec_spectra.csv")
     assert spec_cols == ["detuning_khz", "frequency_khz", "power"]
     assert len(spec_rows) > 100
-    _, peak_cols, peak_rows = read_csv(tmp_path / "spec_peaks.csv")
+    _, peak_cols, peak_rows = read_csv(out / "spec_peaks.csv")
     assert peak_cols == ["detuning_khz", "rank", "peak_frequency_khz", "peak_height"]
     assert len(peak_rows) >= 1
-    _, track_cols, track_rows = read_csv(tmp_path / "spec_track.csv")
+    _, track_cols, track_rows = read_csv(out / "spec_track.csv")
     assert track_cols == ["detuning_khz", "t_center_ms", "frequency_khz", "ci95_khz"]
     assert len(track_rows) >= 2
-    assert (tmp_path / "spec.svg").read_text().startswith("<svg")
+    assert (out / "spec.svg").read_text().startswith("<svg")
 
 
-def test_field_dist_outputs(tmp_path):
+def test_dotted_basename_keeps_its_dots(tmp_path, capsys):
+    config = _write(tmp_path, SPECTRUM_YAML.replace("basename: spec",
+                                                    "basename: run.v2"))
+    _, names = _run_fresh(tmp_path, capsys,
+                          ["spectrum", "--config", str(config), "--svg"])
+    assert names == ["run.v2_spectra.csv", "run.v2_peaks.csv", "run.v2.svg"]
+
+
+@pytest.mark.parametrize("header, named", [
+    ("name: run\noutput: {basename: ''}", "output.basename"),
+    ("name: run\noutput: {basename: ../x}", "output.basename"),
+    ("name: run\noutput: {basename: \"a\\0b\"}", "output.basename"),
+    ("name: sub/run", "name"),
+], ids=["empty", "parent_dir", "nul", "name_default"])
+def test_basename_outside_out_exits_2(tmp_path, capsys, header, named):
+    text = SIMULATE_YAML.replace("name: homogeneous-check\n", "")
+    config = _write(tmp_path, text.replace("output: {basename: homog}", header))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", str(config), "--out", str(out),
+                 "--svg"]) == 2
+    assert f"{named}: " in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_field_dist_outputs(tmp_path, capsys):
     yaml_text = """\
 name: tiny-field
 command: field-dist
@@ -194,16 +253,17 @@ fieldmap:
     b1z: {kind: piecewise_linear, nodes: [[-20.0, -1.0], [0.0, 4.0], [20.0, 0.5]]}
 """
     config = _write(tmp_path, yaml_text)
-    assert main(["field-dist", "--config", str(config), "--out", str(tmp_path),
-                 "--svg"]) == 0
-    meta, cols, rows = read_csv(tmp_path / "field.csv")
+    out, names = _run_fresh(tmp_path, capsys,
+                            ["field-dist", "--config", str(config), "--svg"])
+    assert names == ["field.csv", "field.svg"]
+    meta, cols, rows = read_csv(out / "field.csv")
     assert cols == ["current_sign", "bin_center_khz", "weight"]
     signs = {r[0] for r in rows}
     assert signs == {"1", "-1"}
     m_plus = float(meta["sign_+1_third_moment"])
     m_minus = float(meta["sign_-1_third_moment"])
     assert m_plus * m_minus < 0
-    assert (tmp_path / "field.svg").read_text().startswith("<svg")
+    assert (out / "field.svg").read_text().startswith("<svg")
 
 
 @pytest.mark.parametrize("fieldmap, named", [

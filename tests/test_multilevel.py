@@ -34,27 +34,24 @@ def test_level_system_validation():
     shifts = np.zeros(5)
     good = np.zeros((5, 5))
     good[0, 1] = good[1, 0] = 1.0
-    LevelSystem(n_levels=5, level_shifts=shifts, coupling=good, gamma=0.0)
+    LevelSystem(level_shifts=shifts, coupling=good, gamma=0.0)
     with pytest.raises(ValueError):
-        LevelSystem(n_levels=3, level_shifts=shifts, coupling=good, gamma=0.0)
-    with pytest.raises(ValueError):
-        LevelSystem(n_levels=5, level_shifts=np.zeros(4), coupling=good, gamma=0.0)
+        LevelSystem(level_shifts=np.zeros(4), coupling=good, gamma=0.0)
     asym = good.copy()
     asym[0, 1] = 2.0
     with pytest.raises(ValueError):
-        LevelSystem(n_levels=5, level_shifts=shifts, coupling=asym, gamma=0.0)
+        LevelSystem(level_shifts=shifts, coupling=asym, gamma=0.0)
     skip = np.zeros((5, 5))
     skip[0, 2] = skip[2, 0] = 1.0
     with pytest.raises(ValueError):
-        LevelSystem(n_levels=5, level_shifts=shifts, coupling=skip, gamma=0.0)
+        LevelSystem(level_shifts=shifts, coupling=skip, gamma=0.0)
     with pytest.raises(ValueError):
-        LevelSystem(n_levels=5, level_shifts=shifts, coupling=good, gamma=-1.0)
+        LevelSystem(level_shifts=shifts, coupling=good, gamma=-1.0)
 
 
 def test_zero_coupling_freezes_populations():
     # an undriven system only picks up phases, never moves population
     system = LevelSystem(
-        n_levels=5,
         level_shifts=khz_to_angular(np.array([3.0, 1.0, 0.0, -1.0, -3.0])),
         coupling=np.zeros((5, 5)),
         gamma=0.0,

@@ -1,4 +1,6 @@
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -47,6 +49,18 @@ def test_csv_leaves_no_temp_files(tmp_path):
     path = tmp_path / "out.csv"
     write_csv(path, ("x",), [(1.0,)], metadata={})
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                         ids=["umask022", "umask077"])
+def test_csv_mode_follows_umask(tmp_path, umask, mode):
+    # The mode a plain open() would give, not the temp file's 0600.
+    saved = os.umask(umask)
+    try:
+        write_csv(tmp_path / "out.csv", ("x",), [(1.0,)], metadata={})
+    finally:
+        os.umask(saved)
+    assert stat.S_IMODE((tmp_path / "out.csv").stat().st_mode) == mode
 
 
 def test_svg_basic_structure(tmp_path):
