@@ -132,9 +132,10 @@ def run_spectrum(scenario: Scenario, meta):
                        scaled + offset))
         offset += 1.1
         if analysis.track is not None:
-            points = sliding_window_frequency(
-                trace, analysis.track["window"], analysis.track["hop"],
-                t_stop=analysis.track["t_stop"])
+            with _named("analysis.track"):
+                points = sliding_window_frequency(
+                    trace, analysis.track["window"], analysis.track["hop"],
+                    t_stop=analysis.track["t_stop"])
             for pt in points:
                 track_rows.append((d_khz, pt.t_center, pt.frequency_khz,
                                    pt.ci95_khz))

@@ -114,7 +114,9 @@ def write_svg_lines(path, series, *, x_label="", y_label="", title=""):
     """Plot (label, x array, y array) series as polylines in one SVG.
 
     Deliberately small: fixed canvas, linear axes with a handful of ticks,
-    a legend of colored labels. Non-finite points break the polyline.
+    a legend of colored labels. Non-finite points break the polyline; an
+    axis with no finite value spans [0, 1], so a plot with nothing finite
+    is the frame, the labels and the legend alone.
     """
     width, height = 640, 420
     margin_l, margin_r, margin_t, margin_b = 64, 16, 34, 48
@@ -123,10 +125,8 @@ def write_svg_lines(path, series, *, x_label="", y_label="", title=""):
 
     finite_x = [v for _, xs, _ in series for v in xs if math.isfinite(v)]
     finite_y = [v for _, _, ys in series for v in ys if math.isfinite(v)]
-    if not finite_x or not finite_y:
-        raise ValueError("nothing finite to plot")
-    x_lo, x_hi = min(finite_x), max(finite_x)
-    y_lo, y_hi = min(finite_y), max(finite_y)
+    x_lo, x_hi = (min(finite_x), max(finite_x)) if finite_x else (0.0, 1.0)
+    y_lo, y_hi = (min(finite_y), max(finite_y)) if finite_y else (0.0, 1.0)
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
     if y_hi == y_lo:

@@ -24,9 +24,12 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .ensemble import AtomModel, DetuningDistribution, load_empirical_distribution
+from .ensemble import (AtomModel, DetuningDistribution, EnsembleConfig,
+                       _quadrature, load_empirical_distribution)
 from .fieldmap import (AxisProfile, FieldGridModel, ProbeBeam,
                        field_magnitude_histogram, histogram_to_distribution)
+from .model import DriveParams
+from .spectrum import MIN_FFT_SAMPLES
 from .units import khz_to_angular
 
 COMMANDS = ("simulate", "scan", "spectrum", "field-dist")
@@ -514,6 +517,9 @@ def parse_scenario(data: dict, base_dir=None) -> Scenario:
         raise ScenarioError("time_grid: required for this command")
     times = _parse_times(data["time_grid"], "time_grid")
     analysis = _parse_analysis(data.get("analysis"), "analysis", command)
+    if analysis.kind == "fft" and times.size < MIN_FFT_SAMPLES:
+        raise ScenarioError(f"time_grid: an FFT analysis needs at least "
+                            f"{MIN_FFT_SAMPLES} samples, got {times.size}")
 
     ens_d = _expect_mapping(data.get("ensemble", {}), "ensemble")
     _check_keys(ens_d, ("quadrature_nodes", "support_half_width"), "ensemble")
@@ -524,6 +530,15 @@ def parse_scenario(data: dict, base_dir=None) -> Scenario:
                         "ensemble.support_half_width")
     if half_width < 5.0:
         raise ScenarioError("ensemble.support_half_width: must be at least 5")
+    if distribution.is_parametric and max(sigma_list or (distribution.sigma,)) > 0:
+        # The share of mass the rule misses depends on the shape, the node
+        # count and the half-width but not on sigma, so one check at unit
+        # sigma covers every sigma block.
+        with _named("ensemble.support_half_width"):
+            _quadrature(EnsembleConfig(
+                drive=DriveParams(omega0=1.0),
+                distribution=distribution_with_sigma(distribution, 1.0),
+                quadrature_nodes=nodes, support_half_width=half_width))
 
     return Scenario(name=name, command=command, seed=seed, basename=basename,
                     omega0_list=omega0_list, deltas=deltas,

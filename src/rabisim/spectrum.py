@@ -15,6 +15,9 @@ import numpy as np
 from .model import OscillationTrace
 from .units import TWO_PI, angular_to_khz
 
+# Fewest samples fft_spectrum takes a spectrum of.
+MIN_FFT_SAMPLES = 16
+
 # Most peaks x samples compared in one block of the prominence walk, which
 # keeps its boolean matrices at a few MB on any spectrum length.
 _PEAK_BLOCK = 1 << 22
@@ -116,8 +119,8 @@ def fft_spectrum(trace: OscillationTrace, *, detrend=True, window_fn="hann",
     """
     y = trace.values.astype(float)
     n = y.size
-    if n < 16:
-        raise ValueError("spectrum needs at least 16 samples")
+    if n < MIN_FFT_SAMPLES:
+        raise ValueError(f"spectrum needs at least {MIN_FFT_SAMPLES} samples")
     if window_fn not in ("hann", "none"):
         raise ValueError(f"unknown window function {window_fn!r}")
     pad_factor = int(pad_factor)

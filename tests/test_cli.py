@@ -238,6 +238,58 @@ def test_basename_outside_out_exits_2(tmp_path, capsys, header, named):
     assert list(tmp_path.iterdir()) == [config]
 
 
+_SUPPORT_TOO_NARROW = (
+    "distribution: {kind: skewed_gaussian, sigma_khz: 8.0, skew: 20.0}\n"
+    "ensemble: {support_half_width: 5.0}\n"
+    "time_grid: {t_max_ms: 1.0, dt_ms: 0.008}\n")
+_SHORT_GRID = ("distribution: {kind: gaussian, sigma_khz: 8.0}\n"
+               "time_grid: {t_max_ms: 0.1, dt_ms: 0.01}\n")
+_SHORT_TRACK = ("distribution: {kind: gaussian, sigma_khz: 8.0}\n"
+                "time_grid: {t_max_ms: 1.0, dt_ms: 0.004}\n"
+                "analysis: {track: {window_ms: 0.1, hop_ms: 0.1}}\n")
+
+
+@pytest.mark.parametrize("command, body, named", [
+    ("simulate", _SUPPORT_TOO_NARROW, "ensemble.support_half_width"),
+    ("scan", _SUPPORT_TOO_NARROW, "ensemble.support_half_width"),
+    ("spectrum", _SUPPORT_TOO_NARROW, "ensemble.support_half_width"),
+    ("spectrum", _SHORT_GRID, "time_grid"),
+    ("scan", _SHORT_GRID + "analysis: {kind: fft}\n", "time_grid"),
+    ("spectrum", _SHORT_TRACK, "analysis.track"),
+], ids=["support-simulate", "support-scan", "support-spectrum",
+        "short_grid-spectrum", "short_grid-fft_scan", "short_track-spectrum"])
+def test_unrunnable_inputs_exit_2(tmp_path, capsys, command, body, named):
+    # Rejected while parsing (support, grid) or when the track runs; either
+    # way the run ends in a ScenarioError before any file is written.
+    drive = ("{omega0_khz: 9.0, delta_khz: 2.0}" if command == "simulate"
+             else "{omega0_khz: 9.0, delta_list_khz: [0.0, 2.0]}")
+    config = _write(tmp_path, f"name: bad\ncommand: {command}\ndrive: {drive}\n{body}")
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "out"),
+                 "--svg"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"rabisim: {named}: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def test_all_error_scan_still_plots(tmp_path, capsys):
+    # Every fit window runs past the 1 ms grid, so every row is an error and
+    # the plot has nothing finite: it is written as an empty frame.
+    config = _write(tmp_path, """\
+name: all-errors
+command: scan
+drive: {omega0_khz: 9.0, delta_list_khz: [0.0, 2.0]}
+distribution: {kind: gaussian, sigma_khz: 5.0}
+time_grid: {t_max_ms: 1.0, dt_ms: 0.008}
+analysis: {kind: single, window_ms: [0.5, 3.0]}
+""")
+    out, names = _run_fresh(tmp_path, capsys, ["scan", "--config", str(config), "--svg"])
+    assert names == ["all-errors.csv", "all-errors.svg"]
+    _, cols, rows = read_csv(out / "all-errors.csv")
+    assert len(rows) == 2 and all(row[cols.index("error")] for row in rows)
+    assert "<polyline" not in (out / "all-errors.svg").read_text()
+
+
 def test_field_dist_outputs(tmp_path, capsys):
     yaml_text = """\
 name: tiny-field

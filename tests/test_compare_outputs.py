@@ -1,0 +1,64 @@
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
+
+SCAN_CSV = """\
+# tool: rabisim 0.1.0
+# seed: 0
+detuning_khz,frequency_khz,frequency_ci_khz,gamma,gamma_ci,tau_ms,indistinguishable,error
+0,9.0,0.01,2.0,0.1,0.5,false,
+2,9.2,0.02,2.5,0.2,0.4,true,
+4,nan,nan,nan,nan,nan,false,fit did not converge
+"""
+
+
+def _tree(root, csv_text):
+    (root / "scan").mkdir(parents=True)
+    (root / "scan" / "scan.csv").write_text(csv_text)
+    (root / "scan" / "scan.svg").write_text("<svg></svg>\n")
+    return root
+
+
+def _compare(parent, change):
+    proc = subprocess.run([sys.executable, str(SCRIPT), str(parent), str(change)],
+                          capture_output=True, text=True)
+    return proc.returncode, proc.stdout
+
+
+def test_identical_trees_print_nothing(tmp_path):
+    code, out = _compare(_tree(tmp_path / "a", SCAN_CSV), _tree(tmp_path / "b", SCAN_CSV))
+    assert (code, out) == (0, "")
+
+
+@pytest.mark.parametrize("old, new", [
+    ("2.5,0.2,0.4,true,", "2.5,0.2,0.4,false,"),
+    ("fit did not converge", "window too short"),
+    ("nan,nan,false,fit", "1.0,nan,false,fit"),
+], ids=["flag", "error_text", "non_finite"])
+def test_text_or_non_finite_change_exits_1(tmp_path, old, new):
+    code, out = _compare(_tree(tmp_path / "a", SCAN_CSV),
+                         _tree(tmp_path / "b", SCAN_CSV.replace(old, new)))
+    assert code == 1
+    assert "DIFFERS: scan/scan.csv" in out
+
+
+def test_moved_number_is_reported_against_its_ci(tmp_path):
+    moved = SCAN_CSV.replace("2,9.2,0.02,2.5,0.2,0.4", "2,9.2,0.02,2.502,0.2,0.4")
+    code, out = _compare(_tree(tmp_path / "a", SCAN_CSV), _tree(tmp_path / "b", moved))
+    assert code == 0
+    assert out.split() == ["scan/scan.csv", "gamma", "max|d|", "2.00e-03",
+                           "rel", "7.99e-04", "|d|/CI", "1.00e-02"]
+
+
+def test_file_set_and_svg_bytes_are_compared(tmp_path):
+    parent = _tree(tmp_path / "a", SCAN_CSV)
+    change = _tree(tmp_path / "b", SCAN_CSV)
+    (change / "scan" / "scan.svg").write_text("<svg><polyline/></svg>\n")
+    (change / "extra.csv").write_text("x\n1\n")
+    code, out = _compare(parent, change)
+    assert code == 1
+    assert "extra.csv" in out and "scan/scan.svg: bytes differ" in out

@@ -12,7 +12,6 @@ from rabisim.ensemble import (
     DetuningDistribution,
     EnsembleConfig,
     QuadratureSupportError,
-    _leggauss_cached,
     _quadrature,
     _sample_shifts,
     ensemble_signal,
@@ -107,12 +106,42 @@ def test_quadrature_support_too_narrow():
         ensemble_signal(cfg, TIMES)
 
 
-@pytest.mark.parametrize("n", [201, 2001])
-def test_quadrature_rule_is_leggauss_bit_for_bit(n):
-    x, w = _leggauss_cached(n)
-    x0, w0 = leggauss(n)
-    assert np.array_equal(x, x0)
-    assert np.array_equal(w, w0)
+@pytest.fixture(scope="module")
+def leggauss_4001():
+    return leggauss(4001)
+
+
+def _leggauss_reference(config, times, rule):
+    """Distribution average by a Gauss-Legendre rule on [-1, 1], scaled to
+    the same +-support_half_width sigma, of the per-atom closed form."""
+    dist = config.distribution
+    half = config.support_half_width * dist.sigma
+    x, w = rule
+    shifts = half * x
+    weights = half * w * skewed_gaussian_density(dist.sigma, dist.skew, shifts)
+    p1 = p1_two_level_damped(config.drive, shifts[:, None], times[None, :],
+                             config.atom_model.gamma)
+    return (weights @ p1) / weights.sum()
+
+
+@pytest.mark.parametrize("omega0_khz, delta_khz, sigma_khz, skew, gamma_khz, t_max, dt", [
+    pytest.param(9.0, 13.5, 27.0, 0.0, 0.0, 1.2, 0.008, id="fig5-widest"),
+    pytest.param(5.0, 8.0, 10.0, 3.0, 1.0, 1.0, 0.008, id="fig3a-skewed"),
+    pytest.param(9.0, 7.5, 12.0, 0.0, 1.0, 4.0, 0.004, id="dense-gaussian"),
+    pytest.param(9.0, -7.5, 10.0, -3.0, 1.0, 4.0, 0.004, id="dense-skewed"),
+])
+def test_trapezoid_rule_matches_leggauss_reference(leggauss_4001, omega0_khz, delta_khz,
+                                                   sigma_khz, skew, gamma_khz, t_max, dt):
+    kind = "skewed_gaussian" if skew else "gaussian"
+    config = EnsembleConfig(
+        drive=DriveParams(omega0=khz_to_angular(omega0_khz), delta=khz_to_angular(delta_khz)),
+        distribution=DetuningDistribution(kind=kind, sigma=khz_to_angular(sigma_khz),
+                                          skew=skew),
+        atom_model=AtomModel(gamma=khz_to_angular(gamma_khz)),
+    )
+    times = np.arange(0.0, t_max + 0.5 * dt, dt)
+    values = ensemble_signal(config, times).values
+    assert np.max(np.abs(values - _leggauss_reference(config, times, leggauss_4001))) < 1e-12
 
 
 def test_sigma_zero_reduces_to_homogeneous():

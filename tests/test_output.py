@@ -99,6 +99,17 @@ def test_svg_singleton_run_becomes_marker(tmp_path):
     assert "<circle" in text
 
 
+def test_svg_with_nothing_finite_is_an_empty_frame(tmp_path):
+    path = tmp_path / "empty.svg"
+    nan = np.full(3, np.nan)
+    write_svg_lines(path, [("errors", nan, nan)], x_label="x", y_label="y",
+                    title="t")
+    text = path.read_text()
+    assert text.startswith("<svg") and text.rstrip().endswith("</svg>")
+    assert "<polyline" not in text and "<circle" not in text
+    assert "errors" in text and ">x<" in text
+
+
 def test_svg_deterministic(tmp_path):
     xs = np.linspace(0.0, 2.0, 30)
     p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"

@@ -1,11 +1,15 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from rabisim.cli import _SCAN_TABLES
 from rabisim.ensemble import AtomModel, DetuningDistribution, EnsembleConfig
 from rabisim.model import DriveParams
-from rabisim.scans import scan_detuning
+from rabisim.scans import ScanRow, scan_detuning
 from rabisim.units import angular_to_khz, khz_to_angular
 
 OMEGA0 = khz_to_angular(9.0)
@@ -85,3 +89,30 @@ def test_scan_validation():
         scan_detuning(_config(0.0), [])
     with pytest.raises(ValueError):
         scan_detuning(_config(0.0), [0.0], analysis="wavelet")
+
+
+_NUMERIC_FIELDS = {f.name for f in fields(ScanRow) if f.type == "float"}
+
+
+@given(kind=st.sampled_from(["single", "two", "fft"]),
+       sigma_khz=st.floats(0.0, 30.0), skew=st.floats(-5.0, 5.0),
+       omega0_khz=st.floats(3.0, 25.0),
+       deltas_khz=st.lists(st.floats(-30.0, 30.0), min_size=2, max_size=2),
+       gamma_khz=st.floats(0.0, 2.0), t_max=st.floats(0.8, 2.0))
+@settings(max_examples=40, deadline=None, derandomize=True)
+def test_scan_rows_without_error_are_finite(kind, sigma_khz, skew, omega0_khz,
+                                            deltas_khz, gamma_khz, t_max):
+    config = EnsembleConfig(
+        drive=DriveParams(omega0=khz_to_angular(omega0_khz)),
+        distribution=DetuningDistribution(kind="skewed_gaussian",
+                                          sigma=khz_to_angular(sigma_khz), skew=skew),
+        atom_model=AtomModel(gamma=khz_to_angular(gamma_khz)),
+    )
+    times = np.arange(0.0, t_max + 0.004, 0.008)
+    rows = scan_detuning(config, khz_to_angular(np.array(deltas_khz)),
+                         analysis=kind, times=times)
+    written = [c for c in _SCAN_TABLES[kind][0] if c in _NUMERIC_FIELDS]
+    for row in rows:
+        if row.error == "":
+            assert all(math.isfinite(getattr(row, c)) for c in written), row
+            assert all(math.isfinite(p) for p in row.peaks_khz), row

@@ -115,6 +115,22 @@ def test_sliding_window_follows_decreasing_frequency():
     assert points[0].frequency_khz > points[-1].frequency_khz + 2.0
 
 
+def test_sliding_window_skips_flat_windows():
+    # A tone that stops dead at 1 ms: the windows after it fit as flat and
+    # are left out of the track.
+    trace = _tone(9.0, n=501, decay=1.0)
+    values = np.where(trace.times < 1.0, trace.values, trace.values[250])
+    flat_tail = OscillationTrace.from_times(trace.times, values)
+    points = sliding_window_frequency(flat_tail, 0.5, 0.5)
+    assert [p.t_center for p in points] == pytest.approx([0.25, 0.75])
+
+
+def test_sliding_window_skips_windows_too_short_to_fit():
+    # At dt = 0.02 ms a 0.5 ms window holds 25 samples, under the 30 a fit
+    # needs, so every window is skipped and the track is empty.
+    assert sliding_window_frequency(_tone(9.0, n=101, dt=0.02), 0.5, 0.5) == []
+
+
 def test_sliding_window_rejects_short_window():
     trace = _tone(9.0)
     with pytest.raises(ValueError):
