@@ -20,8 +20,8 @@ from .fieldmap import field_magnitude_histogram
 from .model import DriveParams
 from .scans import scan_detuning
 from .scenario import (PRESET_NAMES, Scenario, ScenarioError, _named,
-                       distribution_with_sigma, load_scenario_dict,
-                       parse_scenario, preset_file, scenario_hash)
+                       load_scenario_dict, parse_scenario, preset_file,
+                       scenario_hash)
 from .spectrum import fft_spectrum, sliding_window_frequency
 from .output import write_csv, write_svg_lines
 from .units import angular_to_khz
@@ -30,17 +30,11 @@ from .units import angular_to_khz
 def _ensemble_config(scenario: Scenario, omega0, delta, sigma=None):
     dist = scenario.distribution
     if sigma is not None:
-        dist = distribution_with_sigma(dist, sigma)
+        dist = replace(dist, sigma=float(sigma))
     return EnsembleConfig(drive=DriveParams(omega0=omega0, delta=delta),
                           distribution=dist, atom_model=scenario.atom_model,
                           quadrature_nodes=scenario.quadrature_nodes,
                           support_half_width=scenario.support_half_width)
-
-
-def _sigma_blocks(scenario: Scenario):
-    if scenario.sigma_list is not None:
-        return scenario.sigma_list
-    return (scenario.distribution.std_shift(),)
 
 
 # Each command takes (scenario, meta) and returns (tables, plot): tables is a
@@ -83,8 +77,9 @@ def run_scan(scenario: Scenario, meta):
     columns, plotted = _SCAN_TABLES[analysis.kind]
     rows = []
     series = []
+    sigmas = scenario.sigma_list or (scenario.distribution.std_shift(),)
     for omega0 in scenario.omega0_list:
-        for sigma in _sigma_blocks(scenario):
+        for sigma in sigmas:
             config = _ensemble_config(scenario, omega0, scenario.deltas[0],
                                       sigma if scenario.sigma_list else None)
             window = analysis.window

@@ -2,10 +2,11 @@
 
 Each atom sees the drive with its own local detuning, drawn from a
 distribution of Zeeman shifts; the measured signal is the
-distribution-weighted average of the per-atom population. For the
-parametric distributions that average is the trapezoid rule on a uniform
-grid of shifts; it is the reference implementation and the Monte Carlo
-estimator is its independent cross-check.
+distribution-weighted average of the per-atom population. Both parametric
+kinds are the skew-normal with mean 0 and std sigma (Azzalini, Scand. J.
+Statist. 12, 1985), the Gaussian being its skew-0 member. For them the
+average is the trapezoid rule on a uniform grid of shifts; it is the
+reference implementation and Monte Carlo its independent cross-check.
 
 Both sum two-level atoms through one kernel, `_two_level_sum`. On a grid of
 T samples t_k = t0 + k dt it writes k = b q + r with b = ceil(sqrt(T)) and
@@ -38,28 +39,32 @@ class QuadratureSupportError(ValueError):
 
 
 def _skew_normal_params(sigma, skew):
-    """Location xi and scale w of a skew-normal with mean 0, std sigma, shape skew."""
+    """Location xi, scale w and d = alpha / sqrt(1 + alpha^2) of the
+    skew-normal with mean 0, std sigma and shape alpha = skew; hypot lets d
+    reach +-1 (the half-normal limit) instead of overflowing to 0."""
     alpha = float(skew)
-    d = alpha / math.sqrt(1.0 + alpha * alpha)
+    d = alpha / math.hypot(1.0, alpha)
     w = sigma / math.sqrt(1.0 - 2.0 * d * d / math.pi)
     xi = -w * d * math.sqrt(2.0 / math.pi)
-    return xi, w, alpha
+    return xi, w, d
 
 
 def skewed_gaussian_density(sigma, skew, x):
     """Skew-normal density with mean 0 and standard deviation sigma.
 
     The shape parameter is the skew-normal alpha, taken directly from
-    `skew`. skew = 0 reduces exactly to the symmetric Gaussian; negative
-    skew puts the long tail on the negative side (third moment < 0).
+    `skew`. skew = 0 is exactly the Gaussian of the gaussian kind; negative
+    skew puts the long tail on the negative side (third moment < 0), and
+    |skew| -> inf tends to a half-normal with the same mean and std.
     """
     if not sigma > 0:
         raise ValueError("sigma must be positive")
     x = np.asarray(x, dtype=float)
-    xi, w, alpha = _skew_normal_params(sigma, skew)
+    xi, w, _ = _skew_normal_params(sigma, skew)
     z = (x - xi) / w
     phi = np.exp(-0.5 * z * z) / _SQRT2PI
-    cdf = 0.5 * (1.0 + erf(alpha * z / math.sqrt(2.0)))
+    with np.errstate(over="ignore"):  # erf(+-inf) = +-1 is the limit
+        cdf = 0.5 * (1.0 + erf(float(skew) * z / math.sqrt(2.0)))
     return (2.0 / w) * phi * cdf
 
 
@@ -67,12 +72,12 @@ def skewed_gaussian_density(sigma, skew, x):
 class DetuningDistribution:
     """Distribution of local detuning shifts around the ensemble center.
 
-    kind is one of gaussian, skewed_gaussian, empirical. sigma is the
-    spectral width (angular, rad/ms) of the parametric kinds and skew their
-    shape parameter (skew-normal alpha, 0 for symmetric). Parametric kinds
-    are centered so the mean shift is zero; empirical kinds carry explicit
-    (shift, weight) support and keep whatever reference their data came
-    with. Weights are normalized to 1 on construction.
+    kind is one of gaussian, skewed_gaussian, empirical. The parametric
+    kinds are one skew-normal family of spectral width sigma (angular,
+    rad/ms) and shape skew (alpha), which the gaussian kind fixes at 0;
+    they are centered so the mean shift is zero. Empirical kinds carry
+    explicit (shift, weight) support and keep whatever reference their
+    data came with. Weights are normalized to 1 on construction.
     """
 
     kind: str
@@ -171,33 +176,26 @@ class EnsembleConfig:
                 raise ValueError("quadrature support half-width must be at least 5 sigma")
 
 
-def _density(dist: DetuningDistribution, x):
-    if dist.kind == "gaussian":
-        z = x / dist.sigma
-        return np.exp(-0.5 * z * z) / (_SQRT2PI * dist.sigma)
-    return skewed_gaussian_density(dist.sigma, dist.skew, x)
-
-
-def _quadrature(config) -> tuple[np.ndarray, np.ndarray]:
+def _quadrature(dist: DetuningDistribution, nodes, half_width):
     """Shifts and weights of the distribution average.
 
-    For parametric kinds this is the trapezoid rule on quadrature_nodes
-    evenly spaced shifts over [-h sigma, +h sigma] around the (zero) mean
-    shift. The integrand (a smooth density times a Lorentzian amplitude
-    times a phase analytic in a strip of half-width omega0) makes the rule
-    converge exponentially in the node count down to its endpoint term,
-    which scales with the density at +-h sigma (Trefethen & Weideman, SIAM
-    Review 56, 2014). The total captured mass must account for the whole
+    For parametric kinds this is the trapezoid rule on `nodes` evenly
+    spaced shifts over [-h sigma, +h sigma], h = half_width, around the
+    (zero) mean shift. The integrand (a smooth density times a Lorentzian
+    amplitude times a phase analytic in a strip of half-width omega0) makes
+    the rule converge exponentially in the node count down to its endpoint
+    term, which scales with the density at +-h sigma (Trefethen & Weideman,
+    SIAM Review 56, 2014). The total captured mass must account for the whole
     distribution to within 1e-6 or the support is judged too small.
     """
-    dist = config.distribution
     if not dist.is_parametric:
         return dist.shifts, dist.weights
     if dist.sigma == 0.0:
         return np.zeros(1), np.ones(1)
-    half = config.support_half_width * dist.sigma
-    shifts = np.linspace(-half, half, int(config.quadrature_nodes))
-    weights = (2.0 * half / (shifts.size - 1)) * _density(dist, shifts)
+    half = half_width * dist.sigma
+    shifts = np.linspace(-half, half, int(nodes))
+    weights = ((2.0 * half / (shifts.size - 1))
+               * skewed_gaussian_density(dist.sigma, dist.skew, shifts))
     weights[[0, -1]] *= 0.5
     mass = float(weights.sum())
     if abs(1.0 - mass) > 1e-6:
@@ -259,7 +257,8 @@ def _two_level_sum(drive: DriveParams, shifts, coef, gamma, times):
 def ensemble_signal(config: EnsembleConfig, times) -> OscillationTrace:
     """Distribution-averaged population signal on a uniform time grid."""
     times = np.asarray(times, dtype=float)
-    shifts, weights = _quadrature(config)
+    shifts, weights = _quadrature(config.distribution, config.quadrature_nodes,
+                                  config.support_half_width)
     model = config.atom_model
     if model.kind == "analytic_two_level":
         values = _two_level_sum(config.drive, shifts, weights, model.gamma, times)
@@ -275,19 +274,13 @@ def ensemble_signal(config: EnsembleConfig, times) -> OscillationTrace:
 
 
 def _sample_shifts(dist: DetuningDistribution, n, rng):
-    if dist.kind == "gaussian":
-        if dist.sigma == 0.0:
-            return np.zeros(n)
-        return rng.normal(0.0, dist.sigma, size=n)
-    if dist.kind == "skewed_gaussian":
-        if dist.sigma == 0.0:
-            return np.zeros(n)
-        xi, w, alpha = _skew_normal_params(dist.sigma, dist.skew)
-        d = alpha / math.sqrt(1.0 + alpha * alpha)
-        z0 = rng.normal(size=n)
+    if dist.is_parametric:
+        # x = d |z0| + sqrt(1 - d^2) z1 is skew-normal with shape d. z1 is
+        # drawn first, so at d = 0 the shifts are bitwise rng.normal(0, sigma, n).
+        xi, w, d = _skew_normal_params(dist.sigma, dist.skew)
         z1 = rng.normal(size=n)
-        x = d * np.abs(z0) + math.sqrt(1.0 - d * d) * z1
-        return xi + w * x
+        z0 = rng.normal(size=n)
+        return xi + w * (d * np.abs(z0) + math.sqrt(1.0 - d * d) * z1)
     # Empirical: inverse CDF over the discrete support.
     cdf = np.cumsum(dist.weights)
     cdf[-1] = 1.0

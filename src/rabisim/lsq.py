@@ -138,34 +138,30 @@ def stacked_levenberg_marquardt(residual, jacobian, p0, *, max_iter=200,
         jtj = jt @ jac
         jtr = jt @ r[..., None]
 
-        # Damped step search: a rejected row retries with lambda * 5, up to
-        # 30 tries; accepted rows keep their first decreasing step.
+        # Damped step search, up to 30 tries of the whole stack: each row
+        # takes its first decreasing step, and a retry multiplies lambda by 5
+        # for the rows still without one. A row with none is stationary to
+        # float precision: it keeps its iterate (dp = 0) and stops.
         # Every ssr is finite here, so `<=` also rejects non-finite trials.
-        dp = _solve_damped(jtj, jtr, lam)
-        p_new = p - dp
-        r_new = residual(p_new)
-        ssr_new = _sq_norms(r_new)
-        ok = ssr_new <= ssr
-        retry = np.flatnonzero(~ok)
-        for _ in range(29):
-            if not retry.size:
-                break
-            lam[retry] *= 5.0
-            dp_t = _solve_damped(jtj[retry], jtr[retry], lam[retry])
-            p_t = p[retry] - dp_t
-            r_t = residual(p_t)
+        dp, r_new, ssr_new = np.zeros_like(p), r, ssr
+        ok = np.zeros(len(p), dtype=bool)
+        for attempt in range(30):
+            if attempt:
+                lam = np.where(ok, lam, 5.0 * lam)
+            dp_t = _solve_damped(jtj, jtr, lam)
+            r_t = residual(p - dp_t)
             ssr_t = _sq_norms(r_t)
-            ok_t = ssr_t <= ssr[retry]
-            hit = retry[ok_t]
-            dp[hit], p_new[hit], r_new[hit] = dp_t[ok_t], p_t[ok_t], r_t[ok_t]
-            ssr_new[hit] = ssr_t[ok_t]
-            ok[hit] = True
-            retry = retry[~ok_t]
-
-        if retry.size:
-            # No damped direction improves these rows: stationary to float
-            # precision. They keep their current iterate and stop.
-            p_new[retry], r_new[retry], ssr_new[retry] = p[retry], r[retry], ssr[retry]
+            take = ~ok & (ssr_t <= ssr)
+            if take.all():
+                dp, r_new, ssr_new, ok = dp_t, r_t, ssr_t, take
+                break
+            dp = np.where(take[:, None], dp_t, dp)
+            r_new = np.where(take[:, None], r_t, r_new)
+            ssr_new = np.where(take, ssr_t, ssr_new)
+            ok |= take
+            if ok.all():
+                break
+        p_new = p - dp
         rel_drop = (ssr - ssr_new) / np.maximum(ssr, 1e-300)
         rel_step = np.max(np.abs(dp) / np.maximum(np.abs(p_new), 1e-12), axis=1)
         stop = ~ok | (rel_drop < 1e-12) | (rel_step < 1e-12)

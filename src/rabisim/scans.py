@@ -93,13 +93,12 @@ def _analyze_two(trace, config, window):
 
 def _analyze_fft(trace, config, fft_options):
     spec = fft_spectrum(trace, **dict(fft_options or {}))
-    detuning_khz = angular_to_khz(config.drive.delta)
     if not spec.peak_frequencies_khz.size:
-        return ScanRow(detuning_khz=detuning_khz,
-                       error="no spectral peak: the FFT power has no interior "
-                             "maximum of the required prominence")
+        raise ValueError("no spectral peak: the FFT power has no interior "
+                         "maximum of the required prominence")
     peaks = tuple(float(f) for f in spec.peak_frequencies_khz)
-    return ScanRow(detuning_khz=detuning_khz, frequency_khz=peaks[0], peaks_khz=peaks)
+    return ScanRow(detuning_khz=angular_to_khz(config.drive.delta),
+                   frequency_khz=peaks[0], peaks_khz=peaks)
 
 
 def scan_detuning(base_config: EnsembleConfig, detunings, *, analysis="single",

@@ -24,11 +24,10 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .ensemble import (AtomModel, DetuningDistribution, EnsembleConfig,
-                       _quadrature, load_empirical_distribution)
+from .ensemble import (AtomModel, DetuningDistribution, _quadrature,
+                       load_empirical_distribution)
 from .fieldmap import (AxisProfile, FieldGridModel, ProbeBeam,
                        field_magnitude_histogram, histogram_to_distribution)
-from .model import DriveParams
 from .spectrum import MIN_FFT_SAMPLES
 from .units import khz_to_angular
 
@@ -48,6 +47,25 @@ MAX_QUADRATURE_NODES = 20_001
 MAX_GRID_POINTS = 10_000_000
 MAX_BINS = 100_000
 
+# What each command reads: its top-level sections and drive keys, and the
+# analysis keys of each scan kind and of the spectrum command. parse_scenario
+# rejects any other key with its dotted path instead of ignoring it.
+_ENSEMBLE_RUN = ("name", "command", "seed", "output", "drive", "distribution",
+                 "atom_model", "time_grid", "ensemble")
+_DELTAS = ("omega0_khz", "delta_list_khz", "delta_range_khz")
+_READS = {
+    "simulate": (_ENSEMBLE_RUN, ("omega0_khz", "delta_khz")),
+    "scan": (_ENSEMBLE_RUN + ("analysis", "scan"), _DELTAS),
+    "spectrum": (_ENSEMBLE_RUN + ("analysis",), _DELTAS),
+    "field-dist": (("name", "command", "seed", "output", "fieldmap"), ()),
+}
+_ANALYSIS_READS = {
+    "single": ("kind", "window_ms", "decay"),
+    "two": ("kind", "window_ms", "window_periods"),
+    "fft": ("kind", "fft"),
+    "spectrum": ("fft", "track"),
+}
+
 
 class ScenarioError(ValueError):
     """Configuration rejected; the message names the offending field."""
@@ -59,10 +77,13 @@ def _expect_mapping(value, path):
     return value
 
 
-def _check_keys(d, allowed, path):
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ScenarioError(f"{path}: unknown keys {sorted(unknown)}")
+def _check_keys(d, allowed, path, reader=None):
+    """Reject the first key of d outside allowed, naming its dotted path;
+    with reader, the key is one that reader does not read."""
+    for key in d:
+        if key not in allowed:
+            why = f"not read by {reader}" if reader else "unknown key"
+            raise ScenarioError(f"{path}.{key}: {why}" if path else f"{key}: {why}")
 
 
 def _float(value, path):
@@ -324,6 +345,9 @@ def _resolve_fieldmap_reference(ref, path, base_dir) -> DetuningDistribution:
         raise ScenarioError(f"{path}: {sub_path} has no fieldmap section")
     spec_path = f"{path}({ref}).fieldmap"
     spec = _parse_field_dist(sub["fieldmap"], spec_path)
+    if len(spec.signs) > 1:
+        raise ScenarioError(f"{spec_path}.signs: a distribution takes one "
+                            f"current sign, got {len(spec.signs)}")
     with _named(spec_path):
         hist = field_magnitude_histogram(spec.model, spec.beam, spec.n_bins)
         return histogram_to_distribution(hist)
@@ -405,18 +429,15 @@ def _parse_deltas(d, path):
 
 
 def _parse_analysis(d, path, command) -> AnalysisOptions:
-    if d is None:
-        d = {}
-    d = _expect_mapping(d, path)
-    _check_keys(d, ("kind", "window_ms", "decay", "window_periods", "fft",
-                    "track"), path)
-    if command == "simulate":
-        return AnalysisOptions(kind="none")
+    d = _expect_mapping({} if d is None else d, path)
     if command == "spectrum":
         kind = "fft"
+        _check_keys(d, _ANALYSIS_READS["spectrum"], path, "the spectrum command")
     else:
         kind = _string(d.get("kind", "single"), f"{path}.kind",
                        ("single", "two", "fft"))
+        _check_keys(d, _ANALYSIS_READS[kind], path,
+                    f"a scan with {path}.kind {kind}")
     window = None
     if "window_ms" in d:
         window = tuple(_pair(d["window_ms"], f"{path}.window_ms"))
@@ -458,10 +479,9 @@ def parse_scenario(data: dict, base_dir=None) -> Scenario:
     """Validate a scenario mapping and convert it to internal units."""
     data = _expect_mapping(data, "scenario")
     base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
-    _check_keys(data, ("name", "command", "seed", "output", "drive",
-                       "distribution", "atom_model", "time_grid", "analysis",
-                       "scan", "fieldmap", "ensemble"), "scenario")
     command = _string(data.get("command"), "command", COMMANDS)
+    sections, drive_keys = _READS[command]
+    _check_keys(data, sections, "", f"the {command} command")
     name = _string(data.get("name", "scenario"), "name")
     seed = _integer(data.get("seed", 0), "seed", minimum=0)
 
@@ -482,8 +502,7 @@ def parse_scenario(data: dict, base_dir=None) -> Scenario:
                         basename=basename, field_dist=spec)
 
     drive_d = _expect_mapping(data.get("drive", {}), "drive")
-    _check_keys(drive_d, ("omega0_khz", "delta_khz", "delta_list_khz",
-                          "delta_range_khz"), "drive")
+    _check_keys(drive_d, drive_keys, "drive", f"the {command} command")
     omega0 = _khz(drive_d.get("omega0_khz"), "drive.omega0_khz", _positive)
 
     scan_d = _expect_mapping(data.get("scan", {}), "scan")
@@ -516,7 +535,9 @@ def parse_scenario(data: dict, base_dir=None) -> Scenario:
     if "time_grid" not in data:
         raise ScenarioError("time_grid: required for this command")
     times = _parse_times(data["time_grid"], "time_grid")
-    analysis = _parse_analysis(data.get("analysis"), "analysis", command)
+    analysis = AnalysisOptions()
+    if command != "simulate":
+        analysis = _parse_analysis(data.get("analysis"), "analysis", command)
     if analysis.kind == "fft" and times.size < MIN_FFT_SAMPLES:
         raise ScenarioError(f"time_grid: an FFT analysis needs at least "
                             f"{MIN_FFT_SAMPLES} samples, got {times.size}")
@@ -535,10 +556,7 @@ def parse_scenario(data: dict, base_dir=None) -> Scenario:
         # count and the half-width but not on sigma, so one check at unit
         # sigma covers every sigma block.
         with _named("ensemble.support_half_width"):
-            _quadrature(EnsembleConfig(
-                drive=DriveParams(omega0=1.0),
-                distribution=distribution_with_sigma(distribution, 1.0),
-                quadrature_nodes=nodes, support_half_width=half_width))
+            _quadrature(replace(distribution, sigma=1.0), nodes, half_width)
 
     return Scenario(name=name, command=command, seed=seed, basename=basename,
                     omega0_list=omega0_list, deltas=deltas,
@@ -546,8 +564,3 @@ def parse_scenario(data: dict, base_dir=None) -> Scenario:
                     atom_model=atom_model, times=times,
                     quadrature_nodes=nodes, support_half_width=half_width,
                     analysis=analysis)
-
-
-def distribution_with_sigma(distribution: DetuningDistribution, sigma):
-    """The same parametric shape at a different width."""
-    return replace(distribution, sigma=float(sigma))

@@ -174,8 +174,10 @@ def sliding_window_frequency(trace: OscillationTrace, window_length, hop, *,
     """Track the dominant frequency with short overlapping window fits.
 
     Each window of the given length (hopping by hop, both in ms) gets a
-    single-frequency fit seeded at the trace's global FFT peak; windows
-    whose fit does not converge are skipped, leaving gaps in the track.
+    single-frequency fit whose frequency starts come from the window's own
+    FFT peaks; the trace's global FFT peak f0 adds only one decay-rate
+    start, 2 pi f0 / 10. Windows whose fit does not converge are skipped,
+    leaving gaps in the track.
     The window must hold at least three periods of the global peak
     frequency, else the estimate would not resolve the oscillation.
     """

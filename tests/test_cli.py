@@ -5,12 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import rabisim
 from rabisim.cli import main
 from rabisim.model import DriveParams, p1_two_level_damped
 from rabisim.output import read_csv
-from rabisim.scenario import ScenarioError, load_scenario_dict, parse_scenario
+from rabisim.scenario import (ScenarioError, load_scenario_dict, parse_scenario,
+                              preset_file)
 from rabisim.units import khz_to_angular
 
 SIMULATE_YAML = """\
@@ -159,6 +161,8 @@ def test_command_mismatch_exits_2(tmp_path, capsys):
              "peaks_khz", "error"]),
 ], ids=["single", "two", "fft"])
 def test_scan_output_columns(tmp_path, capsys, kind, columns):
+    # An FFT scan reads no fit window.
+    window = "" if kind == "fft" else ", window_ms: [0.01, 0.6]"
     yaml_text = f"""\
 name: tiny-scan
 command: scan
@@ -168,7 +172,7 @@ drive: {{omega0_khz: 9.0, delta_list_khz: [0.0, 9.0]}}
 distribution: {{kind: gaussian, sigma_khz: 0.0}}
 atom_model: {{kind: analytic_two_level, gamma_khz: 0.0}}
 time_grid: {{t_max_ms: 1.0, dt_ms: 0.004}}
-analysis: {{kind: {kind}, window_ms: [0.01, 0.6]}}
+analysis: {{kind: {kind}{window}}}
 """
     config = _write(tmp_path, yaml_text)
     out, names = _run_fresh(tmp_path, capsys, ["scan", "--config", str(config), "--svg"])
@@ -194,7 +198,6 @@ analysis: {{kind: {kind}, window_ms: [0.01, 0.6]}}
 def test_spectrum_outputs_with_track(tmp_path, capsys):
     yaml_text = SPECTRUM_YAML + """\
 analysis:
-  kind: fft
   track: {window_ms: 0.4, hop_ms: 0.4, t_stop_ms: 1.2}
 """
     config = _write(tmp_path, yaml_text)
@@ -268,6 +271,39 @@ def test_unrunnable_inputs_exit_2(tmp_path, capsys, command, body, named):
                  "--svg"]) == 2
     captured = capsys.readouterr()
     assert captured.err.startswith(f"rabisim: {named}: ")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == [config]
+
+
+def _preset_with(name, **sections):
+    data = load_scenario_dict(preset_file(name))
+    for section, value in sections.items():
+        if isinstance(value, dict) and isinstance(data.get(section), dict):
+            data[section] = {**data[section], **value}
+        else:
+            data[section] = value
+    return data
+
+
+@pytest.mark.parametrize("data, named", [
+    (_preset_with("fig1b", scan={"omega0_list_khz": [5.0]}), "scan"),
+    (_preset_with("fig1b", drive={"delta_list_khz": [5.0]}), "drive.delta_list_khz"),
+    (_preset_with("fig6a", distribution={"kind": "gaussian", "sigma_khz": 8.0},
+                  scan={"sigma_list_khz": [4.0, 8.0]}), "scan"),
+    (_preset_with("fig7b", analysis={"track": {"window_ms": 0.4, "hop_ms": 0.4}}),
+     "analysis.track"),
+    (_preset_with("fig6b", analysis={"kind": "single"}), "analysis.kind"),
+    (_preset_with("fig5", analysis={"decay": "exp"}), "analysis.decay"),
+    (_preset_with("fig6-field", drive={"omega0_khz": "nonsense"}), "drive"),
+], ids=["simulate_scan", "simulate_delta_list", "spectrum_sigma_list",
+        "scan_track", "spectrum_kind", "two_decay", "field_dist_drive"])
+def test_unread_keys_exit_2(tmp_path, capsys, data, named):
+    # Each key is valid somewhere, but this command never reads it.
+    config = _write(tmp_path, yaml.safe_dump(data))
+    assert main([data["command"], "--config", str(config),
+                 "--out", str(tmp_path / "out"), "--svg"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"rabisim: {named}: not read by ")
     assert "Traceback" not in captured.err and captured.out == ""
     assert list(tmp_path.iterdir()) == [config]
 

@@ -3,7 +3,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
@@ -40,17 +40,55 @@ def _config(sigma_khz, delta_khz=0.0, skew=0.0, gamma_khz=0.0, **kwargs):
     sigma=st.floats(min_value=0.5, max_value=100.0),
     skew=st.floats(min_value=-8.0, max_value=8.0),
 )
+@example(sigma=3.7, skew=1e200)
+@example(sigma=3.7, skew=-1e200)
 @settings(max_examples=60, deadline=None)
 def test_skew_density_normalized_and_centered(sigma, skew):
+    # As |skew| grows the density tends to a half-normal. Its step at the
+    # mode is summed by the trapezoid rule only to first order in the
+    # spacing, so those inputs are checked to 1e-3 instead of 1e-6.
+    tol = 1e-6 if abs(skew) <= 8.0 else 1e-3
     x = np.linspace(-12.0 * sigma, 12.0 * sigma, 4001)
     pdf = skewed_gaussian_density(sigma, skew, x)
     assert np.all(pdf >= 0.0)
     mass = np.trapezoid(pdf, x)
     mean = np.trapezoid(x * pdf, x)
     var = np.trapezoid(x * x * pdf, x) - mean**2
-    assert mass == pytest.approx(1.0, abs=1e-6)
-    assert abs(mean) < 1e-6 * sigma
-    assert math.sqrt(var) == pytest.approx(sigma, rel=1e-6)
+    assert mass == pytest.approx(1.0, abs=tol)
+    assert abs(mean) < tol * sigma
+    assert math.sqrt(var) == pytest.approx(sigma, rel=tol)
+
+
+def test_skew_zero_density_is_the_normal_pdf():
+    sigma = 3.7
+    x = np.linspace(-8.0 * sigma, 8.0 * sigma, 1001)
+    normal = np.exp(-0.5 * (x / sigma) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
+    np.testing.assert_allclose(skewed_gaussian_density(sigma, 0.0, x), normal,
+                               rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "skewed_gaussian"])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_skew_zero_samples_are_rng_normal(kind, seed):
+    # The skew-0 member of the family draws the plain normal stream,
+    # whichever kind names it.
+    sigma = khz_to_angular(8.0)
+    dist = DetuningDistribution(kind=kind, sigma=sigma)
+    samples = _sample_shifts(dist, 5000, np.random.default_rng(seed))
+    assert np.array_equal(samples, np.random.default_rng(seed).normal(0.0, sigma, 5000))
+
+
+@pytest.mark.parametrize("skew", [1e200, -1e200])
+def test_extreme_skew_samples_are_half_normal(skew):
+    # The half-normal limit keeps mean 0 and std sigma; its standardized
+    # third moment is +-0.995.
+    sigma = khz_to_angular(8.0)
+    dist = DetuningDistribution(kind="skewed_gaussian", sigma=sigma, skew=skew)
+    samples = _sample_shifts(dist, 100_000, np.random.default_rng(5))
+    assert abs(samples.mean()) < 1e-2 * sigma
+    assert samples.std() == pytest.approx(sigma, rel=1e-2)
+    skewness = np.mean((samples - samples.mean()) ** 3) / samples.std() ** 3
+    assert skewness == pytest.approx(math.copysign(0.995, skew), abs=0.05)
 
 
 def test_skew_density_third_moment_sign_follows_skew():
@@ -173,7 +211,8 @@ def test_long_time_signal_settles_to_weighted_offset():
     trace = ensemble_signal(cfg, times)
     from rabisim.ensemble import _quadrature
 
-    shifts, weights = _quadrature(cfg)
+    shifts, weights = _quadrature(cfg.distribution, cfg.quadrature_nodes,
+                                  cfg.support_half_width)
     omega_r = np.hypot(cfg.drive.omega0, cfg.drive.delta + shifts)
     expected = float(weights @ (0.5 * (cfg.drive.omega0 / omega_r) ** 2))
     late = trace.values[times > 35.0]
@@ -216,7 +255,8 @@ def test_averages_match_independent_oracle(gamma_khz):
     # T = 8, 9 and 126, 127 sit on both sides of a square (b = ceil(sqrt(T))
     # and the number of blocks change there); 1001 is the dense-scan length.
     for config in _oracle_configs(gamma_khz):
-        shifts, weights = _quadrature(config)
+        shifts, weights = _quadrature(config.distribution, config.quadrature_nodes,
+                                      config.support_half_width)
         for n_t in (8, 9, 126, 127, 1001):
             for t0 in (0.0, 0.37):
                 times = t0 + 0.004 * np.arange(n_t)

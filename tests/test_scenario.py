@@ -11,7 +11,6 @@ from rabisim.scenario import (
     PRESET_NAMES,
     Scenario,
     ScenarioError,
-    distribution_with_sigma,
     load_scenario_dict,
     parse_scenario,
     preset_file,
@@ -271,6 +270,15 @@ def test_fieldmap_reference_resolves_relative_path(tmp_path):
     assert scenario.distribution.shifts.size > 1
 
 
+def test_fieldmap_reference_takes_one_sign():
+    # fig8 runs both current signs; a distribution is one histogram.
+    data = _minimal_simulate()
+    data["distribution"] = {"fieldmap": "fig8"}
+    with pytest.raises(ScenarioError,
+                       match=r"^distribution\.fieldmap\(fig8\)\.fieldmap\.signs: "):
+        parse_scenario(data)
+
+
 def test_empirical_distribution_from_file(tmp_path):
     dist_file = tmp_path / "shifts.txt"
     dist_file.write_text("-4.0 1\n0.0 2\n4.0 1\n")
@@ -279,13 +287,6 @@ def test_empirical_distribution_from_file(tmp_path):
     scenario = parse_scenario(data, base_dir=tmp_path)
     assert scenario.distribution.kind == "empirical"
     assert scenario.distribution.mean_shift() == pytest.approx(0.0, abs=1e-12)
-
-
-def test_distribution_with_sigma():
-    scenario = parse_scenario(_minimal_simulate())
-    replaced = distribution_with_sigma(scenario.distribution, khz_to_angular(3.0))
-    assert replaced.sigma == pytest.approx(khz_to_angular(3.0))
-    assert replaced.kind == scenario.distribution.kind
 
 
 def test_load_scenario_dict_requires_mapping(tmp_path):
