@@ -26,6 +26,7 @@ import numpy as np
 from scipy.special import erf
 
 from .model import DriveParams, OscillationTrace, uniform_grid
+from .multilevel import DEFAULT_QUADRATIC_SHIFT
 from .units import khz_to_angular
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
@@ -143,7 +144,7 @@ class AtomModel:
 
     kind: str = "analytic_two_level"
     gamma: float = 0.0
-    quadratic_shift: float = khz_to_angular(100.0)
+    quadratic_shift: float = DEFAULT_QUADRATIC_SHIFT
 
     def __post_init__(self):
         if self.kind not in ("analytic_two_level", "multilevel"):
@@ -186,7 +187,9 @@ def _quadrature(dist: DetuningDistribution, nodes, half_width):
     the rule converge exponentially in the node count down to its endpoint
     term, which scales with the density at +-h sigma (Trefethen & Weideman,
     SIAM Review 56, 2014). The total captured mass must account for the whole
-    distribution to within 1e-6 or the support is judged too small.
+    distribution to within 1e-6 or the rule is rejected. The miss comes from
+    a support too narrow for the tail or, at large |skew|, from nodes too
+    coarse for the near-step of the density at its mode.
     """
     if not dist.is_parametric:
         return dist.shifts, dist.weights
@@ -200,8 +203,8 @@ def _quadrature(dist: DetuningDistribution, nodes, half_width):
     mass = float(weights.sum())
     if abs(1.0 - mass) > 1e-6:
         raise QuadratureSupportError(
-            f"distribution mass outside the quadrature support is {abs(1.0 - mass):.2e} "
-            f"(> 1e-6); widen support_half_width"
+            f"the trapezoid rule on {shifts.size} nodes over +-{half_width:g} sigma "
+            f"misses {abs(1.0 - mass):.2e} of the distribution mass (> 1e-6)"
         )
     return shifts, weights / mass
 

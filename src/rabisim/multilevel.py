@@ -8,14 +8,12 @@ the measured pair; decoherence is pure dephasing at rate gamma.
 
 The master equation drho/dt = -i [H, rho] + D(rho) is linear and
 time-independent, so it is a fixed 25x25 superoperator L acting on the
-flattened density matrix, and rho(t) = exp(L (t - t0)) rho(t0). The default
-"spectral" method eigendecomposes L once and evaluates every sample in one
+flattened density matrix, and rho(t) = exp(L (t - t0)) rho(t0). The
+propagator eigendecomposes L once and evaluates every sample in one
 expression. Near an exceptional point of L its eigenvectors become almost
-parallel; when their condition number exceeds 1e8 the method falls back to
-a matrix exponential per sample instead of returning inaccurate values. An
-adaptive high-order integrator ("adaptive") and a fixed-step classical
-Runge-Kutta loop ("rk4", for step-halving checks) are kept as independent
-oracles, reachable by passing method= explicitly.
+parallel; when their condition number exceeds 1e8 it falls back to a matrix
+exponential per sample instead of returning inaccurate values. scipy.linalg
+is imported only on that fallback, so the spectral path needs numpy alone.
 """
 
 from __future__ import annotations
@@ -23,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .model import DriveParams, OscillationTrace
 from .units import khz_to_angular
@@ -38,10 +35,6 @@ DEFAULT_QUADRATIC_SHIFT = khz_to_angular(100.0)
 # Above this condition number of the eigenvector matrix the spectral
 # propagator is judged too close to a defective Liouvillian.
 MAX_EIGENVECTOR_COND = 1e8
-
-
-class IntegrationFailure(RuntimeError):
-    """The integrator could not meet its error tolerances."""
 
 
 class InvariantViolation(RuntimeError):
@@ -153,30 +146,11 @@ def _spectral(lv, y0, times):
     dt = times - times[0]
     lam, vecs = np.linalg.eig(lv)
     if not np.linalg.cond(vecs) <= MAX_EIGENVECTOR_COND:
+        from scipy.linalg import expm
+
         return np.stack([expm(lv * tau) @ y0 for tau in dt])
     coeffs = np.linalg.solve(vecs, y0)
     return (np.exp(np.outer(dt, lam)) * coeffs) @ vecs.T
-
-
-def _rk4(lv, y0, times, step):
-    """Fixed-step classical Runge-Kutta between the requested samples."""
-    if not step > 0:
-        raise ValueError("rk4 step must be positive")
-    out = np.empty((times.size, y0.size), dtype=complex)
-    out[0] = y0
-    y = y0.copy()
-    for k in range(times.size - 1):
-        span = times[k + 1] - times[k]
-        n_sub = max(1, int(np.ceil(span / step)))
-        h = span / n_sub
-        for _ in range(n_sub):
-            k1 = lv @ y
-            k2 = lv @ (y + 0.5 * h * k1)
-            k3 = lv @ (y + 0.5 * h * k2)
-            k4 = lv @ (y + h * k3)
-            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[k + 1] = y
-    return out
 
 
 def _check_invariants(rhos):
@@ -188,43 +162,21 @@ def _check_invariants(rhos):
         )
 
 
-def evolve_density(system: LevelSystem, rho0: DensityMatrix, times, *,
-                   method="spectral", rtol=1e-10, atol=1e-12,
-                   rk4_step=2.5e-5) -> np.ndarray:
+def evolve_density(system: LevelSystem, rho0: DensityMatrix, times) -> np.ndarray:
     """Evolve under the master equation; returns the (n_times, 5, 5) state stack.
 
-    method "spectral" (the default) propagates exactly through one
-    eigendecomposition of the Liouvillian, falling back to a per-sample
-    matrix exponential when its eigenvector matrix has condition number
-    above MAX_EIGENVECTOR_COND. "adaptive" is the DOP853 integrator at
-    rtol/atol, evaluated at the requested samples; "rk4" a fixed-step path
-    with step rk4_step (ms) used by the step-halving convergence checks.
-    Both are oracles for the spectral path. Every method raises
+    Propagates exactly through one eigendecomposition of the Liouvillian,
+    falling back to a per-sample matrix exponential when its eigenvector
+    matrix has condition number above MAX_EIGENVECTOR_COND. Raises
     InvariantViolation when trace or Hermiticity drifts beyond 1e-6 (or is
-    not finite); "adaptive" raises IntegrationFailure when DOP853 gives up.
+    not finite).
     """
     times = np.asarray(times, dtype=float)
     if times.size < 2:
         raise ValueError("need at least two sample times")
     lv = _liouvillian(system)
     y0 = rho0.elements.ravel().astype(complex)
-    if method == "spectral":
-        ys = _spectral(lv, y0, times)
-    elif method == "adaptive":
-        # Imported here: scipy.integrate is slow to load and only the
-        # oracle path needs it.
-        from scipy.integrate import solve_ivp
-
-        sol = solve_ivp(lambda _t, y: lv @ y, (times[0], times[-1]), y0,
-                        t_eval=times, method="DOP853", rtol=rtol, atol=atol)
-        if not sol.success:
-            raise IntegrationFailure(sol.message)
-        ys = sol.y.T
-    elif method == "rk4":
-        ys = _rk4(lv, y0, times, rk4_step)
-    else:
-        raise ValueError(f"unknown integration method {method!r}")
-    rhos = ys.reshape(times.size, 5, 5)
+    rhos = _spectral(lv, y0, times).reshape(times.size, 5, 5)
     _check_invariants(rhos)
     return rhos
 

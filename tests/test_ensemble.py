@@ -144,6 +144,19 @@ def test_quadrature_support_too_narrow():
         ensemble_signal(cfg, TIMES)
 
 
+@pytest.mark.parametrize("half_width, miss", [(8.0, "1.88e-04"), (20.0, "3.07e-03")])
+def test_quadrature_miss_names_the_rule(half_width, miss):
+    # At skew 1e4 the density is nearly the half-normal's step at its mode,
+    # which 2001 nodes resolve no better over a wider support: the miss
+    # grows with the half-width, so the message states the rule, not a fix.
+    dist = DetuningDistribution(kind="skewed_gaussian", sigma=1.0, skew=1e4)
+    with pytest.raises(QuadratureSupportError) as info:
+        _quadrature(dist, 2001, half_width)
+    message = str(info.value)
+    assert f"2001 nodes over +-{half_width:g} sigma misses {miss}" in message
+    assert "widen" not in message
+
+
 @pytest.fixture(scope="module")
 def leggauss_4001():
     return leggauss(4001)

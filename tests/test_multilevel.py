@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from multilevel_oracles import evolve_dop853, evolve_rk4
 from scipy.linalg import expm
 
 from rabisim.ensemble import AtomModel, DetuningDistribution, EnsembleConfig, ensemble_signal
@@ -104,16 +105,16 @@ def test_dephasing_envelope_close_to_analytic():
 def test_rk4_step_halving_converged():
     system = build_f2_system(DRIVE, 0.0, khz_to_angular(100.0), khz_to_angular(1.0))
     rho0 = DensityMatrix.pure(0)
-    coarse = evolve_density(system, rho0, TIMES, method="rk4", rk4_step=5e-5)
-    fine = evolve_density(system, rho0, TIMES, method="rk4", rk4_step=2.5e-5)
+    coarse = evolve_rk4(system, rho0, TIMES, step=5e-5)
+    fine = evolve_rk4(system, rho0, TIMES, step=2.5e-5)
     assert np.max(np.abs(coarse - fine)) < 1e-6
 
 
 def test_rk4_agrees_with_adaptive():
     system = build_f2_system(DRIVE, 0.0, khz_to_angular(100.0), 0.0)
     rho0 = DensityMatrix.pure(0)
-    a = evolve_density(system, rho0, TIMES, method="adaptive")
-    b = evolve_density(system, rho0, TIMES, method="rk4", rk4_step=5e-5)
+    a = evolve_dop853(system, rho0, TIMES)
+    b = evolve_rk4(system, rho0, TIMES, step=5e-5)
     assert np.max(np.abs(a - b)) < 1e-7
 
 
@@ -128,8 +129,6 @@ def test_evolve_rejects_bad_input():
     system = build_f2_system(DRIVE, 0.0, khz_to_angular(100.0), 0.0)
     with pytest.raises(ValueError):
         evolve_density(system, DensityMatrix.pure(0), np.array([0.0]))
-    with pytest.raises(ValueError):
-        evolve_density(system, DensityMatrix.pure(0), TIMES, method="euler")
     with pytest.raises(ValueError):
         build_f2_system(DRIVE, 0.0, -1.0, 0.0)
 
@@ -149,8 +148,7 @@ def test_spectral_matches_expm_and_adaptive(quad_khz, gamma_khz):
     y0 = rho0.elements.ravel().astype(complex)
     exact = np.stack([expm(lv * t) @ y0 for t in TIMES]).reshape(-1, 5, 5)
     assert np.max(np.abs(spectral - exact)) < 1e-10
-    adaptive = evolve_density(system, rho0, TIMES, method="adaptive",
-                              rtol=1e-12, atol=1e-14)
+    adaptive = evolve_dop853(system, rho0, TIMES, rtol=1e-12, atol=1e-14)
     assert np.max(np.abs(spectral - adaptive)) < 1e-8
 
 

@@ -167,7 +167,9 @@ _OVERFLOW_CASES = [
     ("simulate", ("drive", "delta_khz"), 1e308, "drive.delta_khz"),
     ("simulate", ("distribution", "sigma_khz"), 1e308, "distribution.sigma_khz"),
     ("simulate", ("atom_model", "gamma_khz"), 1e308, "atom_model.gamma_khz"),
-    ("simulate", ("atom_model", "quadratic_shift_khz"), 1e308,
+    # only the multilevel kernel reads the quadratic shift
+    ("simulate", ("atom_model",), {"kind": "multilevel",
+                                   "quadratic_shift_khz": 1e308},
      "atom_model.quadratic_shift_khz"),
     ("scan", ("scan", "omega0_list_khz", 1), 1e308, "scan.omega0_list_khz[1]"),
     ("scan", ("scan", "sigma_list_khz", 1), 1e308, "scan.sigma_list_khz[1]"),
