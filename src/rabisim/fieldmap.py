@@ -146,15 +146,12 @@ class ProbeBeam:
 
     profile: str = "flat_top"
     diameter: float = 12.0
-    axis: str = "z"
 
     def __post_init__(self):
         if self.profile not in ("flat_top", "gaussian"):
             raise ValueError(f"unknown beam profile {self.profile!r}")
         if not self.diameter > 0:
             raise ValueError("beam diameter must be positive")
-        if self.axis != "z":
-            raise ValueError("only z-axis beams are supported")
 
     def weight_xy(self, x, y):
         """Unnormalized weight on the transverse grid, shape (len(x), len(y))."""
@@ -181,8 +178,6 @@ class FieldHistogram:
     fraction_below: float
     fraction_above: float
     third_moment: float
-    b_set: float
-    current_sign: int
 
     def __post_init__(self):
         centers = np.asarray(self.bin_centers_khz, dtype=float)
@@ -245,8 +240,7 @@ def field_magnitude_histogram(model: FieldGridModel, beam: ProbeBeam,
     mean, std, below, above, third = _bin_statistics(centers, weights)
     return FieldHistogram(bin_centers_khz=centers, weights=weights,
                           mean_khz=mean, std_khz=std, fraction_below=below,
-                          fraction_above=above, third_moment=third,
-                          b_set=model.b_set, current_sign=sign)
+                          fraction_above=above, third_moment=third)
 
 
 def histogram_to_distribution(hist: FieldHistogram) -> DetuningDistribution:

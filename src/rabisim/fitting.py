@@ -26,9 +26,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import stdtrit
 
-from .lsq import ci95_half_widths, stacked_levenberg_marquardt
+from . import lsq
 # Re-exported, not called: perfbench/tracing.py wraps this binding.
 from .lsq import levenberg_marquardt  # noqa: F401
 from .model import OscillationTrace
@@ -76,17 +75,16 @@ class SingleFreqFit:
 class TwoFreqFit:
     """Parameters of the pinned-plus-moving two-frequency model.
 
-    The slow component oscillates at the supplied omega0 with Gaussian rate
-    gamma_a (fixed at zero); the fast one at omega_bar >= omega0
-    with rate gamma_b. fraction_a = |A| / (|A| + |B_amp|). indistinguishable
-    marks fits where omega_bar collapses onto omega0 within its own CI;
-    fraction_ci_wide marks fits whose full fraction CI width exceeds 25%
-    of the fraction itself (the unreliable, dashed regime).
+    The slow component oscillates undamped at the supplied omega0; the fast
+    one at omega_bar >= omega0 with Gaussian rate gamma_b >= 0.
+    fraction_a = |A| / (|A| + |B_amp|). indistinguishable marks fits where
+    omega_bar collapses onto omega0 within its own CI; fraction_ci_wide
+    marks fits whose full fraction CI width exceeds 25% of the fraction
+    itself (the unreliable, dashed regime).
     """
 
     A: float
     phi_a: float
-    gamma_a: float
     B_amp: float
     omega_bar: float
     phi_b: float
@@ -103,8 +101,8 @@ class TwoFreqFit:
     n_iter: int = 0
 
     def __post_init__(self):
-        if not (self.gamma_b >= self.gamma_a >= 0):
-            raise ValueError("decay rates must satisfy gamma_b >= gamma_a >= 0")
+        if not self.gamma_b >= 0:
+            raise ValueError("gamma_b must be non-negative")
         if self.omega_bar < self.omega0:
             raise ValueError("omega_bar must not fall below omega0")
         object.__setattr__(self, "r_squared", float(np.clip(self.r_squared, 0.0, 1.0)))
@@ -197,14 +195,16 @@ def _fit_starts(residual, jacobian, groups, y, package, what, max_iter):
     """Run each group of starts as one stacked LM fit; package the winner.
 
     groups yields (k, n_params) start arrays. The best converged start wins;
-    the remaining groups are skipped once it reaches r^2 > 0.9999. When no
-    start converges, FitFailure carries the best start packaged anyway.
+    the remaining groups are skipped once it reaches r^2 > 0.9999. Only the
+    winner's covariance is computed, and package(res, cov) builds the fit
+    from it. When no start converges, FitFailure carries the best start
+    packaged anyway.
     """
     best = None
     best_converged = None
     for p0 in groups:
-        for res in stacked_levenberg_marquardt(residual, jacobian, p0,
-                                               max_iter=max_iter):
+        for res in lsq.stacked_levenberg_marquardt(residual, jacobian, p0,
+                                                   max_iter=max_iter):
             if best is None or res.ssr < best.ssr:
                 best = res
             if res.converged and (best_converged is None or res.ssr < best_converged.ssr):
@@ -213,7 +213,8 @@ def _fit_starts(residual, jacobian, groups, y, package, what, max_iter):
             break
 
     chosen = best_converged if best_converged is not None else best
-    fit = package(chosen)
+    cov = lsq.covariance(jacobian(chosen.params[None])[0], chosen.ssr)
+    fit = package(chosen, cov)
     if best_converged is None:
         raise FitFailure(
             f"{what} fit did not converge within {max_iter} iterations",
@@ -267,11 +268,11 @@ def fit_single_frequency(trace: OscillationTrace, window=(0.01, 0.6), *,
 
     return _fit_starts(lambda P: _single_model(P, t, decay) - y,
                        lambda P: _single_jacobian(P, t, decay), groups(), y,
-                       lambda res: _package_single(res, y, decay),
+                       lambda res, cov: _package_single(res, cov, y, decay),
                        "single-frequency", max_iter)
 
 
-def _package_single(res, y, decay) -> SingleFreqFit:
+def _package_single(res, cov, y, decay) -> SingleFreqFit:
     a, gamma, omega, phi, b, c = res.params
     # Canonical orientation: omega >= 0, A >= 0, phi in (-pi, pi].
     if omega < 0:
@@ -282,11 +283,7 @@ def _package_single(res, y, decay) -> SingleFreqFit:
     if decay == "gauss":
         # the Gaussian envelope is even in gamma, so the sign carries nothing
         gamma = abs(gamma)
-    ci_arr = ci95_half_widths(res.cov, y.size - 6)
-    if ci_arr is None:
-        ci = {name: math.inf for name in _SINGLE_PARAM_NAMES}
-    else:
-        ci = dict(zip(_SINGLE_PARAM_NAMES, (float(v) for v in ci_arr)))
+    ci = dict(zip(_SINGLE_PARAM_NAMES, lsq.ci95(cov, y.size - 6, np.eye(6))))
     return SingleFreqFit(A=float(a), gamma=float(gamma), omega=float(omega),
                          phi=float(phi), B=float(b), C=float(c),
                          r_squared=_r_squared(y, res.ssr), ci95=ci, decay=decay,
@@ -415,7 +412,7 @@ def fit_two_frequency(trace: OscillationTrace, omega0, window=None, *,
     scale = float(np.ptp(y))
     if scale == 0.0:
         ci = {name: math.inf for name in _TWO_PARAM_NAMES}
-        return TwoFreqFit(A=0.0, phi_a=0.0, gamma_a=0.0, B_amp=0.0,
+        return TwoFreqFit(A=0.0, phi_a=0.0, B_amp=0.0,
                           omega_bar=omega0, phi_b=0.0, gamma_b=0.0,
                           offset=float(y.mean()), omega0=omega0, r_squared=0.0,
                           fraction_a=0.0, ci95=ci, indistinguishable=True,
@@ -425,7 +422,7 @@ def fit_two_frequency(trace: OscillationTrace, omega0, window=None, *,
                    for _, omega_bar, gamma_b, coef in _grid_starts(t, y, omega0)])
     return _fit_starts(lambda P: _two_freq_model(P, t, omega0) - y,
                        lambda P: _two_freq_jacobian(P, t, omega0), [p0], y,
-                       lambda res: _package_two(res, t, y, omega0),
+                       lambda res, cov: _package_two(res, cov, y, omega0),
                        "two-frequency", max_iter)
 
 
@@ -433,7 +430,7 @@ _TWO_PARAM_NAMES = ("A", "phi_a", "B_amp", "omega_bar", "phi_b", "gamma_b",
                     "offset", "fraction_a")
 
 
-def _package_two(res, t, y, omega0) -> TwoFreqFit:
+def _package_two(res, cov, y, omega0) -> TwoFreqFit:
     a1, a2, b1, b2, c, du, gb = res.params
     amp_a = math.hypot(a1, a2)
     amp_b = math.hypot(b1, b2)
@@ -444,34 +441,30 @@ def _package_two(res, t, y, omega0) -> TwoFreqFit:
     total = amp_a + amp_b
     fraction = amp_a / total if total > 0 else 0.0
 
+    # Delta method through the amplitude and fraction transforms; a quantity
+    # whose transform is singular (a zero amplitude) keeps an infinite CI.
+    grads = {}
+    if amp_a > 0:
+        grads["A"] = np.array([a1 / amp_a, a2 / amp_a, 0, 0, 0, 0, 0])
+        grads["phi_a"] = np.array([a2 / amp_a**2, -a1 / amp_a**2, 0, 0, 0, 0, 0])
+    if amp_b > 0:
+        grads["B_amp"] = np.array([0, 0, b1 / amp_b, b2 / amp_b, 0, 0, 0])
+        grads["phi_b"] = np.array([0, 0, b2 / amp_b**2, -b1 / amp_b**2, 0, 0, 0])
+    grads["omega_bar"] = np.array([0, 0, 0, 0, 0, math.copysign(1.0, du), 0])
+    grads["gamma_b"] = np.array([0, 0, 0, 0, 0, 0, math.copysign(1.0, gb)])
+    grads["offset"] = np.array([0, 0, 0, 0, 1.0, 0, 0])
+    if total > 0 and amp_a > 0 and amp_b > 0:
+        d_a = (amp_b / total**2) * np.array([a1 / amp_a, a2 / amp_a, 0, 0, 0, 0, 0])
+        d_b = (amp_a / total**2) * np.array([0, 0, b1 / amp_b, b2 / amp_b, 0, 0, 0])
+        grads["fraction_a"] = d_a - d_b
+    elif total > 0 and amp_b > 0:
+        grads["fraction_a"] = (1.0 / amp_b) * np.array([1.0, 1.0, 0, 0, 0, 0, 0])
     ci = {name: math.inf for name in _TWO_PARAM_NAMES}
-    if res.cov is not None and y.size > 7:
-        # Delta method through the amplitude and fraction transforms.
-        grads = {}
-        if amp_a > 0:
-            grads["A"] = np.array([a1 / amp_a, a2 / amp_a, 0, 0, 0, 0, 0])
-            grads["phi_a"] = np.array([a2 / amp_a**2, -a1 / amp_a**2, 0, 0, 0, 0, 0])
-        if amp_b > 0:
-            grads["B_amp"] = np.array([0, 0, b1 / amp_b, b2 / amp_b, 0, 0, 0])
-            grads["phi_b"] = np.array([0, 0, b2 / amp_b**2, -b1 / amp_b**2, 0, 0, 0])
-        grads["omega_bar"] = np.array([0, 0, 0, 0, 0, math.copysign(1.0, du), 0])
-        grads["gamma_b"] = np.array([0, 0, 0, 0, 0, 0, math.copysign(1.0, gb)])
-        grads["offset"] = np.array([0, 0, 0, 0, 1.0, 0, 0])
-        if total > 0 and amp_a > 0 and amp_b > 0:
-            d_a = (amp_b / total**2) * np.array([a1 / amp_a, a2 / amp_a, 0, 0, 0, 0, 0])
-            d_b = (amp_a / total**2) * np.array([0, 0, b1 / amp_b, b2 / amp_b, 0, 0, 0])
-            grads["fraction_a"] = d_a - d_b
-        elif total > 0 and amp_b > 0:
-            grads["fraction_a"] = (1.0 / amp_b) * np.array([1.0, 1.0, 0, 0, 0, 0, 0])
-        tq = float(stdtrit(y.size - 7, 0.975))
-        for name, grad in grads.items():
-            var = float(grad @ res.cov @ grad)
-            ci[name] = tq * math.sqrt(max(var, 0.0))
+    ci.update(zip(grads, lsq.ci95(cov, y.size - 7, grads.values())))
 
-    ci_omega_bar = ci.get("omega_bar", math.inf)
-    indistinguishable = (omega_bar - omega0) < ci_omega_bar
-    fraction_ci_wide = (2.0 * ci.get("fraction_a", math.inf)) > 0.25 * fraction
-    return TwoFreqFit(A=amp_a, phi_a=phi_a, gamma_a=0.0, B_amp=amp_b,
+    indistinguishable = (omega_bar - omega0) < ci["omega_bar"]
+    fraction_ci_wide = (2.0 * ci["fraction_a"]) > 0.25 * fraction
+    return TwoFreqFit(A=amp_a, phi_a=phi_a, B_amp=amp_b,
                       omega_bar=omega_bar, phi_b=phi_b, gamma_b=gamma_b,
                       offset=float(c), omega0=omega0,
                       r_squared=_r_squared(y, res.ssr), fraction_a=fraction,

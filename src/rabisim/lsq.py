@@ -13,34 +13,21 @@ implementation auditable.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy.special import stdtrit
 
 
 class LsqResult:
-    """Where one start ended: params, ssr, n_iter, converged and message.
+    """Where one start ended: params, ssr, n_iter, converged and message."""
 
-    cov is the linearized covariance s^2 (J^T J)^-1 at params, or None
-    without residual degrees of freedom. A result given `jac`, the Jacobian
-    at params, computes cov from it on first read: a stacked run hands every
-    start its Jacobian, and a fit reads the covariance of the one start it
-    returns.
-    """
-
-    def __init__(self, params, ssr, cov, n_iter, converged, message="", jac=None):
+    def __init__(self, params, ssr, n_iter, converged, message=""):
         self.params = params
         self.ssr = ssr
         self.n_iter = n_iter
         self.converged = converged
         self.message = message
-        self._cov = cov
-        self._jac = jac
-
-    @property
-    def cov(self) -> np.ndarray | None:
-        if self._jac is not None:
-            self._cov, self._jac = covariance(self._jac, self.ssr), None
-        return self._cov
 
 
 def _solve_damped(jtj, jtr, lam):
@@ -71,7 +58,8 @@ def _sq_norms(r):
 
 
 def covariance(jac, ssr):
-    """Linearized parameter covariance s^2 (J^T J)^-1 at the optimum."""
+    """Linearized parameter covariance s^2 (J^T J)^-1 at the optimum, or
+    None without residual degrees of freedom (n <= k)."""
     n, k = jac.shape
     if n <= k:
         return None
@@ -84,16 +72,15 @@ def covariance(jac, ssr):
     return s2 * inv
 
 
-def ci95_half_widths(cov, dof):
-    """95% confidence half-widths from a covariance matrix.
+def ci95(cov, dof, grads):
+    """95% confidence half-widths of derived quantities, by the delta method.
 
-    Student t quantile times the standard errors; returns None when the
-    covariance is unavailable or there are no degrees of freedom.
+    Row g of grads is the gradient of one quantity with respect to the
+    parameters; its half-width is t_0.975(dof) * sqrt(max(g^T cov g, 0)).
+    Unit rows pick the parameters themselves. Returns a list of floats.
     """
-    if cov is None or dof <= 0:
-        return None
     tq = float(stdtrit(dof, 0.975))
-    return tq * np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    return [tq * math.sqrt(max(float(g @ cov @ g), 0.0)) for g in grads]
 
 
 def stacked_levenberg_marquardt(residual, jacobian, p0, *, max_iter=200,
@@ -173,11 +160,9 @@ def stacked_levenberg_marquardt(residual, jacobian, p0, *, max_iter=200,
             if not rows.size:
                 break
     out_p[rows], out_ssr[rows] = p, ssr
-
-    jac = jacobian(out_p)
-    return [LsqResult(params=out_p[i], ssr=float(out_ssr[i]), cov=None,
+    return [LsqResult(params=out_p[i], ssr=float(out_ssr[i]),
                       n_iter=int(n_iter[i]), converged=bool(converged[i]),
-                      message=message[i], jac=jac[i])
+                      message=message[i])
             for i in range(s)]
 
 

@@ -188,9 +188,8 @@ def evolve(system: LevelSystem, rho0: DensityMatrix, times) -> OscillationTrace:
                                        rhos[:, 1, 1].real)
 
 
-def p1_multilevel(drive: DriveParams, local_shift=0.0,
-                  quadratic_shift=DEFAULT_QUADRATIC_SHIFT, gamma=0.0,
-                  times=None) -> OscillationTrace:
+def p1_multilevel(drive: DriveParams, local_shift, quadratic_shift, gamma,
+                  times) -> OscillationTrace:
     """build_f2_system + evolve from all population in m=2."""
     system = build_f2_system(drive, local_shift, quadratic_shift, gamma)
     return evolve(system, DensityMatrix.pure(0), times)

@@ -8,6 +8,8 @@ files.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import os
 import tempfile
@@ -50,42 +52,39 @@ def write_csv(path, columns, rows, metadata=None):
 
     columns is the header name list; rows an iterable of sequences in the
     same order; metadata an ordered mapping rendered as '# key: value'
-    lines above the header.
+    lines above the header. A cell holding a comma, a quote or a line break
+    is quoted, so an error message stays one cell.
     """
-    lines = []
+    buf = io.StringIO()
     for key, value in (metadata or {}).items():
-        lines.append(f"# {key}: {format_value(value)}")
-    lines.append(",".join(columns))
+        buf.write(f"# {key}: {format_value(value)}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
     for row in rows:
         if len(row) != len(columns):
             raise ValueError(
                 f"row has {len(row)} fields, header has {len(columns)}")
-        lines.append(",".join(format_value(v) for v in row))
-    _atomic_write_text(path, "\n".join(lines) + "\n")
+        writer.writerow([format_value(v) for v in row])
+    _atomic_write_text(path, buf.getvalue())
 
 
 def read_csv(path):
     """Read back a write_csv file: (metadata dict, columns, rows of strings)."""
+    lines = Path(path).read_text().splitlines(keepends=True)
     metadata = {}
-    columns = None
-    rows = []
-    for raw in Path(path).read_text().splitlines():
-        if not raw.strip():
-            continue
-        if raw.startswith("#"):
-            body = raw[1:].strip()
-            if ":" in body:
-                key, _, value = body.partition(":")
-                metadata[key.strip()] = value.strip()
-            continue
-        fields = raw.split(",")
-        if columns is None:
-            columns = fields
-        else:
-            rows.append(fields)
-    if columns is None:
+    n_meta = 0
+    for raw in lines:
+        if raw.strip() and not raw.startswith("#"):
+            break
+        body = raw[1:].strip()
+        if ":" in body:
+            key, _, value = body.partition(":")
+            metadata[key.strip()] = value.strip()
+        n_meta += 1
+    table = [fields for fields in csv.reader(lines[n_meta:]) if fields]
+    if not table:
         raise ValueError(f"{path} has no header row")
-    return metadata, columns, rows
+    return metadata, table[0], table[1:]
 
 
 _SVG_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e",

@@ -65,11 +65,11 @@ def _analyze_single(trace, config, window, decay):
     return ScanRow(
         detuning_khz=angular_to_khz(drive.delta),
         frequency_khz=angular_to_khz(fit.omega),
-        frequency_ci_khz=angular_to_khz(fit.ci95.get("omega", math.nan)),
+        frequency_ci_khz=angular_to_khz(fit.ci95["omega"]),
         amplitude=fit.A,
-        amplitude_ci=fit.ci95.get("A", math.nan),
+        amplitude_ci=fit.ci95["A"],
         gamma=fit.gamma,
-        gamma_ci=fit.ci95.get("gamma", math.nan),
+        gamma_ci=fit.ci95["gamma"],
         r_squared=fit.r_squared,
     )
 
@@ -83,7 +83,7 @@ def _analyze_two(trace, config, window):
         amplitude=fit.A,
         r_squared=fit.r_squared,
         fraction_a=fit.fraction_a,
-        fraction_a_ci=fit.ci95.get("fraction_a", math.nan),
+        fraction_a_ci=fit.ci95["fraction_a"],
         omega_bar_khz=angular_to_khz(fit.omega_bar),
         gamma_b=fit.gamma_b,
         indistinguishable=fit.indistinguishable,

@@ -306,14 +306,13 @@ def _parse_field_dist(d, path) -> FieldDistSpec:
                       maximum=MAX_BINS)
 
     beam_d = _expect_mapping(d.get("beam", {}), f"{path}.beam")
-    _check_keys(beam_d, ("profile", "diameter_mm", "axis"), f"{path}.beam")
+    _check_keys(beam_d, ("profile", "diameter_mm"), f"{path}.beam")
     with _named(f"{path}.beam"):
         beam = ProbeBeam(
             profile=_string(beam_d.get("profile", "flat_top"),
                             f"{path}.beam.profile", ("flat_top", "gaussian")),
             diameter=_positive(beam_d.get("diameter_mm", 12.0),
                                f"{path}.beam.diameter_mm"),
-            axis=_string(beam_d.get("axis", "z"), f"{path}.beam.axis"),
         )
 
     n_xy = (bounds_xy[1] - bounds_xy[0]) / spacing + 1

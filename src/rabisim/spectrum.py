@@ -215,7 +215,7 @@ def sliding_window_frequency(trace: OscillationTrace, window_length, hop, *,
         points.append(FrequencyTrackPoint(
             t_center=start + 0.5 * window_length,
             frequency_khz=angular_to_khz(fit.omega),
-            ci95_khz=angular_to_khz(fit.ci95.get("omega", math.inf)),
+            ci95_khz=angular_to_khz(fit.ci95["omega"]),
         ))
         start += hop
     return points

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -115,6 +116,11 @@ def test_scenario_error_exits_2(tmp_path, capsys):
     config = _write(tmp_path, bad)
     assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == 2
     assert "sigma_khz" in capsys.readouterr().err
+    # beams only propagate along z, so there is no axis to set
+    config = _write(tmp_path, "name: cell\ncommand: field-dist\nfieldmap:\n"
+                              "  b_set_khz: 18167.0\n  beam: {axis: z}\n", name="cell.yaml")
+    assert main(["field-dist", "--config", str(config), "--out", str(tmp_path)]) == 2
+    assert "fieldmap.beam.axis: unknown key" in capsys.readouterr().err
 
 
 def test_negative_seed_exits_2(tmp_path, capsys):
@@ -330,7 +336,10 @@ analysis: {kind: single, window_ms: [0.5, 3.0]}
     out, names = _run_fresh(tmp_path, capsys, ["scan", "--config", str(config), "--svg"])
     assert names == ["all-errors.csv", "all-errors.svg"]
     _, cols, rows = read_csv(out / "all-errors.csv")
-    assert len(rows) == 2 and all(row[cols.index("error")] for row in rows)
+    # The message holds commas; quoting keeps it one cell.
+    assert len(rows) == 2 and all(len(row) == len(cols) for row in rows)
+    assert {row[cols.index("error")] for row in rows} == {
+        "fit window [0.5, 3.0] falls outside the trace [0, 1]"}
     assert "<polyline" not in (out / "all-errors.svg").read_text()
 
 
@@ -419,3 +428,32 @@ print([after_import, sorted(m for m in heavy if m in sys.modules)])
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[[], []]"
+
+
+def _scipy_imports(node, in_function=False):
+    """(imported scipy name, inside a function?) for each import under node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Import):
+            names = [alias.name for alias in child.names]
+        elif isinstance(child, ast.ImportFrom) and child.level == 0:
+            names = [f"{child.module}.{alias.name}" for alias in child.names]
+        else:
+            names = []
+        for name in names:
+            if name.split(".")[0] == "scipy":
+                yield name, in_function
+        yield from _scipy_imports(child, in_function or isinstance(
+            child, (ast.FunctionDef, ast.AsyncFunctionDef)))
+
+
+def test_scipy_import_sites_are_pinned():
+    # The runtime scipy dependency, one name per site: erf for the skew
+    # normal, the t quantile of lsq.ci95, and expm for the defective-
+    # Liouvillian fallback. A new scipy import has to be added here.
+    sites = set()
+    for path in sorted(Path(rabisim.__file__).parent.glob("*.py")):
+        for name, in_function in _scipy_imports(ast.parse(path.read_text())):
+            sites.add((path.stem, name, "function" if in_function else "module"))
+    assert sites == {("ensemble", "scipy.special.erf", "module"),
+                     ("lsq", "scipy.special.stdtrit", "module"),
+                     ("multilevel", "scipy.linalg.expm", "function")}

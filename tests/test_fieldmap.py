@@ -71,8 +71,6 @@ def test_beam_validation_and_weights():
         ProbeBeam(profile="donut")
     with pytest.raises(ValueError):
         ProbeBeam(diameter=0.0)
-    with pytest.raises(ValueError):
-        ProbeBeam(axis="x")
     flat = ProbeBeam(profile="flat_top", diameter=12.0)
     x = np.array([0.0, 5.0, 7.0])
     w = flat.weight_xy(x, x)
@@ -173,8 +171,6 @@ def test_histogram_to_distribution_negates_and_sorts():
         fraction_below=0.2,
         fraction_above=0.8,
         third_moment=-0.5,
-        b_set=B_SET,
-        current_sign=1,
     )
     dist = histogram_to_distribution(hist)
     assert dist.kind == "empirical"

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import stdtrit
 
-from rabisim import lsq
+from rabisim import fitting, lsq
 from rabisim.fitting import (
     FitFailure,
     _grid_starts,
@@ -155,6 +156,45 @@ def test_fits_compute_the_covariance_of_the_returned_start_only(monkeypatch):
         omega0, window=(0.0, 1.5))
     assert len(calls) == 2
     assert math.isfinite(two.ci95["omega_bar"])
+
+
+def test_ci95_is_the_delta_method_on_the_winners_covariance(monkeypatch):
+    seen = []
+    for name in ("_package_single", "_package_two"):
+        real = getattr(fitting, name)
+        monkeypatch.setattr(fitting, name, lambda res, cov, y, *rest, real=real:
+                            seen.append((res.params, cov, y.size)) or real(res, cov, y, *rest))
+
+    single = fit_single_frequency(
+        _damped_cosine(0.4, 2.0, khz_to_angular(9.0), 0.3, slope=0.05, offset=0.5),
+        (0.01, 1.8))
+    _, cov, n = seen[-1]
+    tq = float(stdtrit(n - 6, 0.975))
+    expected = tq * np.sqrt(np.diag(cov))
+    assert [single.ci95[k] for k in ("A", "gamma", "omega", "phi", "B", "C")] == list(expected)
+
+    omega0 = khz_to_angular(9.0)
+    two = fit_two_frequency(
+        _two_component(0.1, 0.2, 0.25, khz_to_angular(14.0), -0.4, 12.0, 0.45, omega0),
+        omega0, window=(0.0, 1.5))
+    (a1, a2, b1, b2, _, du, gb), cov, n = seen[-1]
+    amp_a, amp_b = math.hypot(a1, a2), math.hypot(b1, b2)
+    total = amp_a + amp_b
+    grads = {
+        "A": [a1 / amp_a, a2 / amp_a, 0, 0, 0, 0, 0],
+        "phi_a": [a2 / amp_a**2, -a1 / amp_a**2, 0, 0, 0, 0, 0],
+        "B_amp": [0, 0, b1 / amp_b, b2 / amp_b, 0, 0, 0],
+        "phi_b": [0, 0, b2 / amp_b**2, -b1 / amp_b**2, 0, 0, 0],
+        "omega_bar": [0, 0, 0, 0, 0, math.copysign(1.0, du), 0],
+        "gamma_b": [0, 0, 0, 0, 0, 0, math.copysign(1.0, gb)],
+        "offset": [0, 0, 0, 0, 1.0, 0, 0],
+        "fraction_a": (amp_b / total**2) * np.array([a1 / amp_a, a2 / amp_a, 0, 0, 0, 0, 0])
+        - (amp_a / total**2) * np.array([0, 0, b1 / amp_b, b2 / amp_b, 0, 0, 0]),
+    }
+    tq = float(stdtrit(n - 7, 0.975))
+    for name, grad in grads.items():
+        grad = np.array(grad, dtype=float)
+        assert two.ci95[name] == tq * math.sqrt(max(float(grad @ cov @ grad), 0.0)), name
 
 
 def test_two_frequency_single_component_is_indistinguishable():

@@ -3,7 +3,7 @@ import pytest
 
 from rabisim.lsq import (
     LsqResult,
-    ci95_half_widths,
+    ci95,
     covariance,
     levenberg_marquardt,
     stacked_levenberg_marquardt,
@@ -83,14 +83,14 @@ def test_covariance_matches_known_variance():
     noise = 0.05 * rng.standard_normal(50)
     residual, jacobian = _linear_problem(noise=noise)
     res = levenberg_marquardt(residual, jacobian, np.array([0.0, 0.0]))
-    assert res.cov is not None
-    # residual variance estimate should be near the injected 0.05^2
     jac = jacobian(res.params)
+    cov = covariance(jac, res.ssr)
+    assert cov is not None
+    # residual variance estimate should be near the injected 0.05^2
     s2 = res.ssr / (jac.shape[0] - jac.shape[1])
     assert s2 == pytest.approx(0.05**2, rel=0.5)
-    half = ci95_half_widths(res.cov, jac.shape[0] - jac.shape[1])
-    assert half is not None
-    assert np.all(half > 0)
+    half = ci95(cov, jac.shape[0] - jac.shape[1], np.eye(2))
+    assert all(h > 0 for h in half)
     # the fitted slope should sit inside its own 95% interval of the truth
     assert abs(res.params[0] - 2.0) < 3.0 * half[0]
 
@@ -98,8 +98,6 @@ def test_covariance_matches_known_variance():
 def test_covariance_none_when_underdetermined():
     jac = np.ones((2, 3))
     assert covariance(jac, 1.0) is None
-    assert ci95_half_widths(None, 10) is None
-    assert ci95_half_widths(np.eye(2), 0) is None
 
 
 def _reference_solve_damped(jtj, jtr, lam):
@@ -153,17 +151,13 @@ def _reference_lm(residual, jacobian, p0, *, max_iter=200, ftol=1e-12, xtol=1e-1
             converged = True
             message = "converged"
             break
-    cov = covariance(jacobian(p), ssr)
-    return LsqResult(params=p, ssr=ssr, cov=cov, n_iter=n_iter,
-                     converged=converged, message=message)
+    return LsqResult(params=p, ssr=ssr, n_iter=n_iter, converged=converged,
+                     message=message)
 
 
 def _assert_bitwise_equal(res, ref):
     assert np.array_equal(res.params, ref.params, equal_nan=True)
     assert res.ssr == ref.ssr or (np.isnan(res.ssr) and np.isnan(ref.ssr))
-    assert (res.cov is None) == (ref.cov is None)
-    if ref.cov is not None:
-        assert np.array_equal(res.cov, ref.cov, equal_nan=True)
     assert (res.n_iter, res.converged, res.message) == (ref.n_iter, ref.converged, ref.message)
 
 

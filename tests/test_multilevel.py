@@ -131,6 +131,8 @@ def test_evolve_rejects_bad_input():
         evolve_density(system, DensityMatrix.pure(0), np.array([0.0]))
     with pytest.raises(ValueError):
         build_f2_system(DRIVE, 0.0, -1.0, 0.0)
+    with pytest.raises(TypeError):
+        p1_multilevel(DriveParams(omega0=10.0))  # every argument is required
 
 
 # quadratic_shift = 0 puts the neighboring transitions on resonance

@@ -22,7 +22,7 @@ def test_format_value_conventions():
 def test_csv_round_trip(tmp_path):
     path = tmp_path / "out.csv"
     columns = ("a", "b", "flag")
-    rows = [(1.5, float("nan"), True), (-2.0, 0.25, False)]
+    rows = [(1.5, float("nan"), True), (-2.0, 0.25, False), (0.0, 'x, "y"', "")]
     write_csv(path, columns, rows, metadata={"tool": "demo", "seed": 7})
     meta, cols, data = read_csv(path)
     assert meta["tool"] == "demo"
@@ -30,6 +30,7 @@ def test_csv_round_trip(tmp_path):
     assert cols == list(columns)
     assert data[0] == ["1.5", "nan", "true"]
     assert data[1] == ["-2", "0.25", "false"]
+    assert data[2] == ["0", 'x, "y"', ""]
 
 
 def test_csv_rejects_ragged_rows(tmp_path):
