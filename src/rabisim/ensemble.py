@@ -19,17 +19,18 @@ phases instead of T cosines.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .model import DriveParams, OscillationTrace, uniform_grid
 from .multilevel import DEFAULT_QUADRATIC_SHIFT
 from .units import khz_to_angular
 
 _SQRT2PI = math.sqrt(2.0 * math.pi)
+_erf = np.frompyfunc(math.erf, 1, 1)  # elementwise stdlib erf, object dtype out
 
 PARAMETRIC_KINDS = ("gaussian", "skewed_gaussian")
 VALID_KINDS = PARAMETRIC_KINDS + ("empirical",)
@@ -64,8 +65,13 @@ def skewed_gaussian_density(sigma, skew, x):
     xi, w, _ = _skew_normal_params(sigma, skew)
     z = (x - xi) / w
     phi = np.exp(-0.5 * z * z) / _SQRT2PI
-    with np.errstate(over="ignore"):  # erf(+-inf) = +-1 is the limit
-        cdf = 0.5 * (1.0 + erf(float(skew) * z / math.sqrt(2.0)))
+    if skew == 0.0:
+        cdf = 0.5  # 0.5 (1 + erf(0)), exactly
+    else:
+        with np.errstate(over="ignore"):  # erf(+-inf) = +-1 is the limit
+            arg = float(skew) * z / math.sqrt(2.0)
+        # asarray, not astype: a scalar x gives a float here, not an array.
+        cdf = 0.5 * (1.0 + np.asarray(_erf(arg), dtype=float))
     return (2.0 / w) * phi * cdf
 
 
@@ -180,25 +186,38 @@ class EnsembleConfig:
 def _quadrature(dist: DetuningDistribution, nodes, half_width):
     """Shifts and weights of the distribution average.
 
-    For parametric kinds this is the trapezoid rule on `nodes` evenly
-    spaced shifts over [-h sigma, +h sigma], h = half_width, around the
-    (zero) mean shift. The integrand (a smooth density times a Lorentzian
-    amplitude times a phase analytic in a strip of half-width omega0) makes
-    the rule converge exponentially in the node count down to its endpoint
-    term, which scales with the density at +-h sigma (Trefethen & Weideman,
-    SIAM Review 56, 2014). The total captured mass must account for the whole
-    distribution to within 1e-6 or the rule is rejected. The miss comes from
-    a support too narrow for the tail or, at large |skew|, from nodes too
-    coarse for the near-step of the density at its mode.
+    For parametric kinds this is the trapezoid rule of `_parametric_rule`;
+    empirical kinds are summed over their explicit support, and sigma = 0
+    is the single shift 0.
     """
     if not dist.is_parametric:
         return dist.shifts, dist.weights
     if dist.sigma == 0.0:
         return np.zeros(1), np.ones(1)
-    half = half_width * dist.sigma
-    shifts = np.linspace(-half, half, int(nodes))
-    weights = ((2.0 * half / (shifts.size - 1))
-               * skewed_gaussian_density(dist.sigma, dist.skew, shifts))
+    return _parametric_rule(dist.sigma, dist.skew, int(nodes), half_width)
+
+
+@functools.lru_cache(maxsize=32)
+def _parametric_rule(sigma, skew, nodes, half_width):
+    """The trapezoid rule on `nodes` evenly spaced shifts over
+    [-h sigma, +h sigma], h = half_width, around the (zero) mean shift.
+
+    The integrand (a smooth density times a Lorentzian amplitude times a
+    phase analytic in a strip of half-width omega0) makes the rule converge
+    exponentially in the node count down to its endpoint term, which scales
+    with the density at +-h sigma (Trefethen & Weideman, SIAM Review 56,
+    2014). The total captured mass must account for the whole distribution
+    to within 1e-6 or the rule is rejected. The miss comes from a support
+    too narrow for the tail or, at large |skew|, from nodes too coarse for
+    the near-step of the density at its mode.
+
+    The rule depends on the distribution, not on the drive, so it is built
+    once per distribution and shared read-only by every call. A rejected
+    rule is not cached: lru_cache keeps no exceptions, so each call raises.
+    """
+    half = half_width * sigma
+    shifts = np.linspace(-half, half, nodes)
+    weights = (2.0 * half / (shifts.size - 1)) * skewed_gaussian_density(sigma, skew, shifts)
     weights[[0, -1]] *= 0.5
     mass = float(weights.sum())
     if abs(1.0 - mass) > 1e-6:
@@ -206,7 +225,9 @@ def _quadrature(dist: DetuningDistribution, nodes, half_width):
             f"the trapezoid rule on {shifts.size} nodes over +-{half_width:g} sigma "
             f"misses {abs(1.0 - mass):.2e} of the distribution mass (> 1e-6)"
         )
-    return shifts, weights / mass
+    weights /= mass
+    shifts.flags.writeable = weights.flags.writeable = False
+    return shifts, weights
 
 
 def _two_level_sum(drive: DriveParams, shifts, coef, gamma, times):

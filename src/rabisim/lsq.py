@@ -13,10 +13,10 @@ implementation auditable.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.special import stdtrit
 
 
 class LsqResult:
@@ -72,6 +72,55 @@ def covariance(jac, ssr):
     return s2 * inv
 
 
+def _t_central_mass(t, dof):
+    """A(t|dof) = P(|T| <= t) for Student's t with integer dof >= 1.
+
+    Abramowitz & Stegun 26.7.3-4: with theta = atan(t / sqrt(dof)), A is
+    sin(theta) times a finite series in c = cos^2(theta) for even dof, and
+    (2/pi) (theta + sin(theta) cos(theta) times such a series) for odd dof.
+    Term k of either series is c^k times the product over j <= k of
+    (2j-1)/(2j) (even) or (2j)/(2j+1) (odd). c^k is exp(-k log1p(t^2/dof)):
+    a rounded c raised to the power k would carry k times its rounding
+    error, and k runs to dof / 2.
+    """
+    if dof == 1:
+        return 2.0 / math.pi * math.atan(t)
+    r = math.hypot(t, math.sqrt(dof))
+    sin, cos = t / r, math.sqrt(dof) / r
+    odd = dof % 2
+    k = np.arange(1, dof // 2, dtype=float)
+    terms = np.cumprod((2.0 * k - 1.0 + odd) / (2.0 * k + odd))
+    terms *= np.exp(-math.log1p(t * t / dof) * k)
+    series = 1.0 + float(terms.sum())
+    if not odd:
+        return sin * series
+    return 2.0 / math.pi * (math.atan2(t, math.sqrt(dof)) + sin * cos * series)
+
+
+@functools.lru_cache(maxsize=256)
+def t_quantile_975(dof):
+    """The 0.975 quantile of Student's t with dof degrees of freedom.
+
+    Solves A(t|dof) = 0.95 by Newton's method, the density of the step
+    from math.lgamma. A is concave in t > 0, so from a start below the
+    root every iterate stays below it and rises monotonically; the normal
+    quantile is such a start for every dof. dof must be an integer >= 1.
+    """
+    if not (dof >= 1 and float(dof).is_integer()):
+        raise ValueError(f"degrees of freedom must be an integer >= 1, got {dof!r}")
+    dof = int(dof)
+    t = 1.959963984540054  # the normal 0.975 quantile, below every t quantile
+    log_norm = (math.lgamma(0.5 * (dof + 1)) - math.lgamma(0.5 * dof)
+                - 0.5 * math.log(dof * math.pi))
+    for _ in range(100):
+        density = math.exp(log_norm - 0.5 * (dof + 1) * math.log1p(t * t / dof))
+        step = (0.95 - _t_central_mass(t, dof)) / (2.0 * density)
+        t += step
+        if abs(step) <= 1e-9 * t:  # Newton squares the error: t is final
+            break
+    return t
+
+
 def ci95(cov, dof, grads):
     """95% confidence half-widths of derived quantities, by the delta method.
 
@@ -79,7 +128,7 @@ def ci95(cov, dof, grads):
     parameters; its half-width is t_0.975(dof) * sqrt(max(g^T cov g, 0)).
     Unit rows pick the parameters themselves. Returns a list of floats.
     """
-    tq = float(stdtrit(dof, 0.975))
+    tq = t_quantile_975(dof)
     return [tq * math.sqrt(max(float(g @ cov @ g), 0.0)) for g in grads]
 
 

@@ -405,21 +405,24 @@ def test_module_entry_point_runs():
 
 
 def test_presets_leave_heavy_scipy_modules_unimported(tmp_path):
-    # Only scipy.special is needed. scipy.linalg serves the expm fallback
-    # for a defective Liouvillian, which no preset reaches, and
-    # scipy.integrate only the test oracles. Importing scipy.signal would
-    # pull in the others and cost about 0.4 s per process.
+    # No preset needs scipy: erf comes from math, the t quantile of
+    # lsq.ci95 is closed-form, and the expm fallback for a defective
+    # Liouvillian, imported when it runs, is reached by no preset.
+    # Importing scipy.special alone costs about 0.3 s per process.
     script = f"""
 import sys
-heavy = ("scipy.linalg", "scipy.signal", "scipy.stats", "scipy.integrate",
-         "scipy.interpolate", "scipy.optimize")
+def loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 import rabisim
-after_import = sorted(m for m in heavy if m in sys.modules)
+after_import = loaded()
+import rabisim.cli
+after_cli = loaded()
 from rabisim.cli import main
 from rabisim.scenario import PRESET_NAMES
+assert len(PRESET_NAMES) == 11, PRESET_NAMES
 for name in PRESET_NAMES:
     assert main(["reproduce", name, "--out", {str(tmp_path)!r}]) == 0, name
-print([after_import, sorted(m for m in heavy if m in sys.modules)])
+print([after_import, after_cli, loaded()])
 """
     src = str(Path(rabisim.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -427,7 +430,7 @@ print([after_import, sorted(m for m in heavy if m in sys.modules)])
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
                           text=True, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[[], []]"
+    assert proc.stdout.splitlines()[-1] == "[[], [], []]"
 
 
 def _scipy_imports(node, in_function=False):
@@ -447,13 +450,11 @@ def _scipy_imports(node, in_function=False):
 
 
 def test_scipy_import_sites_are_pinned():
-    # The runtime scipy dependency, one name per site: erf for the skew
-    # normal, the t quantile of lsq.ci95, and expm for the defective-
-    # Liouvillian fallback. A new scipy import has to be added here.
+    # The runtime scipy dependency is one name, imported where it is used:
+    # expm for the defective-Liouvillian fallback. A new scipy import has
+    # to be added here.
     sites = set()
     for path in sorted(Path(rabisim.__file__).parent.glob("*.py")):
         for name, in_function in _scipy_imports(ast.parse(path.read_text())):
             sites.add((path.stem, name, "function" if in_function else "module"))
-    assert sites == {("ensemble", "scipy.special.erf", "module"),
-                     ("lsq", "scipy.special.stdtrit", "module"),
-                     ("multilevel", "scipy.linalg.expm", "function")}
+    assert sites == {("multilevel", "scipy.linalg.expm", "function")}

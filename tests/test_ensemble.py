@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
+from rabisim import ensemble
 from rabisim.ensemble import (
     AtomModel,
     DetuningDistribution,
@@ -20,6 +21,8 @@ from rabisim.ensemble import (
     skewed_gaussian_density,
 )
 from rabisim.model import DriveParams, p1_two_level, p1_two_level_damped
+from rabisim.scans import scan_detuning
+from rabisim.scenario import ScenarioError, parse_scenario
 from rabisim.units import khz_to_angular
 
 OMEGA0 = khz_to_angular(9.0)
@@ -65,6 +68,44 @@ def test_skew_zero_density_is_the_normal_pdf():
     normal = np.exp(-0.5 * (x / sigma) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
     np.testing.assert_allclose(skewed_gaussian_density(sigma, 0.0, x), normal,
                                rtol=1e-15, atol=0.0)
+
+
+@pytest.mark.parametrize("skew", [-1e4, -3.0, -0.5, 0.5, 3.0, 300.0, 1e200])
+def test_skew_density_matches_scipy_erf_formula(skew):
+    # The stdlib erf against scipy's. The bound is absolute, relative to
+    # the peak: in the far tail 1 + erf cancels, so a relative error there
+    # says nothing about either erf.
+    from scipy.special import erf
+
+    sigma = 3.7
+    xi, w, _ = ensemble._skew_normal_params(sigma, skew)
+    x = np.linspace(-12.0 * sigma, 12.0 * sigma, 4001)
+
+    def formula(x):
+        z = (x - xi) / w
+        with np.errstate(over="ignore"):
+            cdf = 0.5 * (1.0 + erf(skew * z / math.sqrt(2.0)))
+        return (2.0 / w) * np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi) * cdf
+
+    expected = formula(x)
+    assert np.max(np.abs(skewed_gaussian_density(sigma, skew, x) - expected)) \
+        <= 1e-15 * expected.max()
+    for point in (x[1000], x[2000], x[3000]):
+        value = skewed_gaussian_density(sigma, skew, point)
+        assert np.ndim(value) == 0 and not isinstance(value, np.ndarray)
+        assert abs(value - formula(point)) <= 1e-15 * expected.max()
+
+
+def test_skew_zero_density_skips_erf():
+    # 0.5 (1 + erf(0)) is exactly 0.5, so the Gaussian takes no erf at all.
+    sigma = 3.7
+    xi, w, _ = ensemble._skew_normal_params(sigma, 0.0)
+    for x in (np.linspace(-8.0 * sigma, 8.0 * sigma, 1001), 0.5):
+        z = (np.asarray(x) - xi) / w
+        expected = (2.0 / w) * (np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)) * 0.5
+        value = skewed_gaussian_density(sigma, 0.0, x)
+        assert np.array_equal(value, expected)
+        assert isinstance(value, np.ndarray) == isinstance(x, np.ndarray)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "skewed_gaussian"])
@@ -155,6 +196,43 @@ def test_quadrature_miss_names_the_rule(half_width, miss):
     message = str(info.value)
     assert f"2001 nodes over +-{half_width:g} sigma misses {miss}" in message
     assert "widen" not in message
+
+
+def test_one_rule_per_distribution(monkeypatch):
+    # The rule depends on the distribution only, so a scan builds it once.
+    calls = []
+    real = ensemble.skewed_gaussian_density
+    monkeypatch.setattr(ensemble, "skewed_gaussian_density",
+                        lambda *args: calls.append(args) or real(*args))
+    ensemble._parametric_rule.cache_clear()
+    base = _config(8.0, skew=3.0)
+    rows = scan_detuning(base, khz_to_angular(np.linspace(-20.0, 20.0, 41)),
+                         times=np.arange(0.0, 1.0, 0.008), analysis="fft")
+    assert len(rows) == 41
+    assert len(calls) == 1
+
+    shifts, weights = _quadrature(base.distribution, base.quadrature_nodes,
+                                  base.support_half_width)
+    assert not shifts.flags.writeable and not weights.flags.writeable
+    with pytest.raises(ValueError):
+        weights[0] = 1.0
+
+    # A rejected rule is not cached: every call raises, with the same message.
+    narrow = DetuningDistribution(kind="skewed_gaussian", sigma=1.0, skew=20.0)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(QuadratureSupportError) as info:
+            _quadrature(narrow, 2001, 5.0)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    data = {"name": "narrow", "command": "simulate",
+            "drive": {"omega0_khz": 9.0, "delta_khz": 0.0},
+            "distribution": {"kind": "skewed_gaussian", "sigma_khz": 8.0, "skew": 20.0},
+            "ensemble": {"support_half_width": 5.0},
+            "time_grid": {"t_max_ms": 1.0, "dt_ms": 0.008}}
+    for _ in range(2):
+        with pytest.raises(ScenarioError, match="ensemble.support_half_width"):
+            parse_scenario(data)
 
 
 @pytest.fixture(scope="module")

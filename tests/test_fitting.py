@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import stdtrit
 
 from rabisim import fitting, lsq
 from rabisim.fitting import (
@@ -169,7 +168,7 @@ def test_ci95_is_the_delta_method_on_the_winners_covariance(monkeypatch):
         _damped_cosine(0.4, 2.0, khz_to_angular(9.0), 0.3, slope=0.05, offset=0.5),
         (0.01, 1.8))
     _, cov, n = seen[-1]
-    tq = float(stdtrit(n - 6, 0.975))
+    tq = lsq.t_quantile_975(n - 6)
     expected = tq * np.sqrt(np.diag(cov))
     assert [single.ci95[k] for k in ("A", "gamma", "omega", "phi", "B", "C")] == list(expected)
 
@@ -191,7 +190,7 @@ def test_ci95_is_the_delta_method_on_the_winners_covariance(monkeypatch):
         "fraction_a": (amp_b / total**2) * np.array([a1 / amp_a, a2 / amp_a, 0, 0, 0, 0, 0])
         - (amp_a / total**2) * np.array([0, 0, b1 / amp_b, b2 / amp_b, 0, 0, 0]),
     }
-    tq = float(stdtrit(n - 7, 0.975))
+    tq = lsq.t_quantile_975(n - 7)
     for name, grad in grads.items():
         grad = np.array(grad, dtype=float)
         assert two.ci95[name] == tq * math.sqrt(max(float(grad @ cov @ grad), 0.0)), name

@@ -7,6 +7,7 @@ from rabisim.lsq import (
     covariance,
     levenberg_marquardt,
     stacked_levenberg_marquardt,
+    t_quantile_975,
 )
 
 
@@ -98,6 +99,22 @@ def test_covariance_matches_known_variance():
 def test_covariance_none_when_underdetermined():
     jac = np.ones((2, 3))
     assert covariance(jac, 1.0) is None
+
+
+def test_t_quantile_matches_scipy_stdtrit():
+    # Every dof up to 3000, then a spread up to MAX_SAMPLES - 6, the largest
+    # dof a fit can see (a fit sees 23 and up).
+    from scipy.special import stdtrit
+
+    dofs = list(range(1, 3001)) + [5_000, 10_000, 50_000, 99_994]
+    ours = np.array([t_quantile_975(dof) for dof in dofs])
+    ref = stdtrit(np.array(dofs, dtype=float), 0.975)
+    rel = np.abs(ours / ref - 1.0)
+    assert rel.max() < 5e-12, dofs[int(rel.argmax())]
+    assert t_quantile_975(np.int64(30)) == t_quantile_975(30.0) == t_quantile_975(30)
+    for bad in (0, -3, 0.5, 2.5, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            t_quantile_975(bad)
 
 
 def _reference_solve_damped(jtj, jtr, lam):
