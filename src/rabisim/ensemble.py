@@ -65,13 +65,10 @@ def skewed_gaussian_density(sigma, skew, x):
     xi, w, _ = _skew_normal_params(sigma, skew)
     z = (x - xi) / w
     phi = np.exp(-0.5 * z * z) / _SQRT2PI
-    if skew == 0.0:
-        cdf = 0.5  # 0.5 (1 + erf(0)), exactly
-    else:
-        with np.errstate(over="ignore"):  # erf(+-inf) = +-1 is the limit
-            arg = float(skew) * z / math.sqrt(2.0)
-        # asarray, not astype: a scalar x gives a float here, not an array.
-        cdf = 0.5 * (1.0 + np.asarray(_erf(arg), dtype=float))
+    with np.errstate(over="ignore"):  # erf(+-inf) = +-1 is the limit
+        arg = float(skew) * z / math.sqrt(2.0)
+    # asarray, not astype: a scalar x gives a float here, not an array.
+    cdf = 0.5 * (1.0 + np.asarray(_erf(arg), dtype=float))
     return (2.0 / w) * phi * cdf
 
 

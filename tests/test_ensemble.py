@@ -68,6 +68,15 @@ def test_skew_zero_density_is_the_normal_pdf():
     normal = np.exp(-0.5 * (x / sigma) ** 2) / (math.sqrt(2.0 * math.pi) * sigma)
     np.testing.assert_allclose(skewed_gaussian_density(sigma, 0.0, x), normal,
                                rtol=1e-15, atol=0.0)
+    # 0.5 (1 + erf(+-0)) is exactly 0.5, so the skew-0 member is bitwise
+    # (2/w) phi(z) / 2, on an array and on a scalar, which stays a scalar.
+    xi, w, _ = ensemble._skew_normal_params(sigma, 0.0)
+    for point in (x, 0.5, -0.0):
+        z = (np.asarray(point) - xi) / w
+        expected = (2.0 / w) * (np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)) * 0.5
+        value = skewed_gaussian_density(sigma, 0.0, point)
+        assert np.array_equal(value, expected)
+        assert isinstance(value, np.ndarray) == isinstance(point, np.ndarray)
 
 
 @pytest.mark.parametrize("skew", [-1e4, -3.0, -0.5, 0.5, 3.0, 300.0, 1e200])
@@ -94,18 +103,6 @@ def test_skew_density_matches_scipy_erf_formula(skew):
         value = skewed_gaussian_density(sigma, skew, point)
         assert np.ndim(value) == 0 and not isinstance(value, np.ndarray)
         assert abs(value - formula(point)) <= 1e-15 * expected.max()
-
-
-def test_skew_zero_density_skips_erf():
-    # 0.5 (1 + erf(0)) is exactly 0.5, so the Gaussian takes no erf at all.
-    sigma = 3.7
-    xi, w, _ = ensemble._skew_normal_params(sigma, 0.0)
-    for x in (np.linspace(-8.0 * sigma, 8.0 * sigma, 1001), 0.5):
-        z = (np.asarray(x) - xi) / w
-        expected = (2.0 / w) * (np.exp(-0.5 * z * z) / math.sqrt(2.0 * math.pi)) * 0.5
-        value = skewed_gaussian_density(sigma, 0.0, x)
-        assert np.array_equal(value, expected)
-        assert isinstance(value, np.ndarray) == isinstance(x, np.ndarray)
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "skewed_gaussian"])

@@ -102,11 +102,13 @@ def test_covariance_none_when_underdetermined():
 
 
 def test_t_quantile_matches_scipy_stdtrit():
-    # Every dof up to 3000, then a spread up to MAX_SAMPLES - 6, the largest
-    # dof a fit can see (a fit sees 23 and up).
+    # Every dof up to 3000, then a spread of even and odd dof (the series
+    # differs by parity) up to MAX_SAMPLES - 6 and MAX_SAMPLES - 7, the
+    # largest dof of the two fit models (a fit sees 23 and up).
     from scipy.special import stdtrit
 
-    dofs = list(range(1, 3001)) + [5_000, 10_000, 50_000, 99_994]
+    dofs = list(range(1, 3001)) + [5_000, 5_001, 10_000, 50_000, 50_001,
+                                   99_993, 99_994]
     ours = np.array([t_quantile_975(dof) for dof in dofs])
     ref = stdtrit(np.array(dofs, dtype=float), 0.975)
     rel = np.abs(ours / ref - 1.0)
