@@ -69,8 +69,10 @@ def uniform_grid(times) -> tuple[float, float]:
         raise ValueError("empty time grid")
     if times.size < 2:
         raise ValueError("need at least two sample times")
-    dt = float(times[1] - times[0])
-    if dt <= 0 or not np.allclose(np.diff(times), dt, rtol=0.0, atol=1e-9 * dt):
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the check
+        dt = float(times[1] - times[0])
+        uniform = dt > 0 and np.all(np.abs(np.diff(times) - dt) <= 1e-9 * dt)
+    if not uniform:
         raise ValueError("sample times must be uniformly spaced and increasing")
     return float(times[0]), dt
 

@@ -22,7 +22,7 @@ from rabisim.ensemble import (
 )
 from rabisim.model import DriveParams, p1_two_level, p1_two_level_damped
 from rabisim.scans import scan_detuning
-from rabisim.scenario import ScenarioError, parse_scenario
+from rabisim.scenario import MAX_SAMPLES, ScenarioError, parse_scenario
 from rabisim.units import khz_to_angular
 
 OMEGA0 = khz_to_angular(9.0)
@@ -373,6 +373,51 @@ def test_monte_carlo_matches_chunked_oracle(gamma_khz):
         assert values[0] == 0.0
 
 
+_EXTENDED = pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                               reason="np.longdouble is float64 on this platform")
+
+
+@_EXTENDED
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 12, 32, 317])
+def test_rotations_match_extended_precision_reference(n):
+    # k theta is exact in long double (a 53-bit theta times k < 2^9), so the
+    # reference is cos and sin of the float64 angles themselves; the doubling
+    # may lose about one rounding per row.
+    theta = np.geomspace(1e-6, 1e3, 91)
+    theta = np.concatenate([theta, -theta])
+    table = ensemble._rotations(theta, n)
+    assert table.shape == (n, 2, theta.size)
+    assert np.all(table[0, 0] == 1.0) and np.all(table[0, 1] == 0.0)
+    angles = np.arange(n, dtype=np.longdouble)[:, None] * theta.astype(np.longdouble)
+    eps = np.finfo(float).eps
+    assert np.max(np.abs(table[:, 0] - np.cos(angles))) <= n * eps
+    assert np.max(np.abs(table[:, 1] - np.sin(angles))) <= n * eps
+
+
+@_EXTENDED
+@pytest.mark.parametrize("n_t", [20_001, MAX_SAMPLES])
+def test_long_grid_matches_extended_precision_oracle(n_t):
+    # The rotation tables' error grows with their length, so the kernel is
+    # pinned at the longest grid a scenario may ask for (316 and 317 rows)
+    # against a per-atom long double sum on the same float64 grid. It reads
+    # about 3e-15 here; one 100,000-row table per atom instead of the
+    # sqrt(T) split reads 4e-13, which a 1e-12 bound would let through.
+    drive = DriveParams(omega0=OMEGA0, delta=khz_to_angular(5.0))
+    shifts, weights = _quadrature(DetuningDistribution(kind="gaussian",
+                                                       sigma=khz_to_angular(8.0)), 101, 8.0)
+    times = (2.0 / (n_t - 1)) * np.arange(n_t)
+    values = ensemble._two_level_sum(drive, shifts, weights, 0.0, times,
+                                     0.0, float(times[1]))
+    omega = np.hypot(drive.omega0, drive.delta + shifts).astype(np.longdouble)
+    amp = 0.5 * (np.longdouble(drive.omega0) / omega) ** 2
+    t = times.astype(np.longdouble)
+    expected = np.zeros(n_t, dtype=np.longdouble)
+    for om, a, w in zip(omega, amp, weights.astype(np.longdouble)):
+        expected += w * a * (1.0 - np.cos(om * t))
+    assert np.max(np.abs(values - expected)) < 1e-13
+    assert values[0] == 0.0
+
+
 @pytest.mark.parametrize("times, message", [
     (np.array([]), "empty time grid"),
     (np.array([0.5]), "need at least two sample times"),
@@ -385,6 +430,21 @@ def test_bad_time_grids_raise(times, message):
         ensemble_signal(config, times)
     with pytest.raises(ValueError, match=message):
         monte_carlo_signal(config, times, 1000)
+
+
+def test_time_grid_validated_once_per_call(monkeypatch):
+    # The kernel takes (t0, dt) from its caller, so a Monte Carlo estimate
+    # checks its grid once, not once per 20000-sample chunk.
+    calls = []
+    real = ensemble.uniform_grid
+    monkeypatch.setattr(ensemble, "uniform_grid",
+                        lambda times: calls.append(times.size) or real(times))
+    config = _config(8.0, delta_khz=3.0)
+    trace = ensemble_signal(config, TIMES)
+    assert calls == [TIMES.size]
+    assert (trace.t0, trace.dt) == real(TIMES)
+    monte_carlo_signal(config, TIMES, 45000)
+    assert calls == [TIMES.size] * 2
 
 
 def test_monte_carlo_approaches_quadrature():

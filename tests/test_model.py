@@ -11,6 +11,7 @@ from rabisim.model import (
     generalized_rabi,
     p1_two_level,
     p1_two_level_damped,
+    uniform_grid,
 )
 from rabisim.units import TWO_PI, angular_to_khz, field_mg_to_khz, khz_to_angular
 
@@ -168,3 +169,24 @@ def test_trace_rejects_bad_grids():
         OscillationTrace.from_times(np.array([0.0, 0.1, 0.3]), np.zeros(3))
     with pytest.raises(ValueError):
         OscillationTrace.from_times(np.array([]), np.array([]))
+
+
+def test_uniform_grid_tolerance_and_non_finite_times():
+    # Each spacing may differ from the first by 1e-9 dt; a NaN or infinite
+    # time fails wherever it sits, also as the second of two samples.
+    times = 0.25 * np.arange(8)
+    assert uniform_grid(times) == (0.0, 0.25)
+    nudged = times.copy()
+    nudged[-1] += 0.5e-9 * 0.25
+    assert uniform_grid(nudged) == (0.0, 0.25)
+    nudged[-1] += 2e-9 * 0.25
+    bad = [nudged]
+    for value in (np.nan, np.inf, -np.inf):
+        for index in (0, 1, 7):
+            grid = times.copy()
+            grid[index] = value
+            bad.append(grid)
+    bad.append(np.array([0.0, np.inf]))
+    for grid in bad:
+        with pytest.raises(ValueError, match="uniformly spaced"):
+            uniform_grid(grid)
