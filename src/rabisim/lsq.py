@@ -37,9 +37,9 @@ def _solve_damped(jtj, jtr, lam):
     its least-squares solution without touching the other rows.
     """
     m, k, _ = jtj.shape
-    scale = np.zeros((m, k * k))  # diag(J^T J) as a matrix, one per row
-    np.maximum(jtj.reshape(m, k * k)[:, ::k + 1], 1e-300, out=scale[:, ::k + 1])
-    a = jtj + lam[:, None, None] * scale.reshape(m, k, k)
+    a = jtj.copy()
+    diag = a.reshape(m, k * k)[:, ::k + 1]  # strided view of each row's diagonal
+    diag += lam[:, None] * np.maximum(diag, 1e-300)
     try:
         return np.linalg.solve(a, jtr)[..., 0]
     except np.linalg.LinAlgError:

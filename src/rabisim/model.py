@@ -61,8 +61,11 @@ class OscillationTrace:
 def uniform_grid(times) -> tuple[float, float]:
     """Start t0 and spacing dt of a uniform, increasing time grid.
 
-    Raises ValueError for an empty grid, a single sample, or spacings that
-    differ from times[1] - times[0] by more than 1e-9 dt.
+    dt is the span over the steps, (times[-1] - times[0]) / (T - 1), so
+    t0 + k dt stays on the given times at every k; the first difference
+    would carry the rounding of t0 and drift from them as k grows. Raises
+    ValueError for an empty grid, a single sample, or spacings that differ
+    from dt by more than 1e-9 dt.
     """
     times = np.asarray(times, dtype=float)
     if times.size == 0:
@@ -70,7 +73,7 @@ def uniform_grid(times) -> tuple[float, float]:
     if times.size < 2:
         raise ValueError("need at least two sample times")
     with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the check
-        dt = float(times[1] - times[0])
+        dt = float(times[-1] - times[0]) / (times.size - 1)
         uniform = dt > 0 and np.all(np.abs(np.diff(times) - dt) <= 1e-9 * dt)
     if not uniform:
         raise ValueError("sample times must be uniformly spaced and increasing")

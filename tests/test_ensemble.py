@@ -20,7 +20,7 @@ from rabisim.ensemble import (
     monte_carlo_signal,
     skewed_gaussian_density,
 )
-from rabisim.model import DriveParams, p1_two_level, p1_two_level_damped
+from rabisim.model import DriveParams, p1_two_level, p1_two_level_damped, uniform_grid
 from rabisim.scans import scan_detuning
 from rabisim.scenario import MAX_SAMPLES, ScenarioError, parse_scenario
 from rabisim.units import khz_to_angular
@@ -360,12 +360,14 @@ def test_averages_match_independent_oracle(gamma_khz):
 @pytest.mark.parametrize("gamma_khz", [0.0, 0.7])
 def test_monte_carlo_matches_chunked_oracle(gamma_khz):
     for config in _oracle_configs(gamma_khz):
-        # 45000 samples leave a partial last chunk of 20000
-        n = 45000
+        # 46000 samples leave a partial last chunk
+        n = 46000
+        chunk = ensemble._MC_CHUNK
+        assert n % chunk
         samples = _sample_shifts(config.distribution, n, np.random.default_rng(3))
         acc = np.zeros_like(TIMES)
-        for start in range(0, n, 20000):
-            part = samples[start:start + 20000]
+        for start in range(0, n, chunk):
+            part = samples[start:start + chunk]
             acc += _oracle_populations(config.drive, part, config.atom_model.gamma,
                                        TIMES).sum(axis=0)
         values = monte_carlo_signal(config, TIMES, n, seed=3).values
@@ -386,28 +388,34 @@ def test_rotations_match_extended_precision_reference(n):
     theta = np.geomspace(1e-6, 1e3, 91)
     theta = np.concatenate([theta, -theta])
     table = ensemble._rotations(theta, n)
-    assert table.shape == (n, 2, theta.size)
-    assert np.all(table[0, 0] == 1.0) and np.all(table[0, 1] == 0.0)
+    assert table.shape == (n, theta.size)
+    assert np.all(table[0] == 1.0 + 0.0j)
     angles = np.arange(n, dtype=np.longdouble)[:, None] * theta.astype(np.longdouble)
     eps = np.finfo(float).eps
-    assert np.max(np.abs(table[:, 0] - np.cos(angles))) <= n * eps
-    assert np.max(np.abs(table[:, 1] - np.sin(angles))) <= n * eps
+    assert np.max(np.abs(table.real - np.cos(angles))) <= n * eps
+    assert np.max(np.abs(table.imag - np.sin(angles))) <= n * eps
 
 
 @_EXTENDED
-@pytest.mark.parametrize("n_t", [20_001, MAX_SAMPLES])
-def test_long_grid_matches_extended_precision_oracle(n_t):
+@pytest.mark.parametrize("t0, dt, n_t", [
+    pytest.param(0.0, 2.0 / 20_000, 20_001, id="20001"),
+    pytest.param(0.0, 2.0 / (MAX_SAMPLES - 1), MAX_SAMPLES, id=str(MAX_SAMPLES)),
+    pytest.param(0.37, 2e-5, MAX_SAMPLES, id=f"{MAX_SAMPLES}-offset"),
+])
+def test_long_grid_matches_extended_precision_oracle(t0, dt, n_t):
     # The rotation tables' error grows with their length, so the kernel is
     # pinned at the longest grid a scenario may ask for (316 and 317 rows)
     # against a per-atom long double sum on the same float64 grid. It reads
     # about 3e-15 here; one 100,000-row table per atom instead of the
-    # sqrt(T) split reads 4e-13, which a 1e-12 bound would let through.
+    # sqrt(T) split reads 4e-13, which a 1e-12 bound would let through. On
+    # the offset grid a dt taken from the first difference drifts from the
+    # given times and reads 1.0e-11.
     drive = DriveParams(omega0=OMEGA0, delta=khz_to_angular(5.0))
     shifts, weights = _quadrature(DetuningDistribution(kind="gaussian",
                                                        sigma=khz_to_angular(8.0)), 101, 8.0)
-    times = (2.0 / (n_t - 1)) * np.arange(n_t)
+    times = t0 + dt * np.arange(n_t)
     values = ensemble._two_level_sum(drive, shifts, weights, 0.0, times,
-                                     0.0, float(times[1]))
+                                     *uniform_grid(times))
     omega = np.hypot(drive.omega0, drive.delta + shifts).astype(np.longdouble)
     amp = 0.5 * (np.longdouble(drive.omega0) / omega) ** 2
     t = times.astype(np.longdouble)
@@ -415,7 +423,8 @@ def test_long_grid_matches_extended_precision_oracle(n_t):
     for om, a, w in zip(omega, amp, weights.astype(np.longdouble)):
         expected += w * a * (1.0 - np.cos(om * t))
     assert np.max(np.abs(values - expected)) < 1e-13
-    assert values[0] == 0.0
+    if t0 == 0.0:
+        assert values[0] == 0.0
 
 
 @pytest.mark.parametrize("times, message", [
@@ -434,7 +443,7 @@ def test_bad_time_grids_raise(times, message):
 
 def test_time_grid_validated_once_per_call(monkeypatch):
     # The kernel takes (t0, dt) from its caller, so a Monte Carlo estimate
-    # checks its grid once, not once per 20000-sample chunk.
+    # checks its grid once, not once per fixed-size chunk of samples.
     calls = []
     real = ensemble.uniform_grid
     monkeypatch.setattr(ensemble, "uniform_grid",

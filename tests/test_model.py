@@ -172,13 +172,14 @@ def test_trace_rejects_bad_grids():
 
 
 def test_uniform_grid_tolerance_and_non_finite_times():
-    # Each spacing may differ from the first by 1e-9 dt; a NaN or infinite
-    # time fails wherever it sits, also as the second of two samples.
+    # dt is the span over the seven steps, and each spacing may differ from
+    # it by 1e-9 dt; a NaN or infinite time fails wherever it sits, also as
+    # the second of two samples.
     times = 0.25 * np.arange(8)
     assert uniform_grid(times) == (0.0, 0.25)
     nudged = times.copy()
     nudged[-1] += 0.5e-9 * 0.25
-    assert uniform_grid(nudged) == (0.0, 0.25)
+    assert uniform_grid(nudged) == (0.0, (nudged[-1] - nudged[0]) / 7)
     nudged[-1] += 2e-9 * 0.25
     bad = [nudged]
     for value in (np.nan, np.inf, -np.inf):
