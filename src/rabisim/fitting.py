@@ -13,11 +13,12 @@ model
 pins one component at the known bare Rabi frequency and lets the other move;
 the amplitude ratio |A| / (|A| + |B|) is the pinned fraction of the signal.
 Both are least-squares fits with analytic Jacobians. The models and
-Jacobians are written for a stack of parameter rows, so every start of a
-fit advances in one `stacked_levenberg_marquardt` loop; each start's result
-is bitwise the one it would reach alone. Single-frequency starts come from
-the FFT, two-frequency starts from a coarse grid screened in one stacked
-solve.
+Jacobians are written for a stack of parameter rows, so the starts of a fit
+advance in one `stacked_levenberg_marquardt` loop; each start's result is
+bitwise the one it would reach alone. The single-frequency fit runs one
+start per FFT peak, at decay rate 1/span, and stops at the first peak whose
+fit passes r^2 > 0.9999; the two-frequency fit polishes two starts from a
+coarse grid screened in one stacked solve.
 """
 
 from __future__ import annotations
@@ -194,8 +195,10 @@ def _r_squared(y, ssr):
 def _fit_starts(residual, jacobian, groups, y, package, what, max_iter):
     """Run each group of starts as one stacked LM fit; package the winner.
 
-    groups yields (k, n_params) start arrays. The best converged start wins;
-    the remaining groups are skipped once it reaches r^2 > 0.9999. Only the
+    groups yields (k, n_params) start arrays: one (1, 6) start per FFT peak
+    for the single-frequency fit, one (2, 7) stack of grid starts for the
+    two-frequency fit. The converged start with the lowest ssr wins; the
+    remaining groups are skipped once it reaches r^2 > 0.9999. Only the
     winner's covariance is computed, and package(res, cov) builds the fit
     from it. When no start converges, FitFailure carries the best start
     packaged anyway.
@@ -227,16 +230,17 @@ _SINGLE_PARAM_NAMES = ("A", "gamma", "omega", "phi", "B", "C")
 
 
 def fit_single_frequency(trace: OscillationTrace, window=(0.01, 0.6), *,
-                         decay="exp", max_iter=200,
-                         gamma_guesses=None) -> SingleFreqFit:
+                         decay="exp", max_iter=200) -> SingleFreqFit:
     """Fit the single damped cosine with drift on the given time window.
 
-    Initial guesses come from the FFT peaks of the detrended window (up to
-    five of them), a quadrature demodulation for amplitude and phase,
-    and a straight line for the drift. gamma_guesses extends the built-in
-    decay-rate starts with caller knowledge (a known spread, say). A flat
-    window returns an A ~ 0 fit with infinite CIs rather than raising;
-    FitFailure is raised only when no start converges within max_iter.
+    Each FFT peak of the detrended window (up to five, strongest first)
+    gets one start: its frequency, the decay rate 1/span, a quadrature
+    demodulation for the phase, half the peak-to-peak for the amplitude and
+    a straight line for the drift. Peaks run in turn until a converged fit
+    passes r^2 > 0.9999; the converged fit with the lowest ssr is returned.
+    A flat window returns an A ~ 0 fit with infinite CIs rather than
+    raising; FitFailure is raised only when no start converges within
+    max_iter.
     """
     if decay not in ("exp", "gauss"):
         raise ValueError(f"unknown decay model {decay!r}")
@@ -252,19 +256,14 @@ def fit_single_frequency(trace: OscillationTrace, window=(0.01, 0.6), *,
     b0, c0 = _detrend_line(t, y)
     resid = y - (b0 * t + c0)
     omega_starts = _fft_peak_frequencies(t, resid, 5)
-    rate_starts = [0.1 / span, 1.0 / span, 3.0 / span]
-    if gamma_guesses is not None:
-        rate_starts += [float(g) for g in gamma_guesses if g > 0]
-
     a_guess = max(scale / 2.0, 1e-12)
 
     def groups():
-        # One group of rate starts per FFT peak, built only when reached.
+        # One start per FFT peak, built only when reached.
         for omega_guess in omega_starts:
             demod = np.sum(resid * np.exp(-1j * omega_guess * t))
             phi_guess = float(np.angle(demod))
-            yield np.array([[a_guess, rate, omega_guess, phi_guess, b0, c0]
-                            for rate in rate_starts])
+            yield np.array([[a_guess, 1.0 / span, omega_guess, phi_guess, b0, c0]])
 
     return _fit_starts(lambda P: _single_model(P, t, decay) - y,
                        lambda P: _single_jacobian(P, t, decay), groups(), y,

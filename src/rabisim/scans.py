@@ -54,16 +54,9 @@ def _default_times():
 
 
 def _analyze_single(trace, config, window, decay):
-    drive = config.drive
-    sigma = config.distribution.std_shift()
-    omega_r = math.hypot(drive.omega0, drive.delta)
-    guesses = [sigma]
-    if omega_r > 0 and sigma > 0:
-        guesses.append(sigma * abs(drive.delta) / omega_r)
-    fit = fit_single_frequency(trace, window, decay=decay,
-                               gamma_guesses=[g for g in guesses if g > 0] or None)
+    fit = fit_single_frequency(trace, window, decay=decay)
     return ScanRow(
-        detuning_khz=angular_to_khz(drive.delta),
+        detuning_khz=angular_to_khz(config.drive.delta),
         frequency_khz=angular_to_khz(fit.omega),
         frequency_ci_khz=angular_to_khz(fit.ci95["omega"]),
         amplitude=fit.A,

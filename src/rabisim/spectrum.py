@@ -7,13 +7,12 @@ fitted frequency per window converted to kHz.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .model import OscillationTrace
-from .units import TWO_PI, angular_to_khz
+from .units import angular_to_khz
 
 # Fewest samples fft_spectrum takes a spectrum of.
 MIN_FFT_SAMPLES = 16
@@ -174,12 +173,11 @@ def sliding_window_frequency(trace: OscillationTrace, window_length, hop, *,
     """Track the dominant frequency with short overlapping window fits.
 
     Each window of the given length (hopping by hop, both in ms) gets a
-    single-frequency fit whose frequency starts come from the window's own
-    FFT peaks; the trace's global FFT peak f0 adds only one decay-rate
-    start, 2 pi f0 / 10. Windows whose fit does not converge are skipped,
-    leaving gaps in the track.
-    The window must hold at least three periods of the global peak
-    frequency, else the estimate would not resolve the oscillation.
+    single-frequency fit whose starts come from the window's own FFT peaks.
+    Windows whose fit does not converge are skipped, leaving gaps in the
+    track. The trace's global FFT peak f0 only sets a guard: the window must
+    hold at least three periods of f0, else the estimate would not resolve
+    the oscillation.
     """
     from .fitting import FitFailure, fit_single_frequency
 
@@ -204,8 +202,7 @@ def sliding_window_frequency(trace: OscillationTrace, window_length, hop, *,
     while start + window_length <= t_end + 0.5 * trace.dt:
         stop = min(start + window_length, t[-1])
         try:
-            fit = fit_single_frequency(trace, (start, stop),
-                                       gamma_guesses=[TWO_PI * f0 / 10.0])
+            fit = fit_single_frequency(trace, (start, stop))
         except (FitFailure, ValueError):
             start += hop
             continue

@@ -107,9 +107,7 @@ def test_criterion_02_gaussian_decay_rate():
             )
             trace = ensemble_signal(config, times)
             expected = sigma * delta / math.hypot(OMEGA0, delta)
-            fit = fit_single_frequency(
-                trace, (0.0, times[-1]), decay="gauss", gamma_guesses=[expected]
-            )
+            fit = fit_single_frequency(trace, (0.0, times[-1]), decay="gauss")
             dev = abs(fit.gamma - expected) / expected
             worst = max(worst, dev)
     elapsed = time.perf_counter() - t0

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from rabisim import fitting, lsq
 from rabisim.fitting import (
     FitFailure,
+    _detrend_line,
+    _fft_peak_frequencies,
     _grid_starts,
     _window_slice,
     fit_single_frequency,
@@ -114,6 +116,57 @@ def test_single_fit_round_trip_property(a, gamma, f_khz, phi, offset):
     assert fit.A == pytest.approx(a, rel=2e-2)
 
 
+def _record_stacks(monkeypatch):
+    """Wrap the stacked LM loop; return the list of (starts, results) it ran."""
+    stacks = []
+    real = lsq.stacked_levenberg_marquardt
+
+    def recording(residual, jacobian, p0, **kwargs):
+        results = real(residual, jacobian, p0, **kwargs)
+        stacks.append((np.array(p0), results))
+        return results
+
+    monkeypatch.setattr(lsq, "stacked_levenberg_marquardt", recording)
+    return stacks
+
+
+def test_single_fit_runs_one_start_per_fft_peak(monkeypatch):
+    stacks = _record_stacks(monkeypatch)
+    window = (0.01, 1.8)
+    clean = _damped_cosine(0.4, 2.0, khz_to_angular(9.0), 0.3, slope=0.05, offset=0.5)
+    fit = fit_single_frequency(clean, window)
+    t, _ = _window_slice(clean, window)
+    span = t[-1] - t[0]
+    assert fit.r_squared > 0.9999
+    assert len(stacks) == 1
+    (p0, results), = stacks
+    assert p0.shape == (1, 6)
+    assert p0[0, 1] == 1.0 / span
+    assert fit.ssr == results[0].ssr
+
+    # Two undamped tones: no single cosine passes r^2 0.9999, so the second
+    # FFT peak gets its own start, and it is the better fit here.
+    stacks.clear()
+    y = (0.4 * np.exp(-TIMES) * np.cos(khz_to_angular(9.0) * TIMES + 0.3)
+         + 0.2 * np.cos(khz_to_angular(15.0) * TIMES) + 0.5)
+    two_tone = OscillationTrace.from_times(TIMES, y)
+    fit = fit_single_frequency(two_tone, window)
+    t, y = _window_slice(two_tone, window)
+    b0, c0 = _detrend_line(t, y)
+    peaks = _fft_peak_frequencies(t, y - (b0 * t + c0), 5)
+    assert len(peaks) >= 2
+    assert fit.r_squared < 0.9999
+    assert len(stacks) == len(peaks)
+    for (p0, results), omega in zip(stacks, peaks):
+        assert p0.shape == (1, 6)
+        assert p0[0, 1] == 1.0 / span
+        assert p0[0, 2] == omega
+        assert results[0].converged
+    ssrs = [results[0].ssr for _, results in stacks]
+    assert fit.ssr == min(ssrs)
+    assert ssrs[1] < ssrs[0]
+
+
 def _two_component(a, phi_a, b, omega_bar, phi_b, gamma_b, offset, omega0, times=TIMES):
     y = (
         a * np.cos(omega0 * times + phi_a)
@@ -143,7 +196,7 @@ def test_fits_compute_the_covariance_of_the_returned_start_only(monkeypatch):
     real = lsq.covariance
     monkeypatch.setattr(lsq, "covariance",
                         lambda jac, ssr: calls.append(ssr) or real(jac, ssr))
-    # at least three rate starts run for the one FFT frequency
+    # one start runs for the one FFT peak
     single = fit_single_frequency(
         _damped_cosine(0.4, 2.0, khz_to_angular(9.0), 0.3, slope=0.05, offset=0.5),
         (0.01, 1.8))
