@@ -12,13 +12,15 @@ model
 
 pins one component at the known bare Rabi frequency and lets the other move;
 the amplitude ratio |A| / (|A| + |B|) is the pinned fraction of the signal.
-Both are least-squares fits with analytic Jacobians. The models and
-Jacobians are written for a stack of parameter rows, so the starts of a fit
-advance in one `stacked_levenberg_marquardt` loop; each start's result is
-bitwise the one it would reach alone. The single-frequency fit runs one
-start per FFT peak, at decay rate 1/span, and stops at the first peak whose
-fit passes r^2 > 0.9999; the two-frequency fit polishes two starts from a
-coarse grid screened in one stacked solve.
+Both are least-squares fits with analytic Jacobians. Each model has one
+evaluation, written for a stack of parameter rows, that returns residuals
+and Jacobian from a single pass over exp, cos and sin, so the starts of a
+fit advance in one `stacked_levenberg_marquardt` loop at one evaluation per
+trial; each start's result is bitwise the one it would reach alone. The
+single-frequency fit runs one start per FFT peak, at decay rate 1/span, and
+stops at the first peak whose fit passes r^2 > 0.9999; the two-frequency
+fit polishes two starts from a coarse grid, screened in one stacked QR once
+the three columns every node shares are projected out.
 """
 
 from __future__ import annotations
@@ -155,15 +157,9 @@ def _env_exp(gamma, t):
     return np.exp(np.minimum(-gamma * t, 50.0))
 
 
-def _single_model(P, t, decay):
-    """(m, n) model values for an (m, 6) stack of parameter rows."""
-    a, gamma, omega, phi, b, c = P.T[..., None]
-    env = _env_exp(gamma, t) if decay == "exp" else np.exp(-0.5 * (gamma * t) ** 2)
-    return a * env * np.cos(omega * t + phi) + b * t + c
-
-
-def _single_jacobian(P, t, decay):
-    """(m, n, 6) derivatives of _single_model."""
+def _single_eval(P, t, y, decay):
+    """(m, n) residuals and (m, n, 6) Jacobian for an (m, 6) stack of
+    parameter rows, from one pass over exp, cos and sin."""
     a, gamma, omega, phi, b, c = P.T[..., None]
     if decay == "exp":
         env = _env_exp(gamma, t)
@@ -174,15 +170,15 @@ def _single_jacobian(P, t, decay):
     phase = omega * t + phi
     cos_part = np.cos(phase)
     sin_part = np.sin(phase)
+    a_env = a * env
     jac = np.empty((len(P), t.size, 6))
     jac[..., 0] = env * cos_part
     jac[..., 1] = a * denv * cos_part
-    neg_a_env = -a * env
-    jac[..., 2] = neg_a_env * t * sin_part
-    jac[..., 3] = neg_a_env * sin_part
+    jac[..., 2] = -a_env * t * sin_part
+    jac[..., 3] = -a_env * sin_part
     jac[..., 4] = t
     jac[..., 5] = 1.0
-    return jac
+    return a_env * cos_part + b * t + c - y, jac
 
 
 def _r_squared(y, ssr):
@@ -192,22 +188,22 @@ def _r_squared(y, ssr):
     return 1.0 - ssr / ss_tot
 
 
-def _fit_starts(residual, jacobian, groups, y, package, what, max_iter):
+def _fit_starts(evaluate, groups, y, package, what, max_iter):
     """Run each group of starts as one stacked LM fit; package the winner.
 
+    evaluate(P) returns the residuals and Jacobian of a parameter stack.
     groups yields (k, n_params) start arrays: one (1, 6) start per FFT peak
     for the single-frequency fit, one (2, 7) stack of grid starts for the
     two-frequency fit. The converged start with the lowest ssr wins; the
     remaining groups are skipped once it reaches r^2 > 0.9999. Only the
-    winner's covariance is computed, and package(res, cov) builds the fit
-    from it. When no start converges, FitFailure carries the best start
-    packaged anyway.
+    winner's covariance is computed, from the Jacobian the LM loop returns
+    with it, and package(res, cov) builds the fit from it. When no start
+    converges, FitFailure carries the best start packaged anyway.
     """
     best = None
     best_converged = None
     for p0 in groups:
-        for res in lsq.stacked_levenberg_marquardt(residual, jacobian, p0,
-                                                   max_iter=max_iter):
+        for res in lsq.stacked_levenberg_marquardt(evaluate, p0, max_iter=max_iter):
             if best is None or res.ssr < best.ssr:
                 best = res
             if res.converged and (best_converged is None or res.ssr < best_converged.ssr):
@@ -216,7 +212,7 @@ def _fit_starts(residual, jacobian, groups, y, package, what, max_iter):
             break
 
     chosen = best_converged if best_converged is not None else best
-    cov = lsq.covariance(jacobian(chosen.params[None])[0], chosen.ssr)
+    cov = lsq.covariance(chosen.jac, chosen.ssr)
     fit = package(chosen, cov)
     if best_converged is None:
         raise FitFailure(
@@ -265,8 +261,7 @@ def fit_single_frequency(trace: OscillationTrace, window=(0.01, 0.6), *,
             phi_guess = float(np.angle(demod))
             yield np.array([[a_guess, 1.0 / span, omega_guess, phi_guess, b0, c0]])
 
-    return _fit_starts(lambda P: _single_model(P, t, decay) - y,
-                       lambda P: _single_jacobian(P, t, decay), groups(), y,
+    return _fit_starts(lambda P: _single_eval(P, t, y, decay), groups(), y,
                        lambda res, cov: _package_single(res, cov, y, decay),
                        "single-frequency", max_iter)
 
@@ -289,25 +284,6 @@ def _package_single(res, cov, y, decay) -> SingleFreqFit:
                          converged=res.converged, ssr=res.ssr, n_iter=res.n_iter)
 
 
-def _two_freq_designs(t, y, omega0, omega_bar, gamma_b):
-    """(w * g, n, 6) linear designs of the (omega_bar, gamma_b) grid nodes,
-    each followed by the data column y.
-
-    Node i is (omega_bar[i // g], gamma_b[i % g]); its design columns are
-    the amplitudes of cos and sin at omega0 and at omega_bar, and the offset.
-    """
-    env = np.exp(-0.5 * (gamma_b[:, None] * t) ** 2)
-    phase = omega_bar[:, None] * t
-    augmented = np.empty((omega_bar.size, gamma_b.size, t.size, 6))
-    augmented[..., 0] = np.cos(omega0 * t)
-    augmented[..., 1] = np.sin(omega0 * t)
-    augmented[..., 2] = env * np.cos(phase)[:, None]
-    augmented[..., 3] = env * np.sin(phase)[:, None]
-    augmented[..., 4] = 1.0
-    augmented[..., 5] = y
-    return augmented.reshape(-1, t.size, 6)
-
-
 def _lstsq(design, y):
     """Least-squares coefficients of one node and their residual sum."""
     coef, res_ss, rank, _ = np.linalg.lstsq(design, y, rcond=None)
@@ -317,25 +293,43 @@ def _lstsq(design, y):
     return float(diff @ diff), coef
 
 
-def _grid_starts(t, y, omega0):
+def _grid_starts(t, y, omega0, cos0, sin0):
     """The best (omega_bar, gamma_b) grid node and the best one from a
     different grid region, as (grid index, omega_bar, gamma_b, coef) tuples.
 
-    Nodes rank by their lstsq residual sum, ties to the lower grid index.
-    One stacked QR of every node's [design | y] screens the grid: |R[5, 5]|
-    is the norm of y's residual after projection onto the design's column
-    space, so its square equals the node's residual sum to rounding and
-    never exceeds it (a rank-deficient node's lstsq solution drops small
-    singular directions). Nodes are then solved exactly with lstsq in screen
-    order until the screen passes the best exact sum by 1e-9 |y|^2, far
-    above the rounding, so no node left unsolved can win or tie.
+    Node i is (omega_bar[i // 16], gamma_b[i % 16]); its design columns are
+    cos0 and sin0 (cos and sin of omega0 t), u = env cos(omega_bar t),
+    v = env sin(omega_bar t) and the offset. Nodes rank by their lstsq
+    residual sum, ties to the lower grid index. The three columns every
+    node shares are projected out once, through one reduced QR, and one
+    stacked QR of every node's [u_perp v_perp y_perp] screens the grid:
+    |R[2, 2]| is the norm of y's residual after projection onto the span of
+    all five columns, so its square equals the node's residual sum to
+    rounding and never exceeds it (a rank-deficient node's lstsq solution
+    drops small singular directions). Nodes are then solved exactly with
+    lstsq in screen order until the screen passes the best exact sum by
+    1e-9 |y|^2, far above the rounding, so no node left unsolved can win or
+    tie. Only the designs of the nodes solved are built.
     """
     omega_bar = omega0 * np.linspace(1.0, 4.0, 24)
     gamma_b = omega0 * np.linspace(0.02, 2.0, 16)
     node_omega_bar = np.repeat(omega_bar, gamma_b.size)
     node_gamma_b = np.tile(gamma_b, omega_bar.size)
-    augmented = _two_freq_designs(t, y, omega0, omega_bar, gamma_b)
-    screen = np.linalg.qr(augmented, mode="r")[:, 5, 5] ** 2
+    env = np.exp(-0.5 * (gamma_b[:, None] * t) ** 2)
+    phase = omega_bar[:, None] * t
+    cos_bar, sin_bar = np.cos(phase), np.sin(phase)
+    ones = np.ones_like(t)
+    n_nodes = node_omega_bar.size
+    cols = np.empty((2 * n_nodes + 1, t.size))  # the u rows, the v rows, y
+    moving = cols[:-1].reshape(2, omega_bar.size, gamma_b.size, t.size)
+    np.multiply(env, cos_bar[:, None], out=moving[0])
+    np.multiply(env, sin_bar[:, None], out=moving[1])
+    cols[-1] = y
+    q = np.linalg.qr(np.column_stack([cos0, sin0, ones]))[0]
+    cols -= (cols @ q) @ q.T
+    u_v_y = np.stack([cols[:n_nodes], cols[n_nodes:-1],
+                      np.broadcast_to(cols[-1], (n_nodes, t.size))], axis=-1)
+    screen = np.linalg.qr(u_v_y, mode="r")[:, 2, 2] ** 2
     tol = 1e-9 * float(y @ y)
 
     def best_of(nodes):
@@ -343,29 +337,24 @@ def _grid_starts(t, y, omega0):
         for i in nodes[np.argsort(screen[nodes], kind="stable")]:
             if best is not None and screen[i] > best[0] + tol:
                 break
-            ssr, coef = _lstsq(augmented[i, :, :5], y)
+            w, g = divmod(i, gamma_b.size)
+            ssr, coef = _lstsq(np.column_stack(
+                [cos0, sin0, env[g] * cos_bar[w], env[g] * sin_bar[w], ones]), y)
             if best is None or (ssr, i) < (best[0], best[2]):
                 best = (ssr, coef, i)
         _, coef, i = best
         return i, node_omega_bar[i], node_gamma_b[i], coef
 
-    first = best_of(np.arange(len(augmented)))
+    first = best_of(np.arange(n_nodes))
     far = np.flatnonzero((np.abs(node_omega_bar - first[1]) > 0.25 * omega0)
                          | (np.abs(node_gamma_b - first[2]) > 0.25 * omega0))
     return [first, best_of(far)] if far.size else [first]
 
 
-def _two_freq_model(P, t, omega0):
-    """(m, n) model values for an (m, 7) stack of parameter rows."""
-    a1, a2, b1, b2, c, du, gb = P.T[..., None]
-    omega_bar = omega0 + np.abs(du)
-    env = np.exp(-0.5 * (np.abs(gb) * t) ** 2)
-    return (a1 * np.cos(omega0 * t) + a2 * np.sin(omega0 * t)
-            + env * (b1 * np.cos(omega_bar * t) + b2 * np.sin(omega_bar * t)) + c)
-
-
-def _two_freq_jacobian(P, t, omega0):
-    """(m, n, 7) derivatives of _two_freq_model."""
+def _two_freq_eval(P, t, y, omega0, cos0, sin0):
+    """(m, n) residuals and (m, n, 7) Jacobian of the two-frequency model
+    for an (m, 7) stack of parameter rows; cos0 and sin0 are cos and sin of
+    omega0 t."""
     a1, a2, b1, b2, c, du, gb = P.T[..., None]
     omega_bar = omega0 + np.abs(du)
     gb_abs = np.abs(gb)
@@ -374,14 +363,14 @@ def _two_freq_jacobian(P, t, omega0):
     sin_bar = np.sin(omega_bar * t)
     fast = b1 * cos_bar + b2 * sin_bar
     jac = np.empty((len(P), t.size, 7))
-    jac[..., 0] = np.cos(omega0 * t)
-    jac[..., 1] = np.sin(omega0 * t)
+    jac[..., 0] = cos0
+    jac[..., 1] = sin0
     jac[..., 2] = env * cos_bar
     jac[..., 3] = env * sin_bar
     jac[..., 4] = 1.0
     jac[..., 5] = np.copysign(1.0, du) * env * t * (-b1 * sin_bar + b2 * cos_bar)
     jac[..., 6] = np.copysign(1.0, gb) * (-gb_abs * t * t) * env * fast
-    return jac
+    return a1 * cos0 + a2 * sin0 + env * fast + c - y, jac
 
 
 def fit_two_frequency(trace: OscillationTrace, omega0, window=None, *,
@@ -392,12 +381,13 @@ def fit_two_frequency(trace: OscillationTrace, omega0, window=None, *,
     the default window is ten bare periods from the start of the trace,
     clipped to its end. The slow component's decay is fixed at zero.
     Initialization scans a coarse 24 x 16 (omega_bar, gamma_b) grid where
-    the amplitudes and offset are linear: one stacked QR screens the
-    residual sum of every node, and the nodes the screen cannot separate
-    from the best are re-solved exactly with lstsq and ranked by (residual
-    sum, grid index), as a per-node lstsq scan would rank them.
-    The best node and the best node from a different grid region are then
-    polished together in one stacked nonlinear fit.
+    the amplitudes and offset are linear: with the columns all nodes share
+    projected out once, one stacked QR screens the residual sum of every
+    node, and the nodes the screen cannot separate from the best are
+    re-solved exactly with lstsq and ranked by (residual sum, grid index),
+    as a per-node lstsq scan would rank them. The best node and the best
+    node from a different grid region are then polished together in one
+    stacked nonlinear fit.
     """
     omega0 = float(omega0)
     if omega0 <= 0:
@@ -417,10 +407,11 @@ def fit_two_frequency(trace: OscillationTrace, omega0, window=None, *,
                           fraction_a=0.0, ci95=ci, indistinguishable=True,
                           fraction_ci_wide=True, converged=True)
 
+    cos0, sin0 = np.cos(omega0 * t), np.sin(omega0 * t)
     p0 = np.array([[*coef, max(omega_bar - omega0, 1e-6), gamma_b]
-                   for _, omega_bar, gamma_b, coef in _grid_starts(t, y, omega0)])
-    return _fit_starts(lambda P: _two_freq_model(P, t, omega0) - y,
-                       lambda P: _two_freq_jacobian(P, t, omega0), [p0], y,
+                   for _, omega_bar, gamma_b, coef
+                   in _grid_starts(t, y, omega0, cos0, sin0)])
+    return _fit_starts(lambda P: _two_freq_eval(P, t, y, omega0, cos0, sin0), [p0], y,
                        lambda res, cov: _package_two(res, cov, y, omega0),
                        "two-frequency", max_iter)
 

@@ -3,9 +3,12 @@
 One Levenberg-style damped Gauss-Newton loop, `stacked_levenberg_marquardt`,
 advances a stack of starts at once: every row keeps its own damping, step
 acceptance, stop rule, iteration count and message, and a row that has
-finished is frozen and leaves the stack. The stacked products and solves
-are bitwise equal to the per-row 2-D calls, so each row's result equals
-that start run alone. `levenberg_marquardt` is the one-start wrapper.
+finished is frozen and leaves the stack. The model is evaluated once per
+trial: one callable returns the residual and the Jacobian from a single
+pass, and the accepted trial's Jacobian carries over to the next iteration
+and, at the end, into the result. The stacked products and solves are
+bitwise equal to the per-row 2-D calls, so each row's result equals that
+start run alone. `levenberg_marquardt` is the one-start wrapper.
 Problem sizes here are tiny (hundreds of samples, at most eight
 parameters), so dense normal equations are perfectly fine and keep the
 implementation auditable.
@@ -20,14 +23,16 @@ import numpy as np
 
 
 class LsqResult:
-    """Where one start ended: params, ssr, n_iter, converged and message."""
+    """Where one start ended: params, ssr, n_iter, converged, message and
+    jac, the Jacobian at params."""
 
-    def __init__(self, params, ssr, n_iter, converged, message=""):
+    def __init__(self, params, ssr, n_iter, converged, message="", jac=None):
         self.params = params
         self.ssr = ssr
         self.n_iter = n_iter
         self.converged = converged
         self.message = message
+        self.jac = jac
 
 
 def _solve_damped(jtj, jtr, lam):
@@ -132,38 +137,40 @@ def ci95(cov, dof, grads):
     return [tq * math.sqrt(max(float(g @ cov @ g), 0.0)) for g in grads]
 
 
-def stacked_levenberg_marquardt(residual, jacobian, p0, *, max_iter=200,
-                                lam0=1e-3):
-    """Minimize sum(residual(p)^2) from every row of the (s, k) starts p0.
+def stacked_levenberg_marquardt(evaluate, p0, *, max_iter=200, lam0=1e-3):
+    """Minimize sum(r(p)^2) from every row of the (s, k) starts p0.
 
-    residual(P) maps an (m, k) stack of parameter rows to the (m, n)
-    residuals and jacobian(P) to the (m, n, k) derivatives; both are called
-    on subsets of the rows, so each output row may depend on its own input
-    row only. Damping lambda shrinks on accepted steps and grows on rejected
-    ones, per row. Returns one LsqResult per start, in order. Never raises
-    for non-convergence; the caller checks `converged` and decides.
+    evaluate(P) maps an (m, k) stack of parameter rows to the (m, n)
+    residuals and the (m, n, k) Jacobian, both from one pass over the
+    model. It is called on subsets of the rows, so each output row may
+    depend on its own input row only. Each trial step is evaluated once:
+    the Jacobian of the accepted trial is the next iteration's. Damping
+    lambda shrinks on accepted steps and grows on rejected ones, per row.
+    Returns one LsqResult per start, in order, whose jac is the Jacobian at
+    its params. Never raises for non-convergence; the caller checks
+    `converged` and decides.
     """
     p = np.array(p0, dtype=float)
     s = p.shape[0]
+    r, jac = evaluate(p)
     out_p = p.copy()
     out_ssr = np.empty(s)
+    out_jac = np.empty_like(jac)
     n_iter = np.full(s, max(max_iter, 0))
     converged = np.zeros(s, dtype=bool)
     message = ["iteration cap reached"] * s
 
     rows = np.arange(s)  # the start each active row belongs to
-    r = residual(p)
     ssr = _sq_norms(r)
     lam = np.full(s, float(lam0))
 
     def retire(done, it, text, conv):
         for pos in np.flatnonzero(done):
             row = rows[pos]
-            out_p[row], out_ssr[row] = p[pos], ssr[pos]
+            out_p[row], out_ssr[row], out_jac[row] = p[pos], ssr[pos], jac[pos]
             n_iter[row], converged[row], message[row] = it, conv, text[pos]
 
     for it in range(1, max_iter + 1):
-        jac = jacobian(p)
         bad = ~(np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(ssr))
         if bad.any():
             retire(bad, it, ["non-finite residual or Jacobian"] * len(p), False)
@@ -177,41 +184,42 @@ def stacked_levenberg_marquardt(residual, jacobian, p0, *, max_iter=200,
         # Damped step search, up to 30 tries of the whole stack: each row
         # takes its first decreasing step, and a retry multiplies lambda by 5
         # for the rows still without one. A row with none is stationary to
-        # float precision: it keeps its iterate (dp = 0) and stops.
-        # Every ssr is finite here, so `<=` also rejects non-finite trials.
-        dp, r_new, ssr_new = np.zeros_like(p), r, ssr
+        # float precision: it keeps its iterate (dp = 0) and its Jacobian,
+        # and stops. Every ssr is finite here, so `<=` also rejects
+        # non-finite trials.
+        dp, r_new, ssr_new, jac_new = np.zeros(p.shape), r, ssr, jac
         ok = np.zeros(len(p), dtype=bool)
         for attempt in range(30):
             if attempt:
                 lam = np.where(ok, lam, 5.0 * lam)
             dp_t = _solve_damped(jtj, jtr, lam)
-            r_t = residual(p - dp_t)
+            r_t, jac_t = evaluate(p - dp_t)
             ssr_t = _sq_norms(r_t)
             take = ~ok & (ssr_t <= ssr)
             if take.all():
-                dp, r_new, ssr_new, ok = dp_t, r_t, ssr_t, take
+                dp, r_new, ssr_new, jac_new, ok = dp_t, r_t, ssr_t, jac_t, take
                 break
             dp = np.where(take[:, None], dp_t, dp)
             r_new = np.where(take[:, None], r_t, r_new)
             ssr_new = np.where(take, ssr_t, ssr_new)
+            jac_new = np.where(take[:, None, None], jac_t, jac_new)
             ok |= take
             if ok.all():
                 break
         p_new = p - dp
         rel_drop = (ssr - ssr_new) / np.maximum(ssr, 1e-300)
-        rel_step = np.max(np.abs(dp) / np.maximum(np.abs(p_new), 1e-12), axis=1)
+        rel_step = (np.abs(dp) / np.maximum(np.abs(p_new), 1e-12)).max(axis=1)
         stop = ~ok | (rel_drop < 1e-12) | (rel_step < 1e-12)
-        p, r, ssr = p_new, r_new, ssr_new
+        p, r, ssr, jac = p_new, r_new, ssr_new, jac_new
         lam = np.maximum(lam / 3.0, 1e-14)
         if stop.any():
             retire(stop, it, ["converged" if o else "no decreasing step" for o in ok], True)
-            p, r, ssr, lam, rows = (x[~stop] for x in (p, r, ssr, lam, rows))
+            p, r, ssr, lam, rows, jac = (x[~stop] for x in (p, r, ssr, lam, rows, jac))
             if not rows.size:
                 break
-    out_p[rows], out_ssr[rows] = p, ssr
-    return [LsqResult(params=out_p[i], ssr=float(out_ssr[i]),
-                      n_iter=int(n_iter[i]), converged=bool(converged[i]),
-                      message=message[i])
+    out_p[rows], out_ssr[rows], out_jac[rows] = p, ssr, jac
+    return [LsqResult(params=out_p[i], ssr=float(out_ssr[i]), n_iter=int(n_iter[i]),
+                      converged=bool(converged[i]), message=message[i], jac=out_jac[i])
             for i in range(s)]
 
 
@@ -220,9 +228,9 @@ def levenberg_marquardt(residual, jacobian, p0, *, max_iter=200, lam0=1e-3):
 
     residual(p) returns the (n,) residual vector, jacobian(p) the (n, k)
     matrix of its derivatives. The one-start form of
-    stacked_levenberg_marquardt.
+    stacked_levenberg_marquardt, which evaluates the two together.
     """
     (res,) = stacked_levenberg_marquardt(
-        lambda P: residual(P[0])[None], lambda P: jacobian(P[0])[None],
+        lambda P: (residual(P[0])[None], jacobian(P[0])[None]),
         np.asarray(p0, dtype=float)[None], max_iter=max_iter, lam0=lam0)
     return res

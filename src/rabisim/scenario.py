@@ -235,7 +235,8 @@ def load_scenario_dict(path) -> dict:
     if not path.is_file():
         raise ScenarioError(f"scenario file not found: {path}")
     try:
-        data = yaml.safe_load(path.read_text())
+        # libyaml's parser where PyYAML has it; both build the same dicts
+        data = yaml.load(path.read_text(), Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         raise ScenarioError(f"{path}: invalid YAML: {exc}") from exc
     if not isinstance(data, dict):

@@ -437,6 +437,12 @@ def test_criterion_11_fieldmap_asymmetry(preset_outputs):
 
 
 def test_criterion_12_determinism(tmp_path):
+    """Two full preset runs in one process write byte-identical CSVs.
+
+    The guarantee is per numpy build and BLAS kernel: another kernel can
+    move fitted numbers at rounding level, and test_cli checks that such a
+    move changes no flag, error or text cell.
+    """
     t0 = time.perf_counter()
     runs = []
     for tag in ("one", "two"):

@@ -90,6 +90,44 @@ def test_rerun_is_byte_identical(tmp_path):
     assert (out1 / "homog.csv").read_bytes() == (out2 / "homog.csv").read_bytes()
 
 
+def _uses_openblas():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return False
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+@pytest.mark.skipif(not _uses_openblas(), reason="numpy is not built on OpenBLAS")
+def test_second_blas_kernel_moves_no_flag_or_text_cell(tmp_path):
+    # Byte identity holds per BLAS kernel: OPENBLAS_CORETYPE picks another
+    # OpenBLAS kernel for the process, which may move fitted numbers at
+    # rounding level, but no flag, error or text cell, and no row.
+    script = """
+import sys
+from rabisim.cli import main
+for name in ("fig3a", "fig7b"):
+    assert main(["reproduce", name, "--out", sys.argv[1]]) == 0, name
+"""
+    src = str(Path(rabisim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.pop("OPENBLAS_CORETYPE", None)
+    outs = []
+    for tag, coretype in (("default", None), ("prescott", "Prescott")):
+        out = tmp_path / tag
+        out.mkdir()
+        run_env = dict(env, OPENBLAS_CORETYPE=coretype) if coretype else env
+        proc = subprocess.run([sys.executable, "-c", script, str(out)],
+                              capture_output=True, text=True, env=run_env)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(str(out))
+    compare = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
+    proc = subprocess.run([sys.executable, str(compare), *outs],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout
+
+
 def test_seed_override_changes_metadata_only(tmp_path):
     config = _write(tmp_path, SIMULATE_YAML)
     out1 = tmp_path / "a"

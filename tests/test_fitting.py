@@ -15,7 +15,8 @@ from rabisim.fitting import (
     fit_single_frequency,
     fit_two_frequency,
 )
-from rabisim.model import OscillationTrace
+from rabisim.ensemble import AtomModel, DetuningDistribution, EnsembleConfig, ensemble_signal
+from rabisim.model import DriveParams, OscillationTrace
 from rabisim.units import TWO_PI, khz_to_angular
 
 TIMES = np.arange(0.0, 2.0, 0.004)
@@ -121,8 +122,8 @@ def _record_stacks(monkeypatch):
     stacks = []
     real = lsq.stacked_levenberg_marquardt
 
-    def recording(residual, jacobian, p0, **kwargs):
-        results = real(residual, jacobian, p0, **kwargs)
+    def recording(evaluate, p0, **kwargs):
+        results = real(evaluate, p0, **kwargs)
         stacks.append((np.array(p0), results))
         return results
 
@@ -249,6 +250,36 @@ def test_ci95_is_the_delta_method_on_the_winners_covariance(monkeypatch):
         assert two.ci95[name] == tq * math.sqrt(max(float(grad @ cov @ grad), 0.0)), name
 
 
+def test_ci95_matches_a_freshly_evaluated_jacobian(monkeypatch):
+    # The covariance comes from the Jacobian the LM loop returns with the
+    # winner; evaluating the model again at its params gives the same CIs.
+    seen = []
+    for name in ("_package_single", "_package_two"):
+        real = getattr(fitting, name)
+        monkeypatch.setattr(fitting, name, lambda res, cov, y, *rest, real=real:
+                            seen.append(res) or real(res, cov, y, *rest))
+
+    window = (0.01, 1.8)
+    trace = _damped_cosine(0.4, 2.0, khz_to_angular(9.0), 0.3, slope=0.05, offset=0.5)
+    single = fit_single_frequency(trace, window)
+    res = seen[-1]
+    t, y = _window_slice(trace, window)
+    _, jac = fitting._single_eval(res.params[None], t, y, "exp")
+    fresh = fitting._package_single(res, lsq.covariance(jac[0], res.ssr), y, "exp")
+    assert fresh.ci95 == single.ci95
+
+    omega0 = khz_to_angular(9.0)
+    window = (0.0, 1.5)
+    trace = _two_component(0.1, 0.2, 0.25, khz_to_angular(14.0), -0.4, 12.0, 0.45, omega0)
+    two = fit_two_frequency(trace, omega0, window=window)
+    res = seen[-1]
+    t, y = _window_slice(trace, window)
+    _, jac = fitting._two_freq_eval(res.params[None], t, y, omega0,
+                                    np.cos(omega0 * t), np.sin(omega0 * t))
+    fresh = fitting._package_two(res, lsq.covariance(jac[0], res.ssr), y, omega0)
+    assert fresh.ci95 == two.ci95
+
+
 def test_two_frequency_single_component_is_indistinguishable():
     omega0 = khz_to_angular(9.0)
     trace = _two_component(0.3, 0.0, 0.0, khz_to_angular(14.0), 0.0, 10.0, 0.5, omega0)
@@ -330,9 +361,9 @@ def _reference_grid_starts(t, y, omega0):
     return [(index, coef) for _, index, _, _, coef in starts]
 
 
-def _assert_same_starts(trace, omega0):
-    t, y = _window_slice(trace, (0.0, 1.5))
-    got = _grid_starts(t, y, omega0)
+def _assert_same_starts(trace, omega0, window=(0.0, 1.5)):
+    t, y = _window_slice(trace, window)
+    got = _grid_starts(t, y, omega0, np.cos(omega0 * t), np.sin(omega0 * t))
     want = _reference_grid_starts(t, y, omega0)
     assert [int(s[0]) for s in got] == [index for index, _ in want]
     for (_, _, _, coef), (_, ref_coef) in zip(got, want):
@@ -354,3 +385,16 @@ def test_grid_starts_match_per_node_ranking_on_noisy_trace():
     noise = 0.02 * rng.standard_normal(TIMES.size)
     trace = OscillationTrace.from_times(TIMES, clean.values + noise)
     _assert_same_starts(trace, omega0)
+
+
+def test_grid_starts_match_per_node_ranking_on_fig5_ensemble_trace():
+    # The fig5 regime where the fast component is broad: sigma and delta at
+    # three times omega0, no single-atom decay, fitted over ten bare periods.
+    omega0 = khz_to_angular(9.0)
+    config = EnsembleConfig(
+        drive=DriveParams(omega0=omega0, delta=khz_to_angular(27.0)),
+        distribution=DetuningDistribution(kind="gaussian", sigma=khz_to_angular(27.0)),
+        atom_model=AtomModel(gamma=0.0),
+    )
+    trace = ensemble_signal(config, np.linspace(0.0, 1.2, 151))
+    _assert_same_starts(trace, omega0, window=(0.0, 10.0 * TWO_PI / omega0))

@@ -198,6 +198,10 @@ def _decay_jacobian(P):
     return np.where((a < 0)[..., None], -1e-10 * jac, jac)
 
 
+def _decay_evaluate(P):
+    return _decay_residual(P), _decay_jacobian(P)
+
+
 def _solo(fn):
     return lambda p: fn(p[None])[0]
 
@@ -205,8 +209,7 @@ def _solo(fn):
 def test_stacked_rows_match_solo_runs():
     p0 = np.array([[1.0, 0.5], [-5.0, 1.0], [50.0, 30.0], [1.0, -1000.0]])
     with np.errstate(all="ignore"):
-        stacked = stacked_levenberg_marquardt(_decay_residual, _decay_jacobian, p0,
-                                              max_iter=10)
+        stacked = stacked_levenberg_marquardt(_decay_evaluate, p0, max_iter=10)
         for row, res in zip(p0, stacked):
             ref = _reference_lm(_solo(_decay_residual), _solo(_decay_jacobian), row,
                                 max_iter=10)
@@ -220,6 +223,21 @@ def test_stacked_rows_match_solo_runs():
     assert [r.n_iter for r in stacked] == [7, 1, 10, 1]
 
 
+def test_result_jacobian_is_evaluate_at_params():
+    # One row ends in each of the four end states; the Jacobian the loop
+    # carried over from its accepted trial is the one at the final params.
+    p0 = np.array([[1.0, 0.5], [-5.0, 1.0], [50.0, 30.0], [1.0, -1000.0]])
+    with np.errstate(all="ignore"):
+        stacked = stacked_levenberg_marquardt(_decay_evaluate, p0, max_iter=10)
+        for res in stacked:
+            _, want = _decay_evaluate(res.params[None])
+            assert res.jac.shape == want[0].shape
+            assert res.jac.tobytes() == want[0].tobytes(), res.message
+    assert [r.message for r in stacked] == [
+        "converged", "no decreasing step", "iteration cap reached",
+        "non-finite residual or Jacobian"]
+
+
 def test_singular_damped_system_falls_back_to_lstsq():
     # With no damping, a zero amplitude zeroes the rate column of the
     # Jacobian, so the first normal-equation solve of that row is singular.
@@ -227,7 +245,7 @@ def test_singular_damped_system_falls_back_to_lstsq():
     jac0 = _decay_jacobian(p0[1:])[0]
     with pytest.raises(np.linalg.LinAlgError):
         np.linalg.solve(jac0.T @ jac0, jac0.T @ _decay_residual(p0[1:])[0])
-    stacked = stacked_levenberg_marquardt(_decay_residual, _decay_jacobian, p0, lam0=0.0)
+    stacked = stacked_levenberg_marquardt(_decay_evaluate, p0, lam0=0.0)
     for row, res in zip(p0, stacked):
         ref = _reference_lm(_solo(_decay_residual), _solo(_decay_jacobian), row, lam0=0.0)
         _assert_bitwise_equal(res, ref)

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -296,3 +297,23 @@ def test_load_scenario_dict_requires_mapping(tmp_path):
     path.write_text("- just\n- a\n- list\n")
     with pytest.raises(ScenarioError):
         load_scenario_dict(path)
+
+
+def test_malformed_yaml_names_the_file(tmp_path):
+    path = tmp_path / "broken.yaml"
+    path.write_text("name: demo\ndrive: {omega0_khz: 9.0\n")
+    with pytest.raises(ScenarioError, match="invalid YAML") as info:
+        load_scenario_dict(path)
+    assert str(path) in str(info.value)
+
+
+def test_libyaml_loader_matches_the_python_loader_on_presets():
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML built without libyaml")
+    for name in PRESET_NAMES:
+        text = preset_file(name).read_text()
+        fast = yaml.load(text, Loader=yaml.CSafeLoader)
+        slow = yaml.load(text, Loader=yaml.SafeLoader)
+        assert fast == slow, name
+        assert scenario_hash(fast) == scenario_hash(slow), name
+        assert load_scenario_dict(preset_file(name)) == slow, name
