@@ -18,13 +18,18 @@ and Jacobian from a single pass over exp, cos and sin, so the starts of a
 fit advance in one `stacked_levenberg_marquardt` loop at one evaluation per
 trial; each start's result is bitwise the one it would reach alone. The
 single-frequency fit runs one start per FFT peak, at decay rate 1/span, and
-stops at the first peak whose fit passes r^2 > 0.9999; the two-frequency
-fit polishes two starts from a coarse grid, screened in one stacked QR once
-the three columns every node shares are projected out.
+stops at the first peak whose fit passes r^2 > 0.9999. The two-frequency
+fit takes two starts per trace from a coarse grid and works on a block of
+traces that share one time grid: the grid's per-node bases are built once
+per block, one matmul screens every node for every trace, and the starts of
+all the block's traces are polished in one stack, each row against its own
+trace. A flat window (peak-to-peak below 1e-14 of its level, or of 1 for a
+level below 1) gets a flat fit under either model and runs no start.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -188,37 +193,55 @@ def _r_squared(y, ssr):
     return 1.0 - ssr / ss_tot
 
 
+def _is_flat(y):
+    """A window whose peak-to-peak is rounding of its level holds no
+    oscillation; both models return a flat fit on it without a start."""
+    return float(np.ptp(y)) < 1e-14 * max(1.0, abs(float(y.mean())))
+
+
+def _rank(results, best=None, best_converged=None):
+    """Fold LM results into (lowest-ssr start, lowest-ssr converged start);
+    on equal ssr the earlier start stays."""
+    for res in results:
+        if best is None or res.ssr < best.ssr:
+            best = res
+        if res.converged and (best_converged is None or res.ssr < best_converged.ssr):
+            best_converged = res
+    return best, best_converged
+
+
+def _package_winner(best, best_converged, package, what, max_iter):
+    """The fit of the converged start with the lowest ssr, or a FitFailure
+    carrying the best start packaged anyway when none converged. Only the
+    winner's covariance is computed, from the Jacobian the LM loop returns
+    with it, and package(res, cov) builds the fit from it."""
+    chosen = best_converged if best_converged is not None else best
+    fit = package(chosen, lsq.covariance(chosen.jac, chosen.ssr))
+    if best_converged is None:
+        return FitFailure(f"{what} fit did not converge within {max_iter} iterations",
+                          last_fit=fit)
+    return fit
+
+
 def _fit_starts(evaluate, groups, y, package, what, max_iter):
     """Run each group of starts as one stacked LM fit; package the winner.
 
-    evaluate(P) returns the residuals and Jacobian of a parameter stack.
-    groups yields (k, n_params) start arrays: one (1, 6) start per FFT peak
-    for the single-frequency fit, one (2, 7) stack of grid starts for the
-    two-frequency fit. The converged start with the lowest ssr wins; the
-    remaining groups are skipped once it reaches r^2 > 0.9999. Only the
-    winner's covariance is computed, from the Jacobian the LM loop returns
-    with it, and package(res, cov) builds the fit from it. When no start
-    converges, FitFailure carries the best start packaged anyway.
+    evaluate(P, rows) returns the residuals and Jacobian of a parameter
+    stack. groups yields (k, n_params) start arrays, here one (1, 6) start
+    per FFT peak of a single-frequency fit. The converged start with the
+    lowest ssr wins; the remaining groups are skipped once it reaches
+    r^2 > 0.9999. FitFailure is raised when no start converges.
     """
-    best = None
-    best_converged = None
+    best = best_converged = None
     for p0 in groups:
-        for res in lsq.stacked_levenberg_marquardt(evaluate, p0, max_iter=max_iter):
-            if best is None or res.ssr < best.ssr:
-                best = res
-            if res.converged and (best_converged is None or res.ssr < best_converged.ssr):
-                best_converged = res
+        best, best_converged = _rank(
+            lsq.stacked_levenberg_marquardt(evaluate, p0, max_iter=max_iter),
+            best, best_converged)
         if best_converged is not None and _r_squared(y, best_converged.ssr) > 0.9999:
             break
-
-    chosen = best_converged if best_converged is not None else best
-    cov = lsq.covariance(chosen.jac, chosen.ssr)
-    fit = package(chosen, cov)
-    if best_converged is None:
-        raise FitFailure(
-            f"{what} fit did not converge within {max_iter} iterations",
-            last_fit=fit,
-        )
+    fit = _package_winner(best, best_converged, package, what, max_iter)
+    if isinstance(fit, FitFailure):
+        raise fit
     return fit
 
 
@@ -242,8 +265,7 @@ def fit_single_frequency(trace: OscillationTrace, window=(0.01, 0.6), *,
         raise ValueError(f"unknown decay model {decay!r}")
     t, y = _window_slice(trace, window)
     span = t[-1] - t[0]
-    scale = float(np.ptp(y))
-    if scale < 1e-14 * max(1.0, abs(float(y.mean()))) or scale == 0.0:
+    if _is_flat(y):
         ci = {name: math.inf for name in _SINGLE_PARAM_NAMES}
         return SingleFreqFit(A=0.0, gamma=0.0, omega=0.0, phi=0.0, B=0.0,
                              C=float(y.mean()), r_squared=0.0, ci95=ci,
@@ -252,7 +274,7 @@ def fit_single_frequency(trace: OscillationTrace, window=(0.01, 0.6), *,
     b0, c0 = _detrend_line(t, y)
     resid = y - (b0 * t + c0)
     omega_starts = _fft_peak_frequencies(t, resid, 5)
-    a_guess = max(scale / 2.0, 1e-12)
+    a_guess = max(float(np.ptp(y)) / 2.0, 1e-12)
 
     def groups():
         # One start per FFT peak, built only when reached.
@@ -261,7 +283,7 @@ def fit_single_frequency(trace: OscillationTrace, window=(0.01, 0.6), *,
             phi_guess = float(np.angle(demod))
             yield np.array([[a_guess, 1.0 / span, omega_guess, phi_guess, b0, c0]])
 
-    return _fit_starts(lambda P: _single_eval(P, t, y, decay), groups(), y,
+    return _fit_starts(lambda P, rows: _single_eval(P, t, y, decay), groups(), y,
                        lambda res, cov: _package_single(res, cov, y, decay),
                        "single-frequency", max_iter)
 
@@ -293,67 +315,102 @@ def _lstsq(design, y):
     return float(diff @ diff), coef
 
 
-def _grid_starts(t, y, omega0, cos0, sin0):
-    """The best (omega_bar, gamma_b) grid node and the best one from a
-    different grid region, as (grid index, omega_bar, gamma_b, coef) tuples.
+class _Grid:
+    """The coarse 24 x 16 (omega_bar, gamma_b) start grid on one time axis.
 
     Node i is (omega_bar[i // 16], gamma_b[i % 16]); its design columns are
     cos0 and sin0 (cos and sin of omega0 t), u = env cos(omega_bar t),
-    v = env sin(omega_bar t) and the offset. Nodes rank by their lstsq
-    residual sum, ties to the lower grid index. The three columns every
-    node shares are projected out once, through one reduced QR, and one
-    stacked QR of every node's [u_perp v_perp y_perp] screens the grid:
-    |R[2, 2]| is the norm of y's residual after projection onto the span of
-    all five columns, so its square equals the node's residual sum to
-    rounding and never exceeds it (a rank-deficient node's lstsq solution
-    drops small singular directions). Nodes are then solved exactly with
-    lstsq in screen order until the screen passes the best exact sum by
-    1e-9 |y|^2, far above the rounding, so no node left unsolved can win or
+    v = env sin(omega_bar t) and the offset. No column depends on the data,
+    so one grid serves every trace on the axis: the three columns all nodes
+    share are projected out of every u and v through one reduced QR, and
+    one stacked reduced QR gives each node an orthonormal basis Q_i of its
+    [u_perp v_perp].
+    """
+
+    def __init__(self, t, omega0, cos0, sin0):
+        self.omega0 = omega0
+        omega_bar = omega0 * np.linspace(1.0, 4.0, 24)
+        gamma_b = omega0 * np.linspace(0.02, 2.0, 16)
+        self.node_omega_bar = np.repeat(omega_bar, gamma_b.size)
+        self.node_gamma_b = np.tile(gamma_b, omega_bar.size)
+        self.env = np.exp(-0.5 * (gamma_b[:, None] * t) ** 2)
+        phase = omega_bar[:, None] * t
+        self.cos_bar, self.sin_bar = np.cos(phase), np.sin(phase)
+        self.shared = (cos0, sin0, np.ones_like(t))
+        n_nodes = self.node_omega_bar.size
+        moving = np.empty((2, omega_bar.size, gamma_b.size, t.size))  # u, v
+        np.multiply(self.env, self.cos_bar[:, None], out=moving[0])
+        np.multiply(self.env, self.sin_bar[:, None], out=moving[1])
+        moving = moving.reshape(2, n_nodes, t.size)
+        self.q_shared = np.linalg.qr(np.column_stack(self.shared))[0]
+        moving -= (moving @ self.q_shared) @ self.q_shared.T
+        q = np.linalg.qr(np.stack([moving[0], moving[1]], axis=-1))[0]
+        self.q_moving = q.transpose(1, 0, 2).reshape(t.size, 2 * n_nodes)
+
+    def screen(self, Y):
+        """(m, n_nodes) screen of every node for each row of Y:
+        |y_perp|^2 - |Q_i^T y_perp|^2, with y_perp = y less its projection
+        onto the shared columns."""
+        y_perp = Y - (Y @ self.q_shared) @ self.q_shared.T
+        proj = (y_perp @ self.q_moving).reshape(len(Y), -1, 2)
+        return (y_perp * y_perp).sum(axis=1)[:, None] - (proj * proj).sum(axis=2)
+
+    def design(self, i):
+        """The (n, 5) design of node i, as a per-node lstsq scan builds it."""
+        w, g = divmod(i, self.env.shape[0])
+        cos0, sin0, ones = self.shared
+        return np.column_stack([cos0, sin0, self.env[g] * self.cos_bar[w],
+                                self.env[g] * self.sin_bar[w], ones])
+
+    def starts(self, y, screen):
+        """The best node for y and the best one from a different grid
+        region, as (grid index, omega_bar, gamma_b, coef) tuples; screen is
+        y's row of self.screen."""
+        tol = 1e-9 * float(y @ y)
+
+        def best_of(nodes):
+            best = None
+            for i in nodes[np.argsort(screen[nodes], kind="stable")]:
+                if best is not None and screen[i] > best[0] + tol:
+                    break
+                ssr, coef = _lstsq(self.design(i), y)
+                if best is None or (ssr, i) < (best[0], best[2]):
+                    best = (ssr, coef, i)
+            _, coef, i = best
+            return i, self.node_omega_bar[i], self.node_gamma_b[i], coef
+
+        first = best_of(np.arange(screen.size))
+        reach = 0.25 * self.omega0
+        far = np.flatnonzero((np.abs(self.node_omega_bar - first[1]) > reach)
+                             | (np.abs(self.node_gamma_b - first[2]) > reach))
+        return [first, best_of(far)] if far.size else [first]
+
+
+def _grid_starts(t, Y, omega0, cos0, sin0):
+    """Grid starts for each row of Y: the best (omega_bar, gamma_b) node and
+    the best one from a different grid region, as lists of (grid index,
+    omega_bar, gamma_b, coef) tuples.
+
+    Nodes rank by their lstsq residual sum, ties to the lower grid index.
+    One matmul screens every node for every row: the span of node i's five
+    columns is that of the shared three plus [u_perp v_perp], so
+    |y_perp|^2 - |Q_i^T y_perp|^2 is y's residual sum after projection onto
+    it. As a difference of sums it carries rounding of order eps |y|^2. The
+    node's lstsq residual sum is the same minimum to rounding, or lies
+    above it where lstsq drops a singular direction below its cutoff. Nodes
+    are solved exactly with lstsq in screen order until the screen passes
+    the best exact sum by 1e-9 |y|^2, far above that rounding: a node left
+    unsolved has an exact sum above the best, so it can neither win nor
     tie. Only the designs of the nodes solved are built.
     """
-    omega_bar = omega0 * np.linspace(1.0, 4.0, 24)
-    gamma_b = omega0 * np.linspace(0.02, 2.0, 16)
-    node_omega_bar = np.repeat(omega_bar, gamma_b.size)
-    node_gamma_b = np.tile(gamma_b, omega_bar.size)
-    env = np.exp(-0.5 * (gamma_b[:, None] * t) ** 2)
-    phase = omega_bar[:, None] * t
-    cos_bar, sin_bar = np.cos(phase), np.sin(phase)
-    ones = np.ones_like(t)
-    n_nodes = node_omega_bar.size
-    cols = np.empty((2 * n_nodes + 1, t.size))  # the u rows, the v rows, y
-    moving = cols[:-1].reshape(2, omega_bar.size, gamma_b.size, t.size)
-    np.multiply(env, cos_bar[:, None], out=moving[0])
-    np.multiply(env, sin_bar[:, None], out=moving[1])
-    cols[-1] = y
-    q = np.linalg.qr(np.column_stack([cos0, sin0, ones]))[0]
-    cols -= (cols @ q) @ q.T
-    u_v_y = np.stack([cols[:n_nodes], cols[n_nodes:-1],
-                      np.broadcast_to(cols[-1], (n_nodes, t.size))], axis=-1)
-    screen = np.linalg.qr(u_v_y, mode="r")[:, 2, 2] ** 2
-    tol = 1e-9 * float(y @ y)
-
-    def best_of(nodes):
-        best = None
-        for i in nodes[np.argsort(screen[nodes], kind="stable")]:
-            if best is not None and screen[i] > best[0] + tol:
-                break
-            w, g = divmod(i, gamma_b.size)
-            ssr, coef = _lstsq(np.column_stack(
-                [cos0, sin0, env[g] * cos_bar[w], env[g] * sin_bar[w], ones]), y)
-            if best is None or (ssr, i) < (best[0], best[2]):
-                best = (ssr, coef, i)
-        _, coef, i = best
-        return i, node_omega_bar[i], node_gamma_b[i], coef
-
-    first = best_of(np.arange(n_nodes))
-    far = np.flatnonzero((np.abs(node_omega_bar - first[1]) > 0.25 * omega0)
-                         | (np.abs(node_gamma_b - first[2]) > 0.25 * omega0))
-    return [first, best_of(far)] if far.size else [first]
+    grid = _Grid(t, omega0, cos0, sin0)
+    return [grid.starts(y, screen) for y, screen in zip(Y, grid.screen(Y))]
 
 
 def _two_freq_eval(P, t, y, omega0, cos0, sin0):
     """(m, n) residuals and (m, n, 7) Jacobian of the two-frequency model
-    for an (m, 7) stack of parameter rows; cos0 and sin0 are cos and sin of
+    for an (m, 7) stack of parameter rows; y is the (n,) data or an (m, n)
+    stack of each row's own data, and cos0 and sin0 are cos and sin of
     omega0 t."""
     a1, a2, b1, b2, c, du, gb = P.T[..., None]
     omega_bar = omega0 + np.abs(du)
@@ -379,41 +436,77 @@ def fit_two_frequency(trace: OscillationTrace, omega0, window=None, *,
 
     omega0 is the known bare Rabi frequency (a model input, never fitted);
     the default window is ten bare periods from the start of the trace,
-    clipped to its end. The slow component's decay is fixed at zero.
-    Initialization scans a coarse 24 x 16 (omega_bar, gamma_b) grid where
-    the amplitudes and offset are linear: with the columns all nodes share
-    projected out once, one stacked QR screens the residual sum of every
-    node, and the nodes the screen cannot separate from the best are
-    re-solved exactly with lstsq and ranked by (residual sum, grid index),
-    as a per-node lstsq scan would rank them. The best node and the best
-    node from a different grid region are then polished together in one
-    stacked nonlinear fit.
+    clipped to its end. The slow component's decay is fixed at zero. This
+    is the one-trace case of fit_two_frequency_block, which documents the
+    method; FitFailure is raised when neither start converges.
+    """
+    (fit,) = fit_two_frequency_block([trace], omega0, window, max_iter=max_iter)
+    if isinstance(fit, FitFailure):
+        raise fit
+    return fit
+
+
+def fit_two_frequency_block(traces, omega0, window=None, *, max_iter=200):
+    """Fit the two-frequency model to every trace of a block at once.
+
+    The traces share one time grid, hence one window (the default is that
+    of fit_two_frequency). Returns one TwoFreqFit, or the FitFailure of a
+    fit whose starts all failed to converge, per trace and in order; each
+    is bitwise what the trace would give alone. A flat window gets an
+    A = B = 0 fit with infinite CIs and runs no start. Initialization scans
+    a coarse 24 x 16 (omega_bar, gamma_b) grid where the amplitudes and
+    offset are linear: the grid's bases are built once for the block, one
+    matmul screens the residual sum of every node for every trace, and the
+    nodes the screen cannot separate from a trace's best are re-solved
+    exactly with lstsq and ranked by (residual sum, grid index), as a
+    per-node lstsq scan would rank them. Each trace's best node and best
+    node from a different grid region become its two starts, and the
+    starts of all traces are polished in one stacked nonlinear fit, each
+    row against its own trace.
     """
     omega0 = float(omega0)
     if omega0 <= 0:
         raise ValueError("omega0 must be positive")
+    traces = list(traces)
+    if not traces:
+        return []
+    first = traces[0]
+    if any((tr.t0, tr.dt, len(tr)) != (first.t0, first.dt, len(first)) for tr in traces):
+        raise ValueError("the traces of a block must share one time grid")
     if window is None:
-        t_start = trace.t0
-        t_end = trace.t0 + trace.dt * (len(trace) - 1)
-        window = (t_start, min(t_start + 10.0 * 2.0 * math.pi / omega0, t_end))
-    t, y = _window_slice(trace, window)
+        t_end = first.t0 + first.dt * (len(first) - 1)
+        window = (first.t0, min(first.t0 + 10.0 * 2.0 * math.pi / omega0, t_end))
+    t, _ = _window_slice(first, window)
+    Y = np.array([_window_slice(tr, window)[1] for tr in traces])
 
-    scale = float(np.ptp(y))
-    if scale == 0.0:
-        ci = {name: math.inf for name in _TWO_PARAM_NAMES}
-        return TwoFreqFit(A=0.0, phi_a=0.0, B_amp=0.0,
-                          omega_bar=omega0, phi_b=0.0, gamma_b=0.0,
-                          offset=float(y.mean()), omega0=omega0, r_squared=0.0,
-                          fraction_a=0.0, ci95=ci, indistinguishable=True,
-                          fraction_ci_wide=True, converged=True)
-
+    fits = [_flat_two(y, omega0) if _is_flat(y) else None for y in Y]
+    live = [j for j, fit in enumerate(fits) if fit is None]
+    if not live:
+        return fits
     cos0, sin0 = np.cos(omega0 * t), np.sin(omega0 * t)
+    starts = _grid_starts(t, Y[live], omega0, cos0, sin0)
     p0 = np.array([[*coef, max(omega_bar - omega0, 1e-6), gamma_b]
-                   for _, omega_bar, gamma_b, coef
-                   in _grid_starts(t, y, omega0, cos0, sin0)])
-    return _fit_starts(lambda P: _two_freq_eval(P, t, y, omega0, cos0, sin0), [p0], y,
-                       lambda res, cov: _package_two(res, cov, y, omega0),
-                       "two-frequency", max_iter)
+                   for trace_starts in starts
+                   for _, omega_bar, gamma_b, coef in trace_starts])
+    owner = np.repeat(live, [len(trace_starts) for trace_starts in starts])
+    results = lsq.stacked_levenberg_marquardt(
+        lambda P, rows: _two_freq_eval(P, t, Y[owner[rows]], omega0, cos0, sin0),
+        p0, max_iter=max_iter)
+    results = iter(results)
+    for j, trace_starts in zip(live, starts):
+        y = Y[j]
+        fits[j] = _package_winner(
+            *_rank(itertools.islice(results, len(trace_starts))),
+            lambda res, cov: _package_two(res, cov, y, omega0), "two-frequency", max_iter)
+    return fits
+
+
+def _flat_two(y, omega0) -> TwoFreqFit:
+    ci = {name: math.inf for name in _TWO_PARAM_NAMES}
+    return TwoFreqFit(A=0.0, phi_a=0.0, B_amp=0.0, omega_bar=omega0, phi_b=0.0,
+                      gamma_b=0.0, offset=float(y.mean()), omega0=omega0,
+                      r_squared=0.0, fraction_a=0.0, ci95=ci, indistinguishable=True,
+                      fraction_ci_wide=True, converged=True)
 
 
 _TWO_PARAM_NAMES = ("A", "phi_a", "B_amp", "omega_bar", "phi_b", "gamma_b",

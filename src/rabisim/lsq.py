@@ -6,9 +6,11 @@ acceptance, stop rule, iteration count and message, and a row that has
 finished is frozen and leaves the stack. The model is evaluated once per
 trial: one callable returns the residual and the Jacobian from a single
 pass, and the accepted trial's Jacobian carries over to the next iteration
-and, at the end, into the result. The stacked products and solves are
-bitwise equal to the per-row 2-D calls, so each row's result equals that
-start run alone. `levenberg_marquardt` is the one-start wrapper.
+and, at the end, into the result. The callable also gets the start index
+of each row it evaluates, so the rows of one stack may fit different data.
+The stacked products and solves are bitwise equal to the per-row 2-D
+calls, so each row's result equals that start run alone.
+`levenberg_marquardt` is the one-start wrapper.
 Problem sizes here are tiny (hundreds of samples, at most eight
 parameters), so dense normal equations are perfectly fine and keep the
 implementation auditable.
@@ -140,19 +142,21 @@ def ci95(cov, dof, grads):
 def stacked_levenberg_marquardt(evaluate, p0, *, max_iter=200, lam0=1e-3):
     """Minimize sum(r(p)^2) from every row of the (s, k) starts p0.
 
-    evaluate(P) maps an (m, k) stack of parameter rows to the (m, n)
+    evaluate(P, rows) maps an (m, k) stack of parameter rows to the (m, n)
     residuals and the (m, n, k) Jacobian, both from one pass over the
-    model. It is called on subsets of the rows, so each output row may
-    depend on its own input row only. Each trial step is evaluated once:
-    the Jacobian of the accepted trial is the next iteration's. Damping
-    lambda shrinks on accepted steps and grows on rejected ones, per row.
-    Returns one LsqResult per start, in order, whose jac is the Jacobian at
-    its params. Never raises for non-convergence; the caller checks
-    `converged` and decides.
+    model; rows holds the index into p0 of each row's start, so a row can
+    read its own data. It is called on subsets of the rows, so each output
+    row may depend on its own input row and start only. Each trial step is
+    evaluated once: the Jacobian of the accepted trial is the next
+    iteration's. Damping lambda shrinks on accepted steps and grows on
+    rejected ones, per row. Returns one LsqResult per start, in order,
+    whose jac is the Jacobian at its params. Never raises for
+    non-convergence; the caller checks `converged` and decides.
     """
     p = np.array(p0, dtype=float)
     s = p.shape[0]
-    r, jac = evaluate(p)
+    rows = np.arange(s)  # the start each active row belongs to
+    r, jac = evaluate(p, rows)
     out_p = p.copy()
     out_ssr = np.empty(s)
     out_jac = np.empty_like(jac)
@@ -160,7 +164,6 @@ def stacked_levenberg_marquardt(evaluate, p0, *, max_iter=200, lam0=1e-3):
     converged = np.zeros(s, dtype=bool)
     message = ["iteration cap reached"] * s
 
-    rows = np.arange(s)  # the start each active row belongs to
     ssr = _sq_norms(r)
     lam = np.full(s, float(lam0))
 
@@ -193,7 +196,7 @@ def stacked_levenberg_marquardt(evaluate, p0, *, max_iter=200, lam0=1e-3):
             if attempt:
                 lam = np.where(ok, lam, 5.0 * lam)
             dp_t = _solve_damped(jtj, jtr, lam)
-            r_t, jac_t = evaluate(p - dp_t)
+            r_t, jac_t = evaluate(p - dp_t, rows)
             ssr_t = _sq_norms(r_t)
             take = ~ok & (ssr_t <= ssr)
             if take.all():
@@ -231,6 +234,6 @@ def levenberg_marquardt(residual, jacobian, p0, *, max_iter=200, lam0=1e-3):
     stacked_levenberg_marquardt, which evaluates the two together.
     """
     (res,) = stacked_levenberg_marquardt(
-        lambda P: (residual(P[0])[None], jacobian(P[0])[None]),
+        lambda P, rows: (residual(P[0])[None], jacobian(P[0])[None]),
         np.asarray(p0, dtype=float)[None], max_iter=max_iter, lam0=lam0)
     return res

@@ -13,7 +13,10 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .ensemble import EnsembleConfig, ensemble_signal
-from .fitting import fit_single_frequency, fit_two_frequency
+# fit_two_frequency is imported, not called: perfbench/tracing.py wraps
+# this binding.
+from .fitting import fit_single_frequency, fit_two_frequency  # noqa: F401
+from .fitting import fit_two_frequency_block
 from .model import DriveParams
 from .spectrum import fft_spectrum
 from .units import angular_to_khz
@@ -48,6 +51,12 @@ class ScanRow:
     error: str = ""
 
 
+# Two-frequency points fitted as one block hold at most about this many
+# trace samples together (always at least one point), so a long scan's
+# memory is bounded by the chunk.
+_CHUNK_SAMPLES = 4096
+
+
 def _default_times():
     dt = 0.008
     return np.arange(0.0, 1.0 + dt / 2, dt)
@@ -67,11 +76,9 @@ def _analyze_single(trace, config, window, decay):
     )
 
 
-def _analyze_two(trace, config, window):
-    drive = config.drive
-    fit = fit_two_frequency(trace, drive.omega0, window)
+def _two_row(fit, delta):
     return ScanRow(
-        detuning_khz=angular_to_khz(drive.delta),
+        detuning_khz=angular_to_khz(delta),
         frequency_khz=angular_to_khz(fit.omega_bar),
         amplitude=fit.A,
         r_squared=fit.r_squared,
@@ -94,13 +101,53 @@ def _analyze_fft(trace, config, fft_options):
                    frequency_khz=peaks[0], peaks_khz=peaks)
 
 
+def _simulate(base_config, delta, t):
+    config = replace(base_config, drive=DriveParams(omega0=base_config.drive.omega0,
+                                                    delta=delta))
+    return config, ensemble_signal(config, t)
+
+
+def _error_row(delta, exc):
+    return ScanRow(detuning_khz=angular_to_khz(delta), error=str(exc))
+
+
+def _scan_two(base_config, detunings, t, window):
+    """Two-frequency rows, fitted a chunk of points at a time."""
+    omega0 = base_config.drive.omega0
+    chunk = max(1, _CHUNK_SAMPLES // max(t.size, 1))
+    rows = []
+    for start in range(0, len(detunings), chunk):
+        deltas = detunings[start:start + chunk]
+        traces = []  # a trace, or the error its simulation raised, per point
+        for delta in deltas:
+            try:
+                traces.append(_simulate(base_config, delta, t)[1])
+            except (ValueError, RuntimeError) as exc:
+                traces.append(exc)
+        simulated = [tr for tr in traces if not isinstance(tr, Exception)]
+        try:
+            fits = iter(fit_two_frequency_block(simulated, omega0, window))
+        except ValueError as exc:
+            # The block rejects omega0, the window or the time grid, which
+            # every point of the chunk shares: each point records the error.
+            fits = iter([exc] * len(simulated))
+        for delta, trace in zip(deltas, traces):
+            fit = trace if isinstance(trace, Exception) else next(fits)
+            rows.append(_error_row(delta, fit) if isinstance(fit, Exception)
+                        else _two_row(fit, delta))
+    return rows
+
+
 def scan_detuning(base_config: EnsembleConfig, detunings, *, analysis="single",
                   times=None, window=None, decay="exp", fft_options=None):
     """Run the ensemble simulation and analysis at each angular detuning.
 
-    detunings are angular (rad/ms), matching DriveParams.delta. The points
-    run one after another, and the result is a list of ScanRow in input
-    order. A point whose simulation or analysis fails gets its error
+    detunings are angular (rad/ms), matching DriveParams.delta. The result
+    is a list of ScanRow in input order. Single-frequency and FFT points
+    run one after another. Two-frequency points are simulated a chunk at a
+    time (at most about 4,096 trace samples, at least one point) and each
+    chunk is fitted as one block, whose fits are bitwise the per-point
+    ones. A point whose simulation or analysis fails gets its error
     message recorded instead of aborting the scan.
     """
     detunings = [float(d) for d in detunings]
@@ -109,24 +156,21 @@ def scan_detuning(base_config: EnsembleConfig, detunings, *, analysis="single",
     if analysis not in ("single", "two", "fft"):
         raise ValueError(f"unknown analysis {analysis!r}")
     t = _default_times() if times is None else np.asarray(times, dtype=float)
+    if analysis == "two":
+        return _scan_two(base_config, detunings, t, window)
 
     if window is None and analysis == "single":
         window = (0.01, 0.6)
-
     rows = []
     for delta in detunings:
-        drive = DriveParams(omega0=base_config.drive.omega0, delta=delta)
-        config = replace(base_config, drive=drive)
         try:
-            trace = ensemble_signal(config, t)
+            config, trace = _simulate(base_config, delta, t)
             if analysis == "single":
                 row = _analyze_single(trace, config, window, decay)
-            elif analysis == "two":
-                row = _analyze_two(trace, config, window)
             else:
                 row = _analyze_fft(trace, config, fft_options)
         except (ValueError, RuntimeError) as exc:
             # FitFailure is a RuntimeError
-            row = ScanRow(detuning_khz=angular_to_khz(delta), error=str(exc))
+            row = _error_row(delta, exc)
         rows.append(row)
     return rows

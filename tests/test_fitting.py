@@ -14,6 +14,7 @@ from rabisim.fitting import (
     _window_slice,
     fit_single_frequency,
     fit_two_frequency,
+    fit_two_frequency_block,
 )
 from rabisim.ensemble import AtomModel, DetuningDistribution, EnsembleConfig, ensemble_signal
 from rabisim.model import DriveParams, OscillationTrace
@@ -69,6 +70,21 @@ def test_single_fit_flat_trace():
     assert fit.ci95["omega"] == math.inf
 
 
+def _near_flat(level=0.3):
+    # A constant level carrying one ulp of rounding: peak-to-peak 5.6e-17.
+    y = np.full_like(TIMES, level)
+    y[::7] = np.nextafter(level, 1.0)
+    assert 0.0 < np.ptp(y) < 1e-16
+    return OscillationTrace.from_times(TIMES, y)
+
+
+def test_single_fit_near_flat_trace():
+    fit = fit_single_frequency(_near_flat(), (0.01, 1.8))
+    assert fit.flat
+    assert fit.A == 0.0
+    assert fit.ci95["omega"] == math.inf
+
+
 def test_single_fit_noisy_confidence_intervals():
     rng = np.random.default_rng(3)
     trace = _damped_cosine(
@@ -118,7 +134,8 @@ def test_single_fit_round_trip_property(a, gamma, f_khz, phi, offset):
 
 
 def _record_stacks(monkeypatch):
-    """Wrap the stacked LM loop; return the list of (starts, results) it ran."""
+    """Wrap the stacked LM loop; return the list of (starts, results) it ran.
+    The evaluate(P, rows) callable passes through unchanged."""
     stacks = []
     real = lsq.stacked_levenberg_marquardt
 
@@ -320,6 +337,19 @@ def test_two_frequency_flat_trace():
     assert fit.fraction_ci_wide
 
 
+def test_two_frequency_near_flat_trace(monkeypatch):
+    # One ulp of rounding on a constant is no signal: the same flat rule as
+    # the single-frequency fit, and no start reaches the LM loop.
+    stacks = _record_stacks(monkeypatch)
+    omega0 = khz_to_angular(9.0)
+    fit = fit_two_frequency(_near_flat(), omega0, window=(0.0, 1.5))
+    assert stacks == []
+    assert fit.A == fit.B_amp == fit.fraction_a == fit.r_squared == 0.0
+    assert fit.offset == pytest.approx(0.3, abs=1e-16)
+    assert fit.indistinguishable and fit.fraction_ci_wide
+    assert all(ci == math.inf for ci in fit.ci95.values())
+
+
 def test_two_frequency_default_window_is_ten_periods():
     omega0 = khz_to_angular(9.0)
     trace = _two_component(0.1, 0.0, 0.2, khz_to_angular(13.0), 0.0, 8.0, 0.5, omega0)
@@ -328,13 +358,9 @@ def test_two_frequency_default_window_is_ten_periods():
     assert fit.omega_bar == pytest.approx(khz_to_angular(13.0), rel=2e-2)
 
 
-def _reference_grid_starts(t, y, omega0):
-    """Per-node lstsq ranking of the (omega_bar, gamma_b) grid, node by node.
-
-    Returns the (grid index, coef) of the best node and of the best node
-    from a different grid region, ranked by a stable sort on the residual
-    sum: the oracle for the stacked screen.
-    """
+def _reference_node_fits(t, y, omega0):
+    """(ssr, grid index, omega_bar, gamma_b, coef) of every grid node, in
+    grid order, each from its own lstsq solve."""
     candidates = []
     for omega_bar in omega0 * np.linspace(1.0, 4.0, 24):
         for gamma_b in omega0 * np.linspace(0.02, 2.0, 16):
@@ -351,7 +377,17 @@ def _reference_grid_starts(t, y, omega0):
                 diff = design @ coef - y
                 ssr = float(diff @ diff)
             candidates.append((ssr, len(candidates), omega_bar, gamma_b, coef))
-    candidates.sort(key=lambda c: c[0])
+    return candidates
+
+
+def _reference_grid_starts(t, y, omega0):
+    """Per-node lstsq ranking of the (omega_bar, gamma_b) grid, node by node.
+
+    Returns the (grid index, coef) of the best node and of the best node
+    from a different grid region, ranked by a stable sort on the residual
+    sum: the oracle for the stacked screen.
+    """
+    candidates = sorted(_reference_node_fits(t, y, omega0), key=lambda c: c[0])
     starts = [candidates[0]]
     for cand in candidates[1:]:
         if (abs(cand[2] - starts[0][2]) > 0.25 * omega0
@@ -361,40 +397,124 @@ def _reference_grid_starts(t, y, omega0):
     return [(index, coef) for _, index, _, _, coef in starts]
 
 
-def _assert_same_starts(trace, omega0, window=(0.0, 1.5)):
-    t, y = _window_slice(trace, window)
-    got = _grid_starts(t, y, omega0, np.cos(omega0 * t), np.sin(omega0 * t))
-    want = _reference_grid_starts(t, y, omega0)
-    assert [int(s[0]) for s in got] == [index for index, _ in want]
-    for (_, _, _, coef), (_, ref_coef) in zip(got, want):
-        assert np.array_equal(coef, ref_coef)
+def _block(traces, window):
+    t, _ = _window_slice(traces[0], window)
+    return t, np.array([_window_slice(trace, window)[1] for trace in traces])
+
+
+def _assert_same_starts(traces, omega0, window=(0.0, 1.5)):
+    # The traces run through _grid_starts as one block.
+    assert len(traces) >= 2
+    t, Y = _block(traces, window)
+    block = _grid_starts(t, Y, omega0, np.cos(omega0 * t), np.sin(omega0 * t))
+    assert len(block) == len(traces)
+    for y, got in zip(Y, block):
+        want = _reference_grid_starts(t, y, omega0)
+        assert [int(s[0]) for s in got] == [index for index, _ in want]
+        for (_, _, _, coef), (_, ref_coef) in zip(got, want):
+            assert np.array_equal(coef, ref_coef)
 
 
 def test_grid_starts_match_per_node_ranking_on_exact_ties():
     # No fast component: every node fits the trace to rounding, so the
     # choice rests on exact residual sums and the grid-index tie break.
     omega0 = khz_to_angular(9.0)
-    trace = _two_component(0.3, 0.0, 0.0, khz_to_angular(14.0), 0.0, 10.0, 0.5, omega0)
-    _assert_same_starts(trace, omega0)
+    traces = [_two_component(0.3, 0.0, 0.0, khz_to_angular(14.0), 0.0, 10.0, 0.5, omega0),
+              _two_component(0.2, 1.0, 0.0, khz_to_angular(20.0), 0.0, 30.0, 0.4, omega0)]
+    _assert_same_starts(traces, omega0)
 
 
 def test_grid_starts_match_per_node_ranking_on_noisy_trace():
     omega0 = khz_to_angular(9.0)
     rng = np.random.default_rng(17)
     clean = _two_component(0.15, 0.3, 0.25, khz_to_angular(15.0), -0.2, 12.0, 0.5, omega0)
-    noise = 0.02 * rng.standard_normal(TIMES.size)
-    trace = OscillationTrace.from_times(TIMES, clean.values + noise)
-    _assert_same_starts(trace, omega0)
+    traces = [OscillationTrace.from_times(
+        TIMES, clean.values + 0.02 * rng.standard_normal(TIMES.size)) for _ in range(2)]
+    _assert_same_starts(traces, omega0)
 
 
-def test_grid_starts_match_per_node_ranking_on_fig5_ensemble_trace():
-    # The fig5 regime where the fast component is broad: sigma and delta at
-    # three times omega0, no single-atom decay, fitted over ten bare periods.
-    omega0 = khz_to_angular(9.0)
+def _fig5_trace(delta_khz, times=np.linspace(0.0, 1.2, 151)):
+    # The fig5 regime where the fast component is broad: Omega0 9 kHz,
+    # sigma 27 kHz, no single-atom decay.
     config = EnsembleConfig(
-        drive=DriveParams(omega0=omega0, delta=khz_to_angular(27.0)),
+        drive=DriveParams(omega0=khz_to_angular(9.0), delta=khz_to_angular(delta_khz)),
         distribution=DetuningDistribution(kind="gaussian", sigma=khz_to_angular(27.0)),
         atom_model=AtomModel(gamma=0.0),
     )
-    trace = ensemble_signal(config, np.linspace(0.0, 1.2, 151))
-    _assert_same_starts(trace, omega0, window=(0.0, 10.0 * TWO_PI / omega0))
+    return ensemble_signal(config, times)
+
+
+def test_grid_starts_match_per_node_ranking_on_fig5_ensemble_trace():
+    # sigma and delta at three times omega0, fitted over ten bare periods.
+    omega0 = khz_to_angular(9.0)
+    _assert_same_starts([_fig5_trace(27.0), _fig5_trace(13.5)], omega0,
+                        window=(0.0, 10.0 * TWO_PI / omega0))
+
+
+def test_grid_screen_matches_per_node_residual_sums_at_top_of_gamma_grid():
+    # A fast component at omega_bar = omega0 and gamma_b = 2 omega0, the top
+    # of the gamma_b grid, where u_perp and v_perp are the most correlated
+    # of the grid (|cos| of their angle about 0.64). Each screen value is
+    # the node's lstsq residual sum to rounding, far inside the 1e-9 |y|^2
+    # margin the exact re-solve relies on.
+    omega0 = khz_to_angular(9.0)
+    rng = np.random.default_rng(23)
+    clean = _two_component(0.2, 0.3, 1.0, omega0, 0.5, 2.0 * omega0, 0.5, omega0)
+    top = OscillationTrace.from_times(
+        TIMES, clean.values + 1e-3 * rng.standard_normal(TIMES.size))
+    clean = _two_component(0.15, 0.3, 0.25, khz_to_angular(15.0), -0.2, 12.0, 0.5, omega0)
+    noisy = OscillationTrace.from_times(
+        TIMES, clean.values + 0.02 * rng.standard_normal(TIMES.size))
+    traces = [top, noisy]
+    _assert_same_starts(traces, omega0)
+
+    t, Y = _block(traces, (0.0, 1.5))
+    assert _reference_grid_starts(t, Y[0], omega0)[0][0] == 15  # omega_bar[0], gamma_b[15]
+    grid = fitting._Grid(t, omega0, np.cos(omega0 * t), np.sin(omega0 * t))
+    for y, screen in zip(Y, grid.screen(Y)):
+        exact = np.array([c[0] for c in _reference_node_fits(t, y, omega0)])
+        assert np.abs(screen - exact).max() <= 1e-12 * float(y @ y)
+
+
+@pytest.mark.parametrize("max_iter", [200, 30])
+def test_block_fits_equal_per_trace_fits(monkeypatch, max_iter):
+    # fig5-like traces at 7 detunings plus a flat one. At max_iter 30 every
+    # start but those of delta 22.5 kHz hits the cap, so the block holds
+    # FitFailures and fits side by side.
+    omega0 = khz_to_angular(9.0)
+    window = (0.0, 10.0 * TWO_PI / omega0)
+    traces = [_fig5_trace(delta) for delta in np.arange(0.0, 27.1, 4.5)]
+    traces.insert(3, OscillationTrace(t0=traces[0].t0, dt=traces[0].dt,
+                                      values=np.full(len(traces[0]), 0.5)))
+    stacks = _record_stacks(monkeypatch)
+    block = fit_two_frequency_block(traces, omega0, window, max_iter=max_iter)
+    # one stack for the block, two starts per trace, none for the flat one
+    assert [p0.shape for p0, _ in stacks] == [(14, 7)]
+    assert len(block) == len(traces)
+    for trace, got in zip(traces, block):
+        try:
+            alone = fit_two_frequency(trace, omega0, window, max_iter=max_iter)
+        except FitFailure as exc:
+            alone = exc
+        assert type(got) is type(alone)
+        if isinstance(alone, FitFailure):
+            assert str(got) == str(alone)
+            assert repr(got.last_fit) == repr(alone.last_fit)
+        else:
+            assert repr(got) == repr(alone)
+    kinds = [type(fit) for fit in block]
+    if max_iter == 30:
+        assert kinds.count(FitFailure) == 6
+        assert "did not converge within 30 iterations" in str(block[0])
+    else:
+        assert FitFailure not in kinds
+    assert block[3].A == 0.0 and block[3].indistinguishable
+
+
+def test_block_needs_one_time_grid():
+    omega0 = khz_to_angular(9.0)
+    short = OscillationTrace.from_times(TIMES[:300], np.cos(omega0 * TIMES[:300]))
+    long = OscillationTrace.from_times(TIMES, np.cos(omega0 * TIMES))
+    with pytest.raises(ValueError, match="share one time grid"):
+        fit_two_frequency_block([short, long], omega0, (0.0, 1.0))
+    assert fit_two_frequency_block([], omega0) == []

@@ -184,9 +184,9 @@ _T = np.linspace(0.0, 2.0, 80)
 _Y = 3.0 * np.exp(-1.7 * _T)
 
 
-def _decay_residual(P):
+def _decay_residual(P, y=_Y):
     a, b = P.T[..., None]
-    return a * np.exp(-b * _T) - _Y
+    return a * np.exp(-b * _T) - y
 
 
 def _decay_jacobian(P):
@@ -198,7 +198,7 @@ def _decay_jacobian(P):
     return np.where((a < 0)[..., None], -1e-10 * jac, jac)
 
 
-def _decay_evaluate(P):
+def _decay_evaluate(P, rows):
     return _decay_residual(P), _decay_jacobian(P)
 
 
@@ -229,8 +229,8 @@ def test_result_jacobian_is_evaluate_at_params():
     p0 = np.array([[1.0, 0.5], [-5.0, 1.0], [50.0, 30.0], [1.0, -1000.0]])
     with np.errstate(all="ignore"):
         stacked = stacked_levenberg_marquardt(_decay_evaluate, p0, max_iter=10)
-        for res in stacked:
-            _, want = _decay_evaluate(res.params[None])
+        for i, res in enumerate(stacked):
+            _, want = _decay_evaluate(res.params[None], np.array([i]))
             assert res.jac.shape == want[0].shape
             assert res.jac.tobytes() == want[0].tobytes(), res.message
     assert [r.message for r in stacked] == [
@@ -250,3 +250,33 @@ def test_singular_damped_system_falls_back_to_lstsq():
         ref = _reference_lm(_solo(_decay_residual), _solo(_decay_jacobian), row, lam0=0.0)
         _assert_bitwise_equal(res, ref)
     assert stacked[0].converged
+
+
+def test_rows_read_their_own_data_and_match_solo_runs():
+    # Each start fits its own decay curve, read through the start indices
+    # the loop passes to evaluate; rows 1 and 3 leave the stack after one
+    # iteration, so later calls see a subset of the starts.
+    ys = np.stack([_Y, 2.0 * np.exp(-0.4 * _T), 0.5 * np.exp(-3.0 * _T) + 0.1,
+                   1.5 * np.exp(-_T)])
+    p0 = np.array([[1.0, 0.5], [-5.0, 1.0], [50.0, 30.0], [1.0, -1000.0]])
+    seen = []
+
+    def evaluate(P, rows):
+        seen.append(rows.tolist())
+        return _decay_residual(P, ys[rows]), _decay_jacobian(P)
+
+    with np.errstate(all="ignore"):
+        stacked = stacked_levenberg_marquardt(evaluate, p0, max_iter=10)
+        for row, y, res in zip(p0, ys, stacked):
+            (alone,) = stacked_levenberg_marquardt(
+                lambda P, rows, y=y: (_decay_residual(P, y), _decay_jacobian(P)),
+                row[None], max_iter=10)
+            _assert_bitwise_equal(res, alone)
+            assert res.jac.tobytes() == alone.jac.tobytes()
+            ref = _reference_lm(lambda p, y=y: _decay_residual(p[None], y)[0],
+                                _solo(_decay_jacobian), row, max_iter=10)
+            _assert_bitwise_equal(res, ref)
+    assert [r.message for r in stacked] == [
+        "converged", "no decreasing step", "iteration cap reached",
+        "non-finite residual or Jacobian"]
+    assert seen[0] == [0, 1, 2, 3] and [0, 2] in seen

@@ -1,13 +1,15 @@
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rabisim import scans
 from rabisim.cli import _SCAN_TABLES
-from rabisim.ensemble import AtomModel, DetuningDistribution, EnsembleConfig
+from rabisim.ensemble import AtomModel, DetuningDistribution, EnsembleConfig, ensemble_signal
+from rabisim.fitting import fit_two_frequency
 from rabisim.model import DriveParams
 from rabisim.scans import ScanRow, scan_detuning
 from rabisim.units import angular_to_khz, khz_to_angular
@@ -63,6 +65,37 @@ def test_two_frequency_analysis_columns():
     assert detuned.omega_bar_khz >= 9.0
     assert 0.0 <= detuned.fraction_a <= 1.0
     assert detuned.fraction_a < resonant.fraction_a
+
+
+def test_two_frequency_chunks_match_per_point_fits(monkeypatch):
+    # A chunk of one point is the per-point fit; two chunks of three and
+    # one, and one chunk of all four, give the same rows.
+    detunings = khz_to_angular(np.array([0.0, 9.0, 18.0, 27.0]))
+    times = np.arange(0.0, 1.2, 0.008)
+    window = (0.0, 1.0)
+    config = _config(27.0)
+    whole = scan_detuning(config, detunings, analysis="two", times=times, window=window)
+    for per_chunk in (1, 3):
+        monkeypatch.setattr(scans, "_CHUNK_SAMPLES", per_chunk * times.size)
+        rows = scan_detuning(config, detunings, analysis="two", times=times, window=window)
+        assert repr(rows) == repr(whole)
+    for delta, row in zip(detunings, whole):
+        point = replace(config, drive=DriveParams(omega0=OMEGA0, delta=delta))
+        fit = fit_two_frequency(ensemble_signal(point, times), OMEGA0, window)
+        assert row.error == ""
+        assert (row.fraction_a, row.omega_bar_khz, row.gamma_b) == (
+            fit.fraction_a, angular_to_khz(fit.omega_bar), fit.gamma_b)
+
+
+def test_two_frequency_window_error_is_each_points_row():
+    detunings = khz_to_angular(np.array([0.0, 9.0, 18.0]))
+    times = np.arange(0.0, 0.5, 0.008)
+    rows = scan_detuning(_config(9.0), detunings, analysis="two", times=times,
+                         window=(0.0, 2.0))
+    with pytest.raises(ValueError) as info:
+        fit_two_frequency(ensemble_signal(_config(9.0), times), OMEGA0, (0.0, 2.0))
+    assert [row.error for row in rows] == [str(info.value)] * 3
+    assert all(math.isnan(row.fraction_a) for row in rows)
 
 
 def test_fft_analysis_reports_peaks():
