@@ -16,20 +16,20 @@ Both are least-squares fits with analytic Jacobians. Each model has one
 evaluation, written for a stack of parameter rows, that returns residuals
 and Jacobian from a single pass over exp, cos and sin, so the starts of a
 fit advance in one `stacked_levenberg_marquardt` loop at one evaluation per
-trial; each start's result is bitwise the one it would reach alone. The
-single-frequency fit runs one start per FFT peak, at decay rate 1/span, and
-stops at the first peak whose fit passes r^2 > 0.9999. The two-frequency
-fit takes two starts per trace from a coarse grid and works on a block of
-traces that share one time grid: the grid's per-node bases are built once
-per block, one matmul screens every node for every trace, and the starts of
-all the block's traces are polished in one stack, each row against its own
-trace. A flat window (peak-to-peak below 1e-14 of its level, or of 1 for a
-level below 1) gets a flat fit under either model and runs no start.
+trial; each start's result is bitwise the one it would reach alone. Both
+models hand their starts to one driver, `_fit_rows`: every start of every
+trace runs in one stack, each row against its own trace, and each trace's
+converged start with the lowest ssr wins. The single-frequency fit has one
+start per FFT peak, at decay rate 1/span. The two-frequency fit takes two
+starts per trace from a coarse grid and works on a block of traces that
+share one time grid: the grid's per-node bases are built once per block and
+one matmul screens every node for every trace. A flat window (peak-to-peak
+below 1e-14 of its level, or of 1 for a level below 1) gets a flat fit under
+either model and runs no start.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -164,7 +164,8 @@ def _env_exp(gamma, t):
 
 def _single_eval(P, t, y, decay):
     """(m, n) residuals and (m, n, 6) Jacobian for an (m, 6) stack of
-    parameter rows, from one pass over exp, cos and sin."""
+    parameter rows, from one pass over exp, cos and sin; y is the (n,) data
+    or an (m, n) stack of each row's own data."""
     a, gamma, omega, phi, b, c = P.T[..., None]
     if decay == "exp":
         env = _env_exp(gamma, t)
@@ -199,71 +200,58 @@ def _is_flat(y):
     return float(np.ptp(y)) < 1e-14 * max(1.0, abs(float(y.mean())))
 
 
-def _rank(results, best=None, best_converged=None):
-    """Fold LM results into (lowest-ssr start, lowest-ssr converged start);
-    on equal ssr the earlier start stays."""
-    for res in results:
-        if best is None or res.ssr < best.ssr:
-            best = res
-        if res.converged and (best_converged is None or res.ssr < best_converged.ssr):
-            best_converged = res
-    return best, best_converged
-
-
-def _package_winner(best, best_converged, package, what, max_iter):
-    """The fit of the converged start with the lowest ssr, or a FitFailure
-    carrying the best start packaged anyway when none converged. Only the
-    winner's covariance is computed, from the Jacobian the LM loop returns
-    with it, and package(res, cov) builds the fit from it."""
-    chosen = best_converged if best_converged is not None else best
+def _winner(results, package, what, max_iter):
+    """The fit of the converged start with the lowest ssr (the earlier one
+    on a tie), or a FitFailure carrying the lowest-ssr start packaged anyway
+    when none converged. Only the chosen start's covariance is computed,
+    from the Jacobian the LM loop returns with it, and package(res, cov)
+    builds the fit from it."""
+    converged = [res for res in results if res.converged]
+    chosen = min(converged or results, key=lambda res: res.ssr)
     fit = package(chosen, lsq.covariance(chosen.jac, chosen.ssr))
-    if best_converged is None:
+    if not converged:
         return FitFailure(f"{what} fit did not converge within {max_iter} iterations",
                           last_fit=fit)
     return fit
 
 
-def _fit_starts(evaluate, groups, y, package, what, max_iter):
-    """Run each group of starts as one stacked LM fit; package the winner.
+def _fit_rows(evaluate, starts, Y, package, what, max_iter):
+    """Fit every trace of Y from its own starts in one stacked LM run.
 
-    evaluate(P, rows) returns the residuals and Jacobian of a parameter
-    stack. groups yields (k, n_params) start arrays, here one (1, 6) start
-    per FFT peak of a single-frequency fit. The converged start with the
-    lowest ssr wins; the remaining groups are skipped once it reaches
-    r^2 > 0.9999. FitFailure is raised when no start converges.
+    starts holds one (k_j, n_params) start array per row of Y, and
+    evaluate(P, Yp) returns the residuals and Jacobian of a parameter stack
+    against Yp, each parameter row's own trace. Returns the _winner of each
+    trace's starts, in order, package(res, cov, y) building a fit of trace y.
     """
-    best = best_converged = None
-    for p0 in groups:
-        best, best_converged = _rank(
-            lsq.stacked_levenberg_marquardt(evaluate, p0, max_iter=max_iter),
-            best, best_converged)
-        if best_converged is not None and _r_squared(y, best_converged.ssr) > 0.9999:
-            break
-    fit = _package_winner(best, best_converged, package, what, max_iter)
-    if isinstance(fit, FitFailure):
-        raise fit
-    return fit
+    counts = [len(p0) for p0 in starts]
+    owner = np.repeat(np.arange(len(starts)), counts)
+    results = iter(lsq.stacked_levenberg_marquardt(
+        lambda P, rows: evaluate(P, Y[owner[rows]]), np.concatenate(starts),
+        max_iter=max_iter))
+    return [_winner([next(results) for _ in range(k)],
+                    lambda res, cov: package(res, cov, y), what, max_iter)
+            for y, k in zip(Y, counts)]
 
 
 _SINGLE_PARAM_NAMES = ("A", "gamma", "omega", "phi", "B", "C")
 
 
-def fit_single_frequency(trace: OscillationTrace, window=(0.01, 0.6), *,
+def fit_single_frequency(trace: OscillationTrace, window=None, *,
                          decay="exp", max_iter=200) -> SingleFreqFit:
     """Fit the single damped cosine with drift on the given time window.
 
-    Each FFT peak of the detrended window (up to five, strongest first)
-    gets one start: its frequency, the decay rate 1/span, a quadrature
-    demodulation for the phase, half the peak-to-peak for the amplitude and
-    a straight line for the drift. Peaks run in turn until a converged fit
-    passes r^2 > 0.9999; the converged fit with the lowest ssr is returned.
-    A flat window returns an A ~ 0 fit with infinite CIs rather than
-    raising; FitFailure is raised only when no start converges within
+    The default window is (0.01, 0.6) ms. Each FFT peak of the detrended
+    window (up to five, strongest first) gets one start: its frequency, the
+    decay rate 1/span, a quadrature demodulation for the phase, half the
+    peak-to-peak for the amplitude and a straight line for the drift. All
+    starts run in one stack, and the converged fit with the lowest ssr is
+    returned. A flat window returns an A ~ 0 fit with infinite CIs rather
+    than raising; FitFailure is raised only when no start converges within
     max_iter.
     """
     if decay not in ("exp", "gauss"):
         raise ValueError(f"unknown decay model {decay!r}")
-    t, y = _window_slice(trace, window)
+    t, y = _window_slice(trace, (0.01, 0.6) if window is None else window)
     span = t[-1] - t[0]
     if _is_flat(y):
         ci = {name: math.inf for name in _SINGLE_PARAM_NAMES}
@@ -273,19 +261,17 @@ def fit_single_frequency(trace: OscillationTrace, window=(0.01, 0.6), *,
 
     b0, c0 = _detrend_line(t, y)
     resid = y - (b0 * t + c0)
-    omega_starts = _fft_peak_frequencies(t, resid, 5)
     a_guess = max(float(np.ptp(y)) / 2.0, 1e-12)
-
-    def groups():
-        # One start per FFT peak, built only when reached.
-        for omega_guess in omega_starts:
-            demod = np.sum(resid * np.exp(-1j * omega_guess * t))
-            phi_guess = float(np.angle(demod))
-            yield np.array([[a_guess, 1.0 / span, omega_guess, phi_guess, b0, c0]])
-
-    return _fit_starts(lambda P, rows: _single_eval(P, t, y, decay), groups(), y,
-                       lambda res, cov: _package_single(res, cov, y, decay),
+    p0 = []
+    for omega_guess in _fft_peak_frequencies(t, resid, 5):
+        demod = np.sum(resid * np.exp(-1j * omega_guess * t))
+        p0.append([a_guess, 1.0 / span, omega_guess, float(np.angle(demod)), b0, c0])
+    (fit,) = _fit_rows(lambda P, Yp: _single_eval(P, t, Yp, decay), [np.array(p0)], y[None],
+                       lambda res, cov, y: _package_single(res, cov, y, decay),
                        "single-frequency", max_iter)
+    if isinstance(fit, FitFailure):
+        raise fit
+    return fit
 
 
 def _package_single(res, cov, y, decay) -> SingleFreqFit:
@@ -365,7 +351,20 @@ class _Grid:
     def starts(self, y, screen):
         """The best node for y and the best one from a different grid
         region, as (grid index, omega_bar, gamma_b, coef) tuples; screen is
-        y's row of self.screen."""
+        y's row of self.screen.
+
+        Nodes rank by their lstsq residual sum, ties to the lower grid
+        index. The span of node i's five columns is that of the shared three
+        plus [u_perp v_perp], so the screen |y_perp|^2 - |Q_i^T y_perp|^2 is
+        y's residual sum after projection onto it. As a difference of sums
+        it carries rounding of order eps |y|^2. The node's lstsq residual sum
+        is the same minimum to rounding, or lies above it where lstsq drops
+        a singular direction below its cutoff. Nodes are solved exactly with
+        lstsq in screen order until the screen passes the best exact sum by
+        1e-9 |y|^2, far above that rounding: a node left unsolved has an
+        exact sum above the best, so it can neither win nor tie. Only the
+        designs of the nodes solved are built.
+        """
         tol = 1e-9 * float(y @ y)
 
         def best_of(nodes):
@@ -384,27 +383,6 @@ class _Grid:
         far = np.flatnonzero((np.abs(self.node_omega_bar - first[1]) > reach)
                              | (np.abs(self.node_gamma_b - first[2]) > reach))
         return [first, best_of(far)] if far.size else [first]
-
-
-def _grid_starts(t, Y, omega0, cos0, sin0):
-    """Grid starts for each row of Y: the best (omega_bar, gamma_b) node and
-    the best one from a different grid region, as lists of (grid index,
-    omega_bar, gamma_b, coef) tuples.
-
-    Nodes rank by their lstsq residual sum, ties to the lower grid index.
-    One matmul screens every node for every row: the span of node i's five
-    columns is that of the shared three plus [u_perp v_perp], so
-    |y_perp|^2 - |Q_i^T y_perp|^2 is y's residual sum after projection onto
-    it. As a difference of sums it carries rounding of order eps |y|^2. The
-    node's lstsq residual sum is the same minimum to rounding, or lies
-    above it where lstsq drops a singular direction below its cutoff. Nodes
-    are solved exactly with lstsq in screen order until the screen passes
-    the best exact sum by 1e-9 |y|^2, far above that rounding: a node left
-    unsolved has an exact sum above the best, so it can neither win nor
-    tie. Only the designs of the nodes solved are built.
-    """
-    grid = _Grid(t, omega0, cos0, sin0)
-    return [grid.starts(y, screen) for y, screen in zip(Y, grid.screen(Y))]
 
 
 def _two_freq_eval(P, t, y, omega0, cos0, sin0):
@@ -483,21 +461,17 @@ def fit_two_frequency_block(traces, omega0, window=None, *, max_iter=200):
     live = [j for j, fit in enumerate(fits) if fit is None]
     if not live:
         return fits
+    Y = Y[live]
     cos0, sin0 = np.cos(omega0 * t), np.sin(omega0 * t)
-    starts = _grid_starts(t, Y[live], omega0, cos0, sin0)
-    p0 = np.array([[*coef, max(omega_bar - omega0, 1e-6), gamma_b]
-                   for trace_starts in starts
-                   for _, omega_bar, gamma_b, coef in trace_starts])
-    owner = np.repeat(live, [len(trace_starts) for trace_starts in starts])
-    results = lsq.stacked_levenberg_marquardt(
-        lambda P, rows: _two_freq_eval(P, t, Y[owner[rows]], omega0, cos0, sin0),
-        p0, max_iter=max_iter)
-    results = iter(results)
-    for j, trace_starts in zip(live, starts):
-        y = Y[j]
-        fits[j] = _package_winner(
-            *_rank(itertools.islice(results, len(trace_starts))),
-            lambda res, cov: _package_two(res, cov, y, omega0), "two-frequency", max_iter)
+    grid = _Grid(t, omega0, cos0, sin0)
+    starts = [np.array([[*coef, max(omega_bar - omega0, 1e-6), gamma_b]
+                        for _, omega_bar, gamma_b, coef in grid.starts(y, screen)])
+              for y, screen in zip(Y, grid.screen(Y))]
+    fits_live = _fit_rows(lambda P, Yp: _two_freq_eval(P, t, Yp, omega0, cos0, sin0),
+                          starts, Y, lambda res, cov, y: _package_two(res, cov, y, omega0),
+                          "two-frequency", max_iter)
+    for j, fit in zip(live, fits_live):
+        fits[j] = fit
     return fits
 
 

@@ -62,10 +62,10 @@ def _default_times():
     return np.arange(0.0, 1.0 + dt / 2, dt)
 
 
-def _analyze_single(trace, config, window, decay):
+def _analyze_single(trace, delta, window, decay):
     fit = fit_single_frequency(trace, window, decay=decay)
     return ScanRow(
-        detuning_khz=angular_to_khz(config.drive.delta),
+        detuning_khz=angular_to_khz(delta),
         frequency_khz=angular_to_khz(fit.omega),
         frequency_ci_khz=angular_to_khz(fit.ci95["omega"]),
         amplitude=fit.A,
@@ -91,20 +91,20 @@ def _two_row(fit, delta):
     )
 
 
-def _analyze_fft(trace, config, fft_options):
+def _analyze_fft(trace, delta, fft_options):
     spec = fft_spectrum(trace, **dict(fft_options or {}))
     if not spec.peak_frequencies_khz.size:
         raise ValueError("no spectral peak: the FFT power has no interior "
                          "maximum of the required prominence")
     peaks = tuple(float(f) for f in spec.peak_frequencies_khz)
-    return ScanRow(detuning_khz=angular_to_khz(config.drive.delta),
+    return ScanRow(detuning_khz=angular_to_khz(delta),
                    frequency_khz=peaks[0], peaks_khz=peaks)
 
 
 def _simulate(base_config, delta, t):
     config = replace(base_config, drive=DriveParams(omega0=base_config.drive.omega0,
                                                     delta=delta))
-    return config, ensemble_signal(config, t)
+    return ensemble_signal(config, t)
 
 
 def _error_row(delta, exc):
@@ -121,7 +121,7 @@ def _scan_two(base_config, detunings, t, window):
         traces = []  # a trace, or the error its simulation raised, per point
         for delta in deltas:
             try:
-                traces.append(_simulate(base_config, delta, t)[1])
+                traces.append(_simulate(base_config, delta, t))
             except (ValueError, RuntimeError) as exc:
                 traces.append(exc)
         simulated = [tr for tr in traces if not isinstance(tr, Exception)]
@@ -159,16 +159,14 @@ def scan_detuning(base_config: EnsembleConfig, detunings, *, analysis="single",
     if analysis == "two":
         return _scan_two(base_config, detunings, t, window)
 
-    if window is None and analysis == "single":
-        window = (0.01, 0.6)
     rows = []
     for delta in detunings:
         try:
-            config, trace = _simulate(base_config, delta, t)
+            trace = _simulate(base_config, delta, t)
             if analysis == "single":
-                row = _analyze_single(trace, config, window, decay)
+                row = _analyze_single(trace, delta, window, decay)
             else:
-                row = _analyze_fft(trace, config, fft_options)
+                row = _analyze_fft(trace, delta, fft_options)
         except (ValueError, RuntimeError) as exc:
             # FitFailure is a RuntimeError
             row = _error_row(delta, exc)

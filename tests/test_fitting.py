@@ -10,7 +10,6 @@ from rabisim.fitting import (
     FitFailure,
     _detrend_line,
     _fft_peak_frequencies,
-    _grid_starts,
     _window_slice,
     fit_single_frequency,
     fit_two_frequency,
@@ -97,6 +96,11 @@ def test_single_fit_noisy_confidence_intervals():
     assert abs(fit.omega - khz_to_angular(9.0)) < 3.0 * ci
 
 
+def test_single_fit_default_window():
+    trace = _damped_cosine(0.4, 2.0, khz_to_angular(9.0), 0.3, slope=0.05, offset=0.5)
+    assert repr(fit_single_frequency(trace)) == repr(fit_single_frequency(trace, (0.01, 0.6)))
+
+
 def test_single_fit_window_validation():
     trace = _damped_cosine(0.3, 1.0, khz_to_angular(9.0), 0.0)
     with pytest.raises(ValueError):
@@ -162,8 +166,8 @@ def test_single_fit_runs_one_start_per_fft_peak(monkeypatch):
     assert p0[0, 1] == 1.0 / span
     assert fit.ssr == results[0].ssr
 
-    # Two undamped tones: no single cosine passes r^2 0.9999, so the second
-    # FFT peak gets its own start, and it is the better fit here.
+    # Two tones: every FFT peak gets a row of one stack, in peak order, and
+    # the winner is the lowest-ssr row, here not the strongest peak's.
     stacks.clear()
     y = (0.4 * np.exp(-TIMES) * np.cos(khz_to_angular(9.0) * TIMES + 0.3)
          + 0.2 * np.cos(khz_to_angular(15.0) * TIMES) + 0.5)
@@ -173,16 +177,29 @@ def test_single_fit_runs_one_start_per_fft_peak(monkeypatch):
     b0, c0 = _detrend_line(t, y)
     peaks = _fft_peak_frequencies(t, y - (b0 * t + c0), 5)
     assert len(peaks) >= 2
-    assert fit.r_squared < 0.9999
-    assert len(stacks) == len(peaks)
-    for (p0, results), omega in zip(stacks, peaks):
-        assert p0.shape == (1, 6)
-        assert p0[0, 1] == 1.0 / span
-        assert p0[0, 2] == omega
-        assert results[0].converged
-    ssrs = [results[0].ssr for _, results in stacks]
+    assert len(stacks) == 1
+    (p0, results), = stacks
+    assert p0.shape == (len(peaks), 6)
+    assert list(p0[:, 2]) == peaks
+    assert (p0[:, 1] == 1.0 / span).all()
+    assert all(res.converged for res in results)
+    ssrs = [res.ssr for res in results]
     assert fit.ssr == min(ssrs)
     assert ssrs[1] < ssrs[0]
+
+    # Each row is bitwise its start run alone.
+    def evaluate(p):
+        r, jac = fitting._single_eval(p[None], t, y, "exp")
+        return r[0], jac[0]
+
+    for start, res in zip(p0, results):
+        alone = lsq.levenberg_marquardt(lambda p: evaluate(p)[0], lambda p: evaluate(p)[1],
+                                        start)
+        assert np.array_equal(alone.params, res.params)
+        assert alone.ssr == res.ssr
+        assert (alone.n_iter, alone.converged, alone.message) == (
+            res.n_iter, res.converged, res.message)
+        assert np.array_equal(alone.jac, res.jac)
 
 
 def _two_component(a, phi_a, b, omega_bar, phi_b, gamma_b, offset, omega0, times=TIMES):
@@ -403,10 +420,11 @@ def _block(traces, window):
 
 
 def _assert_same_starts(traces, omega0, window=(0.0, 1.5)):
-    # The traces run through _grid_starts as one block.
+    # The traces share one grid and one screen, as in a block fit.
     assert len(traces) >= 2
     t, Y = _block(traces, window)
-    block = _grid_starts(t, Y, omega0, np.cos(omega0 * t), np.sin(omega0 * t))
+    grid = fitting._Grid(t, omega0, np.cos(omega0 * t), np.sin(omega0 * t))
+    block = [grid.starts(y, screen) for y, screen in zip(Y, grid.screen(Y))]
     assert len(block) == len(traces)
     for y, got in zip(Y, block):
         want = _reference_grid_starts(t, y, omega0)
