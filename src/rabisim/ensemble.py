@@ -235,9 +235,9 @@ def _parametric_rule(sigma, skew, nodes, half_width):
     return shifts, weights
 
 
-def _rotations(step, n, phase=0.0):
+def _rotations(step, n, phase=0.0, out=None):
     """exp(i (phase + k step)) for k = 0 .. n-1, as an (n, M) complex table
-    for M = step.size angles.
+    for M = step.size angles, written into out when it is given.
 
     Row 0 is exp(i phase). Rows [m, 2m) are rows [0, m) times the turn
     exp(i m step), one complex multiply per entry, and the turn is squared
@@ -247,7 +247,7 @@ def _rotations(step, n, phase=0.0):
     k is within about k eps of the cos and sin of the float64 angles (0.35 k
     eps measured for k < 317 and |step| from 1e-6 to 1e3).
     """
-    table = np.empty((n, step.size), dtype=complex)
+    table = np.empty((n, step.size), dtype=complex) if out is None else out
     table[0].real = np.cos(phase)
     table[0].imag = np.sin(phase)
     turn = np.empty(step.size, dtype=complex)
@@ -297,8 +297,16 @@ def _two_level_sum(drive: DriveParams, shifts, coef, gamma, times, t0, dt):
     n_q = -(-n_t // b)
     omega_r = np.hypot(drive.omega0, drive.delta + shifts)
     w = coef * (0.5 * (drive.omega0 / omega_r) ** 2)
-    lhs = _rotations(omega_r * (b * dt), n_q, omega_r * t0)
-    rhs = _rotations(omega_r * dt, b)
+    # Both tables share one allocation, the call's largest. When glibc's
+    # malloc frees a block it had mapped on its own, it raises its trim
+    # threshold to twice that block, so the call's whole working set, about
+    # 1.25 times this block, then stays in the heap from one call to the
+    # next. With two separate tables it depends on the largest block freed
+    # elsewhere whether the heap is trimmed and faulted in again on every
+    # call; that doubled the time of a dense 2,001-node scan.
+    tables = np.empty((n_q + b, omega_r.size), dtype=complex)
+    lhs = _rotations(omega_r * (b * dt), n_q, omega_r * t0, out=tables[:n_q])
+    rhs = _rotations(omega_r * dt, b, out=tables[n_q:])
     np.subtract(1.0, rhs.real, out=rhs.real)
     row = (1.0 - lhs.real) @ w
     lhs *= w

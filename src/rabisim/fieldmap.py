@@ -23,6 +23,9 @@ from .units import khz_to_angular
 
 PROFILE_KEYS = ("b0x", "b0y", "b0z", "b1x", "b1y", "b1z")
 
+# np.histogram's own block size (BLOCK in numpy/lib/_histograms_impl.py).
+HIST_BLOCK = 65_536
+
 
 @dataclass(frozen=True)
 class AxisProfile:
@@ -63,7 +66,10 @@ class AxisProfile:
             xs = np.array([p for p, _ in self.nodes])
             ys = np.array([v for _, v in self.nodes])
             return np.interp(positions, xs, ys)
-        return np.polynomial.polynomial.polyval(positions, self.coefficients)
+        # an overflow or inf - inf shows up as a non-finite deviation, which
+        # field_magnitude_histogram and the deviation bound reject by name
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.polynomial.polynomial.polyval(positions, self.coefficients)
 
 
 @dataclass(frozen=True)
@@ -205,9 +211,20 @@ def field_magnitude_histogram(model: FieldGridModel, beam: ProbeBeam,
                               n_bins=120) -> FieldHistogram:
     """Histogram of the field-magnitude deviation over the beam-weighted cell.
 
-    Evaluates |B_0 + sign * B_1| - b_set on the full grid, weights each
-    point by the beam's transverse profile (uniform along z), and bins the
+    Evaluates |B_0 + sign * B_1| - b_set over the grid, weights each point
+    by the beam's transverse profile (uniform along z), and bins the
     deviations. Weights are normalized to unit total.
+
+    The grid is never held whole. The separable terms u = dx^2 + dy^2 over
+    the (x, y) plane and v = (b_set + dz)^2 along z give each point's
+    deviation as sqrt(u + v) - b_set. Correctly rounded +, sqrt and - are
+    monotone, so the range is the deviation at (min u, min v) and at
+    (max u, max v), bitwise the extremes of the full grid; a nan or an
+    overflow anywhere makes one of them non-finite. The flattened grid is
+    then binned in blocks of HIST_BLOCK points, numpy's own block size, so
+    each bin adds its weights in the same order as one np.histogram call
+    over the full grid would, and the counts match it bitwise while memory
+    stays flat in the grid size.
     """
     n_bins = int(n_bins)
     if n_bins < 1:
@@ -215,15 +232,15 @@ def field_magnitude_histogram(model: FieldGridModel, beam: ProbeBeam,
     xy = model.axis_grid("xy")
     z = model.axis_grid("z")
     sign = model.current_sign
-    dx = model.component("b0x", xy) + sign * model.component("b1x", xy)
-    dy = model.component("b0y", xy) + sign * model.component("b1y", xy)
-    dz = model.component("b0z", z) + sign * model.component("b1z", z)
-
     with np.errstate(over="ignore", invalid="ignore"):
-        magnitude = np.sqrt(dx[:, None, None] ** 2 + dy[None, :, None] ** 2
-                            + (model.b_set + dz[None, None, :]) ** 2)
-        deviation = magnitude - model.b_set
-    if not np.isfinite(deviation).all():
+        dx = model.component("b0x", xy) + sign * model.component("b1x", xy)
+        dy = model.component("b0y", xy) + sign * model.component("b1y", xy)
+        dz = model.component("b0z", z) + sign * model.component("b1z", z)
+        u = (dx[:, None] ** 2 + dy[None, :] ** 2).ravel()
+        v = (model.b_set + dz) ** 2
+        lo, hi = (np.sqrt(np.array([u.min(), u.max()]) + np.array([v.min(), v.max()]))
+                  - model.b_set)
+    if not (np.isfinite(lo) and np.isfinite(hi)):
         raise ValueError("field deviation is not finite on the grid: "
                          f"b_set_khz ({model.b_set:.4g}) or a profile is too large")
 
@@ -231,10 +248,17 @@ def field_magnitude_histogram(model: FieldGridModel, beam: ProbeBeam,
     total = float(w_xy.sum()) * z.size
     if total <= 0:
         raise ValueError("beam weight vanishes on the entire grid")
-    weight = np.broadcast_to(w_xy[:, :, None] / total, deviation.shape)
+    w = (w_xy / total).ravel()
 
-    counts, edges = np.histogram(deviation.ravel(), bins=n_bins,
-                                 weights=weight.ravel())
+    counts = np.zeros(n_bins)
+    size = u.size * v.size
+    for start in range(0, size, HIST_BLOCK):
+        row, col = np.divmod(np.arange(start, min(start + HIST_BLOCK, size)), v.size)
+        deviation = np.sqrt(u[row] + v[col])
+        deviation -= model.b_set
+        block, edges = np.histogram(deviation, bins=n_bins, range=(lo, hi),
+                                    weights=w[row])
+        counts += block
     centers = 0.5 * (edges[:-1] + edges[1:])
     weights = counts / counts.sum()
     mean, std, below, above, third = _bin_statistics(centers, weights)

@@ -420,7 +420,10 @@ fieldmap:
     ("b_set_khz: 18167.0\n  bounds_xy_mm: [-8.25, 8.0]\n"
      "  beam: {profile: flat_top, diameter_mm: 0.2}",
      "beam weight vanishes"),
-], ids=["b_set_overflow", "beam_misses_grid"])
+    ("b_set_khz: 18167.0\n  profiles:\n"
+     "    b0z: {kind: polynomial, coefficients: [0.0, 0.0, 1.0e+306]}",
+     "field deviation is not finite on the grid"),
+], ids=["b_set_overflow", "beam_misses_grid", "polynomial_overflow"])
 def test_field_histogram_errors_name_fieldmap(tmp_path, capsys, fieldmap, named):
     # field-dist builds the histogram at run time, a fieldmap distribution
     # while parsing; both end in a ScenarioError.

@@ -1,4 +1,6 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -188,3 +190,73 @@ def test_grid_spacing_and_bounds():
     assert np.allclose(np.diff(xy), 0.5)
     assert np.allclose(np.diff(z), 0.1)
     assert z.size == 401
+
+
+def _one_call_histogram(model, beam, n_bins):
+    # the full grid held whole and binned by one np.histogram call
+    xy = model.axis_grid("xy")
+    z = model.axis_grid("z")
+    sign = model.current_sign
+    dx = model.component("b0x", xy) + sign * model.component("b1x", xy)
+    dy = model.component("b0y", xy) + sign * model.component("b1y", xy)
+    dz = model.component("b0z", z) + sign * model.component("b1z", z)
+    deviation = np.sqrt(dx[:, None, None] ** 2 + dy[None, :, None] ** 2
+                        + (model.b_set + dz[None, None, :]) ** 2) - model.b_set
+    w_xy = beam.weight_xy(xy, xy)
+    weight = np.broadcast_to(w_xy[:, :, None] / (float(w_xy.sum()) * z.size),
+                             deviation.shape)
+    counts, edges = np.histogram(deviation.ravel(), bins=n_bins,
+                                 weights=weight.ravel())
+    return 0.5 * (edges[:-1] + edges[1:]), counts / counts.sum()
+
+
+_CASES = {
+    # 9 x 9 x 11 = 891 points, under one block
+    "891": (_skewed_profiles(), dict(bounds_xy=(-8.0, 8.0), spacing=2.0, spacing_z=4.0)),
+    # 16 x 16 x 256 = 65,536 points, exactly one block
+    "65536": (_skewed_profiles(), dict(bounds_xy=(-7.5, 7.5), spacing=1.0,
+                                       bounds_z=(-20.0, 19.84375), spacing_z=0.15625)),
+    # 33 x 33 x 401 = 436,689 points, a partial last block
+    "436689": (_skewed_profiles(), dict(spacing_z=0.1)),
+    # every deviation equal, so numpy widens the range by +-0.5 kHz
+    "uniform": ({"b0z": AxisProfile(kind="constant", value=2.5)}, dict(spacing_z=0.1)),
+}
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+@pytest.mark.parametrize("case", sorted(_CASES))
+@pytest.mark.parametrize("beam", [ProbeBeam(), ProbeBeam(profile="gaussian", diameter=10.0)],
+                         ids=["flat_top", "gaussian"])
+def test_blocked_histogram_equals_one_call(case, sign, beam):
+    profiles, grid = _CASES[case]
+    model = _model(profiles, sign=sign, **grid)
+    hist = field_magnitude_histogram(model, beam, n_bins=120)
+    centers, weights = _one_call_histogram(model, beam, 120)
+    assert np.array_equal(hist.bin_centers_khz, centers)
+    assert np.array_equal(hist.weights, weights)
+
+
+def test_histogram_memory_flat_in_grid_size():
+    # 33 x 33 x 2,001 points: the whole grid as float64 alone is 17 MB
+    model = _model(_skewed_profiles(), spacing_z=0.02)
+    assert model.axis_grid("z").size == 2001
+    tracemalloc.start()
+    try:
+        field_magnitude_histogram(model, ProbeBeam(), n_bins=120)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+@pytest.mark.parametrize("model", [
+    # +inf + (-inf) along z: a nan on part of the grid
+    _model({"b0z": AxisProfile(kind="polynomial", coefficients=(0.0, 0.0, 1.0e306)),
+            "b1z": AxisProfile(kind="polynomial", coefficients=(0.0, 0.0, -1.0e306))}),
+    FieldGridModel(b_set=1.0e300, profiles={}),
+], ids=["nan_grid", "b_set_overflow"])
+def test_non_finite_deviation_raises_without_warning(model):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="field deviation is not finite on the grid"):
+            field_magnitude_histogram(model, ProbeBeam())
