@@ -51,9 +51,9 @@ class ScanRow:
     error: str = ""
 
 
-# Two-frequency points fitted as one block hold at most about this many
-# trace samples together (always at least one point), so a long scan's
-# memory is bounded by the chunk.
+# A scan simulates and analyses its points a chunk at a time: a chunk holds
+# at most about this many trace samples (always at least one point), so a
+# long scan's memory is bounded by the chunk.
 _CHUNK_SAMPLES = 4096
 
 
@@ -62,8 +62,42 @@ def _default_times():
     return np.arange(0.0, 1.0 + dt / 2, dt)
 
 
-def _analyze_single(trace, delta, window, decay):
-    fit = fit_single_frequency(trace, window, decay=decay)
+def _attempt(fn, *args, **kwargs):
+    """fn's result, or the error it raised (FitFailure is a RuntimeError)."""
+    try:
+        return fn(*args, **kwargs)
+    except (ValueError, RuntimeError) as exc:
+        return exc
+
+
+def _simulate(base_config, delta, t):
+    config = replace(base_config, drive=DriveParams(omega0=base_config.drive.omega0,
+                                                    delta=delta))
+    return ensemble_signal(config, t)
+
+
+def _fft_peaks(trace, fft_options):
+    spec = fft_spectrum(trace, **dict(fft_options or {}))
+    if not spec.peak_frequencies_khz.size:
+        raise ValueError("no spectral peak: the FFT power has no interior "
+                         "maximum of the required prominence")
+    return tuple(float(f) for f in spec.peak_frequencies_khz)
+
+
+def _analyse(analysis, traces, omega0, window, decay, fft_options):
+    """A fit (for FFT, the peak list), or the error it raised, per trace."""
+    if analysis == "single":
+        return [_attempt(fit_single_frequency, tr, window, decay=decay)
+                for tr in traces]
+    if analysis == "fft":
+        return [_attempt(_fft_peaks, tr, fft_options) for tr in traces]
+    fits = _attempt(fit_two_frequency_block, traces, omega0, window)
+    # The block rejects omega0, the window or the time grid, which every
+    # point of the chunk shares: each point records the error.
+    return [fits] * len(traces) if isinstance(fits, Exception) else fits
+
+
+def _single_row(fit, delta):
     return ScanRow(
         detuning_khz=angular_to_khz(delta),
         frequency_khz=angular_to_khz(fit.omega),
@@ -91,51 +125,12 @@ def _two_row(fit, delta):
     )
 
 
-def _analyze_fft(trace, delta, fft_options):
-    spec = fft_spectrum(trace, **dict(fft_options or {}))
-    if not spec.peak_frequencies_khz.size:
-        raise ValueError("no spectral peak: the FFT power has no interior "
-                         "maximum of the required prominence")
-    peaks = tuple(float(f) for f in spec.peak_frequencies_khz)
-    return ScanRow(detuning_khz=angular_to_khz(delta),
-                   frequency_khz=peaks[0], peaks_khz=peaks)
+def _fft_row(peaks, delta):
+    return ScanRow(detuning_khz=angular_to_khz(delta), frequency_khz=peaks[0],
+                   peaks_khz=peaks)
 
 
-def _simulate(base_config, delta, t):
-    config = replace(base_config, drive=DriveParams(omega0=base_config.drive.omega0,
-                                                    delta=delta))
-    return ensemble_signal(config, t)
-
-
-def _error_row(delta, exc):
-    return ScanRow(detuning_khz=angular_to_khz(delta), error=str(exc))
-
-
-def _scan_two(base_config, detunings, t, window):
-    """Two-frequency rows, fitted a chunk of points at a time."""
-    omega0 = base_config.drive.omega0
-    chunk = max(1, _CHUNK_SAMPLES // max(t.size, 1))
-    rows = []
-    for start in range(0, len(detunings), chunk):
-        deltas = detunings[start:start + chunk]
-        traces = []  # a trace, or the error its simulation raised, per point
-        for delta in deltas:
-            try:
-                traces.append(_simulate(base_config, delta, t))
-            except (ValueError, RuntimeError) as exc:
-                traces.append(exc)
-        simulated = [tr for tr in traces if not isinstance(tr, Exception)]
-        try:
-            fits = iter(fit_two_frequency_block(simulated, omega0, window))
-        except ValueError as exc:
-            # The block rejects omega0, the window or the time grid, which
-            # every point of the chunk shares: each point records the error.
-            fits = iter([exc] * len(simulated))
-        for delta, trace in zip(deltas, traces):
-            fit = trace if isinstance(trace, Exception) else next(fits)
-            rows.append(_error_row(delta, fit) if isinstance(fit, Exception)
-                        else _two_row(fit, delta))
-    return rows
+_ROWS = {"single": _single_row, "two": _two_row, "fft": _fft_row}
 
 
 def scan_detuning(base_config: EnsembleConfig, detunings, *, analysis="single",
@@ -143,32 +138,31 @@ def scan_detuning(base_config: EnsembleConfig, detunings, *, analysis="single",
     """Run the ensemble simulation and analysis at each angular detuning.
 
     detunings are angular (rad/ms), matching DriveParams.delta. The result
-    is a list of ScanRow in input order. Single-frequency and FFT points
-    run one after another. Two-frequency points are simulated a chunk at a
-    time (at most about 4,096 trace samples, at least one point) and each
-    chunk is fitted as one block, whose fits are bitwise the per-point
-    ones. A point whose simulation or analysis fails gets its error
-    message recorded instead of aborting the scan.
+    is a list of ScanRow in input order. Every analysis runs a chunk of
+    points at a time (at most about 4,096 trace samples, at least one
+    point): the chunk's points are simulated, then analysed together.
+    Two-frequency points are fitted as one block, whose fits are bitwise
+    the per-point ones; single-frequency and FFT points are analysed one
+    trace at a time. A point whose simulation or analysis fails gets its
+    error message recorded instead of aborting the scan.
     """
     detunings = [float(d) for d in detunings]
     if not detunings:
         raise ValueError("detuning list must not be empty")
-    if analysis not in ("single", "two", "fft"):
+    if analysis not in _ROWS:
         raise ValueError(f"unknown analysis {analysis!r}")
     t = _default_times() if times is None else np.asarray(times, dtype=float)
-    if analysis == "two":
-        return _scan_two(base_config, detunings, t, window)
-
+    chunk = max(1, _CHUNK_SAMPLES // max(t.size, 1))
     rows = []
-    for delta in detunings:
-        try:
-            trace = _simulate(base_config, delta, t)
-            if analysis == "single":
-                row = _analyze_single(trace, delta, window, decay)
-            else:
-                row = _analyze_fft(trace, delta, fft_options)
-        except (ValueError, RuntimeError) as exc:
-            # FitFailure is a RuntimeError
-            row = _error_row(delta, exc)
-        rows.append(row)
+    for start in range(0, len(detunings), chunk):
+        deltas = detunings[start:start + chunk]
+        # a trace, or the error its simulation raised, per point
+        traces = [_attempt(_simulate, base_config, delta, t) for delta in deltas]
+        simulated = [tr for tr in traces if not isinstance(tr, Exception)]
+        fits = iter(_analyse(analysis, simulated, base_config.drive.omega0, window,
+                             decay, fft_options))
+        for delta, trace in zip(deltas, traces):
+            fit = trace if isinstance(trace, Exception) else next(fits)
+            rows.append(ScanRow(detuning_khz=angular_to_khz(delta), error=str(fit))
+                        if isinstance(fit, Exception) else _ROWS[analysis](fit, delta))
     return rows

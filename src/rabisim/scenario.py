@@ -554,6 +554,13 @@ def parse_scenario(data: dict, base_dir=None) -> Scenario:
     if analysis.kind == "fft" and times.size < MIN_FFT_SAMPLES:
         raise ScenarioError(f"time_grid: an FFT analysis needs at least "
                             f"{MIN_FFT_SAMPLES} samples, got {times.size}")
+    track = analysis.track
+    if track is not None:
+        # A hop below the sample spacing only repeats windows' sample sets,
+        # so a track holds at most as many windows as the trace has samples.
+        t_end = times[-1] if track["t_stop"] is None else min(track["t_stop"], times[-1])
+        _check_size((t_end - track["window"]) / track["hop"] + 1, times.size,
+                    "analysis.track.hop_ms", "(min(t_stop_ms, t_max_ms) - window_ms) / hop_ms + 1")
 
     ens_d = _expect_mapping(data.get("ensemble", {}), "ensemble")
     _check_keys(ens_d, ("quadrature_nodes", "support_half_width"), "ensemble")

@@ -204,15 +204,13 @@ def sliding_window_frequency(trace: OscillationTrace, window_length, hop, *,
         try:
             fit = fit_single_frequency(trace, (start, stop))
         except (FitFailure, ValueError):
-            start += hop
-            continue
-        if fit.flat or not np.isfinite(fit.omega):
-            start += hop
-            continue
-        points.append(FrequencyTrackPoint(
-            t_center=start + 0.5 * window_length,
-            frequency_khz=angular_to_khz(fit.omega),
-            ci95_khz=angular_to_khz(fit.ci95["omega"]),
-        ))
+            fit = None
+        # A returned fit converged, so its omega is finite.
+        if fit is not None and not fit.flat:
+            points.append(FrequencyTrackPoint(
+                t_center=start + 0.5 * window_length,
+                frequency_khz=angular_to_khz(fit.omega),
+                ci95_khz=angular_to_khz(fit.ci95["omega"]),
+            ))
         start += hop
     return points

@@ -1,0 +1,47 @@
+"""The benchmark's tracer wraps program functions by (module, name).
+
+perfbench/tracing.py replaces each binding in its BINDINGS table with a
+span-recording wrapper, and its coverage check expects one single-frequency
+fit span and one ensemble-signal span per scan point. A refactor that
+drops a binding crashes the traced benchmark run, and one that fits a
+scan's points through another function fails its coverage check; both
+show here first. The tracer module is read from its file and only used.
+"""
+
+import importlib
+import importlib.util
+from collections import Counter
+from pathlib import Path
+
+from rabisim import cli
+from rabisim.scenario import parse_scenario
+
+_TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", _TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_binding_resolves():
+    missing = [(module, attr) for module, attr, _ in _tracing().BINDINGS
+               if not hasattr(importlib.import_module(module), attr)]
+    assert missing == []
+
+
+def test_traced_scan_has_one_fit_and_one_signal_span_per_point(tmp_path):
+    scenario = parse_scenario({
+        "name": "traced", "command": "scan",
+        "drive": {"omega0_khz": 9.0, "delta_list_khz": [0.0, 4.5, 9.0]},
+        "distribution": {"kind": "gaussian", "sigma_khz": 8.0},
+        "time_grid": {"t_max_ms": 1.0, "dt_ms": 0.008},
+        "ensemble": {"quadrature_nodes": 401},
+    })
+    with _tracing().Tracer() as tracer:
+        cli.run_scenario(scenario, "0" * 64, tmp_path)
+    spans = Counter(span[0] for span in tracer.spans)
+    assert spans["fitting.single"] == 3
+    assert spans["ensemble.signal"] == 3

@@ -299,6 +299,10 @@ _SHORT_GRID = ("distribution: {kind: gaussian, sigma_khz: 8.0}\n"
 _SHORT_TRACK = ("distribution: {kind: gaussian, sigma_khz: 8.0}\n"
                 "time_grid: {t_max_ms: 1.0, dt_ms: 0.004}\n"
                 "analysis: {track: {window_ms: 0.1, hop_ms: 0.1}}\n")
+# A hop far below the sample spacing would fit 8,000,000 windows.
+_DENSE_TRACK = ("distribution: {kind: gaussian, sigma_khz: 8.0}\n"
+                "time_grid: {t_max_ms: 2.0, dt_ms: 0.008}\n"
+                "analysis: {track: {window_ms: 0.4, hop_ms: 1.0e-7, t_stop_ms: 1.2}}\n")
 
 
 @pytest.mark.parametrize("command, body, named", [
@@ -308,8 +312,10 @@ _SHORT_TRACK = ("distribution: {kind: gaussian, sigma_khz: 8.0}\n"
     ("spectrum", _SHORT_GRID, "time_grid"),
     ("scan", _SHORT_GRID + "analysis: {kind: fft}\n", "time_grid"),
     ("spectrum", _SHORT_TRACK, "analysis.track"),
+    ("spectrum", _DENSE_TRACK, "analysis.track.hop_ms"),
 ], ids=["support-simulate", "support-scan", "support-spectrum",
-        "short_grid-spectrum", "short_grid-fft_scan", "short_track-spectrum"])
+        "short_grid-spectrum", "short_grid-fft_scan", "short_track-spectrum",
+        "dense_track-spectrum"])
 def test_unrunnable_inputs_exit_2(tmp_path, capsys, command, body, named):
     # Rejected while parsing (support, grid) or when the track runs; either
     # way the run ends in a ScenarioError before any file is written.

@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from rabisim import scans
 from rabisim.cli import _SCAN_TABLES
 from rabisim.ensemble import AtomModel, DetuningDistribution, EnsembleConfig, ensemble_signal
-from rabisim.fitting import fit_two_frequency
+from rabisim.fitting import fit_single_frequency, fit_two_frequency
 from rabisim.model import DriveParams
 from rabisim.scans import ScanRow, scan_detuning
+from rabisim.spectrum import fft_spectrum
 from rabisim.units import angular_to_khz, khz_to_angular
 
 OMEGA0 = khz_to_angular(9.0)
@@ -67,24 +68,62 @@ def test_two_frequency_analysis_columns():
     assert detuned.fraction_a < resonant.fraction_a
 
 
-def test_two_frequency_chunks_match_per_point_fits(monkeypatch):
-    # A chunk of one point is the per-point fit; two chunks of three and
-    # one, and one chunk of all four, give the same rows.
-    detunings = khz_to_angular(np.array([0.0, 9.0, 18.0, 27.0]))
-    times = np.arange(0.0, 1.2, 0.008)
-    window = (0.0, 1.0)
-    config = _config(27.0)
-    whole = scan_detuning(config, detunings, analysis="two", times=times, window=window)
+_CHUNK_DETUNINGS = khz_to_angular(np.array([0.0, 9.0, 18.0, 27.0]))
+_CHUNK_TIMES = np.arange(0.0, 1.2, 0.008)
+_CHUNK_WINDOW = (0.0, 1.0)
+# The row fields each analysis fills from its fit.
+_FITTED = {"single": ("frequency_khz", "amplitude", "gamma"),
+           "two": ("fraction_a", "omega_bar_khz", "gamma_b"),
+           "fft": ("peaks_khz",)}
+
+
+def _scan_chunked(kind, points_per_chunk, monkeypatch, detunings=_CHUNK_DETUNINGS):
+    monkeypatch.setattr(scans, "_CHUNK_SAMPLES", points_per_chunk * _CHUNK_TIMES.size)
+    return scan_detuning(_config(27.0), detunings, analysis=kind, times=_CHUNK_TIMES,
+                         window=_CHUNK_WINDOW)
+
+
+def _analysed_alone(kind, trace):
+    """The _FITTED values of a trace analysed on its own."""
+    if kind == "single":
+        fit = fit_single_frequency(trace, _CHUNK_WINDOW)
+        return angular_to_khz(fit.omega), fit.A, fit.gamma
+    if kind == "two":
+        fit = fit_two_frequency(trace, OMEGA0, _CHUNK_WINDOW)
+        return fit.fraction_a, angular_to_khz(fit.omega_bar), fit.gamma_b
+    return (tuple(float(f) for f in fft_spectrum(trace).peak_frequencies_khz),)
+
+
+@pytest.mark.parametrize("kind", ["single", "two", "fft"])
+def test_chunks_match_per_point_analysis(kind, monkeypatch):
+    # Chunks of one point, of three and one, and one chunk of all four
+    # points give the same rows, and each row is its point analysed alone.
+    whole = _scan_chunked(kind, len(_CHUNK_DETUNINGS), monkeypatch)
     for per_chunk in (1, 3):
-        monkeypatch.setattr(scans, "_CHUNK_SAMPLES", per_chunk * times.size)
-        rows = scan_detuning(config, detunings, analysis="two", times=times, window=window)
-        assert repr(rows) == repr(whole)
-    for delta, row in zip(detunings, whole):
+        assert repr(_scan_chunked(kind, per_chunk, monkeypatch)) == repr(whole)
+    config = _config(27.0)
+    for delta, row in zip(_CHUNK_DETUNINGS, whole):
         point = replace(config, drive=DriveParams(omega0=OMEGA0, delta=delta))
-        fit = fit_two_frequency(ensemble_signal(point, times), OMEGA0, window)
         assert row.error == ""
-        assert (row.fraction_a, row.omega_bar_khz, row.gamma_b) == (
-            fit.fraction_a, angular_to_khz(fit.omega_bar), fit.gamma_b)
+        assert tuple(getattr(row, name) for name in _FITTED[kind]) == _analysed_alone(
+            kind, ensemble_signal(point, _CHUNK_TIMES))
+
+
+@pytest.mark.parametrize("kind", ["single", "two", "fft"])
+def test_failed_simulation_in_chunk_is_its_points_row(kind, monkeypatch):
+    detunings = _CHUNK_DETUNINGS[:3]
+    clean = _scan_chunked(kind, 3, monkeypatch, detunings)
+
+    def failing_signal(config, times):
+        if config.drive.delta == detunings[1]:
+            raise ValueError("simulation failed here")
+        return ensemble_signal(config, times)
+
+    monkeypatch.setattr(scans, "ensemble_signal", failing_signal)
+    rows = _scan_chunked(kind, 3, monkeypatch, detunings)
+    assert repr(rows[1]) == repr(ScanRow(detuning_khz=clean[1].detuning_khz,
+                                         error="simulation failed here"))
+    assert repr([rows[0], rows[2]]) == repr([clean[0], clean[2]])
 
 
 def test_two_frequency_window_error_is_each_points_row():
