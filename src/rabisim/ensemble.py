@@ -5,8 +5,10 @@ distribution of Zeeman shifts; the measured signal is the
 distribution-weighted average of the per-atom population. Both parametric
 kinds are the skew-normal with mean 0 and std sigma (Azzalini, Scand. J.
 Statist. 12, 1985), the Gaussian being its skew-0 member. For them the
-average is the trapezoid rule on a uniform grid of shifts; it is the
-reference implementation and Monte Carlo its independent cross-check.
+average is the trapezoid rule with Gregory end weights on a uniform grid of
+shifts; it is the reference implementation and Monte Carlo its independent
+cross-check. Under the two-level model the grid holds only as many nodes as
+the trace needs (`quadrature_node_count`), at most quadrature_nodes.
 
 Both sum two-level atoms through one kernel, `_two_level_sum`. On a grid of
 T samples t_k = t0 + k dt it writes k = b q + r with b = ceil(sqrt(T)) and
@@ -40,6 +42,28 @@ _erf = np.frompyfunc(math.erf, 1, 1)  # elementwise stdlib erf, object dtype out
 
 _MC_CHUNK = 2500  # atoms per Monte Carlo chunk; see monte_carlo_signal
 
+# The rule is floored at this many nodes, the least a config may ask for.
+MIN_QUADRATURE_NODES = 201
+
+# Gregory's end weights for the three nodes at each end of the support,
+# which make the trapezoid rule exact for cubics: its end error then falls as
+# h^4 instead of h^2 (Fornberg, SIAM Review 63, 2021).
+_GREGORY = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
+
+# The aliasing error of the rule on step h is the integrand's spectrum at
+# wavenumber 2 pi / h (Trefethen & Weideman, SIAM Review 56, 2014), and both
+# bounds below put it at about 1e-16 = exp(-36.8):
+# - a Gaussian spectrum exp(-s^2 k^2 / 2) reaches it at k = 8.6 / s;
+# - a pole at distance a from the real axis gives exp(-2 pi a / h), which
+#   reaches it at h = a / 5.9.
+_BAND_WIDTHS = 8.6
+_POLE_STEPS = 5.9
+# The rule's end error, about the density at the ends times h^4, is at
+# rounding level on 200 intervals when sigma rho(+-h sigma) = 1e-9.
+_END_NODES = 200.0
+_END_DENSITY = 1e-9
+
+
 PARAMETRIC_KINDS = ("gaussian", "skewed_gaussian")
 VALID_KINDS = PARAMETRIC_KINDS + ("empirical",)
 
@@ -69,6 +93,11 @@ def skewed_gaussian_density(sigma, skew, x):
     """
     if not sigma > 0:
         raise ValueError("sigma must be positive")
+    return _skew_normal_pdf(sigma, skew, x)
+
+
+def _skew_normal_pdf(sigma, skew, x):
+    """skewed_gaussian_density without the check on sigma."""
     x = np.asarray(x, dtype=float)
     xi, w, _ = _skew_normal_params(sigma, skew)
     z = (x - xi) / w
@@ -168,10 +197,12 @@ class AtomModel:
 class EnsembleConfig:
     """Drive, distribution, per-atom kernel, and quadrature settings.
 
-    quadrature_nodes and support_half_width (in units of sigma) control the
-    trapezoid rule on a uniform shift grid used for parametric
-    distributions; empirical distributions are summed over their explicit
-    support instead.
+    Parametric distributions are averaged by the trapezoid rule with
+    Gregory end weights on a uniform shift grid over +-support_half_width
+    sigma. Under the analytic two-level model quadrature_nodes caps the
+    node count, which `quadrature_node_count` sizes to the trace; the
+    multilevel model uses exactly quadrature_nodes. Empirical distributions
+    are summed over their explicit support instead.
     """
 
     drive: DriveParams
@@ -182,8 +213,9 @@ class EnsembleConfig:
 
     def __post_init__(self):
         if self.distribution.is_parametric:
-            if self.quadrature_nodes < 201:
-                raise ValueError("parametric distributions need at least 201 quadrature nodes")
+            if self.quadrature_nodes < MIN_QUADRATURE_NODES:
+                raise ValueError(f"parametric distributions need at least "
+                                 f"{MIN_QUADRATURE_NODES} quadrature nodes")
             if self.support_half_width < 5.0:
                 raise ValueError("quadrature support half-width must be at least 5 sigma")
 
@@ -191,9 +223,9 @@ class EnsembleConfig:
 def _quadrature(dist: DetuningDistribution, nodes, half_width):
     """Shifts and weights of the distribution average.
 
-    For parametric kinds this is the trapezoid rule of `_parametric_rule`;
-    empirical kinds are summed over their explicit support, and sigma = 0
-    is the single shift 0.
+    For parametric kinds this is the rule of `_parametric_rule` on `nodes`
+    nodes; empirical kinds are summed over their explicit support, and
+    sigma = 0 is the single shift 0.
     """
     if not dist.is_parametric:
         return dist.shifts, dist.weights
@@ -202,33 +234,108 @@ def _quadrature(dist: DetuningDistribution, nodes, half_width):
     return _parametric_rule(dist.sigma, dist.skew, int(nodes), half_width)
 
 
+def _signal_rule(config: EnsembleConfig, t_end):
+    """The shifts and weights ensemble_signal sums over for a trace that
+    reaches |t| = t_end.
+
+    Under the analytic two-level model a parametric rule has
+    `quadrature_node_count` nodes, or config.quadrature_nodes if that rule
+    fails the mass check; the multilevel model always takes
+    config.quadrature_nodes, because the slope bound behind the count does
+    not hold for its phases.
+    """
+    dist, cap, half_width = (config.distribution, config.quadrature_nodes,
+                             config.support_half_width)
+    if (config.atom_model.kind == "analytic_two_level" and dist.is_parametric
+            and dist.sigma > 0):
+        nodes = quadrature_node_count(dist, config.drive.omega0, t_end, half_width, cap)
+        if nodes < cap:
+            try:
+                return _parametric_rule(dist.sigma, dist.skew, nodes, half_width)
+            except QuadratureSupportError:
+                pass
+    return _quadrature(dist, cap, half_width)
+
+
+@functools.lru_cache(maxsize=32)
+def _shape_nodes(skew, half_width):
+    """The two terms of the node count set by the distribution's shape:
+    (8.6 h / pi) sigma / sigma_eff and 200 (sigma rho(+-h sigma) / 1e-9)^(1/4)
+    for the support +-h sigma.
+
+    sigma_eff = w sqrt(1 - d^2) = w / hypot(1, alpha), with the scale w and
+    d of `_skew_normal_params`, is the width of the skew-normal's
+    characteristic function, whose modulus falls as
+    exp(-sigma_eff^2 k^2 / 2); it tends to 0 as |skew| grows, and the count
+    to the cap. Neither term depends on sigma, so both are taken at sigma 1,
+    which keeps them finite for any sigma the rule itself accepts.
+    """
+    _, w, _ = _skew_normal_params(1.0, skew)
+    smooth = _BAND_WIDTHS * half_width / math.pi * math.hypot(1.0, skew) / w
+    ends = _skew_normal_pdf(1.0, skew, np.array([-half_width, half_width]))
+    return smooth, _END_NODES * (float(ends.max()) / _END_DENSITY) ** 0.25
+
+
+def quadrature_node_count(distribution: DetuningDistribution, omega0, t_end,
+                          half_width, cap) -> int:
+    """The fewest nodes N of the two-level parametric rule on +-h sigma
+    (h = half_width) for a trace reaching |t| = t_end, floored at 201 and
+    capped at cap.
+
+    N - 1 is at least the largest of three terms, with sigma and omega0 in
+    kHz and t_end in ms:
+    - 2 h sigma t_end + (8.6 h / pi) sigma / sigma_eff: the phase
+      Omega_R(x) t changes by at most t per unit x, since
+      |dOmega_R/dx| <= 1, and the density's own spectrum adds its width;
+    - 5.9 (2 h sigma) / omega0: the amplitude (omega0 / Omega_R)^2 has
+      poles at omega0 off the real axis;
+    - 200 (sigma rho(+-h sigma) / 1e-9)^(1/4): the density left at the
+      support's ends.
+    On every case the tests compare against a Gauss-Legendre reference, the
+    rule at this count is within about 1e-13 of it.
+    """
+    smooth, ends = _shape_nodes(distribution.skew, half_width)
+    span = 2.0 * half_width * distribution.sigma  # angular, as are omega0 and sigma
+    need = max(span * t_end / (2.0 * math.pi) + smooth,
+               _POLE_STEPS * span / omega0, ends)
+    if not need <= cap - 1:  # also when need is inf
+        return int(cap)
+    return max(MIN_QUADRATURE_NODES, math.ceil(need) + 1)
+
+
 @functools.lru_cache(maxsize=32)
 def _parametric_rule(sigma, skew, nodes, half_width):
-    """The trapezoid rule on `nodes` evenly spaced shifts over
-    [-h sigma, +h sigma], h = half_width, around the (zero) mean shift.
+    """The trapezoid rule with Gregory end weights on `nodes` evenly spaced
+    shifts over [-h sigma, +h sigma], h = half_width, around the (zero)
+    mean shift: the weights are h_step (3/8, 7/6, 23/24, 1, ..., 1, 23/24,
+    7/6, 3/8) times the density.
 
     The integrand (a smooth density times a Lorentzian amplitude times a
-    phase analytic in a strip of half-width omega0) makes the rule converge
-    exponentially in the node count down to its endpoint term, which scales
-    with the density at +-h sigma (Trefethen & Weideman, SIAM Review 56,
-    2014). The total captured mass must account for the whole distribution
+    phase analytic in a strip of half-width omega0) makes the trapezoid
+    rule converge exponentially in the node count down to its endpoint
+    term, which scales with the density at +-h sigma (Trefethen & Weideman,
+    SIAM Review 56, 2014); Gregory's weights take that term from h^2 to
+    h^4. The total captured mass must account for the whole distribution
     to within 1e-6 or the rule is rejected. The miss comes from a support
     too narrow for the tail or, at large |skew|, from nodes too coarse for
     the near-step of the density at its mode.
 
     The rule depends on the distribution, not on the drive, so it is built
-    once per distribution and shared read-only by every call. A rejected
-    rule is not cached: lru_cache keeps no exceptions, so each call raises.
+    once per distribution and node count and shared read-only by every
+    call. A rejected rule is not cached: lru_cache keeps no exceptions, so
+    each call raises.
     """
     half = half_width * sigma
     shifts = np.linspace(-half, half, nodes)
     weights = (2.0 * half / (shifts.size - 1)) * skewed_gaussian_density(sigma, skew, shifts)
-    weights[[0, -1]] *= 0.5
+    weights[:3] *= _GREGORY
+    weights[-3:] *= _GREGORY[::-1]
     mass = float(weights.sum())
     if abs(1.0 - mass) > 1e-6:
         raise QuadratureSupportError(
-            f"the trapezoid rule on {shifts.size} nodes over +-{half_width:g} sigma "
-            f"misses {abs(1.0 - mass):.2e} of the distribution mass (> 1e-6)"
+            f"the end-corrected trapezoid rule on {shifts.size} nodes over "
+            f"+-{half_width:g} sigma misses {abs(1.0 - mass):.2e} of the "
+            "distribution mass (> 1e-6)"
         )
     weights /= mass
     shifts.flags.writeable = weights.flags.writeable = False
@@ -321,9 +428,8 @@ def _two_level_sum(drive: DriveParams, shifts, coef, gamma, times, t0, dt):
 def ensemble_signal(config: EnsembleConfig, times) -> OscillationTrace:
     """Distribution-averaged population signal on a uniform time grid."""
     times = np.asarray(times, dtype=float)
-    shifts, weights = _quadrature(config.distribution, config.quadrature_nodes,
-                                  config.support_half_width)
     t0, dt = uniform_grid(times)
+    shifts, weights = _signal_rule(config, max(abs(t0), abs(float(times[-1]))))
     model = config.atom_model
     if model.kind == "analytic_two_level":
         values = _two_level_sum(config.drive, shifts, weights, model.gamma, times, t0, dt)

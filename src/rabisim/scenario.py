@@ -24,8 +24,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .ensemble import (AtomModel, DetuningDistribution, _quadrature,
-                       load_empirical_distribution)
+from .ensemble import (MIN_QUADRATURE_NODES, AtomModel, DetuningDistribution,
+                       _quadrature, load_empirical_distribution,
+                       quadrature_node_count)
 from .fieldmap import (AxisProfile, FieldGridModel, ProbeBeam,
                        field_magnitude_histogram, histogram_to_distribution)
 from .spectrum import MIN_FFT_SAMPLES
@@ -488,6 +489,21 @@ def _parse_analysis(d, path, command) -> AnalysisOptions:
                            window_periods=periods, fft=fft, track=track)
 
 
+def _check_node_cap(distribution, sigma_list, omega0_list, t_end, nodes, half_width):
+    """Refuse a two-level grid whose rule needs more than `nodes` nodes:
+    ensemble_signal would run it aliased on its cap."""
+    need = max(quadrature_node_count(replace(distribution, sigma=sigma), omega0,
+                                     t_end, half_width, MAX_QUADRATURE_NODES + 1)
+               for sigma in sigma_list or (distribution.sigma,) if sigma > 0
+               for omega0 in omega0_list)
+    if need > nodes:
+        count = (f"more than {MAX_QUADRATURE_NODES}" if need > MAX_QUADRATURE_NODES
+                 else str(need))
+        raise ScenarioError(
+            f"ensemble.quadrature_nodes: this time grid and distribution need "
+            f"{count} quadrature nodes, more than the {nodes} allowed")
+
+
 def parse_scenario(data: dict, base_dir=None) -> Scenario:
     """Validate a scenario mapping and convert it to internal units."""
     data = _expect_mapping(data, "scenario")
@@ -567,7 +583,7 @@ def parse_scenario(data: dict, base_dir=None) -> Scenario:
     if not distribution.is_parametric:
         _check_keys(ens_d, (), "ensemble", "an empirical distribution")
     nodes = _integer(ens_d.get("quadrature_nodes", 2001),
-                     "ensemble.quadrature_nodes", minimum=201,
+                     "ensemble.quadrature_nodes", minimum=MIN_QUADRATURE_NODES,
                      maximum=MAX_QUADRATURE_NODES)
     half_width = _float(ens_d.get("support_half_width", 8.0),
                         "ensemble.support_half_width")
@@ -579,6 +595,9 @@ def parse_scenario(data: dict, base_dir=None) -> Scenario:
         # sigma covers every sigma block.
         with _named("ensemble.support_half_width"):
             _quadrature(replace(distribution, sigma=1.0), nodes, half_width)
+        if atom_model.kind == "analytic_two_level":
+            _check_node_cap(distribution, sigma_list, omega0_list,
+                            float(np.max(np.abs(times))), nodes, half_width)
 
     return Scenario(name=name, command=command, seed=seed, basename=basename,
                     omega0_list=omega0_list, deltas=deltas,

@@ -299,6 +299,9 @@ _SHORT_GRID = ("distribution: {kind: gaussian, sigma_khz: 8.0}\n"
 _SHORT_TRACK = ("distribution: {kind: gaussian, sigma_khz: 8.0}\n"
                 "time_grid: {t_max_ms: 1.0, dt_ms: 0.004}\n"
                 "analysis: {track: {window_ms: 0.1, hop_ms: 0.1}}\n")
+# A 40 ms trace at sigma 18 kHz needs 11,543 nodes, more than the default 2001.
+_ALIASED = ("distribution: {kind: gaussian, sigma_khz: 18.0}\n"
+            "time_grid: {t_max_ms: 40.0, dt_ms: 0.004}\n")
 # A hop far below the sample spacing would fit 8,000,000 windows.
 _DENSE_TRACK = ("distribution: {kind: gaussian, sigma_khz: 8.0}\n"
                 "time_grid: {t_max_ms: 2.0, dt_ms: 0.008}\n"
@@ -313,9 +316,11 @@ _DENSE_TRACK = ("distribution: {kind: gaussian, sigma_khz: 8.0}\n"
     ("scan", _SHORT_GRID + "analysis: {kind: fft}\n", "time_grid"),
     ("spectrum", _SHORT_TRACK, "analysis.track"),
     ("spectrum", _DENSE_TRACK, "analysis.track.hop_ms"),
+    ("simulate", _ALIASED, "ensemble.quadrature_nodes"),
+    ("scan", _ALIASED + "analysis: {kind: fft}\n", "ensemble.quadrature_nodes"),
 ], ids=["support-simulate", "support-scan", "support-spectrum",
         "short_grid-spectrum", "short_grid-fft_scan", "short_track-spectrum",
-        "dense_track-spectrum"])
+        "dense_track-spectrum", "aliased-simulate", "aliased-fft_scan"])
 def test_unrunnable_inputs_exit_2(tmp_path, capsys, command, body, named):
     # Rejected while parsing (support, grid) or when the track runs; either
     # way the run ends in a ScenarioError before any file is written.
@@ -328,6 +333,23 @@ def test_unrunnable_inputs_exit_2(tmp_path, capsys, command, body, named):
     assert captured.err.startswith(f"rabisim: {named}: ")
     assert "Traceback" not in captured.err and captured.out == ""
     assert list(tmp_path.iterdir()) == [config]
+
+
+def test_aliased_grid_names_the_nodes_it_needs():
+    # The refusal names the count; a cap that high, or a shorter trace, parses.
+    data = yaml.safe_load(f"name: long\ncommand: simulate\n"
+                          f"drive: {{omega0_khz: 9.0, delta_khz: 2.0}}\n{_ALIASED}")
+    with pytest.raises(ScenarioError, match="need 11543 quadrature nodes, more than "
+                                            "the 2001 allowed"):
+        parse_scenario(data)
+    assert parse_scenario({**data, "ensemble": {"quadrature_nodes": 11543}})
+    assert parse_scenario({**data, "time_grid": {"t_max_ms": 6.0, "dt_ms": 0.004}})
+    # The multilevel model keeps its exact node count and is not refused.
+    assert parse_scenario({**data, "atom_model": {"kind": "multilevel"}})
+    # Past the largest cap a scenario may set, the message says so.
+    data["distribution"]["sigma_khz"] = 1000.0
+    with pytest.raises(ScenarioError, match="need more than 20001 quadrature nodes"):
+        parse_scenario(data)
 
 
 def _preset_with(name, **sections):

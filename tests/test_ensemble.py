@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -270,6 +271,120 @@ def test_trapezoid_rule_matches_leggauss_reference(leggauss_4001, omega0_khz, de
     assert np.max(np.abs(values - _leggauss_reference(config, times, leggauss_4001))) < 1e-12
 
 
+# trapezoid_error is the error of the plain trapezoid rule on 2001 nodes,
+# the rule the sized one replaced, against the same reference; the sized
+# rule may be no worse than it or than 1e-13, whichever is larger.
+@pytest.mark.parametrize(
+    "omega0_khz, delta_khz, sigma_khz, skew, gamma_khz, t_max, dt, half_width, "
+    "trapezoid_error", [
+        pytest.param(9.0, 13.5, 27.0, 0.0, 0.0, 1.2, 0.008, 8.0, 1.3e-15, id="fig5-widest"),
+        pytest.param(5.0, 8.0, 10.0, 3.0, 1.0, 1.0, 0.008, 8.0, 5.6e-14, id="fig3a-skewed"),
+        pytest.param(9.0, 7.5, 12.0, 0.0, 1.0, 4.0, 0.004, 8.0, 2.8e-15, id="dense-gaussian"),
+        pytest.param(9.0, -7.5, 10.0, -3.0, 1.0, 4.0, 0.004, 8.0, 8.9e-14, id="dense-skewed"),
+        pytest.param(1.0, 2.0, 10.0, 3.0, 0.5, 1.0, 0.008, 8.0, 1.5e-14, id="omega0-1-skew3"),
+        pytest.param(9.0, 7.5, 12.0, 0.0, 1.0, 1.0, 0.008, 5.0, 1.2e-11, id="gaussian-w5"),
+        pytest.param(9.0, 13.5, 27.0, 0.0, 0.0, 2.4, 0.008, 8.0, 1.4e-15, id="sigma27-t2.4"),
+        pytest.param(9.0, 0.0, 8.0, 3.0, 1.0, 2.0, 0.008, 12.0, 1.6e-15, id="skew3-w12-t2"),
+        pytest.param(9.0, 13.5, 1.8, 0.0, 0.0, 1.2, 0.008, 8.0, 1.8e-15, id="sigma1.8"),
+        pytest.param(9.0, 5.0, 10.0, 10.0, 1.0, 1.0, 0.008, 8.0, 5.5e-13, id="skew10"),
+    ])
+def test_sized_rule_matches_leggauss_reference(leggauss_4001, omega0_khz, delta_khz,
+                                               sigma_khz, skew, gamma_khz, t_max, dt,
+                                               half_width, trapezoid_error):
+    config = _config(sigma_khz, delta_khz=delta_khz, skew=skew, gamma_khz=gamma_khz,
+                     support_half_width=half_width)
+    config = replace(config, drive=replace(config.drive, omega0=khz_to_angular(omega0_khz)))
+    times = np.arange(0.0, t_max + 0.5 * dt, dt)
+    nodes = ensemble._signal_rule(config, times[-1])[0].size
+    assert nodes < config.quadrature_nodes
+    values = ensemble_signal(config, times).values
+    error = np.max(np.abs(values - _leggauss_reference(config, times, leggauss_4001)))
+    assert error <= max(1e-13, trapezoid_error)
+
+
+@pytest.mark.parametrize("omega0_khz, t_end, sigma_khz, skew, half_width, expected", [
+    pytest.param(9.0, 1.2, 27.0, 0.0, 8.0, 542, id="fig5-widest"),
+    pytest.param(9.0, 1.0, 10.0, 3.0, 8.0, 345, id="fig3a"),
+    pytest.param(9.0, 1.2, 1.8, 0.0, 8.0, 201, id="floor"),
+    pytest.param(9.0, 4.0, 12.0, 0.0, 8.0, 791, id="dense-gaussian"),
+    pytest.param(9.0, 40.0, 18.0, 0.0, 8.0, 2001, id="40ms-capped"),
+    pytest.param(9.0, 1.0, 8.0, 1e200, 8.0, 2001, id="half-normal-capped"),
+    pytest.param(9.0, 1.0, 8.0, -1e308, 8.0, 2001, id="half-normal-overflow"),
+])
+def test_node_count_examples(omega0_khz, t_end, sigma_khz, skew, half_width, expected):
+    dist = DetuningDistribution(kind="skewed_gaussian", sigma=khz_to_angular(sigma_khz),
+                                skew=skew)
+    assert ensemble.quadrature_node_count(dist, khz_to_angular(omega0_khz), t_end,
+                                          half_width, 2001) == expected
+
+
+@given(sigma=st.floats(min_value=5e-324, max_value=1e6),
+       skew=st.floats(min_value=-1e300, max_value=1e300),
+       omega0=st.floats(min_value=5e-324, max_value=1e6),
+       t_end=st.floats(min_value=0.0, max_value=1e6),
+       half_width=st.floats(min_value=5.0, max_value=40.0),
+       cap=st.integers(min_value=201, max_value=40_001))
+@example(sigma=2.2e-311, skew=3.0, omega0=1.0, t_end=2.0, half_width=8.0, cap=2001)
+@settings(max_examples=200, deadline=None)
+def test_node_count_within_floor_and_cap(sigma, skew, omega0, t_end, half_width, cap):
+    dist = DetuningDistribution(kind="skewed_gaussian", sigma=sigma, skew=skew)
+    nodes = ensemble.quadrature_node_count(dist, omega0, t_end, half_width, cap)
+    assert isinstance(nodes, int)
+    assert 201 <= nodes <= cap
+
+
+@pytest.mark.parametrize("skew", [0.0, 3.0, -3.0])
+def test_node_count_grows_to_the_cap_with_skew(skew):
+    # The skew-normal's characteristic function narrows as |skew| grows, so
+    # the count rises with it and reaches the cap in the half-normal limit.
+    dist = DetuningDistribution(kind="skewed_gaussian", sigma=khz_to_angular(8.0))
+    counts = [ensemble.quadrature_node_count(replace(dist, skew=math.copysign(a, skew or 1.0)),
+                                             OMEGA0, 1.0, 8.0, 2001)
+              for a in (abs(skew), 10.0, 100.0, 1e4, 1e200)]
+    assert counts == sorted(counts)
+    assert counts[-2:] == [2001, 2001]
+
+
+def test_multilevel_and_empirical_rules_keep_their_nodes():
+    times = np.arange(0.0, 0.2, 0.008)
+    two = _config(8.0, delta_khz=3.0)
+    assert ensemble._signal_rule(two, times[-1])[0].size == 201
+    multi = replace(two, atom_model=AtomModel(kind="multilevel"))
+    assert ensemble._signal_rule(multi, times[-1])[0].size == two.quadrature_nodes
+    empirical = EnsembleConfig(drive=two.drive, distribution=DetuningDistribution(
+        kind="empirical", shifts=np.arange(7.0), weights=np.ones(7)))
+    assert ensemble._signal_rule(empirical, times[-1])[0].size == 7
+
+
+def test_sized_rule_failing_mass_check_falls_back_to_the_cap(monkeypatch):
+    # A sized rule that misses mass is replaced by the rule on the cap.
+    config = _config(8.0, delta_khz=3.0, skew=3.0)
+    real = ensemble._parametric_rule
+
+    def rule(sigma, skew, nodes, half_width):
+        if nodes < config.quadrature_nodes:
+            raise QuadratureSupportError("miss")
+        return real(sigma, skew, nodes, half_width)
+
+    monkeypatch.setattr(ensemble, "_parametric_rule", rule)
+    assert ensemble._signal_rule(config, TIMES[-1])[0].size == config.quadrature_nodes
+
+
+def test_gregory_end_weights():
+    # The interior weights are the step times the density and the three at
+    # each end 3/8, 7/6 and 23/24 of that, up to one normalisation by the
+    # captured mass.
+    sigma, nodes = khz_to_angular(8.0), 201
+    shifts, weights = _quadrature(DetuningDistribution(kind="gaussian", sigma=sigma),
+                                  nodes, 8.0)
+    plain = (shifts[1] - shifts[0]) * skewed_gaussian_density(sigma, 0.0, shifts)
+    ratio = weights / plain
+    ratio /= ratio[nodes // 2]
+    np.testing.assert_allclose(ratio[:4], [3 / 8, 7 / 6, 23 / 24, 1.0], rtol=1e-14)
+    np.testing.assert_allclose(ratio[-4:], [1.0, 23 / 24, 7 / 6, 3 / 8], rtol=1e-14)
+    np.testing.assert_allclose(ratio[3:-3], 1.0, rtol=1e-14)
+
+
 def test_sigma_zero_reduces_to_homogeneous():
     for delta_khz, gamma_khz in ((0.0, 0.0), (6.0, 1.0)):
         cfg = _config(0.0, delta_khz=delta_khz, gamma_khz=gamma_khz)
@@ -281,9 +396,14 @@ def test_sigma_zero_reduces_to_homogeneous():
 
 
 def test_node_doubling_converged():
-    a = ensemble_signal(_config(8.0, delta_khz=5.0), TIMES)
-    b = ensemble_signal(_config(8.0, delta_khz=5.0, quadrature_nodes=4001), TIMES)
-    assert np.max(np.abs(a.values - b.values)) < 1e-8
+    # The sized rule against a rule forced to 4001 nodes on the same support.
+    config = _config(8.0, delta_khz=5.0)
+    a = ensemble_signal(config, TIMES)
+    shifts, weights = _quadrature(config.distribution, 4001, config.support_half_width)
+    b = ensemble._two_level_sum(config.drive, shifts, weights, 0.0, TIMES,
+                                *uniform_grid(TIMES))
+    assert len(ensemble._signal_rule(config, TIMES[-1])[0]) < 4001
+    assert np.max(np.abs(a.values - b)) < 1e-8
 
 
 def test_gaussian_signal_symmetric_in_detuning():
@@ -343,11 +463,10 @@ def test_averages_match_independent_oracle(gamma_khz):
     # T = 8, 9 and 126, 127 sit on both sides of a square (b = ceil(sqrt(T))
     # and the number of blocks change there); 1001 is the dense-scan length.
     for config in _oracle_configs(gamma_khz):
-        shifts, weights = _quadrature(config.distribution, config.quadrature_nodes,
-                                      config.support_half_width)
         for n_t in (8, 9, 126, 127, 1001):
             for t0 in (0.0, 0.37):
                 times = t0 + 0.004 * np.arange(n_t)
+                shifts, weights = ensemble._signal_rule(config, times[-1])
                 expected = weights @ _oracle_populations(
                     config.drive, shifts, config.atom_model.gamma, times)
                 values = ensemble_signal(config, times).values
