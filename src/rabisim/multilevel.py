@@ -14,10 +14,16 @@ expression. Near an exceptional point of L its eigenvectors become almost
 parallel; when their condition number exceeds 1e8 it falls back to a matrix
 exponential per sample instead of returning inaccurate values. scipy.linalg
 is imported only on that fallback, so the spectral path needs numpy alone.
+
+One atom (p1_multilevel) costs one eig of L, one SVD of its eigenvector
+matrix for the condition number, and one (samples x 25) table of
+exponentials. L and the couplings come from fixed-size arithmetic against
+module constants, and each pure initial state is built and validated once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,8 +31,19 @@ import numpy as np
 from .model import DriveParams, OscillationTrace
 from .units import khz_to_angular
 
-# Ladder couplings (1/2) sqrt(F(F+1) - m(m+-1)) relative to the 2<->1 element.
+# Ladder couplings (1/2) sqrt(F(F+1) - m(m+-1)) relative to the 2<->1 element,
+# on the two first off-diagonals of the symmetric coupling matrix.
 _LADDER = np.array([1.0, np.sqrt(6.0) / 2.0, np.sqrt(6.0) / 2.0, 1.0])
+_LADDER_MATRIX = np.diag(_LADDER, 1) + np.diag(_LADDER, -1)
+
+# Level pairs the drive may not couple: all but adjacent m.
+_NOT_ADJACENT = np.abs(np.subtract.outer(np.arange(5), np.arange(5))) != 1
+
+_EYE = np.eye(5)
+
+# Positions of the coherences rho_kl, k != l, in the row-major flattening:
+# the diagonal entries of the Liouvillian that dephasing damps.
+_COHERENCES = np.flatnonzero(1.0 - _EYE)
 
 M_VALUES = np.array([2.0, 1.0, 0.0, -1.0, -2.0])
 
@@ -61,10 +78,9 @@ class LevelSystem:
             raise ValueError("level_shifts must have shape (5,)")
         if coupling.shape != (5, 5):
             raise ValueError("coupling must have shape (5, 5)")
-        if not np.allclose(coupling, coupling.T, atol=0.0, rtol=0.0):
+        if not np.array_equal(coupling, coupling.T):
             raise ValueError("coupling must be symmetric")
-        adjacency = np.abs(np.subtract.outer(np.arange(5), np.arange(5)))
-        if np.any(coupling[adjacency != 1] != 0.0):
+        if np.any(coupling[_NOT_ADJACENT] != 0.0):
             raise ValueError("couplings are allowed between adjacent levels only")
         if self.gamma < 0:
             raise ValueError("gamma must be non-negative")
@@ -99,9 +115,24 @@ class DensityMatrix:
 
     @classmethod
     def pure(cls, level: int) -> "DensityMatrix":
-        el = np.zeros((5, 5), dtype=complex)
-        el[level, level] = 1.0
-        return cls(el)
+        """All population in one level, 0..4 for m = +2..-2.
+
+        Every call for a level returns the same instance, whose elements are
+        read-only.
+        """
+        if (isinstance(level, bool) or not isinstance(level, (int, np.integer))
+                or not 0 <= level <= 4):
+            raise ValueError(f"level must be an integer from 0 to 4, got {level!r}")
+        return _pure_state(cls, int(level))
+
+
+@functools.cache
+def _pure_state(cls, level):
+    el = np.zeros((5, 5), dtype=complex)
+    el[level, level] = 1.0
+    state = cls(el)
+    state.elements.flags.writeable = False
+    return state
 
 
 def build_f2_system(drive: DriveParams, local_shift=0.0,
@@ -119,20 +150,26 @@ def build_f2_system(drive: DriveParams, local_shift=0.0,
     q = 0.5 * quadratic_shift
     m = M_VALUES
     shifts = q * (m - 1.0) * (m - 2.0) + (m - 2.0) * delta
-    coupling = np.zeros((5, 5))
-    for i, rel in enumerate(_LADDER):
-        coupling[i, i + 1] = coupling[i + 1, i] = drive.omega0 * rel
+    coupling = drive.omega0 * _LADDER_MATRIX
     return LevelSystem(level_shifts=shifts, coupling=coupling, gamma=gamma)
 
 
 def _liouvillian(system: LevelSystem) -> np.ndarray:
-    """Superoperator L with d vec(rho)/dt = L vec(rho), row-major flattening."""
+    """Superoperator L with d vec(rho)/dt = L vec(rho), row-major flattening.
+
+    L = -i (H (x) I - I (x) H^T) - gamma on the diagonal at every coherence.
+    The Kronecker products are the broadcast products h[i,j] I[k,l] and
+    I[i,j] H^T[k,l], reshaped to 25 x 25.
+    """
     h = system.hamiltonian()
-    n = h.shape[0]
-    eye = np.eye(n)
-    lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    off_diagonal = (np.ones((n, n)) - np.eye(n)).ravel()
-    lv += np.diag(-system.gamma * off_diagonal)
+    left = h[:, None, :, None] * _EYE[None, :, None, :]
+    right = _EYE[:, None, :, None] * h.T[None, :, None, :]
+    lv = -1j * (left - right).reshape(25, 25)
+    # -1j * 0 has imaginary part -0.0, and adding zero makes it +0.0, so L
+    # has the bits, zero signs included, of the np.kron form plus a dense
+    # dephasing matrix (liouvillian_kron in tests/multilevel_oracles.py).
+    lv += 0.0
+    lv[_COHERENCES, _COHERENCES] += -system.gamma
     return lv
 
 
@@ -145,7 +182,13 @@ def _spectral(lv, y0, times):
     """
     dt = times - times[0]
     lam, vecs = np.linalg.eig(lv)
-    if not np.linalg.cond(vecs) <= MAX_EIGENVECTOR_COND:
+    # The 2-norm condition number s_max / s_min exactly as np.linalg.cond
+    # computes it, without its wrapper: a singular V gives inf (or nan)
+    # without a warning, and both fail the test.
+    singular = np.linalg.svd(vecs, compute_uv=False)
+    with np.errstate(all="ignore"):
+        cond = singular[0] / singular[-1]
+    if not cond <= MAX_EIGENVECTOR_COND:
         from scipy.linalg import expm
 
         return np.stack([expm(lv * tau) @ y0 for tau in dt])

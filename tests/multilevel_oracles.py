@@ -1,17 +1,66 @@
-"""Independent integrators of the five-level master equation.
+"""Independent integrators of the five-level master equation, and the
+plain forms of the package's one-atom path.
 
 The package propagates exactly through an eigendecomposition of the
-Liouvillian. These two step through the same linear system instead, so the
-tests can check the spectral path against them: DOP853 at tight tolerances,
-and a fixed-step classical Runge-Kutta loop for step-halving checks. Both
-return the (n_times, 5, 5) state stack and check its invariants the way
-`evolve_density` does.
+Liouvillian. Two integrators step through the same linear system instead,
+so the tests can check the spectral path against them: DOP853 at tight
+tolerances, and a fixed-step classical Runge-Kutta loop for step-halving
+checks. Both return the (n_times, 5, 5) state stack and check its
+invariants the way `evolve_density` does.
+
+The package forms its Liouvillian, couplings and condition test without
+np.kron, an element loop or np.linalg.cond. `ladder_coupling`,
+`liouvillian_kron` and `p1_kron_eig` keep those forms, and the tests
+require the package to match them bitwise.
 """
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from rabisim.multilevel import _check_invariants, _liouvillian
+from rabisim.multilevel import (
+    _LADDER,
+    MAX_EIGENVECTOR_COND,
+    LevelSystem,
+    _check_invariants,
+    _liouvillian,
+    build_f2_system,
+)
+
+
+def ladder_coupling(omega0):
+    """The symmetric drive couplings, set one adjacent pair at a time."""
+    coupling = np.zeros((5, 5))
+    for i, rel in enumerate(_LADDER):
+        coupling[i, i + 1] = coupling[i + 1, i] = omega0 * rel
+    return coupling
+
+
+def liouvillian_kron(system):
+    """-i (H (x) I - I (x) H^T) through np.kron, plus a dense diagonal
+    dephasing matrix that is zero at the populations."""
+    h = system.hamiltonian()
+    n = h.shape[0]
+    eye = np.eye(n)
+    lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    off_diagonal = (np.ones((n, n)) - np.eye(n)).ravel()
+    lv += np.diag(-system.gamma * off_diagonal)
+    return lv
+
+
+def p1_kron_eig(drive, local_shift, quadratic_shift, gamma, times):
+    """The m=1 population from m=2 through the kron Liouvillian, eig,
+    np.linalg.cond and solve; the eigenbasis must pass the condition test."""
+    times = np.asarray(times, dtype=float)
+    shifts = build_f2_system(drive, local_shift, quadratic_shift, gamma).level_shifts
+    system = LevelSystem(level_shifts=shifts, coupling=ladder_coupling(drive.omega0),
+                         gamma=gamma)
+    lam, vecs = np.linalg.eig(liouvillian_kron(system))
+    assert np.linalg.cond(vecs) <= MAX_EIGENVECTOR_COND
+    y0 = np.zeros(25, dtype=complex)
+    y0[0] = 1.0
+    coeffs = np.linalg.solve(vecs, y0)
+    ys = (np.exp(np.outer(times - times[0], lam)) * coeffs) @ vecs.T
+    return _states(ys, times)[:, 1, 1].real
 
 
 def _start(system, rho0, times):

@@ -2,10 +2,12 @@
 
 perfbench/tracing.py replaces each binding in its BINDINGS table with a
 span-recording wrapper, and its coverage check expects one single-frequency
-fit span and one ensemble-signal span per scan point. A refactor that
-drops a binding crashes the traced benchmark run, and one that fits a
-scan's points through another function fails its coverage check; both
-show here first. The tracer module is read from its file and only used.
+fit span and one ensemble-signal span per scan point, and one five-level
+atom span per atom of a multilevel ensemble. A refactor that drops a
+binding crashes the traced benchmark run, and one that fits a scan's points
+or evolves an ensemble's atoms through another function fails its coverage
+check; both show here first. The tracer module is read from its file and
+only used.
 """
 
 import importlib
@@ -45,3 +47,20 @@ def test_traced_scan_has_one_fit_and_one_signal_span_per_point(tmp_path):
     spans = Counter(span[0] for span in tracer.spans)
     assert spans["fitting.single"] == 3
     assert spans["ensemble.signal"] == 3
+
+
+def test_traced_multilevel_simulate_has_one_span_per_atom(tmp_path):
+    shifts = [-2.0, -0.5, 0.25, 1.0, 2.5]
+    (tmp_path / "atoms.txt").write_text("".join(f"{x} 1.0\n" for x in shifts))
+    scenario = parse_scenario({
+        "name": "traced-multilevel", "command": "simulate",
+        "drive": {"omega0_khz": 8.0, "delta_khz": 0.0},
+        "distribution": {"file": "atoms.txt"},
+        "atom_model": {"kind": "multilevel", "quadratic_shift_khz": 250.0},
+        "time_grid": {"t_max_ms": 0.2, "dt_ms": 0.008},
+    }, base_dir=tmp_path)
+    with _tracing().Tracer() as tracer:
+        cli.run_scenario(scenario, "0" * 64, tmp_path / "out")
+    spans = Counter(span[0] for span in tracer.spans)
+    assert spans["multilevel.p1"] == len(shifts)
+    assert spans["ensemble.signal"] == 1

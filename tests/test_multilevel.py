@@ -1,6 +1,12 @@
 import numpy as np
 import pytest
-from multilevel_oracles import evolve_dop853, evolve_rk4
+from multilevel_oracles import (
+    evolve_dop853,
+    evolve_rk4,
+    ladder_coupling,
+    liouvillian_kron,
+    p1_kron_eig,
+)
 from scipy.linalg import expm
 
 from rabisim.ensemble import AtomModel, DetuningDistribution, EnsembleConfig, ensemble_signal
@@ -31,6 +37,20 @@ def test_pure_state_construction():
     assert np.trace(rho.elements) == pytest.approx(1.0)
 
 
+def test_pure_state_is_one_read_only_instance_per_level():
+    rho = DensityMatrix.pure(3)
+    assert DensityMatrix.pure(np.int64(3)) is rho
+    with pytest.raises(ValueError, match="read-only"):
+        rho.elements[3, 3] = 0.5
+    assert rho.elements[3, 3] == 1.0
+
+
+@pytest.mark.parametrize("level", [-1, 5, 1.0, True, "0"])
+def test_pure_state_rejects_levels_outside_0_to_4(level):
+    with pytest.raises(ValueError, match="0 to 4"):
+        DensityMatrix.pure(level)
+
+
 def test_level_system_validation():
     shifts = np.zeros(5)
     good = np.zeros((5, 5))
@@ -48,6 +68,19 @@ def test_level_system_validation():
         LevelSystem(level_shifts=shifts, coupling=skip, gamma=0.0)
     with pytest.raises(ValueError):
         LevelSystem(level_shifts=shifts, coupling=good, gamma=-1.0)
+    # the symmetry test compares exactly: nan is never equal to itself,
+    # inf equals inf, and -0.0 equals 0.0
+    nan = good.copy()
+    nan[0, 1] = nan[1, 0] = np.nan
+    with pytest.raises(ValueError, match="symmetric"):
+        LevelSystem(level_shifts=shifts, coupling=nan, gamma=0.0)
+    inf = good.copy()
+    inf[2, 3] = inf[3, 2] = np.inf
+    LevelSystem(level_shifts=shifts, coupling=inf, gamma=0.0)
+    signed = good.copy()
+    signed[3, 4], signed[4, 3] = 0.0, -0.0
+    signed[0, 3], signed[3, 0] = -0.0, 0.0
+    LevelSystem(level_shifts=shifts, coupling=signed, gamma=0.0)
 
 
 def test_zero_coupling_freezes_populations():
@@ -154,6 +187,32 @@ def test_spectral_matches_expm_and_adaptive(quad_khz, gamma_khz):
     assert np.max(np.abs(spectral - adaptive)) < 1e-8
 
 
+@pytest.mark.parametrize("quad_khz,gamma_khz", SPECTRAL_GRID)
+def test_liouvillian_is_bitwise_the_kron_form(quad_khz, gamma_khz):
+    system = build_f2_system(DRIVE, khz_to_angular(1.5),
+                             khz_to_angular(quad_khz), khz_to_angular(gamma_khz))
+    # bytes, not just values: the signs of the zeros match too
+    assert _liouvillian(system).tobytes() == liouvillian_kron(system).tobytes()
+
+
+@pytest.mark.parametrize("omega0_khz", [0.3, 8.0, 10.0, 17.5])
+def test_coupling_is_the_per_element_ladder(omega0_khz):
+    drive = DriveParams(omega0=khz_to_angular(omega0_khz))
+    coupling = build_f2_system(drive, 0.0, khz_to_angular(100.0), 0.0).coupling
+    assert coupling.tobytes() == ladder_coupling(drive.omega0).tobytes()
+
+
+@pytest.mark.parametrize("quad_khz", [25.0, 250.0])
+@pytest.mark.parametrize("gamma_khz", [0.0, 0.5])
+def test_p1_multilevel_is_bitwise_the_kron_eig_path(quad_khz, gamma_khz):
+    drive = DriveParams(omega0=khz_to_angular(8.0), delta=khz_to_angular(0.4))
+    times = np.arange(126) * 0.008
+    for shift_khz in (-3.0, -0.7, 0.0, 1.9):
+        args = (drive, khz_to_angular(shift_khz), khz_to_angular(quad_khz),
+                khz_to_angular(gamma_khz), times)
+        assert p1_multilevel(*args).values.tobytes() == p1_kron_eig(*args).tobytes()
+
+
 def test_spectral_falls_back_to_expm_on_defective_matrix():
     # a 2x2 Jordan block has a single eigenvector, so the eigenbasis is
     # singular and only the matrix-exponential path is exact
@@ -165,6 +224,19 @@ def test_spectral_falls_back_to_expm_on_defective_matrix():
     dt = times - times[0]
     exact = np.stack([np.exp(a * dt) * (y0[0] + dt * y0[1]),
                       np.exp(a * dt) * y0[1]], axis=1)
+    assert np.max(np.abs(_spectral(lv, y0, times) - exact)) < 1e-12
+
+
+def test_spectral_falls_back_without_warning_on_singular_eigenbasis():
+    # a nilpotent Jordan block whose two eigenvectors eig returns exactly
+    # parallel: the smallest singular value of V is 0 and cond(V) is inf
+    lv = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+    vecs = np.linalg.eig(lv)[1]
+    assert np.linalg.svd(vecs, compute_uv=False)[-1] == 0.0
+    assert np.linalg.cond(vecs) == np.inf
+    y0 = np.array([0.2, 1.0], dtype=complex)
+    times = np.linspace(0.0, 2.0, 9)
+    exact = np.stack([np.full(times.size, y0[0]), y0[1] + times * y0[0]], axis=1)
     assert np.max(np.abs(_spectral(lv, y0, times) - exact)) < 1e-12
 
 
