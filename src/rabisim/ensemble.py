@@ -7,7 +7,7 @@ kinds are the skew-normal with mean 0 and std sigma (Azzalini, Scand. J.
 Statist. 12, 1985), the Gaussian being its skew-0 member. For them the
 average is the trapezoid rule with Gregory end weights on a uniform grid of
 shifts; it is the reference implementation and Monte Carlo its independent
-cross-check. Under the two-level model the grid holds only as many nodes as
+cross-check. Under either atom model the grid holds only as many nodes as
 the trace needs (`quadrature_node_count`), at most quadrature_nodes.
 
 Both sum two-level atoms through one kernel, `_two_level_sum`. On a grid of
@@ -62,6 +62,16 @@ _POLE_STEPS = 5.9
 # rounding level on 200 intervals when sigma rho(+-h sigma) = 1e-9.
 _END_NODES = 200.0
 _END_DENSITY = 1e-9
+
+# A bound on |d omega / dx| for every frequency omega an atom's population
+# oscillates at, per atom model: how fast the phase omega t moves with the
+# atom's shift x, which sets the phase term of the node count.
+# - analytic_two_level: the Rabi frequency hypot(omega0, delta + x) has
+#   |dOmega_R/dx| <= 1;
+# - multilevel: the shift enters the Hamiltonian as x diag(m - 2), so by
+#   Hellmann-Feynman each eigenvalue moves with slope <v|diag(m - 2)|v> in
+#   [-4, 0], and their differences, the frequencies, by at most 4.
+FREQUENCY_SLOPES = {"analytic_two_level": 1.0, "multilevel": 4.0}
 
 
 PARAMETRIC_KINDS = ("gaussian", "skewed_gaussian")
@@ -187,7 +197,7 @@ class AtomModel:
     quadratic_shift: float = DEFAULT_QUADRATIC_SHIFT
 
     def __post_init__(self):
-        if self.kind not in ("analytic_two_level", "multilevel"):
+        if self.kind not in FREQUENCY_SLOPES:
             raise ValueError(f"unknown atom model kind {self.kind!r}")
         if self.gamma < 0:
             raise ValueError("gamma must be >= 0")
@@ -199,10 +209,9 @@ class EnsembleConfig:
 
     Parametric distributions are averaged by the trapezoid rule with
     Gregory end weights on a uniform shift grid over +-support_half_width
-    sigma. Under the analytic two-level model quadrature_nodes caps the
-    node count, which `quadrature_node_count` sizes to the trace; the
-    multilevel model uses exactly quadrature_nodes. Empirical distributions
-    are summed over their explicit support instead.
+    sigma. quadrature_nodes caps the node count, which
+    `quadrature_node_count` sizes to the trace and the atom model.
+    Empirical distributions are summed over their explicit support instead.
     """
 
     drive: DriveParams
@@ -238,17 +247,15 @@ def _signal_rule(config: EnsembleConfig, t_end):
     """The shifts and weights ensemble_signal sums over for a trace that
     reaches |t| = t_end.
 
-    Under the analytic two-level model a parametric rule has
-    `quadrature_node_count` nodes, or config.quadrature_nodes if that rule
-    fails the mass check; the multilevel model always takes
-    config.quadrature_nodes, because the slope bound behind the count does
-    not hold for its phases.
+    A parametric rule has `quadrature_node_count` nodes for the config's
+    atom model, or config.quadrature_nodes if that rule fails the mass
+    check.
     """
     dist, cap, half_width = (config.distribution, config.quadrature_nodes,
                              config.support_half_width)
-    if (config.atom_model.kind == "analytic_two_level" and dist.is_parametric
-            and dist.sigma > 0):
-        nodes = quadrature_node_count(dist, config.drive.omega0, t_end, half_width, cap)
+    if dist.is_parametric and dist.sigma > 0:
+        nodes = quadrature_node_count(dist, config.drive.omega0, t_end, half_width, cap,
+                                      config.atom_model.kind)
         if nodes < cap:
             try:
                 return _parametric_rule(dist.sigma, dist.skew, nodes, half_width)
@@ -277,16 +284,17 @@ def _shape_nodes(skew, half_width):
 
 
 def quadrature_node_count(distribution: DetuningDistribution, omega0, t_end,
-                          half_width, cap) -> int:
-    """The fewest nodes N of the two-level parametric rule on +-h sigma
-    (h = half_width) for a trace reaching |t| = t_end, floored at 201 and
-    capped at cap.
+                          half_width, cap, atom_kind="analytic_two_level") -> int:
+    """The fewest nodes N of the parametric rule on +-h sigma
+    (h = half_width) for a trace reaching |t| = t_end under the atom model
+    atom_kind, floored at 201 and capped at cap.
 
     N - 1 is at least the largest of three terms, with sigma and omega0 in
     kHz and t_end in ms:
-    - 2 h sigma t_end + (8.6 h / pi) sigma / sigma_eff: the phase
-      Omega_R(x) t changes by at most t per unit x, since
-      |dOmega_R/dx| <= 1, and the density's own spectrum adds its width;
+    - 2 h sigma s t_end + (8.6 h / pi) sigma / sigma_eff: a phase omega(x) t
+      changes by at most s t per unit x, with s = FREQUENCY_SLOPES[atom_kind]
+      the bound on |d omega / dx|, and the density's own spectrum adds its
+      width;
     - 5.9 (2 h sigma) / omega0: the amplitude (omega0 / Omega_R)^2 has
       poles at omega0 off the real axis;
     - 200 (sigma rho(+-h sigma) / 1e-9)^(1/4): the density left at the
@@ -296,8 +304,8 @@ def quadrature_node_count(distribution: DetuningDistribution, omega0, t_end,
     """
     smooth, ends = _shape_nodes(distribution.skew, half_width)
     span = 2.0 * half_width * distribution.sigma  # angular, as are omega0 and sigma
-    need = max(span * t_end / (2.0 * math.pi) + smooth,
-               _POLE_STEPS * span / omega0, ends)
+    phase = span * FREQUENCY_SLOPES[atom_kind] * t_end / (2.0 * math.pi)
+    need = max(phase + smooth, _POLE_STEPS * span / omega0, ends)
     if not need <= cap - 1:  # also when need is inf
         return int(cap)
     return max(MIN_QUADRATURE_NODES, math.ceil(need) + 1)

@@ -282,6 +282,8 @@ def _package_single(res, cov, y, decay) -> SingleFreqFit:
     if a < 0:
         a, phi = -a, phi + math.pi
     phi = math.remainder(phi, 2.0 * math.pi)
+    if phi == -math.pi:  # remainder rounds the tie at an odd multiple of pi to -pi
+        phi = math.pi
     if decay == "gauss":
         # the Gaussian envelope is even in gamma, so the sign carries nothing
         gamma = abs(gamma)

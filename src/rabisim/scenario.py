@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -160,6 +161,23 @@ def _string(value, path, choices=None):
         raise ScenarioError(f"{path}: expected a string")
     if choices is not None and value not in choices:
         raise ScenarioError(f"{path}: expected one of {list(choices)}, got {value!r}")
+    return value
+
+
+# The control characters (Unicode category Cc) and the line and paragraph
+# separators: str.splitlines breaks a line at each of those it counts.
+_LINE_BREAKING = re.compile("[\x00-\x1f\x7f-\x9f\u2028\u2029]")
+
+
+def _line(value, path):
+    """A string with no control character and no line or paragraph
+    separator, so that it stays one line of a CSV metadata block and one
+    path in the list of files written."""
+    value = _string(value, path)
+    found = _LINE_BREAKING.search(value)
+    if found:
+        raise ScenarioError(f"{path}: must not contain a control character "
+                            f"or line break, found U+{ord(found.group()):04X}")
     return value
 
 
@@ -489,11 +507,13 @@ def _parse_analysis(d, path, command) -> AnalysisOptions:
                            window_periods=periods, fft=fft, track=track)
 
 
-def _check_node_cap(distribution, sigma_list, omega0_list, t_end, nodes, half_width):
-    """Refuse a two-level grid whose rule needs more than `nodes` nodes:
-    ensemble_signal would run it aliased on its cap."""
+def _check_node_cap(distribution, sigma_list, omega0_list, t_end, nodes, half_width,
+                    atom_kind):
+    """Refuse a grid whose rule needs more than `nodes` nodes under the atom
+    model atom_kind: ensemble_signal would run it aliased on its cap."""
     need = max(quadrature_node_count(replace(distribution, sigma=sigma), omega0,
-                                     t_end, half_width, MAX_QUADRATURE_NODES + 1)
+                                     t_end, half_width, MAX_QUADRATURE_NODES + 1,
+                                     atom_kind)
                for sigma in sigma_list or (distribution.sigma,) if sigma > 0
                for omega0 in omega0_list)
     if need > nodes:
@@ -511,17 +531,17 @@ def parse_scenario(data: dict, base_dir=None) -> Scenario:
     command = _string(data.get("command"), "command", COMMANDS)
     sections, drive_keys = _READS[command]
     _check_keys(data, sections, "", f"the {command} command")
-    name = _string(data.get("name", "scenario"), "name")
+    name = _line(data.get("name", "scenario"), "name")
     seed = _integer(data.get("seed", 0), "seed", minimum=0)
 
     out_d = _expect_mapping(data.get("output", {}), "output")
     _check_keys(out_d, ("basename",), "output")
     basename_path = "output.basename" if "basename" in out_d else "name"
-    basename = _string(out_d.get("basename", name), basename_path)
-    if not basename or any(sep in basename for sep in ("/", os.sep, "\0")):
+    basename = _line(out_d.get("basename", name), basename_path)
+    if not basename or any(sep in basename for sep in ("/", os.sep)):
         # The basename names files inside the output directory.
         raise ScenarioError(f"{basename_path}: must be a non-empty file name "
-                            "without a path separator or NUL")
+                            "without a path separator")
 
     if command == "field-dist":
         if "fieldmap" not in data:
@@ -595,9 +615,9 @@ def parse_scenario(data: dict, base_dir=None) -> Scenario:
         # sigma covers every sigma block.
         with _named("ensemble.support_half_width"):
             _quadrature(replace(distribution, sigma=1.0), nodes, half_width)
-        if atom_model.kind == "analytic_two_level":
-            _check_node_cap(distribution, sigma_list, omega0_list,
-                            float(np.max(np.abs(times))), nodes, half_width)
+        _check_node_cap(distribution, sigma_list, omega0_list,
+                        float(np.max(np.abs(times))), nodes, half_width,
+                        atom_model.kind)
 
     return Scenario(name=name, command=command, seed=seed, basename=basename,
                     omega0_list=omega0_list, deltas=deltas,

@@ -15,7 +15,7 @@ import importlib.util
 from collections import Counter
 from pathlib import Path
 
-from rabisim import cli
+from rabisim import cli, ensemble
 from rabisim.scenario import parse_scenario
 
 _TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
@@ -63,4 +63,25 @@ def test_traced_multilevel_simulate_has_one_span_per_atom(tmp_path):
         cli.run_scenario(scenario, "0" * 64, tmp_path / "out")
     spans = Counter(span[0] for span in tracer.spans)
     assert spans["multilevel.p1"] == len(shifts)
+    assert spans["ensemble.signal"] == 1
+
+
+def test_traced_parametric_multilevel_simulate_runs_the_sized_rule(tmp_path):
+    # The benchmark counts one five-level atom span per quadrature node, so
+    # the atoms that run must be the rule's sized count: 279 here, between
+    # the 201-node floor and the 2001-node cap.
+    scenario = parse_scenario({
+        "name": "traced-parametric-multilevel", "command": "simulate",
+        "drive": {"omega0_khz": 8.0, "delta_khz": 0.0},
+        "distribution": {"kind": "gaussian", "sigma_khz": 20.0},
+        "atom_model": {"kind": "multilevel", "quadratic_shift_khz": 250.0},
+        "time_grid": {"t_max_ms": 0.2, "dt_ms": 0.008},
+    })
+    config = cli._ensemble_config(scenario, scenario.omega0_list[0], scenario.deltas[0])
+    nodes = ensemble._signal_rule(config, scenario.times[-1])[0].size
+    assert 201 < nodes < config.quadrature_nodes
+    with _tracing().Tracer() as tracer:
+        cli.run_scenario(scenario, "0" * 64, tmp_path)
+    spans = Counter(span[0] for span in tracer.spans)
+    assert spans["multilevel.p1"] == nodes
     assert spans["ensemble.signal"] == 1

@@ -279,7 +279,10 @@ def test_dotted_basename_keeps_its_dots(tmp_path, capsys):
     ("name: run\noutput: {basename: ../x}", "output.basename"),
     ("name: run\noutput: {basename: \"a\\0b\"}", "output.basename"),
     ("name: sub/run", "name"),
-], ids=["empty", "parent_dir", "nul", "name_default"])
+    ("name: \"a\\nb\"", "name"),
+    ("name: run\noutput: {basename: \"a\\nb\"}", "output.basename"),
+], ids=["empty", "parent_dir", "nul", "name_default", "name_line_break",
+        "basename_line_break"])
 def test_basename_outside_out_exits_2(tmp_path, capsys, header, named):
     text = SIMULATE_YAML.replace("name: homogeneous-check\n", "")
     config = _write(tmp_path, text.replace("output: {basename: homog}", header))
@@ -302,6 +305,14 @@ _SHORT_TRACK = ("distribution: {kind: gaussian, sigma_khz: 8.0}\n"
 # A 40 ms trace at sigma 18 kHz needs 11,543 nodes, more than the default 2001.
 _ALIASED = ("distribution: {kind: gaussian, sigma_khz: 18.0}\n"
             "time_grid: {t_max_ms: 40.0, dt_ms: 0.004}\n")
+# At sigma 18 kHz over 0-4 ms the two-level rule needs 1,175 nodes and the
+# five-level rule, whose frequencies move four times as fast with the shift,
+# 4,631.
+_ALIASED_MULTILEVEL = ("distribution: {kind: gaussian, sigma_khz: 18.0}\n"
+                       "atom_model: {kind: multilevel}\n"
+                       "time_grid: {t_max_ms: 4.0, dt_ms: 0.004}\n")
+_GAUSSIAN = "distribution: {kind: gaussian, sigma_khz: 8.0}\n"
+_GRID = "time_grid: {t_max_ms: 1.0, dt_ms: 0.008}\n"
 # A hop far below the sample spacing would fit 8,000,000 windows.
 _DENSE_TRACK = ("distribution: {kind: gaussian, sigma_khz: 8.0}\n"
                 "time_grid: {t_max_ms: 2.0, dt_ms: 0.008}\n"
@@ -318,15 +329,46 @@ _DENSE_TRACK = ("distribution: {kind: gaussian, sigma_khz: 8.0}\n"
     ("spectrum", _DENSE_TRACK, "analysis.track.hop_ms"),
     ("simulate", _ALIASED, "ensemble.quadrature_nodes"),
     ("scan", _ALIASED + "analysis: {kind: fft}\n", "ensemble.quadrature_nodes"),
+    ("simulate", _ALIASED_MULTILEVEL, "ensemble.quadrature_nodes"),
+    ("field-dist", "fieldmap: {b_set_khz: 18167.0, signs: []}\n", "fieldmap.signs"),
+    ("field-dist", "fieldmap: {b_set_khz: 18167.0, signs: [2]}\n", "fieldmap.signs[0]"),
+    ("field-dist", "", "fieldmap"),
+    ("simulate", "distribution: {fieldmap: 3}\n" + _GRID, "distribution.fieldmap"),
+    ("simulate", "distribution: {fieldmap: missing.yaml}\n" + _GRID,
+     "distribution.fieldmap"),
+    ("simulate", "distribution: {fieldmap: fig99}\n" + _GRID, "distribution.fieldmap"),
+    ("simulate", "distribution: {fieldmap: scenario.yaml}\n" + _GRID,
+     "distribution.fieldmap"),
+    ("simulate", "distribution: {fieldmap: fig6-field, sigma_khz: 8.0}\n" + _GRID,
+     "distribution"),
+    ("simulate", "distribution: {file: atoms.txt, sigma_khz: 8.0}\n" + _GRID,
+     "distribution"),
+    ("simulate", "distribution: {file: atoms.txt}\n" + _GRID, "distribution.file"),
+    ("scan", "drive: {omega0_khz: 9.0}\n" + _GAUSSIAN + _GRID, "drive"),
+    ("scan", _GAUSSIAN + _GRID + "analysis: {kind: fft, fft: {prominence: 1.5}}\n",
+     "analysis.fft.prominence"),
+    ("simulate", _GRID, "distribution"),
+    ("simulate", _GAUSSIAN, "time_grid"),
 ], ids=["support-simulate", "support-scan", "support-spectrum",
         "short_grid-spectrum", "short_grid-fft_scan", "short_track-spectrum",
-        "dense_track-spectrum", "aliased-simulate", "aliased-fft_scan"])
+        "dense_track-spectrum", "aliased-simulate", "aliased-fft_scan",
+        "aliased-multilevel", "signs_empty", "signs_two", "no_fieldmap",
+        "fieldmap_not_string", "fieldmap_file_missing", "fieldmap_unknown_preset",
+        "fieldmap_file_without_section", "fieldmap_beside_sigma",
+        "file_beside_sigma", "file_missing", "scan_without_deltas",
+        "prominence_above_1", "no_distribution", "no_time_grid"])
 def test_unrunnable_inputs_exit_2(tmp_path, capsys, command, body, named):
     # Rejected while parsing (support, grid) or when the track runs; either
-    # way the run ends in a ScenarioError before any file is written.
-    drive = ("{omega0_khz: 9.0, delta_khz: 2.0}" if command == "simulate"
-             else "{omega0_khz: 9.0, delta_list_khz: [0.0, 2.0]}")
-    config = _write(tmp_path, f"name: bad\ncommand: {command}\ndrive: {drive}\n{body}")
+    # way the run ends in a ScenarioError before any file is written. The
+    # drive below is added unless the body brings its own; field-dist reads
+    # none. The file is scenario.yaml, which has no fieldmap section.
+    if body.startswith("drive:") or command == "field-dist":
+        drive = ""
+    elif command == "simulate":
+        drive = "drive: {omega0_khz: 9.0, delta_khz: 2.0}\n"
+    else:
+        drive = "drive: {omega0_khz: 9.0, delta_list_khz: [0.0, 2.0]}\n"
+    config = _write(tmp_path, f"name: bad\ncommand: {command}\n{drive}{body}")
     assert main([command, "--config", str(config), "--out", str(tmp_path / "out"),
                  "--svg"]) == 2
     captured = capsys.readouterr()
@@ -343,9 +385,17 @@ def test_aliased_grid_names_the_nodes_it_needs():
                                             "the 2001 allowed"):
         parse_scenario(data)
     assert parse_scenario({**data, "ensemble": {"quadrature_nodes": 11543}})
-    assert parse_scenario({**data, "time_grid": {"t_max_ms": 6.0, "dt_ms": 0.004}})
-    # The multilevel model keeps its exact node count and is not refused.
-    assert parse_scenario({**data, "atom_model": {"kind": "multilevel"}})
+    shorter = {**data, "time_grid": {"t_max_ms": 6.0, "dt_ms": 0.004}}
+    assert parse_scenario(shorter)
+    # The five-level rule is sized and refused the same way; its frequencies
+    # move four times as fast with the shift, so it needs four times the
+    # phase term.
+    with pytest.raises(ScenarioError, match="ensemble.quadrature_nodes: this time grid and "
+                                            "distribution need 6935 quadrature nodes, "
+                                            "more than the 2001 allowed"):
+        parse_scenario({**shorter, "atom_model": {"kind": "multilevel"}})
+    assert parse_scenario({**shorter, "atom_model": {"kind": "multilevel"},
+                           "ensemble": {"quadrature_nodes": 6935}})
     # Past the largest cap a scenario may set, the message says so.
     data["distribution"]["sigma_khz"] = 1000.0
     with pytest.raises(ScenarioError, match="need more than 20001 quadrature nodes"):

@@ -22,6 +22,7 @@ from rabisim.ensemble import (
     skewed_gaussian_density,
 )
 from rabisim.model import DriveParams, p1_two_level, p1_two_level_damped, uniform_grid
+from rabisim.multilevel import p1_multilevel
 from rabisim.scans import scan_detuning
 from rabisim.scenario import MAX_SAMPLES, ScenarioError, parse_scenario
 from rabisim.units import khz_to_angular
@@ -346,14 +347,52 @@ def test_node_count_grows_to_the_cap_with_skew(skew):
 
 
 def test_multilevel_and_empirical_rules_keep_their_nodes():
-    times = np.arange(0.0, 0.2, 0.008)
+    # One rule for both atom models; the five-level count's phase term is
+    # four times the two-level one (FREQUENCY_SLOPES), 2 h sigma 4 t_end + 21.9
+    # = 531.8 at sigma 8 kHz over 0-0.996 ms.
     two = _config(8.0, delta_khz=3.0)
-    assert ensemble._signal_rule(two, times[-1])[0].size == 201
+    assert ensemble._signal_rule(two, TIMES[-1])[0].size == 201
     multi = replace(two, atom_model=AtomModel(kind="multilevel"))
-    assert ensemble._signal_rule(multi, times[-1])[0].size == two.quadrature_nodes
+    assert ensemble._signal_rule(multi, TIMES[-1])[0].size == 533
     empirical = EnsembleConfig(drive=two.drive, distribution=DetuningDistribution(
         kind="empirical", shifts=np.arange(7.0), weights=np.ones(7)))
-    assert ensemble._signal_rule(empirical, times[-1])[0].size == 7
+    assert ensemble._signal_rule(empirical, TIMES[-1])[0].size == 7
+
+
+def _five_level_sum(config, shifts, weights, times):
+    model = config.atom_model
+    return sum(weight * p1_multilevel(config.drive, shift, model.quadratic_shift,
+                                      model.gamma, times).values
+               for shift, weight in zip(shifts, weights))
+
+
+@pytest.mark.parametrize("quadratic_shift_khz, gamma_khz, two_level_misses", [
+    pytest.param(25.0, 0.0, True, id="q25-undamped"),
+    pytest.param(250.0, 2.0, False, id="q250-damped"),
+])
+def test_sized_five_level_rule_matches_reference(quadratic_shift_khz, gamma_khz,
+                                                 two_level_misses):
+    # The five-level rule, sized with the slope bound 4, against a sum over
+    # the 2,001-node rule. The two-level count (201 nodes here) undersamples
+    # the five-level phases: on the undamped case it misses by 6.7e-3.
+    config = EnsembleConfig(
+        drive=DriveParams(omega0=OMEGA0, delta=0.0),
+        distribution=DetuningDistribution(kind="gaussian", sigma=khz_to_angular(9.0)),
+        atom_model=AtomModel(kind="multilevel", gamma=khz_to_angular(gamma_khz),
+                             quadratic_shift=khz_to_angular(quadratic_shift_khz)))
+    times = np.arange(0.0, 1.0 + 0.004, 0.008)
+    sigma, half_width = config.distribution.sigma, config.support_half_width
+    reference = _five_level_sum(config, *ensemble._parametric_rule(sigma, 0.0, 2001, half_width),
+                                times)
+    assert ensemble._signal_rule(config, times[-1])[0].size == 599
+    values = ensemble_signal(config, times).values
+    assert np.max(np.abs(values - reference)) < 1e-13
+    if two_level_misses:
+        nodes = ensemble.quadrature_node_count(config.distribution, OMEGA0, times[-1],
+                                               half_width, 2001)
+        two_level = _five_level_sum(
+            config, *ensemble._parametric_rule(sigma, 0.0, nodes, half_width), times)
+        assert np.max(np.abs(two_level - reference)) > 1e-3
 
 
 def test_sized_rule_failing_mass_check_falls_back_to_the_cap(monkeypatch):

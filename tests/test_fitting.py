@@ -61,6 +61,44 @@ def test_single_fit_canonical_parameters():
     assert fit.phi == pytest.approx(0.3 - math.pi, abs=1e-2)
 
 
+@pytest.mark.parametrize("a, omega, phi", [
+    (-0.4, 3.0, 0.3), (0.4, -3.0, 0.3), (-0.4, -3.0, -2.9), (0.4, 3.0, 7.0),
+    (0.4, -3.0, math.pi), (-0.4, 3.0, 2.0 * math.pi),
+], ids=["negative_a", "negative_omega", "both_negative", "phase_past_pi",
+        "negative_omega_at_pi", "negative_a_at_two_pi"])
+def test_package_single_canonical_form(a, omega, phi):
+    # Every LM optimum is turned into omega >= 0, A >= 0, phi in (-pi, pi]
+    # describing the same curve; SingleFreqFit rejects any other form.
+    t = np.linspace(0.01, 0.6, 40)
+    params = np.array([a, 1.2, omega, phi, 0.1, 0.2])
+    res = lsq.LsqResult(params, ssr=1e-4, n_iter=5, converged=True)
+    fit = fitting._package_single(res, 1e-6 * np.eye(6), np.sin(t), "exp")
+    assert fit.A >= 0 and fit.omega >= 0 and -math.pi < fit.phi <= math.pi
+    assert (fit.A, fit.omega) == (abs(a), abs(omega))
+
+    def curve(a, omega, phi):
+        return a * np.cos(omega * t + phi)
+
+    np.testing.assert_allclose(curve(fit.A, fit.omega, fit.phi), curve(a, omega, phi),
+                               rtol=0.0, atol=1e-14)
+
+
+def test_fft_starts_fall_back_to_the_strongest_bin_without_a_peak():
+    # A detrended parabola has a smooth spectrum with no interior peak, so
+    # the one start is the strongest bin above the DC floor.
+    t = np.arange(0.0, 2.0, 0.004)
+    ts, y = _window_slice(OscillationTrace.from_times(t, 0.3 * t * t), (0.01, 0.6))
+    slope, offset = _detrend_line(ts, y)
+    resid = y - (slope * ts + offset)
+    nfft = 4 * resid.size
+    power = np.abs(np.fft.rfft(resid * np.hanning(resid.size), n=nfft))
+    freqs = np.fft.rfftfreq(nfft, d=ts[1] - ts[0])
+    above = freqs > 0.5 / (ts[-1] - ts[0])
+    assert fitting._find_peaks(power, 0.05 * power.max()).size == 0
+    best = freqs[above][np.argmax(power[above])]
+    assert _fft_peak_frequencies(ts, resid, 5) == [2.0 * math.pi * best]
+
+
 def test_single_fit_flat_trace():
     trace = OscillationTrace.from_times(TIMES, np.full_like(TIMES, 0.37))
     fit = fit_single_frequency(trace, (0.01, 1.8))

@@ -101,6 +101,17 @@ def test_covariance_none_when_underdetermined():
     assert covariance(jac, 1.0) is None
 
 
+def test_covariance_of_singular_normal_matrix_is_the_pseudoinverse():
+    # Two equal columns make J^T J exactly singular: inv raises and the
+    # pseudoinverse stands in.
+    jac = np.column_stack([np.ones(5), np.ones(5), np.arange(5.0)])
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.inv(jac.T @ jac)
+    cov = covariance(jac, 0.8)
+    np.testing.assert_array_equal(cov, 0.4 * np.linalg.pinv(jac.T @ jac))
+    assert np.all(np.isfinite(cov))
+
+
 def test_t_quantile_matches_scipy_stdtrit():
     # Every dof up to 3000, then a spread of even and odd dof (the series
     # differs by parity) up to MAX_SAMPLES - 6 and MAX_SAMPLES - 7, the

@@ -1,10 +1,13 @@
 import math
 import os
 import stat
+import xml.etree.ElementTree as ET
+from xml.sax import saxutils
 
 import numpy as np
 import pytest
 
+from rabisim import output
 from rabisim.output import format_value, read_csv, write_csv, write_svg_lines
 
 
@@ -50,6 +53,20 @@ def test_csv_leaves_no_temp_files(tmp_path):
     path = tmp_path / "out.csv"
     write_csv(path, ("x",), [(1.0,)], metadata={})
     assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def test_failed_replace_leaves_old_file_and_no_temp_file(tmp_path, monkeypatch):
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+
+    def refuse(src, dst):
+        raise OSError("replace refused")
+
+    monkeypatch.setattr(output.os, "replace", refuse)
+    with pytest.raises(OSError, match="replace refused"):
+        write_csv(path, ("x",), [(1.0,)], metadata={})
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    assert path.read_text() == "old\n"
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
@@ -117,3 +134,17 @@ def test_svg_deterministic(tmp_path):
     for p in (p1, p2):
         write_svg_lines(p, [("s", xs, np.sin(xs))], x_label="x", y_label="y", title="t")
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_svg_text_is_escaped(tmp_path):
+    # Title, axis labels and legend come from scenario text; <, & and > in
+    # them must leave the file well-formed XML.
+    path = tmp_path / "escaped.svg"
+    xs = np.linspace(0.0, 1.0, 5)
+    write_svg_lines(path, [("x > 0 & y", xs, xs)], x_label="t<1", y_label="&",
+                    title="a<b&c")
+    texts = [el.text for el in ET.parse(path).getroot()
+             if el.tag.endswith("text")]
+    assert {"a<b&c", "t<1", "&", "x > 0 & y"} <= set(texts)
+    for text in ("a<b&c", "&amp;", "x > 0", "plain"):
+        assert output._escape(text) == saxutils.escape(text)

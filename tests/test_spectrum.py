@@ -131,6 +131,14 @@ def test_sliding_window_skips_windows_too_short_to_fit():
     assert sliding_window_frequency(_tone(9.0, n=101, dt=0.02), 0.5, 0.5) == []
 
 
+def test_sliding_window_rejects_a_trace_without_a_peak():
+    # Detrending removes a straight line whole, leaving no peak to track.
+    t = 0.004 * np.arange(500)
+    line = OscillationTrace.from_times(t, 0.3 * t + 0.1)
+    with pytest.raises(ValueError, match="no spectral peak"):
+        sliding_window_frequency(line, 0.4, 0.2)
+
+
 def test_sliding_window_rejects_short_window():
     trace = _tone(9.0)
     with pytest.raises(ValueError):
