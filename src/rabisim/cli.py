@@ -18,6 +18,7 @@ from . import __version__
 from .ensemble import EnsembleConfig, ensemble_signal
 from .fieldmap import field_magnitude_histogram
 from .model import DriveParams
+from .multilevel import InvariantViolation
 from .scans import scan_detuning
 from .scenario import (PRESET_NAMES, Scenario, ScenarioError, _named,
                        load_scenario_dict, parse_scenario, preset_file,
@@ -246,7 +247,10 @@ def main(argv=None) -> int:
             raise ScenarioError(
                 f"command: scenario declares {scenario.command!r}, "
                 f"invoked as {args.subcommand!r}")
-        written = run_scenario(scenario, digest, args.out, svg=args.svg)
+        # A five-level density matrix that drifts off its invariants ends
+        # the run like a bad input, naming the model; a scan keeps an error row.
+        with _named("atom_model", InvariantViolation):
+            written = run_scenario(scenario, digest, args.out, svg=args.svg)
     except ScenarioError as exc:
         print(f"rabisim: {exc}", file=sys.stderr)
         return 2

@@ -7,8 +7,9 @@ kinds are the skew-normal with mean 0 and std sigma (Azzalini, Scand. J.
 Statist. 12, 1985), the Gaussian being its skew-0 member. For them the
 average is the trapezoid rule with Gregory end weights on a uniform grid of
 shifts; it is the reference implementation and Monte Carlo its independent
-cross-check. Under either atom model the grid holds only as many nodes as
-the trace needs (`quadrature_node_count`), at most quadrature_nodes.
+cross-check. `_signal_rule` alone builds the shifts and weights a run sums;
+under either atom model its grid holds only as many nodes as the trace
+needs (`quadrature_node_count`), at most quadrature_nodes.
 
 Both sum two-level atoms through one kernel, `_two_level_sum`. On a grid of
 T samples t_k = t0 + k dt it writes k = b q + r with b = ceil(sqrt(T)) and
@@ -210,7 +211,8 @@ class EnsembleConfig:
     Parametric distributions are averaged by the trapezoid rule with
     Gregory end weights on a uniform shift grid over +-support_half_width
     sigma. quadrature_nodes caps the node count, which
-    `quadrature_node_count` sizes to the trace and the atom model.
+    `quadrature_node_count` sizes to the trace and the atom model in
+    `_signal_rule`; parse_scenario refuses a grid that needs more.
     Empirical distributions are summed over their explicit support instead.
     """
 
@@ -229,39 +231,24 @@ class EnsembleConfig:
                 raise ValueError("quadrature support half-width must be at least 5 sigma")
 
 
-def _quadrature(dist: DetuningDistribution, nodes, half_width):
-    """Shifts and weights of the distribution average.
+def _signal_rule(config: EnsembleConfig, t_end):
+    """The shifts and weights ensemble_signal sums over for a trace that
+    reaches |t| = t_end, and the only code that builds them.
 
-    For parametric kinds this is the rule of `_parametric_rule` on `nodes`
-    nodes; empirical kinds are summed over their explicit support, and
-    sigma = 0 is the single shift 0.
+    An empirical distribution is summed over its own support and sigma = 0
+    is the single shift 0. A parametric rule is `_parametric_rule` on
+    `quadrature_node_count` nodes for the config's atom model, at most
+    config.quadrature_nodes; it raises QuadratureSupportError when it
+    misses more than 1e-6 of the mass, which parse_scenario checks first.
     """
+    dist, half_width = config.distribution, config.support_half_width
     if not dist.is_parametric:
         return dist.shifts, dist.weights
     if dist.sigma == 0.0:
         return np.zeros(1), np.ones(1)
-    return _parametric_rule(dist.sigma, dist.skew, int(nodes), half_width)
-
-
-def _signal_rule(config: EnsembleConfig, t_end):
-    """The shifts and weights ensemble_signal sums over for a trace that
-    reaches |t| = t_end.
-
-    A parametric rule has `quadrature_node_count` nodes for the config's
-    atom model, or config.quadrature_nodes if that rule fails the mass
-    check.
-    """
-    dist, cap, half_width = (config.distribution, config.quadrature_nodes,
-                             config.support_half_width)
-    if dist.is_parametric and dist.sigma > 0:
-        nodes = quadrature_node_count(dist, config.drive.omega0, t_end, half_width, cap,
-                                      config.atom_model.kind)
-        if nodes < cap:
-            try:
-                return _parametric_rule(dist.sigma, dist.skew, nodes, half_width)
-            except QuadratureSupportError:
-                pass
-    return _quadrature(dist, cap, half_width)
+    nodes = quadrature_node_count(dist, config.drive.omega0, t_end, half_width,
+                                  config.quadrature_nodes, config.atom_model.kind)
+    return _parametric_rule(dist.sigma, dist.skew, nodes, half_width)
 
 
 @functools.lru_cache(maxsize=32)

@@ -69,17 +69,17 @@ def write_csv(path, columns, rows, metadata=None):
 
 
 def read_csv(path):
-    """Read back a write_csv file: (metadata dict, columns, rows of strings)."""
+    """Read back a write_csv file: (metadata dict, columns, rows of strings).
+    A metadata value is all that follows '# key: ' up to the line end."""
     lines = Path(path).read_text().splitlines(keepends=True)
     metadata = {}
     n_meta = 0
     for raw in lines:
         if raw.strip() and not raw.startswith("#"):
             break
-        body = raw[1:].strip()
-        if ":" in body:
-            key, _, value = body.partition(":")
-            metadata[key.strip()] = value.strip()
+        key, sep, value = raw.rstrip("\r\n")[2:].partition(": ")
+        if raw.startswith("# ") and sep:
+            metadata[key] = value
         n_meta += 1
     table = [fields for fields in csv.reader(lines[n_meta:]) if fields]
     if not table:

@@ -26,7 +26,7 @@ import numpy as np
 import yaml
 
 from .ensemble import (MIN_QUADRATURE_NODES, AtomModel, DetuningDistribution,
-                       _quadrature, load_empirical_distribution,
+                       _parametric_rule, load_empirical_distribution,
                        quadrature_node_count)
 from .fieldmap import (AxisProfile, FieldGridModel, ProbeBeam,
                        field_magnitude_histogram, histogram_to_distribution)
@@ -139,13 +139,14 @@ def _khz(value, path, check):
 
 
 @contextmanager
-def _named(path):
-    """Turn a ValueError raised inside into a ScenarioError naming path."""
+def _named(path, errors=ValueError):
+    """Turn an error of type errors raised inside into a ScenarioError
+    naming path."""
     try:
         yield
     except ScenarioError:
         raise
-    except ValueError as exc:
+    except errors as exc:
         raise ScenarioError(f"{path}: {exc}") from exc
 
 
@@ -507,15 +508,20 @@ def _parse_analysis(d, path, command) -> AnalysisOptions:
                            window_periods=periods, fft=fft, track=track)
 
 
-def _check_node_cap(distribution, sigma_list, omega0_list, t_end, nodes, half_width,
-                    atom_kind):
-    """Refuse a grid whose rule needs more than `nodes` nodes under the atom
-    model atom_kind: ensemble_signal would run it aliased on its cap."""
-    need = max(quadrature_node_count(replace(distribution, sigma=sigma), omega0,
-                                     t_end, half_width, MAX_QUADRATURE_NODES + 1,
-                                     atom_kind)
-               for sigma in sigma_list or (distribution.sigma,) if sigma > 0
-               for omega0 in omega0_list)
+def _check_rules(distribution, sigma_list, omega0_list, t_end, nodes, half_width,
+                 atom_kind):
+    """Build the rule `ensemble._signal_rule` sums for each (sigma, omega0)
+    block, which the run then finds in `_parametric_rule`'s cache. A mass
+    miss names the support; a grid that needs more than `nodes` nodes, which
+    the run would sum aliased on the cap, names the cap and the largest need."""
+    need = 0
+    for sigma in sigma_list or (distribution.sigma,):
+        for omega0 in omega0_list if sigma > 0 else ():
+            count = quadrature_node_count(replace(distribution, sigma=sigma), omega0, t_end,
+                                          half_width, MAX_QUADRATURE_NODES + 1, atom_kind)
+            with _named("ensemble.support_half_width"):
+                _parametric_rule(sigma, distribution.skew, min(count, nodes), half_width)
+            need = max(need, count)
     if need > nodes:
         count = (f"more than {MAX_QUADRATURE_NODES}" if need > MAX_QUADRATURE_NODES
                  else str(need))
@@ -609,15 +615,9 @@ def parse_scenario(data: dict, base_dir=None) -> Scenario:
                         "ensemble.support_half_width")
     if half_width < 5.0:
         raise ScenarioError("ensemble.support_half_width: must be at least 5")
-    if distribution.is_parametric and max(sigma_list or (distribution.sigma,)) > 0:
-        # The share of mass the rule misses depends on the shape, the node
-        # count and the half-width but not on sigma, so one check at unit
-        # sigma covers every sigma block.
-        with _named("ensemble.support_half_width"):
-            _quadrature(replace(distribution, sigma=1.0), nodes, half_width)
-        _check_node_cap(distribution, sigma_list, omega0_list,
-                        float(np.max(np.abs(times))), nodes, half_width,
-                        atom_model.kind)
+    if distribution.is_parametric:
+        _check_rules(distribution, sigma_list, omega0_list, float(np.max(np.abs(times))),
+                     nodes, half_width, atom_model.kind)
 
     return Scenario(name=name, command=command, seed=seed, basename=basename,
                     omega0_list=omega0_list, deltas=deltas,

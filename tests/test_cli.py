@@ -313,6 +313,13 @@ _ALIASED_MULTILEVEL = ("distribution: {kind: gaussian, sigma_khz: 18.0}\n"
                        "time_grid: {t_max_ms: 4.0, dt_ms: 0.004}\n")
 _GAUSSIAN = "distribution: {kind: gaussian, sigma_khz: 8.0}\n"
 _GRID = "time_grid: {t_max_ms: 1.0, dt_ms: 0.008}\n"
+# At a 10,000,000 kHz quadratic shift and a 1 Hz drive the five-level
+# density matrix drifts off its trace and Hermiticity by about 2e-5 over
+# 10 s, past the 1e-6 the evolution allows.
+_DRIFTING = ("distribution: {kind: gaussian, sigma_khz: 0.0}\n"
+             "atom_model: {kind: multilevel, gamma_khz: 0.0, "
+             "quadratic_shift_khz: 10000000.0}\n"
+             "time_grid: {t_max_ms: 10000.0, dt_ms: 100.0}\n")
 # A hop far below the sample spacing would fit 8,000,000 windows.
 _DENSE_TRACK = ("distribution: {kind: gaussian, sigma_khz: 8.0}\n"
                 "time_grid: {t_max_ms: 2.0, dt_ms: 0.008}\n"
@@ -349,6 +356,14 @@ _DENSE_TRACK = ("distribution: {kind: gaussian, sigma_khz: 8.0}\n"
      "analysis.fft.prominence"),
     ("simulate", _GRID, "distribution"),
     ("simulate", _GAUSSIAN, "time_grid"),
+    ("simulate", _GAUSSIAN + "time_grid: {t_max_ms: 0.01, dt_ms: 0.008}\n", "time_grid"),
+    ("field-dist", "fieldmap: {b_set_khz: 18167.0, "
+                   "profiles: {b0z: {kind: piecewise_linear, nodes: 3}}}\n",
+     "fieldmap.profiles.b0z.nodes"),
+    ("simulate", "distribution: {file: comments.txt}\n" + _GRID, "distribution.file"),
+    ("simulate", "drive: {omega0_khz: 0.001}\n" + _DRIFTING, "atom_model"),
+    ("spectrum", "drive: {omega0_khz: 0.001, delta_list_khz: [0.0]}\n" + _DRIFTING,
+     "atom_model"),
 ], ids=["support-simulate", "support-scan", "support-spectrum",
         "short_grid-spectrum", "short_grid-fft_scan", "short_track-spectrum",
         "dense_track-spectrum", "aliased-simulate", "aliased-fft_scan",
@@ -356,12 +371,19 @@ _DENSE_TRACK = ("distribution: {kind: gaussian, sigma_khz: 8.0}\n"
         "fieldmap_not_string", "fieldmap_file_missing", "fieldmap_unknown_preset",
         "fieldmap_file_without_section", "fieldmap_beside_sigma",
         "file_beside_sigma", "file_missing", "scan_without_deltas",
-        "prominence_above_1", "no_distribution", "no_time_grid"])
+        "prominence_above_1", "no_distribution", "no_time_grid",
+        "two_sample_grid", "profile_nodes_not_list", "file_without_rows",
+        "five_level_drift-simulate", "five_level_drift-spectrum"])
 def test_unrunnable_inputs_exit_2(tmp_path, capsys, command, body, named):
-    # Rejected while parsing (support, grid) or when the track runs; either
-    # way the run ends in a ScenarioError before any file is written. The
-    # drive below is added unless the body brings its own; field-dist reads
-    # none. The file is scenario.yaml, which has no fieldmap section.
+    # Rejected while parsing (support, grid), when the track runs or when
+    # the five-level evolution drifts; either way the run ends in a
+    # ScenarioError before any file is written. The drive below is added
+    # unless the body brings its own; field-dist reads none. The file is
+    # scenario.yaml, which has no fieldmap section; comments.txt holds
+    # comment lines only.
+    inputs = []
+    if "comments.txt" in body:
+        inputs.append(_write(tmp_path, "# shift_khz weight\n# no rows\n", "comments.txt"))
     if body.startswith("drive:") or command == "field-dist":
         drive = ""
     elif command == "simulate":
@@ -374,7 +396,7 @@ def test_unrunnable_inputs_exit_2(tmp_path, capsys, command, body, named):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"rabisim: {named}: ")
     assert "Traceback" not in captured.err and captured.out == ""
-    assert list(tmp_path.iterdir()) == [config]
+    assert sorted(tmp_path.iterdir()) == sorted([config, *inputs])
 
 
 def test_aliased_grid_names_the_nodes_it_needs():
@@ -532,11 +554,17 @@ def test_presets_leave_heavy_scipy_modules_unimported(tmp_path):
     # No preset needs scipy: erf comes from math, the t quantile of
     # lsq.ci95 is closed-form, and the expm fallback for a defective
     # Liouvillian, imported when it runs, is reached by no preset.
-    # Importing scipy.special alone costs about 0.3 s per process.
+    # Importing scipy.special alone costs about 0.3 s per process. Nor does
+    # any preset need the standard library's network, mail or XML packages:
+    # xml.sax.saxutils alone pulls in urllib.request, ssl and email, about
+    # 30 ms and 7 MB per process. The presets run with --svg, so every
+    # writer is reached.
     script = f"""
 import sys
+HEAVY = ("scipy", "urllib.request", "ssl", "email", "http", "xml")
 def loaded():
-    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    return sorted(m for m in sys.modules
+                  if any(m == h or m.startswith(h + ".") for h in HEAVY))
 import rabisim
 after_import = loaded()
 import rabisim.cli
@@ -545,7 +573,7 @@ from rabisim.cli import main
 from rabisim.scenario import PRESET_NAMES
 assert len(PRESET_NAMES) == 11, PRESET_NAMES
 for name in PRESET_NAMES:
-    assert main(["reproduce", name, "--out", {str(tmp_path)!r}]) == 0, name
+    assert main(["reproduce", name, "--out", {str(tmp_path)!r}, "--svg"]) == 0, name
 print([after_import, after_cli, loaded()])
 """
     src = str(Path(rabisim.__file__).resolve().parents[1])

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 from numpy.polynomial.legendre import leggauss
 
 from rabisim import ensemble
+from rabisim.cli import run_scenario
 from rabisim.ensemble import (
     AtomModel,
     DetuningDistribution,
     EnsembleConfig,
     QuadratureSupportError,
-    _quadrature,
     _sample_shifts,
     ensemble_signal,
     load_empirical_distribution,
@@ -24,7 +24,8 @@ from rabisim.ensemble import (
 from rabisim.model import DriveParams, p1_two_level, p1_two_level_damped, uniform_grid
 from rabisim.multilevel import p1_multilevel
 from rabisim.scans import scan_detuning
-from rabisim.scenario import MAX_SAMPLES, ScenarioError, parse_scenario
+from rabisim.scenario import (MAX_SAMPLES, ScenarioError, load_scenario_dict,
+                              parse_scenario, preset_file, scenario_hash)
 from rabisim.units import khz_to_angular
 
 OMEGA0 = khz_to_angular(9.0)
@@ -191,7 +192,7 @@ def test_quadrature_miss_names_the_rule(half_width, miss):
     # grows with the half-width, so the message states the rule, not a fix.
     dist = DetuningDistribution(kind="skewed_gaussian", sigma=1.0, skew=1e4)
     with pytest.raises(QuadratureSupportError) as info:
-        _quadrature(dist, 2001, half_width)
+        ensemble._parametric_rule(dist.sigma, dist.skew, 2001, half_width)
     message = str(info.value)
     assert f"2001 nodes over +-{half_width:g} sigma misses {miss}" in message
     assert "widen" not in message
@@ -205,13 +206,14 @@ def test_one_rule_per_distribution(monkeypatch):
                         lambda *args: calls.append(args) or real(*args))
     ensemble._parametric_rule.cache_clear()
     base = _config(8.0, skew=3.0)
+    times = np.arange(0.0, 1.0, 0.008)
     rows = scan_detuning(base, khz_to_angular(np.linspace(-20.0, 20.0, 41)),
-                         times=np.arange(0.0, 1.0, 0.008), analysis="fft")
+                         times=times, analysis="fft")
     assert len(rows) == 41
     assert len(calls) == 1
 
-    shifts, weights = _quadrature(base.distribution, base.quadrature_nodes,
-                                  base.support_half_width)
+    shifts, weights = ensemble._signal_rule(base, times[-1])
+    assert len(calls) == 1
     assert not shifts.flags.writeable and not weights.flags.writeable
     with pytest.raises(ValueError):
         weights[0] = 1.0
@@ -221,7 +223,7 @@ def test_one_rule_per_distribution(monkeypatch):
     messages = []
     for _ in range(2):
         with pytest.raises(QuadratureSupportError) as info:
-            _quadrature(narrow, 2001, 5.0)
+            ensemble._parametric_rule(narrow.sigma, narrow.skew, 2001, 5.0)
         messages.append(str(info.value))
     assert messages[0] == messages[1]
     data = {"name": "narrow", "command": "simulate",
@@ -232,6 +234,23 @@ def test_one_rule_per_distribution(monkeypatch):
     for _ in range(2):
         with pytest.raises(ScenarioError, match="ensemble.support_half_width"):
             parse_scenario(data)
+
+
+@pytest.mark.parametrize("preset, blocks", [("fig5", 5), ("fig1b", 1)])
+def test_parse_and_run_build_each_rule_once(tmp_path, monkeypatch, preset, blocks):
+    # parse_scenario checks the rule of each sigma block, and the run sums
+    # that same rule from the cache: one density evaluation per block.
+    calls = []
+    real = ensemble.skewed_gaussian_density
+    monkeypatch.setattr(ensemble, "skewed_gaussian_density",
+                        lambda *args: calls.append(args) or real(*args))
+    ensemble._parametric_rule.cache_clear()
+    data = load_scenario_dict(preset_file(preset))
+    scenario = parse_scenario(data)
+    assert len(calls) == blocks
+    run_scenario(scenario, scenario_hash(data), tmp_path)
+    assert len(calls) == blocks
+    assert len({args[0] for args in calls}) == blocks
 
 
 @pytest.fixture(scope="module")
@@ -395,18 +414,47 @@ def test_sized_five_level_rule_matches_reference(quadratic_shift_khz, gamma_khz,
         assert np.max(np.abs(two_level - reference)) > 1e-3
 
 
-def test_sized_rule_failing_mass_check_falls_back_to_the_cap(monkeypatch):
-    # A sized rule that misses mass is replaced by the rule on the cap.
-    config = _config(8.0, delta_khz=3.0, skew=3.0)
-    real = ensemble._parametric_rule
+# The skews on both sides of every change of the cap rule's mass verdict
+# between skew 0 and 400 (in steps of 1) at these half-widths and caps, and
+# near half-normal shapes; negated too.
+_VERDICT_SKEWS = (0.0, 1.0, 2.0, 3.0, 5.0, 6.0, 11.0, 12.0, 23.0, 24.0, 25.0, 33.0, 34.0,
+                  43.0, 44.0, 51.0, 52.0, 53.0, 54.0, 65.0, 66.0, 69.0, 70.0, 94.0, 95.0,
+                  96.0, 101.0, 102.0, 103.0, 104.0, 131.0, 132.0, 224.0, 225.0, 276.0,
+                  277.0, 378.0, 379.0, 400.0, 1e4, 1e6)
 
-    def rule(sigma, skew, nodes, half_width):
-        if nodes < config.quadrature_nodes:
-            raise QuadratureSupportError("miss")
-        return real(sigma, skew, nodes, half_width)
 
-    monkeypatch.setattr(ensemble, "_parametric_rule", rule)
-    assert ensemble._signal_rule(config, TIMES[-1])[0].size == config.quadrature_nodes
+def test_sized_rule_passes_the_mass_check_exactly_when_the_cap_rule_does():
+    # The sized rule is the one a run sums and the one parse_scenario
+    # checks, so nothing falls back to the cap: a grid the sized rule
+    # rejects, the cap would reject too, and one it accepts, the cap
+    # would accept. The count is as small as the shape allows at t_end = 0
+    # (omega0 far above sigma) and grows with the trace toward the cap.
+    def passes(skew, nodes, half_width):
+        try:
+            ensemble._parametric_rule(1.0, skew, nodes, half_width)
+        except QuadratureSupportError:
+            return False
+        return True
+
+    verdicts = {}
+    sized = 0
+    for skew in _VERDICT_SKEWS + tuple(-a for a in _VERDICT_SKEWS[1:]):
+        dist = DetuningDistribution(kind="skewed_gaussian", sigma=1.0, skew=skew)
+        for half_width in (5.0, 5.5, 6.0, 7.0, 8.0, 10.0, 12.0, 20.0, 40.0):
+            for cap in (201, 401, 2001, 20001):
+                on_cap = passes(skew, cap, half_width)
+                verdicts[on_cap] = verdicts.get(on_cap, 0) + 1
+                for t_end in (0.0, 100.0, 1000.0):
+                    nodes = ensemble.quadrature_node_count(dist, 1e12, t_end, half_width,
+                                                           cap)
+                    if nodes < cap:
+                        sized += 1
+                        assert passes(skew, nodes, half_width) == on_cap, \
+                            (skew, half_width, cap, t_end, nodes)
+    # Both verdicts occur, and over a thousand checks compare a rule below
+    # the cap.
+    assert verdicts[True] > 100 and verdicts[False] > 100
+    assert sized > 1000
 
 
 def test_gregory_end_weights():
@@ -414,8 +462,7 @@ def test_gregory_end_weights():
     # each end 3/8, 7/6 and 23/24 of that, up to one normalisation by the
     # captured mass.
     sigma, nodes = khz_to_angular(8.0), 201
-    shifts, weights = _quadrature(DetuningDistribution(kind="gaussian", sigma=sigma),
-                                  nodes, 8.0)
+    shifts, weights = ensemble._parametric_rule(sigma, 0.0, nodes, 8.0)
     plain = (shifts[1] - shifts[0]) * skewed_gaussian_density(sigma, 0.0, shifts)
     ratio = weights / plain
     ratio /= ratio[nodes // 2]
@@ -438,7 +485,8 @@ def test_node_doubling_converged():
     # The sized rule against a rule forced to 4001 nodes on the same support.
     config = _config(8.0, delta_khz=5.0)
     a = ensemble_signal(config, TIMES)
-    shifts, weights = _quadrature(config.distribution, 4001, config.support_half_width)
+    shifts, weights = ensemble._parametric_rule(config.distribution.sigma, 0.0, 4001,
+                                                config.support_half_width)
     b = ensemble._two_level_sum(config.drive, shifts, weights, 0.0, TIMES,
                                 *uniform_grid(TIMES))
     assert len(ensemble._signal_rule(config, TIMES[-1])[0]) < 4001
@@ -456,10 +504,7 @@ def test_long_time_signal_settles_to_weighted_offset():
     cfg = _config(18.0, delta_khz=4.0)
     times = np.arange(0.0, 40.0, 0.004)
     trace = ensemble_signal(cfg, times)
-    from rabisim.ensemble import _quadrature
-
-    shifts, weights = _quadrature(cfg.distribution, cfg.quadrature_nodes,
-                                  cfg.support_half_width)
+    shifts, weights = ensemble._signal_rule(cfg, times[-1])
     omega_r = np.hypot(cfg.drive.omega0, cfg.drive.delta + shifts)
     expected = float(weights @ (0.5 * (cfg.drive.omega0 / omega_r) ** 2))
     late = trace.values[times > 35.0]
@@ -569,8 +614,7 @@ def test_long_grid_matches_extended_precision_oracle(t0, dt, n_t):
     # the offset grid a dt taken from the first difference drifts from the
     # given times and reads 1.0e-11.
     drive = DriveParams(omega0=OMEGA0, delta=khz_to_angular(5.0))
-    shifts, weights = _quadrature(DetuningDistribution(kind="gaussian",
-                                                       sigma=khz_to_angular(8.0)), 101, 8.0)
+    shifts, weights = ensemble._parametric_rule(khz_to_angular(8.0), 0.0, 101, 8.0)
     times = t0 + dt * np.arange(n_t)
     values = ensemble._two_level_sum(drive, shifts, weights, 0.0, times,
                                      *uniform_grid(times))

@@ -36,6 +36,17 @@ def test_csv_round_trip(tmp_path):
     assert data[2] == ["0", 'x, "y"', ""]
 
 
+def test_csv_metadata_values_read_back_exactly(tmp_path):
+    # A value is what follows '# key: ' up to the line end: its own spaces
+    # and any ': ' inside it are kept.
+    path = tmp_path / "out.csv"
+    metadata = {"scenario": "  padded name ", "note": "a: b: c", "empty": ""}
+    write_csv(path, ("x",), [(1.0,)], metadata=metadata)
+    meta, cols, data = read_csv(path)
+    assert meta == metadata
+    assert cols == ["x"] and data == [["1"]]
+
+
 def test_csv_rejects_ragged_rows(tmp_path):
     with pytest.raises(ValueError):
         write_csv(tmp_path / "bad.csv", ("a", "b"), [(1.0,)], metadata={})
