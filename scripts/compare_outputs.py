@@ -9,14 +9,16 @@ files with the standard library only, so it does not depend on the
 program whose outputs it checks.
 
 It exits 1 and names the first difference of each file when the two trees
-hold different file names, a CSV differs in its header, its row count or
-any cell that is not a finite number (error, flag and text cells, nan and
-inf included), or any other file differs in its bytes. Otherwise it prints
-one line per CSV column whose numbers moved: the largest |delta|, the
-largest relative |delta| (|a - b| / max(|a|, |b|)) and, where the row has
-a 95% CI for the column, the largest |delta| / CI, taken from the parent's
-row. It prints nothing when the trees are identical, and exits 0 whenever
-only finite numbers moved.
+hold different file names, a CSV differs in its header, its row count, a
+metadata value, any cell that is not a finite number (error, flag and text
+cells, nan and inf included), any cell whose text differs while its
+numbers are equal (0.1 against 0.10) or in bytes outside its cells (blank
+lines, line ends), or any other file differs in its bytes. Otherwise it
+prints one line per CSV column whose numbers moved: the largest |delta|,
+the largest relative |delta| (|a - b| / max(|a|, |b|)) and, where the row
+has a 95% CI for the column, the largest |delta| / CI, taken from the
+parent's row. So it prints nothing exactly when the trees are
+byte-identical, and exits 0 whenever only finite numbers moved.
 """
 
 import csv
@@ -54,8 +56,9 @@ def _read(path):
     with open(path, newline="", encoding="utf-8") as handle:
         for line in handle:
             if line.startswith("#"):
-                key, _, value = line[1:].strip().partition(":")
-                metadata.append((key.strip(), value.strip()))
+                # the value exactly as written after '# key: '
+                key, _, value = line[1:].rstrip("\r\n").partition(":")
+                metadata.append((key.strip(), value.removeprefix(" ")))
             elif line.strip():
                 data.append(line)
     rows = list(csv.reader(data))
@@ -99,10 +102,12 @@ def _compare_csv(name, parent, change, moves):
         if va == vb:
             continue
         xa, xb = _numbers(va), _numbers(vb)
-        if xa is None or xb is None or len(xa) != len(xb):
+        if xa is None or xb is None or len(xa) != len(xb) or xa == xb:
             return f"{name}: column {column}: {va!r} against {vb!r}"
         for a, b in zip(xa, xb):
             _record(moves, (name, column), a, b, ci)
+    if not any(file == name for file, _ in moves):
+        return f"{name}: bytes differ outside its cells"
     return None
 
 

@@ -128,7 +128,7 @@ def run_spectrum(scenario: Scenario, meta):
                        scaled + offset))
         offset += 1.1
         if analysis.track is not None:
-            with _named("analysis.track"):
+            with _named(f"analysis.track: detuning {d_khz:g} kHz"):
                 points = sliding_window_frequency(
                     trace, analysis.track["window"], analysis.track["hop"],
                     t_stop=analysis.track["t_stop"])
@@ -238,8 +238,6 @@ def main(argv=None) -> int:
             config_path = Path(args.config)
         data = load_scenario_dict(config_path)
         if args.seed is not None:
-            if args.seed < 0:
-                raise ScenarioError("seed: must be non-negative")
             data["seed"] = args.seed
         digest = scenario_hash(data)
         scenario = parse_scenario(data, base_dir=config_path.parent)

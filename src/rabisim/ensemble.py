@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -104,11 +105,6 @@ def skewed_gaussian_density(sigma, skew, x):
     """
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    return _skew_normal_pdf(sigma, skew, x)
-
-
-def _skew_normal_pdf(sigma, skew, x):
-    """skewed_gaussian_density without the check on sigma."""
     x = np.asarray(x, dtype=float)
     xi, w, _ = _skew_normal_params(sigma, skew)
     z = (x - xi) / w
@@ -212,7 +208,7 @@ class EnsembleConfig:
     Gregory end weights on a uniform shift grid over +-support_half_width
     sigma. quadrature_nodes caps the node count, which
     `quadrature_node_count` sizes to the trace and the atom model in
-    `_signal_rule`; parse_scenario refuses a grid that needs more.
+    `_signal_rule`; a grid that needs more is refused, not summed aliased.
     Empirical distributions are summed over their explicit support instead.
     """
 
@@ -237,18 +233,24 @@ def _signal_rule(config: EnsembleConfig, t_end):
 
     An empirical distribution is summed over its own support and sigma = 0
     is the single shift 0. A parametric rule is `_parametric_rule` on
-    `quadrature_node_count` nodes for the config's atom model, at most
-    config.quadrature_nodes; it raises QuadratureSupportError when it
-    misses more than 1e-6 of the mass, which parse_scenario checks first.
+    `quadrature_node_count` nodes for the config's atom model. It raises
+    QuadratureSupportError when it misses more than 1e-6 of the mass, and
+    then ValueError, naming the count, when that count is above
+    config.quadrature_nodes; parse_scenario checks both first.
     """
     dist, half_width = config.distribution, config.support_half_width
     if not dist.is_parametric:
         return dist.shifts, dist.weights
     if dist.sigma == 0.0:
         return np.zeros(1), np.ones(1)
-    nodes = quadrature_node_count(dist, config.drive.omega0, t_end, half_width,
-                                  config.quadrature_nodes, config.atom_model.kind)
-    return _parametric_rule(dist.sigma, dist.skew, nodes, half_width)
+    cap = config.quadrature_nodes
+    need = quadrature_node_count(dist, config.drive.omega0, t_end, half_width,
+                                 sys.maxsize, config.atom_model.kind)  # uncapped
+    rule = _parametric_rule(dist.sigma, dist.skew, min(need, cap), half_width)
+    if need > cap:
+        raise ValueError(f"this time grid and distribution need {need} quadrature "
+                         f"nodes, more than quadrature_nodes = {cap}")
+    return rule
 
 
 @functools.lru_cache(maxsize=32)
@@ -266,7 +268,7 @@ def _shape_nodes(skew, half_width):
     """
     _, w, _ = _skew_normal_params(1.0, skew)
     smooth = _BAND_WIDTHS * half_width / math.pi * math.hypot(1.0, skew) / w
-    ends = _skew_normal_pdf(1.0, skew, np.array([-half_width, half_width]))
+    ends = skewed_gaussian_density(1.0, skew, np.array([-half_width, half_width]))
     return smooth, _END_NODES * (float(ends.max()) / _END_DENSITY) ** 0.25
 
 

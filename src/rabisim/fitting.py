@@ -140,7 +140,7 @@ def _fft_peak_frequencies(t, y, n_peaks):
     power = np.abs(np.fft.rfft(y * np.hanning(n), n=nfft))
     freqs = np.fft.rfftfreq(nfft, d=t[1] - t[0])
     floor = 0.5 / (t[-1] - t[0])  # stay clear of the DC leakage
-    idx = _find_peaks(power, 0.05 * power.max()) if power.max() > 0 else []
+    idx = _find_peaks(power, 0.05 * power.max())
     idx = [i for i in idx if freqs[i] > floor]
     idx.sort(key=lambda i: -power[i])
     out = [2.0 * math.pi * freqs[i] for i in idx[:n_peaks]]

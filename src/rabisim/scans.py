@@ -17,7 +17,6 @@ from .ensemble import EnsembleConfig, ensemble_signal
 # this binding.
 from .fitting import fit_single_frequency, fit_two_frequency  # noqa: F401
 from .fitting import fit_two_frequency_block
-from .model import DriveParams
 from .spectrum import fft_spectrum
 from .units import angular_to_khz
 
@@ -68,12 +67,6 @@ def _attempt(fn, *args, **kwargs):
         return fn(*args, **kwargs)
     except (ValueError, RuntimeError) as exc:
         return exc
-
-
-def _simulate(base_config, delta, t):
-    config = replace(base_config, drive=DriveParams(omega0=base_config.drive.omega0,
-                                                    delta=delta))
-    return ensemble_signal(config, t)
 
 
 def _fft_peaks(trace, fft_options):
@@ -156,8 +149,10 @@ def scan_detuning(base_config: EnsembleConfig, detunings, *, analysis="single",
     rows = []
     for start in range(0, len(detunings), chunk):
         deltas = detunings[start:start + chunk]
+        configs = [replace(base_config, drive=replace(base_config.drive, delta=delta))
+                   for delta in deltas]
         # a trace, or the error its simulation raised, per point
-        traces = [_attempt(_simulate, base_config, delta, t) for delta in deltas]
+        traces = [_attempt(ensemble_signal, config, t) for config in configs]
         simulated = [tr for tr in traces if not isinstance(tr, Exception)]
         fits = iter(_analyse(analysis, simulated, base_config.drive.omega0, window,
                              decay, fft_options))

@@ -52,29 +52,39 @@ MAX_QUADRATURE_NODES = 20_001
 MAX_GRID_POINTS = 10_000_000
 MAX_BINS = 100_000
 
-# What each command reads: its top-level sections and drive keys, the
-# atom_model keys of each kernel, and the analysis keys of each scan kind and
-# of the spectrum command. parse_scenario rejects any other key with its
-# dotted path instead of ignoring it.
+# What each choice of a section reads. A section's choices are its command,
+# its kind, or which of two alternative keys it gives; None lists the keys
+# read whatever the choice. parse_scenario refuses any other key with its
+# dotted path: "not read by" when another choice reads it, "unknown key"
+# when none does.
 _ENSEMBLE_RUN = ("name", "command", "seed", "output", "drive", "distribution",
                  "atom_model", "time_grid", "ensemble")
-_DELTAS = ("omega0_khz", "delta_list_khz", "delta_range_khz")
 _READS = {
-    "simulate": (_ENSEMBLE_RUN, ("omega0_khz", "delta_khz")),
-    "scan": (_ENSEMBLE_RUN + ("analysis", "scan"), _DELTAS),
-    "spectrum": (_ENSEMBLE_RUN + ("analysis",), _DELTAS),
-    "field-dist": (("name", "command", "seed", "output", "fieldmap"), ()),
+    "simulate": _ENSEMBLE_RUN,
+    "scan": _ENSEMBLE_RUN + ("analysis", "scan"),
+    "spectrum": _ENSEMBLE_RUN + ("analysis",),
+    "field-dist": ("name", "command", "seed", "output", "fieldmap"),
 }
-_ATOM_READS = {
-    "analytic_two_level": ("kind", "gamma_khz"),
-    "multilevel": ("kind", "gamma_khz", "quadratic_shift_khz"),
-}
-_ANALYSIS_READS = {
-    "single": ("kind", "window_ms", "decay"),
-    "two": ("kind", "window_ms", "window_periods"),
-    "fft": ("kind", "fft"),
-    "spectrum": ("fft", "track"),
-}
+# simulate reads one detuning, scan and spectrum a list or a range
+_DRIVE_READS = {None: ("omega0_khz",), "delta_khz": ("delta_khz",),
+                "delta_list_khz": ("delta_list_khz",),
+                "delta_range_khz": ("delta_range_khz",)}
+_DISTRIBUTION_READS = {"fieldmap": ("fieldmap",), "file": ("file",),
+                       "parametric": ("kind", "sigma_khz", "skew")}
+_ATOM_READS = {"analytic_two_level": ("kind", "gamma_khz"),
+               "multilevel": ("kind", "gamma_khz", "quadratic_shift_khz")}
+# a two-frequency scan reads one window form
+_ANALYSIS_READS = {"single": ("kind", "window_ms", "decay"), "two": ("kind",),
+                   "fft": ("kind", "fft"), "spectrum": ("fft", "track"),
+                   "window_ms": ("window_ms",), "window_periods": ("window_periods",)}
+_ENSEMBLE_READS = {"a parametric distribution": ("quadrature_nodes", "support_half_width"),
+                   "an empirical distribution": ()}
+_FIELDMAP_READS = {None: ("b_set_khz", "bounds_xy_mm", "bounds_z_mm", "spacing_mm",
+                          "spacing_z_mm", "max_deviation_khz", "n_bins", "beam",
+                          "profiles"),
+                   "signs": ("signs",), "current_sign": ("current_sign",)}
+_PROFILE_READS = {"constant": ("kind", "value"), "piecewise_linear": ("kind", "nodes"),
+                  "polynomial": ("kind", "coefficients")}
 
 
 class ScenarioError(ValueError):
@@ -87,12 +97,18 @@ def _expect_mapping(value, path):
     return value
 
 
-def _check_keys(d, allowed, path, reader=None):
-    """Reject the first key of d outside allowed, naming its dotted path;
-    with reader, the key is one that reader does not read."""
+def _check_keys(d, reads, path, choices=(), reader=None):
+    """Reject the first key of d that none of its choices reads, naming its
+    dotted path. reads maps each choice of the section to its keys (a
+    section without choices gives its keys alone), and reader describes
+    the choices d made."""
+    if not isinstance(reads, dict):
+        reads = {None: reads}
+    allowed = [key for choice in (None, *choices) for key in reads.get(choice, ())]
     for key in d:
         if key not in allowed:
-            why = f"not read by {reader}" if reader else "unknown key"
+            known = any(key in keys for keys in reads.values())
+            why = f"not read by {reader}" if known else "unknown key"
             raise ScenarioError(f"{path}.{key}: {why}" if path else f"{key}: {why}")
 
 
@@ -275,9 +291,8 @@ def scenario_hash(data: dict) -> str:
 
 def _parse_profile(d, path) -> AxisProfile:
     d = _expect_mapping(d, path)
-    _check_keys(d, ("kind", "value", "nodes", "coefficients"), path)
-    kind = _string(d.get("kind"), f"{path}.kind",
-                   ("constant", "piecewise_linear", "polynomial"))
+    kind = _string(d.get("kind"), f"{path}.kind", tuple(_PROFILE_READS))
+    _check_keys(d, _PROFILE_READS, path, (kind,), f"a {kind} profile")
     with _named(path):
         if kind == "constant":
             return AxisProfile(kind=kind, value=_float(d.get("value", 0.0),
@@ -299,21 +314,20 @@ def _parse_profile(d, path) -> AxisProfile:
 
 def _parse_field_dist(d, path) -> FieldDistSpec:
     d = _expect_mapping(d, path)
-    _check_keys(d, ("b_set_khz", "current_sign", "signs", "bounds_xy_mm",
-                    "bounds_z_mm", "spacing_mm", "spacing_z_mm",
-                    "max_deviation_khz", "n_bins", "beam", "profiles"), path)
+    form = "signs" if "signs" in d else "current_sign"
+    _check_keys(d, _FIELDMAP_READS, path, (form,), f"a fieldmap with {path}.{form}")
     b_set = _positive(d.get("b_set_khz"), f"{path}.b_set_khz")
-    if "signs" in d:
+    if form == "signs":
         raw_signs = d["signs"]
         if not isinstance(raw_signs, (list, tuple)) or not raw_signs:
             raise ScenarioError(f"{path}.signs: expected a non-empty list of +1/-1")
-        signs = tuple(_integer(s, f"{path}.signs[{i}]")
-                      for i, s in enumerate(raw_signs))
+        named = [(f"{path}.signs[{i}]", s) for i, s in enumerate(raw_signs)]
     else:
-        signs = (_integer(d.get("current_sign", 1), f"{path}.current_sign"),)
-    for i, s in enumerate(signs):
-        if s not in (1, -1):
-            raise ScenarioError(f"{path}.signs[{i}]: must be +1 or -1")
+        named = [(f"{path}.current_sign", d.get("current_sign", 1))]
+    for where, s in named:
+        if _integer(s, where) not in (1, -1):
+            raise ScenarioError(f"{where}: must be +1 or -1")
+    signs = tuple(s for _, s in named)
 
     bounds_xy = tuple(_pair(d.get("bounds_xy_mm", [-8.0, 8.0]),
                             f"{path}.bounds_xy_mm"))
@@ -383,16 +397,13 @@ def _resolve_fieldmap_reference(ref, path, base_dir) -> DetuningDistribution:
 
 def _parse_distribution(d, path, base_dir) -> DetuningDistribution:
     d = _expect_mapping(d, path)
-    _check_keys(d, ("kind", "sigma_khz", "skew", "file", "fieldmap"), path)
-    if "fieldmap" in d:
-        if "file" in d or "sigma_khz" in d:
-            raise ScenarioError(
-                f"{path}: fieldmap excludes file and sigma_khz")
+    source = next((key for key in ("fieldmap", "file") if key in d), "parametric")
+    _check_keys(d, _DISTRIBUTION_READS, path, (source,),
+                f"a distribution with {path}.{source}")
+    if source == "fieldmap":
         return _resolve_fieldmap_reference(d["fieldmap"], f"{path}.fieldmap",
                                            base_dir)
-    if "file" in d:
-        if "sigma_khz" in d:
-            raise ScenarioError(f"{path}: file excludes sigma_khz")
+    if source == "file":
         file_path = Path(base_dir) / _string(d["file"], f"{path}.file")
         if not file_path.is_file():
             raise ScenarioError(f"{path}.file: file not found: {file_path}")
@@ -412,7 +423,7 @@ def _parse_atom_model(d, path) -> AtomModel:
     d = _expect_mapping(d, path)
     kind = _string(d.get("kind", "analytic_two_level"), f"{path}.kind",
                    tuple(_ATOM_READS))
-    _check_keys(d, _ATOM_READS[kind], path, f"the {kind} atom model")
+    _check_keys(d, _ATOM_READS, path, (kind,), f"the {kind} atom model")
     gamma = _khz(d.get("gamma_khz", 0.0), f"{path}.gamma_khz", _nonnegative)
     if "quadratic_shift_khz" not in d:
         return AtomModel(kind=kind, gamma=gamma)
@@ -435,15 +446,11 @@ def _parse_times(d, path):
 
 
 def _parse_deltas(d, path):
-    has_list = "delta_list_khz" in d
-    has_range = "delta_range_khz" in d
-    if has_list and has_range:
-        raise ScenarioError(f"{path}: give delta_list_khz or delta_range_khz, not both")
-    if has_list:
+    if "delta_list_khz" in d:
         values = _float_list(d["delta_list_khz"], f"{path}.delta_list_khz")
         return tuple(_khz(v, f"{path}.delta_list_khz[{i}]", _float)
                      for i, v in enumerate(values))
-    if has_range:
+    if "delta_range_khz" in d:
         r = _expect_mapping(d["delta_range_khz"], f"{path}.delta_range_khz")
         _check_keys(r, ("start", "stop", "step"), f"{path}.delta_range_khz")
         start = _float(r.get("start"), f"{path}.delta_range_khz.start")
@@ -461,19 +468,16 @@ def _parse_deltas(d, path):
 def _parse_analysis(d, path, command) -> AnalysisOptions:
     d = _expect_mapping({} if d is None else d, path)
     if command == "spectrum":
-        kind = "fft"
-        _check_keys(d, _ANALYSIS_READS["spectrum"], path, "the spectrum command")
+        kind, choices, reader = "fft", ("spectrum",), "the spectrum command"
     else:
         kind = _string(d.get("kind", "single"), f"{path}.kind",
                        ("single", "two", "fft"))
-        _check_keys(d, _ANALYSIS_READS[kind], path,
-                    f"a scan with {path}.kind {kind}")
-    window = None
-    if "window_ms" in d:
-        window = tuple(_pair(d["window_ms"], f"{path}.window_ms"))
-        if "window_periods" in d:
-            raise ScenarioError(f"{path}.window_periods: not read by a scan "
-                                f"with {path}.window_ms")
+        choices, reader = (kind,), f"a scan with {path}.kind {kind}"
+        if kind == "two":
+            form = "window_ms" if "window_ms" in d else "window_periods"
+            choices, reader = (kind, form), reader + (f" and {path}.{form}" if form in d else "")
+    _check_keys(d, _ANALYSIS_READS, path, choices, reader)
+    window = tuple(_pair(d["window_ms"], f"{path}.window_ms")) if "window_ms" in d else None
     decay = _string(d.get("decay", "exp"), f"{path}.decay", ("exp", "gauss"))
     periods = _positive(d.get("window_periods", 10.0), f"{path}.window_periods")
 
@@ -535,8 +539,7 @@ def parse_scenario(data: dict, base_dir=None) -> Scenario:
     data = _expect_mapping(data, "scenario")
     base_dir = Path(base_dir) if base_dir is not None else Path.cwd()
     command = _string(data.get("command"), "command", COMMANDS)
-    sections, drive_keys = _READS[command]
-    _check_keys(data, sections, "", f"the {command} command")
+    _check_keys(data, _READS, "", (command,), f"the {command} command")
     name = _line(data.get("name", "scenario"), "name")
     seed = _integer(data.get("seed", 0), "seed", minimum=0)
 
@@ -557,7 +560,10 @@ def parse_scenario(data: dict, base_dir=None) -> Scenario:
                         basename=basename, field_dist=spec)
 
     drive_d = _expect_mapping(data.get("drive", {}), "drive")
-    _check_keys(drive_d, drive_keys, "drive", f"the {command} command")
+    form = ("delta_khz" if command == "simulate" else
+            "delta_list_khz" if "delta_list_khz" in drive_d else "delta_range_khz")
+    _check_keys(drive_d, _DRIVE_READS, "drive", (form,),
+                f"the {command} command" + (f" with drive.{form}" if form in drive_d else ""))
     omega0 = _khz(drive_d.get("omega0_khz"), "drive.omega0_khz", _positive)
 
     scan_d = _expect_mapping(data.get("scan", {}), "scan")
@@ -605,9 +611,9 @@ def parse_scenario(data: dict, base_dir=None) -> Scenario:
                     "analysis.track.hop_ms", "(min(t_stop_ms, t_max_ms) - window_ms) / hop_ms + 1")
 
     ens_d = _expect_mapping(data.get("ensemble", {}), "ensemble")
-    _check_keys(ens_d, ("quadrature_nodes", "support_half_width"), "ensemble")
-    if not distribution.is_parametric:
-        _check_keys(ens_d, (), "ensemble", "an empirical distribution")
+    source = ("a parametric distribution" if distribution.is_parametric
+              else "an empirical distribution")
+    _check_keys(ens_d, _ENSEMBLE_READS, "ensemble", (source,), source)
     nodes = _integer(ens_d.get("quadrature_nodes", 2001),
                      "ensemble.quadrature_nodes", minimum=MIN_QUADRATURE_NODES,
                      maximum=MAX_QUADRATURE_NODES)

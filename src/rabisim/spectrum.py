@@ -148,10 +148,7 @@ def fft_spectrum(trace: OscillationTrace, *, detrend=True, window_fn="hann",
     power = amp * amp
     freqs = np.fft.rfftfreq(nfft, d=trace.dt)
 
-    if power.max() > 0:
-        idx = _find_peaks(power, prominence * power.max())
-    else:
-        idx = np.array([], dtype=int)
+    idx = _find_peaks(power, prominence * power.max())
     order = np.argsort(power[idx])[::-1]
     idx = idx[order]
     return SpectrumResult(frequencies_khz=freqs, power=power,
@@ -185,7 +182,7 @@ def sliding_window_frequency(trace: OscillationTrace, window_length, hop, *,
     hop = float(hop)
     if window_length <= 0 or hop <= 0:
         raise ValueError("window_length and hop must be positive")
-    spec = fft_spectrum(trace, pad_factor=4)
+    spec = fft_spectrum(trace)
     if spec.peak_frequencies_khz.size == 0:
         raise ValueError("trace has no spectral peak to track")
     f0 = float(spec.peak_frequencies_khz[0])

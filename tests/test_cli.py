@@ -339,6 +339,8 @@ _DENSE_TRACK = ("distribution: {kind: gaussian, sigma_khz: 8.0}\n"
     ("simulate", _ALIASED_MULTILEVEL, "ensemble.quadrature_nodes"),
     ("field-dist", "fieldmap: {b_set_khz: 18167.0, signs: []}\n", "fieldmap.signs"),
     ("field-dist", "fieldmap: {b_set_khz: 18167.0, signs: [2]}\n", "fieldmap.signs[0]"),
+    ("field-dist", "fieldmap: {b_set_khz: 18167.0, current_sign: 2}\n",
+     "fieldmap.current_sign"),
     ("field-dist", "", "fieldmap"),
     ("simulate", "distribution: {fieldmap: 3}\n" + _GRID, "distribution.fieldmap"),
     ("simulate", "distribution: {fieldmap: missing.yaml}\n" + _GRID,
@@ -346,10 +348,6 @@ _DENSE_TRACK = ("distribution: {kind: gaussian, sigma_khz: 8.0}\n"
     ("simulate", "distribution: {fieldmap: fig99}\n" + _GRID, "distribution.fieldmap"),
     ("simulate", "distribution: {fieldmap: scenario.yaml}\n" + _GRID,
      "distribution.fieldmap"),
-    ("simulate", "distribution: {fieldmap: fig6-field, sigma_khz: 8.0}\n" + _GRID,
-     "distribution"),
-    ("simulate", "distribution: {file: atoms.txt, sigma_khz: 8.0}\n" + _GRID,
-     "distribution"),
     ("simulate", "distribution: {file: atoms.txt}\n" + _GRID, "distribution.file"),
     ("scan", "drive: {omega0_khz: 9.0}\n" + _GAUSSIAN + _GRID, "drive"),
     ("scan", _GAUSSIAN + _GRID + "analysis: {kind: fft, fft: {prominence: 1.5}}\n",
@@ -367,10 +365,10 @@ _DENSE_TRACK = ("distribution: {kind: gaussian, sigma_khz: 8.0}\n"
 ], ids=["support-simulate", "support-scan", "support-spectrum",
         "short_grid-spectrum", "short_grid-fft_scan", "short_track-spectrum",
         "dense_track-spectrum", "aliased-simulate", "aliased-fft_scan",
-        "aliased-multilevel", "signs_empty", "signs_two", "no_fieldmap",
+        "aliased-multilevel", "signs_empty", "signs_two", "current_sign_two",
+        "no_fieldmap",
         "fieldmap_not_string", "fieldmap_file_missing", "fieldmap_unknown_preset",
-        "fieldmap_file_without_section", "fieldmap_beside_sigma",
-        "file_beside_sigma", "file_missing", "scan_without_deltas",
+        "fieldmap_file_without_section", "file_missing", "scan_without_deltas",
         "prominence_above_1", "no_distribution", "no_time_grid",
         "two_sample_grid", "profile_nodes_not_list", "file_without_rows",
         "five_level_drift-simulate", "five_level_drift-spectrum"])
@@ -399,6 +397,19 @@ def test_unrunnable_inputs_exit_2(tmp_path, capsys, command, body, named):
     assert sorted(tmp_path.iterdir()) == sorted([config, *inputs])
 
 
+def test_track_error_names_its_detuning(tmp_path, capsys):
+    # The Hann-windowed spectrum of the -30 kHz trace has no peak to track;
+    # that of the 0 kHz trace, run first, has one.
+    config = _write(tmp_path, "name: bad\ncommand: spectrum\n"
+                              "drive: {omega0_khz: 9.0, delta_list_khz: [0.0, -30.0]}\n"
+                              "distribution: {kind: skewed_gaussian, sigma_khz: 6.0, skew: -4.0}\n"
+                              "time_grid: {t_max_ms: 4.0, dt_ms: 0.008}\n"
+                              "analysis: {track: {window_ms: 0.5, hop_ms: 0.5}}\n")
+    assert main(["spectrum", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("rabisim: analysis.track: detuning -30 kHz: "
+                                       "trace has no spectral peak to track\n")
+
+
 def test_aliased_grid_names_the_nodes_it_needs():
     # The refusal names the count; a cap that high, or a shorter trace, parses.
     data = yaml.safe_load(f"name: long\ncommand: simulate\n"
@@ -422,6 +433,14 @@ def test_aliased_grid_names_the_nodes_it_needs():
     data["distribution"]["sigma_khz"] = 1000.0
     with pytest.raises(ScenarioError, match="need more than 20001 quadrature nodes"):
         parse_scenario(data)
+
+
+def _with_distribution(name, distribution):
+    return {**load_scenario_dict(preset_file(name)), "distribution": distribution}
+
+
+def _with_profile(profile):
+    return _preset_with("fig6-field", fieldmap={"profiles": {"b0z": profile}})
 
 
 def _preset_with(name, **sections):
@@ -451,11 +470,33 @@ def _preset_with(name, **sections):
      "atom_model.quadratic_shift_khz"),
     (_preset_with("fig5", analysis={"window_ms": [0.0, 1.0]}),
      "analysis.window_periods"),
+    (_preset_with("fig6b", distribution={"sigma_khz": 8.0}), "distribution.sigma_khz"),
+    (_with_distribution("fig1b", {"file": "atoms.txt", "sigma_khz": 8.0}),
+     "distribution.sigma_khz"),
+    (_preset_with("fig6b", distribution={"kind": "skewed_gaussian"}), "distribution.kind"),
+    (_preset_with("fig6b", distribution={"skew": 2.0}), "distribution.skew"),
+    (_with_distribution("fig1b", {"file": "atoms.txt", "kind": "gaussian"}),
+     "distribution.kind"),
+    (_with_distribution("fig1b", {"file": "atoms.txt", "skew": 2.0}), "distribution.skew"),
+    (_preset_with("fig6-field", fieldmap={"signs": [1, -1]}), "fieldmap.current_sign"),
+    (_with_profile({"kind": "constant", "value": 1.0, "coefficients": [1.0]}),
+     "fieldmap.profiles.b0z.coefficients"),
+    (_with_profile({"kind": "polynomial", "coefficients": [1.0], "value": 1.0}),
+     "fieldmap.profiles.b0z.value"),
+    (_with_profile({"kind": "constant", "nodes": [[-20.0, 0.0], [20.0, 0.0]]}),
+     "fieldmap.profiles.b0z.nodes"),
+    (_preset_with("fig6b", drive={"delta_range_khz": {"start": 0.0, "stop": 2.0,
+                                                      "step": 1.0}}),
+     "drive.delta_range_khz"),
 ], ids=["simulate_scan", "simulate_delta_list", "spectrum_sigma_list",
         "scan_track", "spectrum_kind", "two_decay", "field_dist_drive",
-        "empirical_quadrature", "two_level_quadratic_shift", "window_ms_periods"])
+        "empirical_quadrature", "two_level_quadratic_shift", "window_ms_periods",
+        "fieldmap_beside_sigma", "file_beside_sigma", "fieldmap_beside_kind",
+        "fieldmap_beside_skew", "file_beside_kind", "file_beside_skew",
+        "current_sign_beside_signs", "constant_profile_coefficients",
+        "polynomial_profile_value", "constant_profile_nodes", "delta_range_beside_list"])
 def test_unread_keys_exit_2(tmp_path, capsys, data, named):
-    # Each key is valid somewhere, but this command never reads it.
+    # Each key is valid somewhere, but this command, kind or form never reads it.
     config = _write(tmp_path, yaml.safe_dump(data))
     assert main([data["command"], "--config", str(config),
                  "--out", str(tmp_path / "out"), "--svg"]) == 2

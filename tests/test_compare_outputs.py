@@ -62,3 +62,23 @@ def test_file_set_and_svg_bytes_are_compared(tmp_path):
     code, out = _compare(parent, change)
     assert code == 1
     assert "extra.csv" in out and "scan/scan.svg: bytes differ" in out
+
+
+@pytest.mark.parametrize("old, new", [
+    ("# seed: 0\n", "# seed: 0 \n"),
+    ("2,9.2,0.02", "2,9.20,0.02"),
+    ("\n2,9.2", "\n\n2,9.2"),
+], ids=["metadata_space", "same_number", "blank_line"])
+def test_byte_difference_without_a_numeric_move_exits_1(tmp_path, old, new):
+    # Every byte difference is reported, not only the ones that move a number.
+    code, out = _compare(_tree(tmp_path / "a", SCAN_CSV),
+                         _tree(tmp_path / "b", SCAN_CSV.replace(old, new)))
+    assert code == 1
+    assert "DIFFERS: scan/scan.csv" in out
+
+
+def test_same_number_is_reported_beside_a_move(tmp_path):
+    moved = SCAN_CSV.replace("2,9.2,0.02,2.5", "2,9.20,0.02,2.502")
+    code, out = _compare(_tree(tmp_path / "a", SCAN_CSV), _tree(tmp_path / "b", moved))
+    assert code == 1
+    assert "DIFFERS: scan/scan.csv: column frequency_khz: '9.2' against '9.20'" in out

@@ -185,6 +185,20 @@ def test_quadrature_support_too_narrow():
         ensemble_signal(cfg, TIMES)
 
 
+def test_signal_refuses_a_cap_below_the_sized_count():
+    # Sigma 18 kHz over 0-12 ms needs 3,479 nodes: on the default cap of
+    # 2,001 the sum would be aliased, so it is refused, naming the count, as
+    # parse_scenario refuses the same scenario. A support too narrow for the
+    # mass is still reported first.
+    times = np.arange(0.0, 12.0 + 0.002, 0.004)
+    with pytest.raises(ValueError, match="need 3479 quadrature nodes, more than "
+                                         "quadrature_nodes = 2001"):
+        ensemble_signal(_config(18.0), times)
+    assert ensemble_signal(_config(18.0, quadrature_nodes=3479), times).values.size == 3001
+    with pytest.raises(QuadratureSupportError):
+        ensemble_signal(_config(18.0, skew=20.0, support_half_width=5.0), times)
+
+
 @pytest.mark.parametrize("half_width, miss", [(8.0, "1.88e-04"), (20.0, "3.07e-03")])
 def test_quadrature_miss_names_the_rule(half_width, miss):
     # At skew 1e4 the density is nearly the half-normal's step at its mode,
@@ -198,13 +212,25 @@ def test_quadrature_miss_names_the_rule(half_width, miss):
     assert "widen" not in message
 
 
-def test_one_rule_per_distribution(monkeypatch):
-    # The rule depends on the distribution only, so a scan builds it once.
+def _record_rule_densities(monkeypatch):
+    """Clear the rule cache and record the sigma of each density evaluation
+    on a rule's grid; the node count's shape terms, cached on their own,
+    evaluate it at the two support ends only."""
     calls = []
     real = ensemble.skewed_gaussian_density
-    monkeypatch.setattr(ensemble, "skewed_gaussian_density",
-                        lambda *args: calls.append(args) or real(*args))
+
+    def density(sigma, skew, x):
+        if np.size(x) > 2:
+            calls.append(sigma)
+        return real(sigma, skew, x)
+    monkeypatch.setattr(ensemble, "skewed_gaussian_density", density)
     ensemble._parametric_rule.cache_clear()
+    return calls
+
+
+def test_one_rule_per_distribution(monkeypatch):
+    # The rule depends on the distribution only, so a scan builds it once.
+    calls = _record_rule_densities(monkeypatch)
     base = _config(8.0, skew=3.0)
     times = np.arange(0.0, 1.0, 0.008)
     rows = scan_detuning(base, khz_to_angular(np.linspace(-20.0, 20.0, 41)),
@@ -240,17 +266,13 @@ def test_one_rule_per_distribution(monkeypatch):
 def test_parse_and_run_build_each_rule_once(tmp_path, monkeypatch, preset, blocks):
     # parse_scenario checks the rule of each sigma block, and the run sums
     # that same rule from the cache: one density evaluation per block.
-    calls = []
-    real = ensemble.skewed_gaussian_density
-    monkeypatch.setattr(ensemble, "skewed_gaussian_density",
-                        lambda *args: calls.append(args) or real(*args))
-    ensemble._parametric_rule.cache_clear()
+    calls = _record_rule_densities(monkeypatch)
     data = load_scenario_dict(preset_file(preset))
     scenario = parse_scenario(data)
     assert len(calls) == blocks
     run_scenario(scenario, scenario_hash(data), tmp_path)
     assert len(calls) == blocks
-    assert len({args[0] for args in calls}) == blocks
+    assert len(set(calls)) == blocks
 
 
 @pytest.fixture(scope="module")
@@ -501,7 +523,8 @@ def test_gaussian_signal_symmetric_in_detuning():
 
 def test_long_time_signal_settles_to_weighted_offset():
     """After dephasing the signal sits at the average of the per-atom offsets."""
-    cfg = _config(18.0, delta_khz=4.0)
+    # 40 ms at sigma 18 kHz needs 11,542 nodes
+    cfg = _config(18.0, delta_khz=4.0, quadrature_nodes=11542)
     times = np.arange(0.0, 40.0, 0.004)
     trace = ensemble_signal(cfg, times)
     shifts, weights = ensemble._signal_rule(cfg, times[-1])

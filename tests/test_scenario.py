@@ -91,6 +91,26 @@ def test_error_messages_carry_paths():
         parse_scenario(bad)
 
 
+_SCAN_DRIVE = {"command": "scan", "drive": {"omega0_khz": 9.0, "delta_list_khz": [0.0]}}
+
+
+@pytest.mark.parametrize("overrides, section", [
+    ({}, None), ({}, "drive"), ({}, "distribution"), ({}, "atom_model"),
+    ({}, "time_grid"), ({"ensemble": {"quadrature_nodes": 2001}}, "ensemble"),
+    ({**_SCAN_DRIVE, "analysis": {"kind": "two", "window_ms": [0.0, 0.5]}}, "analysis"),
+    ({**_SCAN_DRIVE, "analysis": {"kind": "single"}}, "analysis"),
+], ids=["top", "drive", "distribution", "atom_model", "time_grid", "ensemble",
+        "two_analysis", "single_analysis"])
+def test_key_no_choice_reads_is_unknown(overrides, section):
+    # A key read by another command, kind or form is "not read by" this one;
+    # a key that nothing reads is unknown, whatever the section chose.
+    data = copy.deepcopy(_minimal_simulate(**overrides))
+    (data if section is None else data[section])["foo"] = 1.0
+    path = "foo" if section is None else f"{section}.foo"
+    with pytest.raises(ScenarioError, match=rf"^{path}: unknown key$"):
+        parse_scenario(data)
+
+
 def test_scan_requires_deltas_one_way():
     data = _minimal_simulate(command="scan")
     data["scan"] = {"omega0_list_khz": [9.0]}
