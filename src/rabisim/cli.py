@@ -117,8 +117,7 @@ def run_spectrum(scenario: Scenario, meta):
         trace = ensemble_signal(config, scenario.times)
         spec = fft_spectrum(trace, **analysis.fft)
         d_khz = angular_to_khz(delta)
-        for f, p in zip(spec.frequencies_khz, spec.power):
-            spectra_rows.append((d_khz, f, p))
+        spectra_rows.extend((d_khz, f, p) for f, p in zip(spec.frequencies_khz, spec.power))
         for rank, (f, h) in enumerate(zip(spec.peak_frequencies_khz,
                                           spec.peak_heights), start=1):
             peak_rows.append((d_khz, rank, f, h))
@@ -129,12 +128,9 @@ def run_spectrum(scenario: Scenario, meta):
         offset += 1.1
         if analysis.track is not None:
             with _named(f"analysis.track: detuning {d_khz:g} kHz"):
-                points = sliding_window_frequency(
-                    trace, analysis.track["window"], analysis.track["hop"],
-                    t_stop=analysis.track["t_stop"])
-            for pt in points:
-                track_rows.append((d_khz, pt.t_center, pt.frequency_khz,
-                                   pt.ci95_khz))
+                points = sliding_window_frequency(trace, spec, **analysis.track)
+            track_rows.extend((d_khz, pt.t_center, pt.frequency_khz, pt.ci95_khz)
+                              for pt in points)
 
     tables = [("_spectra", ("detuning_khz", "frequency_khz", "power"),
                spectra_rows),

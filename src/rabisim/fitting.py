@@ -512,12 +512,10 @@ def _package_two(res, cov, y, omega0) -> TwoFreqFit:
     grads["omega_bar"] = np.array([0, 0, 0, 0, 0, math.copysign(1.0, du), 0])
     grads["gamma_b"] = np.array([0, 0, 0, 0, 0, 0, math.copysign(1.0, gb)])
     grads["offset"] = np.array([0, 0, 0, 0, 1.0, 0, 0])
-    if total > 0 and amp_a > 0 and amp_b > 0:
+    if amp_a > 0 and amp_b > 0:
         d_a = (amp_b / total**2) * np.array([a1 / amp_a, a2 / amp_a, 0, 0, 0, 0, 0])
         d_b = (amp_a / total**2) * np.array([0, 0, b1 / amp_b, b2 / amp_b, 0, 0, 0])
         grads["fraction_a"] = d_a - d_b
-    elif total > 0 and amp_b > 0:
-        grads["fraction_a"] = (1.0 / amp_b) * np.array([1.0, 1.0, 0, 0, 0, 0, 0])
     ci = {name: math.inf for name in _TWO_PARAM_NAMES}
     ci.update(zip(grads, lsq.ci95(cov, y.size - 7, grads.values())))
 

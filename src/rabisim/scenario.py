@@ -85,6 +85,13 @@ _FIELDMAP_READS = {None: ("b_set_khz", "bounds_xy_mm", "bounds_z_mm", "spacing_m
                    "signs": ("signs",), "current_sign": ("current_sign",)}
 _PROFILE_READS = {"constant": ("kind", "value"), "piecewise_linear": ("kind", "nodes"),
                   "polynomial": ("kind", "coefficients")}
+_OUTPUT_READS = ("basename",)
+_SCAN_READS = ("omega0_list_khz", "sigma_list_khz")
+_TIME_GRID_READS = ("t_max_ms", "dt_ms")
+_DELTA_RANGE_READS = ("start", "stop", "step")
+_FFT_READS = ("detrend", "window_fn", "pad_factor", "prominence")
+_TRACK_READS = ("window_ms", "hop_ms", "t_stop_ms")
+_BEAM_READS = ("profile", "diameter_mm")
 
 
 class ScenarioError(ValueError):
@@ -223,7 +230,7 @@ class AnalysisOptions:
     decay: str = "exp"
     window_periods: float = 10.0
     fft: dict = field(default_factory=dict)  # fft_spectrum keywords
-    track: dict | None = None
+    track: dict | None = None  # sliding_window_frequency keywords
 
 
 @dataclass(frozen=True)
@@ -324,10 +331,12 @@ def _parse_field_dist(d, path) -> FieldDistSpec:
         named = [(f"{path}.signs[{i}]", s) for i, s in enumerate(raw_signs)]
     else:
         named = [(f"{path}.current_sign", d.get("current_sign", 1))]
-    for where, s in named:
+    signs = tuple(s for _, s in named)
+    for i, (where, s) in enumerate(named):
         if _integer(s, where) not in (1, -1):
             raise ScenarioError(f"{where}: must be +1 or -1")
-    signs = tuple(s for _, s in named)
+        if s in signs[:i]:
+            raise ScenarioError(f"{where}: repeats sign {s:+d}")
 
     bounds_xy = tuple(_pair(d.get("bounds_xy_mm", [-8.0, 8.0]),
                             f"{path}.bounds_xy_mm"))
@@ -344,7 +353,7 @@ def _parse_field_dist(d, path) -> FieldDistSpec:
                       maximum=MAX_BINS)
 
     beam_d = _expect_mapping(d.get("beam", {}), f"{path}.beam")
-    _check_keys(beam_d, ("profile", "diameter_mm"), f"{path}.beam")
+    _check_keys(beam_d, _BEAM_READS, f"{path}.beam")
     with _named(f"{path}.beam"):
         beam = ProbeBeam(
             profile=_string(beam_d.get("profile", "flat_top"),
@@ -434,7 +443,7 @@ def _parse_atom_model(d, path) -> AtomModel:
 
 def _parse_times(d, path):
     d = _expect_mapping(d, path)
-    _check_keys(d, ("t_max_ms", "dt_ms"), path)
+    _check_keys(d, _TIME_GRID_READS, path)
     t_max = _positive(d.get("t_max_ms"), f"{path}.t_max_ms")
     dt = _positive(d.get("dt_ms"), f"{path}.dt_ms")
     # np.arange's own length, ceil((stop - start) / step), before it allocates.
@@ -452,7 +461,7 @@ def _parse_deltas(d, path):
                      for i, v in enumerate(values))
     if "delta_range_khz" in d:
         r = _expect_mapping(d["delta_range_khz"], f"{path}.delta_range_khz")
-        _check_keys(r, ("start", "stop", "step"), f"{path}.delta_range_khz")
+        _check_keys(r, _DELTA_RANGE_READS, f"{path}.delta_range_khz")
         start = _float(r.get("start"), f"{path}.delta_range_khz.start")
         stop = _float(r.get("stop"), f"{path}.delta_range_khz.stop")
         step = _positive(r.get("step"), f"{path}.delta_range_khz.step")
@@ -482,8 +491,7 @@ def _parse_analysis(d, path, command) -> AnalysisOptions:
     periods = _positive(d.get("window_periods", 10.0), f"{path}.window_periods")
 
     fft_d = _expect_mapping(d.get("fft", {}), f"{path}.fft")
-    _check_keys(fft_d, ("detrend", "window_fn", "pad_factor", "prominence"),
-                f"{path}.fft")
+    _check_keys(fft_d, _FFT_READS, f"{path}.fft")
     detrend = fft_d.get("detrend", True)
     if not isinstance(detrend, bool):
         raise ScenarioError(f"{path}.fft.detrend: expected true or false")
@@ -499,9 +507,9 @@ def _parse_analysis(d, path, command) -> AnalysisOptions:
     track = None
     if "track" in d:
         t_d = _expect_mapping(d["track"], f"{path}.track")
-        _check_keys(t_d, ("window_ms", "hop_ms", "t_stop_ms"), f"{path}.track")
+        _check_keys(t_d, _TRACK_READS, f"{path}.track")
         track = {
-            "window": _positive(t_d.get("window_ms"), f"{path}.track.window_ms"),
+            "window_length": _positive(t_d.get("window_ms"), f"{path}.track.window_ms"),
             "hop": _positive(t_d.get("hop_ms"), f"{path}.track.hop_ms"),
             "t_stop": (_positive(t_d["t_stop_ms"], f"{path}.track.t_stop_ms")
                        if "t_stop_ms" in t_d else None),
@@ -544,7 +552,7 @@ def parse_scenario(data: dict, base_dir=None) -> Scenario:
     seed = _integer(data.get("seed", 0), "seed", minimum=0)
 
     out_d = _expect_mapping(data.get("output", {}), "output")
-    _check_keys(out_d, ("basename",), "output")
+    _check_keys(out_d, _OUTPUT_READS, "output")
     basename_path = "output.basename" if "basename" in out_d else "name"
     basename = _line(out_d.get("basename", name), basename_path)
     if not basename or any(sep in basename for sep in ("/", os.sep)):
@@ -567,7 +575,7 @@ def parse_scenario(data: dict, base_dir=None) -> Scenario:
     omega0 = _khz(drive_d.get("omega0_khz"), "drive.omega0_khz", _positive)
 
     scan_d = _expect_mapping(data.get("scan", {}), "scan")
-    _check_keys(scan_d, ("omega0_list_khz", "sigma_list_khz"), "scan")
+    _check_keys(scan_d, _SCAN_READS, "scan")
     omega0_list = (omega0,)
     if "omega0_list_khz" in scan_d:
         values = _float_list(scan_d["omega0_list_khz"], "scan.omega0_list_khz")
@@ -604,10 +612,12 @@ def parse_scenario(data: dict, base_dir=None) -> Scenario:
                             f"{MIN_FFT_SAMPLES} samples, got {times.size}")
     track = analysis.track
     if track is not None:
+        t_end = times[-1] if track["t_stop"] is None else min(track["t_stop"], times[-1])
+        if track["window_length"] > t_end + 0.5 * times[-1] / (times.size - 1):
+            raise ScenarioError(f"analysis.track.window_ms: longer than the {t_end:g} ms tracked")
         # A hop below the sample spacing only repeats windows' sample sets,
         # so a track holds at most as many windows as the trace has samples.
-        t_end = times[-1] if track["t_stop"] is None else min(track["t_stop"], times[-1])
-        _check_size((t_end - track["window"]) / track["hop"] + 1, times.size,
+        _check_size((t_end - track["window_length"]) / track["hop"] + 1, times.size,
                     "analysis.track.hop_ms", "(min(t_stop_ms, t_max_ms) - window_ms) / hop_ms + 1")
 
     ens_d = _expect_mapping(data.get("ensemble", {}), "ensemble")

@@ -165,32 +165,28 @@ class FrequencyTrackPoint:
     ci95_khz: float
 
 
-def sliding_window_frequency(trace: OscillationTrace, window_length, hop, *,
-                             t_stop=None):
+def sliding_window_frequency(trace: OscillationTrace, spectrum: SpectrumResult,
+                             window_length, hop, *, t_stop=None):
     """Track the dominant frequency with short overlapping window fits.
 
     Each window of the given length (hopping by hop, both in ms) gets a
     single-frequency fit whose starts come from the window's own FFT peaks.
     Windows whose fit does not converge are skipped, leaving gaps in the
-    track. The trace's global FFT peak f0 only sets a guard: the window must
-    hold at least three periods of f0, else the estimate would not resolve
-    the oscillation.
+    track. The strongest peak f0 of spectrum, the trace's fft_spectrum under
+    the caller's options, only sets a guard: the window must hold at least
+    three periods of f0, else the estimate would not resolve the oscillation.
     """
     from .fitting import FitFailure, fit_single_frequency
 
-    window_length = float(window_length)
-    hop = float(hop)
+    window_length, hop = float(window_length), float(hop)
     if window_length <= 0 or hop <= 0:
         raise ValueError("window_length and hop must be positive")
-    spec = fft_spectrum(trace)
-    if spec.peak_frequencies_khz.size == 0:
+    if spectrum.peak_frequencies_khz.size == 0:
         raise ValueError("trace has no spectral peak to track")
-    f0 = float(spec.peak_frequencies_khz[0])
-    if f0 <= 0 or window_length * f0 < 3.0:
-        raise ValueError(
-            f"window of {window_length} ms holds fewer than three periods "
-            f"of the dominant {f0:.3g} kHz component"
-        )
+    f0 = float(spectrum.peak_frequencies_khz[0])
+    if window_length * f0 < 3.0:
+        raise ValueError(f"window of {window_length} ms holds fewer than three periods "
+                         f"of the dominant {f0:.3g} kHz component")
 
     t = trace.times
     t_end = t[-1] if t_stop is None else min(float(t_stop), t[-1])

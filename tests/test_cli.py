@@ -324,6 +324,13 @@ _DRIFTING = ("distribution: {kind: gaussian, sigma_khz: 0.0}\n"
 _DENSE_TRACK = ("distribution: {kind: gaussian, sigma_khz: 8.0}\n"
                 "time_grid: {t_max_ms: 2.0, dt_ms: 0.008}\n"
                 "analysis: {track: {window_ms: 0.4, hop_ms: 1.0e-7, t_stop_ms: 1.2}}\n")
+# Tracks that hold no window: one longer than the grid, one longer than t_stop_ms.
+_LONG_TRACK = ("distribution: {kind: gaussian, sigma_khz: 8.0}\n"
+               "time_grid: {t_max_ms: 2.0, dt_ms: 0.008}\n"
+               "analysis: {track: {window_ms: 5.0, hop_ms: 0.4}}\n")
+_TRACK_PAST_STOP = ("distribution: {kind: gaussian, sigma_khz: 8.0}\n"
+                    "time_grid: {t_max_ms: 2.0, dt_ms: 0.008}\n"
+                    "analysis: {track: {window_ms: 0.4, hop_ms: 0.4, t_stop_ms: 0.2}}\n")
 
 
 @pytest.mark.parametrize("command, body, named", [
@@ -334,11 +341,15 @@ _DENSE_TRACK = ("distribution: {kind: gaussian, sigma_khz: 8.0}\n"
     ("scan", _SHORT_GRID + "analysis: {kind: fft}\n", "time_grid"),
     ("spectrum", _SHORT_TRACK, "analysis.track"),
     ("spectrum", _DENSE_TRACK, "analysis.track.hop_ms"),
+    ("spectrum", _LONG_TRACK, "analysis.track.window_ms"),
+    ("spectrum", _TRACK_PAST_STOP, "analysis.track.window_ms"),
     ("simulate", _ALIASED, "ensemble.quadrature_nodes"),
     ("scan", _ALIASED + "analysis: {kind: fft}\n", "ensemble.quadrature_nodes"),
     ("simulate", _ALIASED_MULTILEVEL, "ensemble.quadrature_nodes"),
     ("field-dist", "fieldmap: {b_set_khz: 18167.0, signs: []}\n", "fieldmap.signs"),
     ("field-dist", "fieldmap: {b_set_khz: 18167.0, signs: [2]}\n", "fieldmap.signs[0]"),
+    ("field-dist", "fieldmap: {b_set_khz: 18167.0, signs: [1, 1], spacing_mm: 2.0, "
+                   "n_bins: 4}\n", "fieldmap.signs[1]"),
     ("field-dist", "fieldmap: {b_set_khz: 18167.0, current_sign: 2}\n",
      "fieldmap.current_sign"),
     ("field-dist", "", "fieldmap"),
@@ -364,8 +375,9 @@ _DENSE_TRACK = ("distribution: {kind: gaussian, sigma_khz: 8.0}\n"
      "atom_model"),
 ], ids=["support-simulate", "support-scan", "support-spectrum",
         "short_grid-spectrum", "short_grid-fft_scan", "short_track-spectrum",
-        "dense_track-spectrum", "aliased-simulate", "aliased-fft_scan",
-        "aliased-multilevel", "signs_empty", "signs_two", "current_sign_two",
+        "dense_track-spectrum", "long_track-spectrum", "track_past_stop-spectrum",
+        "aliased-simulate", "aliased-fft_scan", "aliased-multilevel", "signs_empty",
+        "signs_two", "signs_repeated", "current_sign_two",
         "no_fieldmap",
         "fieldmap_not_string", "fieldmap_file_missing", "fieldmap_unknown_preset",
         "fieldmap_file_without_section", "file_missing", "scan_without_deltas",
@@ -397,17 +409,51 @@ def test_unrunnable_inputs_exit_2(tmp_path, capsys, command, body, named):
     assert sorted(tmp_path.iterdir()) == sorted([config, *inputs])
 
 
+_SKEWED_RED_TRACK = ("name: red\ncommand: spectrum\n"
+                     "drive: {omega0_khz: 9.0, delta_list_khz: [0.0, -30.0]}\n"
+                     "distribution: {kind: skewed_gaussian, sigma_khz: 6.0, skew: -4.0}\n"
+                     "time_grid: {t_max_ms: 4.0, dt_ms: 0.008}\n"
+                     "analysis: {track: {window_ms: 0.5, hop_ms: 0.5}}\n")
+
+
 def test_track_error_names_its_detuning(tmp_path, capsys):
     # The Hann-windowed spectrum of the -30 kHz trace has no peak to track;
     # that of the 0 kHz trace, run first, has one.
-    config = _write(tmp_path, "name: bad\ncommand: spectrum\n"
-                              "drive: {omega0_khz: 9.0, delta_list_khz: [0.0, -30.0]}\n"
-                              "distribution: {kind: skewed_gaussian, sigma_khz: 6.0, skew: -4.0}\n"
-                              "time_grid: {t_max_ms: 4.0, dt_ms: 0.008}\n"
-                              "analysis: {track: {window_ms: 0.5, hop_ms: 0.5}}\n")
+    config = _write(tmp_path, _SKEWED_RED_TRACK)
     assert main(["spectrum", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == ("rabisim: analysis.track: detuning -30 kHz: "
                                        "trace has no spectral peak to track\n")
+
+
+def test_track_reads_the_spectrum_of_the_run(tmp_path, capsys):
+    # Without a window the -30 kHz spectrum has a peak, which the peaks
+    # table lists and the track's guard reads: the run tracks both traces.
+    config = _write(tmp_path, _SKEWED_RED_TRACK.replace(
+        "{track:", "{fft: {window_fn: none}, track:"))
+    out, names = _run_fresh(tmp_path, capsys, ["spectrum", "--config", str(config)])
+    assert names == ["red_spectra.csv", "red_peaks.csv", "red_track.csv"]
+    _, _, peaks = read_csv(out / "red_peaks.csv")
+    _, _, track = read_csv(out / "red_track.csv")
+    assert {row[0] for row in peaks} == {row[0] for row in track} == {"0", "-30"}
+
+
+def test_a_tracked_run_takes_one_spectrum_per_trace(tmp_path, monkeypatch):
+    # fig6a tracks each of its five detunings from the spectrum it writes.
+    from rabisim import cli, spectrum
+    calls = []
+    real = spectrum.fft_spectrum
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "fft_spectrum", counted)
+    monkeypatch.setattr(spectrum, "fft_spectrum", counted)
+    path = preset_file("fig6a")
+    scenario = parse_scenario(load_scenario_dict(path), base_dir=path.parent)
+    written = cli.run_scenario(scenario, "0" * 64, tmp_path)
+    assert [p.name for p in written][-1] == "fig6a_track.csv"
+    assert len(calls) == len(scenario.deltas) == 5
 
 
 def test_aliased_grid_names_the_nodes_it_needs():

@@ -352,6 +352,16 @@ def test_ci95_matches_a_freshly_evaluated_jacobian(monkeypatch):
     assert fresh.ci95 == two.ci95
 
 
+def test_fraction_without_amplitude_a_keeps_an_infinite_ci():
+    # At |A| = 0 the fraction A / (A + B) has no gradient, so its CI stays
+    # infinite, as those of A and phi_a do.
+    res = lsq.LsqResult(np.array([0.0, 0.0, 0.2, -0.1, 0.5, 1.0, 3.0]), 0.01, 5, True)
+    fit = fitting._package_two(res, 1e-4 * np.eye(7), np.linspace(0.0, 1.0, 60),
+                               khz_to_angular(9.0))
+    assert fit.fraction_a == 0.0
+    assert {k for k, v in fit.ci95.items() if math.isinf(v)} == {"A", "phi_a", "fraction_a"}
+
+
 def test_two_frequency_single_component_is_indistinguishable():
     omega0 = khz_to_angular(9.0)
     trace = _two_component(0.3, 0.0, 0.0, khz_to_angular(14.0), 0.0, 10.0, 0.5, omega0)

@@ -1,5 +1,6 @@
 import copy
 import math
+import re
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rabisim import scenario as scenario_module
 from rabisim.scenario import (
     MAX_QUADRATURE_NODES,
     PRESET_NAMES,
@@ -109,6 +111,97 @@ def test_key_no_choice_reads_is_unknown(overrides, section):
     path = "foo" if section is None else f"{section}.foo"
     with pytest.raises(ScenarioError, match=rf"^{path}: unknown key$"):
         parse_scenario(data)
+
+
+def _scan(drive=None, **analysis):
+    return _minimal_simulate(command="scan", scan={}, analysis=analysis,
+                             drive=drive or _SCAN_DRIVE["drive"])
+
+
+def _field(**fieldmap):
+    return {"name": "field", "command": "field-dist", "output": {},
+            "fieldmap": {"b_set_khz": 18167.0, "spacing_mm": 2.0, "n_bins": 4,
+                         "beam": {}, "profiles": {}, **fieldmap}}
+
+
+_SPECTRUM = _minimal_simulate(command="spectrum", drive=_SCAN_DRIVE["drive"],
+                              analysis={"fft": {}, "track": {"window_ms": 0.4,
+                                                             "hop_ms": 0.4}})
+_RANGE = _scan(drive={"omega0_khz": 9.0,
+                      "delta_range_khz": {"start": 0.0, "stop": 1.0, "step": 1.0}})
+_PROFILES = {"constant": {"value": 0.0}, "piecewise_linear": {"nodes": [[-1.0, 0.0], [1.0, 0.0]]},
+             "polynomial": {"coefficients": [0.0]}}
+
+# Each _*_READS table of rabisim.scenario: the dotted path of its section
+# and, for each of its choices, a valid scenario that makes that choice.
+_DECLARED = {
+    "_READS": ("", {"simulate": _minimal_simulate(), "scan": _scan(), "spectrum": _SPECTRUM,
+                    "field-dist": _field()}),
+    "_DRIVE_READS": ("drive", {None: _minimal_simulate(), "delta_khz": _minimal_simulate(),
+                               "delta_list_khz": _scan(), "delta_range_khz": _RANGE}),
+    "_DISTRIBUTION_READS": ("distribution", {
+        "fieldmap": _minimal_simulate(distribution={"fieldmap": "fig6-field"}),
+        "file": _minimal_simulate(distribution={"file": "atoms.txt"}),
+        "parametric": _minimal_simulate(distribution={"kind": "skewed_gaussian",
+                                                      "sigma_khz": 8.0, "skew": 1.0})}),
+    "_ATOM_READS": ("atom_model", {
+        "analytic_two_level": _minimal_simulate(),
+        "multilevel": _minimal_simulate(atom_model={"kind": "multilevel"})}),
+    "_ANALYSIS_READS": ("analysis", {
+        "single": _scan(kind="single"), "two": _scan(kind="two"), "fft": _scan(kind="fft"),
+        "spectrum": _SPECTRUM, "window_ms": _scan(kind="two", window_ms=[0.0, 0.5]),
+        "window_periods": _scan(kind="two")}),
+    "_ENSEMBLE_READS": ("ensemble", {
+        "a parametric distribution": _minimal_simulate(),
+        "an empirical distribution": _minimal_simulate(distribution={"file": "atoms.txt"})}),
+    "_FIELDMAP_READS": ("fieldmap", {None: _field(), "signs": _field(signs=[1, -1]),
+                                     "current_sign": _field(current_sign=-1)}),
+    "_PROFILE_READS": ("fieldmap.profiles.b0z", {
+        kind: _field(profiles={"b0z": {"kind": kind, **keys}})
+        for kind, keys in _PROFILES.items()}),
+    "_OUTPUT_READS": ("output", {None: _minimal_simulate()}),
+    "_SCAN_READS": ("scan", {None: _scan()}),
+    "_TIME_GRID_READS": ("time_grid", {None: _minimal_simulate()}),
+    "_DELTA_RANGE_READS": ("drive.delta_range_khz", {None: _RANGE}),
+    "_FFT_READS": ("analysis.fft", {None: _SPECTRUM}),
+    "_TRACK_READS": ("analysis.track", {None: _SPECTRUM}),
+    "_BEAM_READS": ("fieldmap.beam", {None: _field()}),
+}
+
+
+def test_every_declared_key_is_read(tmp_path):
+    # A declared key whose value is a mapping holding an unread key must end
+    # in a ScenarioError naming that key: a mapping is no valid scalar, and a
+    # section refuses the unread key inside it. A key the parser declares but
+    # never reads would parse.
+    (tmp_path / "atoms.txt").write_text("0.0 1.0\n1.0 1.0\n")
+    tables = {name: value for name, value in vars(scenario_module).items()
+              if re.fullmatch(r"_(\w+_)?READS", name)}
+    assert set(tables) == set(_DECLARED)
+    unread = []
+    for name, reads in tables.items():
+        path, scenarios = _DECLARED[name]
+        reads = reads if isinstance(reads, dict) else {None: reads}
+        assert set(scenarios) == set(reads), name
+        for choice, keys in reads.items():
+            base = scenarios[choice]
+            parse_scenario(base, base_dir=tmp_path)
+            for key in keys:
+                data = copy.deepcopy(base)
+                section = data
+                for part in filter(None, path.split(".")):
+                    section = section.setdefault(part, {})
+                section[key] = {"__unread__": 0}
+                dotted = f"{path}.{key}" if path else key
+                try:
+                    parse_scenario(data, base_dir=tmp_path)
+                except ScenarioError as exc:
+                    if re.match(rf"{re.escape(dotted)}[.:]", str(exc)):
+                        continue
+                    unread.append((name, choice, dotted, str(exc)))
+                else:
+                    unread.append((name, choice, dotted, "parsed"))
+    assert unread == []
 
 
 def test_scan_requires_deltas_one_way():

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,7 +91,7 @@ def test_power_parseval_scale():
 
 def test_sliding_window_tracks_constant_frequency():
     trace = _tone(9.0, n=501, decay=1.0)
-    points = sliding_window_frequency(trace, 0.5, 0.5)
+    points = sliding_window_frequency(trace, fft_spectrum(trace), 0.5, 0.5)
     assert len(points) == 4
     for p in points:
         assert abs(p.frequency_khz - 9.0) < max(0.05, p.ci95_khz)
@@ -99,7 +101,7 @@ def test_sliding_window_tracks_constant_frequency():
 
 def test_sliding_window_t_stop_limits_track():
     trace = _tone(9.0, n=500, decay=1.0)
-    points = sliding_window_frequency(trace, 0.5, 0.5, t_stop=1.0)
+    points = sliding_window_frequency(trace, fft_spectrum(trace), 0.5, 0.5, t_stop=1.0)
     assert len(points) == 2
     assert all(p.t_center <= 1.0 for p in points)
 
@@ -111,7 +113,7 @@ def test_sliding_window_follows_decreasing_frequency():
     f = np.where(t < 1.0, 12.0, 8.0)
     phase = 2.0 * np.pi * np.cumsum(f) * dt
     trace = OscillationTrace.from_times(t, np.cos(phase))
-    points = sliding_window_frequency(trace, 0.5, 0.5)
+    points = sliding_window_frequency(trace, fft_spectrum(trace), 0.5, 0.5)
     assert points[0].frequency_khz > points[-1].frequency_khz + 2.0
 
 
@@ -121,14 +123,15 @@ def test_sliding_window_skips_flat_windows():
     trace = _tone(9.0, n=501, decay=1.0)
     values = np.where(trace.times < 1.0, trace.values, trace.values[250])
     flat_tail = OscillationTrace.from_times(trace.times, values)
-    points = sliding_window_frequency(flat_tail, 0.5, 0.5)
+    points = sliding_window_frequency(flat_tail, fft_spectrum(flat_tail), 0.5, 0.5)
     assert [p.t_center for p in points] == pytest.approx([0.25, 0.75])
 
 
 def test_sliding_window_skips_windows_too_short_to_fit():
     # At dt = 0.02 ms a 0.5 ms window holds 25 samples, under the 30 a fit
     # needs, so every window is skipped and the track is empty.
-    assert sliding_window_frequency(_tone(9.0, n=101, dt=0.02), 0.5, 0.5) == []
+    trace = _tone(9.0, n=101, dt=0.02)
+    assert sliding_window_frequency(trace, fft_spectrum(trace), 0.5, 0.5) == []
 
 
 def test_sliding_window_rejects_a_trace_without_a_peak():
@@ -136,17 +139,31 @@ def test_sliding_window_rejects_a_trace_without_a_peak():
     t = 0.004 * np.arange(500)
     line = OscillationTrace.from_times(t, 0.3 * t + 0.1)
     with pytest.raises(ValueError, match="no spectral peak"):
-        sliding_window_frequency(line, 0.4, 0.2)
+        sliding_window_frequency(line, fft_spectrum(line), 0.4, 0.2)
 
 
 def test_sliding_window_rejects_short_window():
     trace = _tone(9.0)
+    spec = fft_spectrum(trace)
     with pytest.raises(ValueError):
-        sliding_window_frequency(trace, 0.1, 0.1)  # under three periods
+        sliding_window_frequency(trace, spec, 0.1, 0.1)  # under three periods
     with pytest.raises(ValueError):
-        sliding_window_frequency(trace, -0.5, 0.5)
+        sliding_window_frequency(trace, spec, -0.5, 0.5)
     with pytest.raises(ValueError):
-        sliding_window_frequency(trace, 0.5, 0.0)
+        sliding_window_frequency(trace, spec, 0.5, 0.0)
+
+
+def test_sliding_window_guards_on_the_spectrum_it_is_given(monkeypatch):
+    # The track takes no spectrum of its own: its guard reads the strongest
+    # peak of the spectrum passed in, which has no default.
+    trace = _tone(9.0, n=501, decay=1.0)
+    own, slow = fft_spectrum(trace), fft_spectrum(_tone(3.0, n=501))
+    monkeypatch.setattr(spectrum, "fft_spectrum", None)
+    with pytest.raises(ValueError, match="fewer than three periods of the dominant 2.99 kHz"):
+        sliding_window_frequency(trace, slow, 0.5, 0.5)
+    assert len(sliding_window_frequency(trace, own, 0.5, 0.5)) == 4
+    spec_param = inspect.signature(sliding_window_frequency).parameters["spectrum"]
+    assert spec_param.default is inspect.Parameter.empty
 
 
 def _hann_fft_magnitude(rng, n):
