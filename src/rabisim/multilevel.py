@@ -7,23 +7,29 @@ pushes the neighboring transitions out of resonance, which is what isolates
 the measured pair; decoherence is pure dephasing at rate gamma.
 
 The master equation drho/dt = -i [H, rho] + D(rho) is linear and
-time-independent, so it is a fixed 25x25 superoperator L acting on the
-flattened density matrix, and rho(t) = exp(L (t - t0)) rho(t0). The
-propagator eigendecomposes L once and evaluates every sample in one
-expression. Near an exceptional point of L its eigenvectors become almost
-parallel; when their condition number exceeds 1e8 it falls back to a matrix
-exponential per sample instead of returning inaccurate values. scipy.linalg
-is imported only on that fallback, so the spectral path needs numpy alone.
+time-independent. H is real, so it maps Hermitian matrices to Hermitian
+matrices: in the orthonormal basis of 5 diagonal, 10 symmetric and 10
+antisymmetric unit matrices it is a fixed real 25x25 generator G acting on
+the 25 real coordinates x of rho, and x(t) = exp(G (t - t0)) x(t0). The
+change of basis is unitary, so G has the eigenvalues and the eigenvector
+condition number of the complex Liouvillian, and rho is Hermitian by
+construction. The propagator eigendecomposes G once and evaluates every
+sample in one expression. Near an exceptional point of G its eigenvectors
+become almost parallel; when their condition number exceeds 1e8 it falls
+back to a matrix exponential per sample instead of returning inaccurate
+values. scipy.linalg is imported only on that fallback, so the spectral
+path needs numpy alone.
 
-One atom (p1_multilevel) costs one eig of L, one SVD of its eigenvector
-matrix for the condition number, and one (samples x 25) table of
-exponentials. L and the couplings come from fixed-size arithmetic against
-module constants, and each pure initial state is built and validated once.
+One atom (p1_multilevel) costs one real eig of G, one SVD of its
+eigenvector matrix for the condition number, and one (samples x 25) table
+of exponentials. G is one product of the level shifts, couplings and gamma
+with module constants, and only rho_11 and the trace are read back.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,18 +45,57 @@ _LADDER_MATRIX = np.diag(_LADDER, 1) + np.diag(_LADDER, -1)
 # Level pairs the drive may not couple: all but adjacent m.
 _NOT_ADJACENT = np.abs(np.subtract.outer(np.arange(5), np.arange(5))) != 1
 
-_EYE = np.eye(5)
 
-# Positions of the coherences rho_kl, k != l, in the row-major flattening:
-# the diagonal entries of the Liouvillian that dephasing damps.
-_COHERENCES = np.flatnonzero(1.0 - _EYE)
+def _hermitian_basis():
+    """The 25 orthonormal Hermitian matrices B_a: E_kk, then
+    (E_kl + E_lk)/sqrt(2) and i (E_kl - E_lk)/sqrt(2) for k < l.
+
+    rho = sum_a x_a B_a with real x_a = <B_a, rho>: the populations, then
+    sqrt(2) Re rho_kl and sqrt(2) Im rho_kl above the diagonal.
+    """
+    basis = np.zeros((25, 5, 5), dtype=complex)
+    levels = np.arange(5)
+    basis[levels, levels, levels] = 1.0
+    pairs = np.arange(10)
+    upper, lower = np.triu_indices(5, 1)
+    basis[5 + pairs, upper, lower] = basis[5 + pairs, lower, upper] = np.sqrt(0.5)
+    basis[15 + pairs, upper, lower] = 1j * np.sqrt(0.5)
+    basis[15 + pairs, lower, upper] = -1j * np.sqrt(0.5)
+    return basis
+
+
+# Row a is B_a flattened row-major: vec(rho) = x @ _BASIS and
+# x = (_BASIS.conj() @ vec(rho)).real.
+_BASIS = _hermitian_basis().reshape(25, 25)
+
+
+def _commutator_generator(h):
+    """The real matrix of x -> coordinates of -i [h, rho(x)], h real symmetric."""
+    basis = _BASIS.reshape(25, 5, 5)
+    images = -1j * (h @ basis - basis @ h)
+    return (_BASIS.conj() @ images.reshape(25, 25).T).real
+
+
+def _generators():
+    """(10, 625): G per unit level shift (5), per unit adjacent coupling (4),
+    and per unit dephasing rate, which damps the 20 coherence coordinates."""
+    eye = np.eye(5)
+    levels = [np.diag(e) for e in eye]
+    pairs = [0.5 * (np.outer(eye[k], eye[k + 1]) + np.outer(eye[k + 1], eye[k]))
+             for k in range(4)]
+    dephasing = -np.diag(np.r_[np.zeros(5), np.ones(20)])
+    return np.stack([_commutator_generator(h) for h in levels + pairs]
+                    + [dephasing]).reshape(10, 625)
+
+
+_GENERATORS = _generators()
 
 M_VALUES = np.array([2.0, 1.0, 0.0, -1.0, -2.0])
 
 DEFAULT_QUADRATIC_SHIFT = khz_to_angular(100.0)
 
 # Above this condition number of the eigenvector matrix the spectral
-# propagator is judged too close to a defective Liouvillian.
+# propagator is judged too close to a defective generator.
 MAX_EIGENVECTOR_COND = 1e8
 
 
@@ -76,14 +121,16 @@ class LevelSystem:
         coupling = np.asarray(self.coupling, dtype=float)
         if shifts.shape != (5,):
             raise ValueError("level_shifts must have shape (5,)")
+        if not np.isfinite(shifts).all():
+            raise ValueError(f"level_shifts must be finite, got {shifts}")
         if coupling.shape != (5, 5):
             raise ValueError("coupling must have shape (5, 5)")
         if not np.array_equal(coupling, coupling.T):
             raise ValueError("coupling must be symmetric")
         if np.any(coupling[_NOT_ADJACENT] != 0.0):
             raise ValueError("couplings are allowed between adjacent levels only")
-        if self.gamma < 0:
-            raise ValueError("gamma must be non-negative")
+        if not (math.isfinite(self.gamma) and self.gamma >= 0):
+            raise ValueError(f"gamma must be finite and non-negative, got {self.gamma}")
         object.__setattr__(self, "level_shifts", shifts)
         object.__setattr__(self, "coupling", coupling)
 
@@ -144,33 +191,33 @@ def build_f2_system(drive: DriveParams, local_shift=0.0,
     remaining two at twice and three times that, the ladder signature of an
     m^2 level shift.
     """
+    for name, value in (("drive.omega0", drive.omega0), ("drive.delta", drive.delta),
+                        ("local_shift", local_shift), ("quadratic_shift", quadratic_shift),
+                        ("gamma", gamma)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if quadratic_shift < 0:
         raise ValueError("quadratic_shift must be non-negative")
     delta = drive.delta + local_shift
     q = 0.5 * quadratic_shift
     m = M_VALUES
-    shifts = q * (m - 1.0) * (m - 2.0) + (m - 2.0) * delta
+    # Finite inputs can still overflow; LevelSystem rejects the result.
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifts = q * (m - 1.0) * (m - 2.0) + (m - 2.0) * delta
     coupling = drive.omega0 * _LADDER_MATRIX
     return LevelSystem(level_shifts=shifts, coupling=coupling, gamma=gamma)
 
 
-def _liouvillian(system: LevelSystem) -> np.ndarray:
-    """Superoperator L with d vec(rho)/dt = L vec(rho), row-major flattening.
+def _generator(system: LevelSystem) -> np.ndarray:
+    """Real G with dx/dt = G x for the _BASIS coordinates x of rho.
 
-    L = -i (H (x) I - I (x) H^T) - gamma on the diagonal at every coherence.
-    The Kronecker products are the broadcast products h[i,j] I[k,l] and
-    I[i,j] H^T[k,l], reshaped to 25 x 25.
+    G = U^H L U for the complex Liouvillian L of the row-major flattening
+    and U = _BASIS^T, built as one product of the level shifts, the
+    adjacent couplings and gamma with _GENERATORS.
     """
-    h = system.hamiltonian()
-    left = h[:, None, :, None] * _EYE[None, :, None, :]
-    right = _EYE[:, None, :, None] * h.T[None, :, None, :]
-    lv = -1j * (left - right).reshape(25, 25)
-    # -1j * 0 has imaginary part -0.0, and adding zero makes it +0.0, so L
-    # has the bits, zero signs included, of the np.kron form plus a dense
-    # dephasing matrix (liouvillian_kron in tests/multilevel_oracles.py).
-    lv += 0.0
-    lv[_COHERENCES, _COHERENCES] += -system.gamma
-    return lv
+    params = np.concatenate((system.level_shifts, np.diagonal(system.coupling, 1),
+                             (system.gamma,)))
+    return (params @ _GENERATORS).reshape(25, 25)
 
 
 def _spectral(lv, y0, times):
@@ -196,39 +243,57 @@ def _spectral(lv, y0, times):
     return (np.exp(np.outer(dt, lam)) * coeffs) @ vecs.T
 
 
+def _check_trace(traces):
+    drift = float(np.abs(traces - 1.0).max())
+    if not drift <= 1e-6:
+        raise InvariantViolation(f"trace drift {drift:.2e}")
+
+
 def _check_invariants(rhos):
-    trace_drift = float(np.abs(np.einsum("tii->t", rhos) - 1.0).max())
+    _check_trace(np.einsum("tii->t", rhos))
     herm_drift = float(np.abs(rhos - np.conj(np.swapaxes(rhos, 1, 2))).max())
-    if not (trace_drift <= 1e-6 and herm_drift <= 1e-6):
-        raise InvariantViolation(
-            f"trace drift {trace_drift:.2e}, hermiticity drift {herm_drift:.2e}"
-        )
+    if not herm_drift <= 1e-6:
+        raise InvariantViolation(f"hermiticity drift {herm_drift:.2e}")
+
+
+def _coordinates(system, rho0, times):
+    """The sample times and the real _BASIS coordinates of rho at each."""
+    times = np.asarray(times, dtype=float)
+    if times.size < 2:
+        raise ValueError("need at least two sample times")
+    x0 = (_BASIS.conj() @ rho0.elements.ravel()).real
+    # G and x0 are real, so exp(G t) x0 is real: the imaginary part is the
+    # rounding of the eigenbasis sum. Dropping it leaves real coordinates,
+    # and every state they map to is Hermitian by construction.
+    return times, _spectral(_generator(system), x0, times).real
 
 
 def evolve_density(system: LevelSystem, rho0: DensityMatrix, times) -> np.ndarray:
     """Evolve under the master equation; returns the (n_times, 5, 5) state stack.
 
-    Propagates exactly through one eigendecomposition of the Liouvillian,
+    Propagates exactly through one eigendecomposition of the real generator,
     falling back to a per-sample matrix exponential when its eigenvector
     matrix has condition number above MAX_EIGENVECTOR_COND. Raises
     InvariantViolation when trace or Hermiticity drifts beyond 1e-6 (or is
     not finite).
     """
-    times = np.asarray(times, dtype=float)
-    if times.size < 2:
-        raise ValueError("need at least two sample times")
-    lv = _liouvillian(system)
-    y0 = rho0.elements.ravel().astype(complex)
-    rhos = _spectral(lv, y0, times).reshape(times.size, 5, 5)
+    times, coords = _coordinates(system, rho0, times)
+    rhos = (coords @ _BASIS).reshape(times.size, 5, 5)
     _check_invariants(rhos)
     return rhos
 
 
 def evolve(system: LevelSystem, rho0: DensityMatrix, times) -> OscillationTrace:
-    """Master-equation evolution reduced to the m=1 population trace."""
-    rhos = evolve_density(system, rho0, times)
-    return OscillationTrace.from_times(np.asarray(times, dtype=float),
-                                       rhos[:, 1, 1].real)
+    """Master-equation evolution reduced to the m=1 population trace.
+
+    Reads back rho_11 and the trace alone, and raises InvariantViolation when
+    the trace drifts beyond 1e-6 (or is not finite) at any sample; rho_11 is
+    one of its terms. Hermiticity holds by construction of the real
+    coordinates, so it needs no check here.
+    """
+    times, coords = _coordinates(system, rho0, times)
+    _check_trace(coords[:, :5].sum(axis=1))
+    return OscillationTrace.from_times(times, coords[:, 1])
 
 
 def p1_multilevel(drive: DriveParams, local_shift, quadratic_shift, gamma,

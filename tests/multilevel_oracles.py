@@ -1,17 +1,20 @@
 """Independent integrators of the five-level master equation, and the
 plain forms of the package's one-atom path.
 
-The package propagates exactly through an eigendecomposition of the
-Liouvillian. Two integrators step through the same linear system instead,
-so the tests can check the spectral path against them: DOP853 at tight
-tolerances, and a fixed-step classical Runge-Kutta loop for step-halving
-checks. Both return the (n_times, 5, 5) state stack and check its
-invariants the way `evolve_density` does.
+The package propagates exactly through an eigendecomposition of a real
+generator in a basis of Hermitian matrices. Two integrators step through
+the complex Liouvillian of `liouvillian_kron` instead, so the tests can
+check the spectral path against a generator the package does not build:
+DOP853 at tight tolerances, and a fixed-step classical Runge-Kutta loop for
+step-halving checks. Both return the (n_times, 5, 5) state stack and check
+its invariants the way `evolve_density` does.
 
-The package forms its Liouvillian, couplings and condition test without
-np.kron, an element loop or np.linalg.cond. `ladder_coupling`,
-`liouvillian_kron` and `p1_kron_eig` keep those forms, and the tests
-require the package to match them bitwise.
+The package forms its couplings without an element loop; `ladder_coupling`
+keeps that form, and the tests require the package to match it bitwise.
+`liouvillian_kron` and `p1_kron_eig` keep the complex path through np.kron,
+eig, np.linalg.cond and solve; the tests require the real generator to be
+that Liouvillian in the package's basis, and the package's trace to match
+the complex path within 1e-12.
 """
 
 import numpy as np
@@ -22,7 +25,6 @@ from rabisim.multilevel import (
     MAX_EIGENVECTOR_COND,
     LevelSystem,
     _check_invariants,
-    _liouvillian,
     build_f2_system,
 )
 
@@ -65,7 +67,7 @@ def p1_kron_eig(drive, local_shift, quadratic_shift, gamma, times):
 
 def _start(system, rho0, times):
     times = np.asarray(times, dtype=float)
-    return times, _liouvillian(system), rho0.elements.ravel().astype(complex)
+    return times, liouvillian_kron(system), rho0.elements.ravel().astype(complex)
 
 
 def _states(ys, times):

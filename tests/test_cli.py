@@ -314,8 +314,8 @@ _ALIASED_MULTILEVEL = ("distribution: {kind: gaussian, sigma_khz: 18.0}\n"
 _GAUSSIAN = "distribution: {kind: gaussian, sigma_khz: 8.0}\n"
 _GRID = "time_grid: {t_max_ms: 1.0, dt_ms: 0.008}\n"
 # At a 10,000,000 kHz quadratic shift and a 1 Hz drive the five-level
-# density matrix drifts off its trace and Hermiticity by about 2e-5 over
-# 10 s, past the 1e-6 the evolution allows.
+# density matrix drifts off its trace by about 5e-6 over 10 s, past the 1e-6
+# the evolution allows.
 _DRIFTING = ("distribution: {kind: gaussian, sigma_khz: 0.0}\n"
              "atom_model: {kind: multilevel, gamma_khz: 0.0, "
              "quadratic_shift_khz: 10000000.0}\n"

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from multilevel_oracles import (
@@ -9,15 +11,17 @@ from multilevel_oracles import (
 )
 from scipy.linalg import expm
 
+from rabisim import multilevel
 from rabisim.ensemble import AtomModel, DetuningDistribution, EnsembleConfig, ensemble_signal
 from rabisim.model import DriveParams
 from rabisim.multilevel import (
+    _BASIS,
     MAX_EIGENVECTOR_COND,
     DensityMatrix,
     InvariantViolation,
     LevelSystem,
     _check_invariants,
-    _liouvillian,
+    _generator,
     _spectral,
     build_f2_system,
     evolve,
@@ -68,6 +72,12 @@ def test_level_system_validation():
         LevelSystem(level_shifts=shifts, coupling=skip, gamma=0.0)
     with pytest.raises(ValueError):
         LevelSystem(level_shifts=shifts, coupling=good, gamma=-1.0)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="level_shifts"):
+            LevelSystem(level_shifts=np.array([0.0, 0.0, bad, 0.0, 0.0]),
+                        coupling=good, gamma=0.0)
+        with pytest.raises(ValueError, match="gamma"):
+            LevelSystem(level_shifts=shifts, coupling=good, gamma=bad)
     # the symmetry test compares exactly: nan is never equal to itself,
     # inf equals inf, and -0.0 equals 0.0
     nan = good.copy()
@@ -164,8 +174,31 @@ def test_evolve_rejects_bad_input():
         evolve_density(system, DensityMatrix.pure(0), np.array([0.0]))
     with pytest.raises(ValueError):
         build_f2_system(DRIVE, 0.0, -1.0, 0.0)
+    # finite inputs whose level shifts overflow, refused without a warning
+    with pytest.raises(ValueError, match="level_shifts"):
+        build_f2_system(DRIVE, 0.0, 1e308, 0.0)
     with pytest.raises(TypeError):
         p1_multilevel(DriveParams(omega0=10.0))  # every argument is required
+
+
+# DriveParams itself refuses an omega0 of nan or -inf.
+NON_FINITE = [("drive.omega0", np.inf)] + [
+    (name, value) for name in ("drive.delta", "local_shift", "quadratic_shift", "gamma")
+    for value in (np.nan, np.inf, -np.inf)]
+
+
+@pytest.mark.parametrize("name,value", NON_FINITE)
+def test_non_finite_inputs_are_named(name, value):
+    args = {"drive": DRIVE, "local_shift": 0.0, "quadratic_shift": khz_to_angular(100.0),
+            "gamma": 0.0}
+    if name.startswith("drive."):
+        args["drive"] = DriveParams(**{**vars(DRIVE), name[6:]: value})
+    else:
+        args[name] = value
+    with pytest.raises(ValueError, match=name):
+        build_f2_system(**args)
+    with pytest.raises(ValueError, match=name):
+        p1_multilevel(*args.values(), TIMES)
 
 
 # quadratic_shift = 0 puts the neighboring transitions on resonance
@@ -179,7 +212,7 @@ def test_spectral_matches_expm_and_adaptive(quad_khz, gamma_khz):
                              khz_to_angular(quad_khz), khz_to_angular(gamma_khz))
     rho0 = DensityMatrix.pure(0)
     spectral = evolve_density(system, rho0, TIMES)
-    lv = _liouvillian(system)
+    lv = liouvillian_kron(system)
     y0 = rho0.elements.ravel().astype(complex)
     exact = np.stack([expm(lv * t) @ y0 for t in TIMES]).reshape(-1, 5, 5)
     assert np.max(np.abs(spectral - exact)) < 1e-10
@@ -188,11 +221,49 @@ def test_spectral_matches_expm_and_adaptive(quad_khz, gamma_khz):
 
 
 @pytest.mark.parametrize("quad_khz,gamma_khz", SPECTRAL_GRID)
-def test_liouvillian_is_bitwise_the_kron_form(quad_khz, gamma_khz):
+def test_generator_is_the_kron_liouvillian_in_the_hermitian_basis(quad_khz, gamma_khz):
     system = build_f2_system(DRIVE, khz_to_angular(1.5),
                              khz_to_angular(quad_khz), khz_to_angular(gamma_khz))
-    # bytes, not just values: the signs of the zeros match too
-    assert _liouvillian(system).tobytes() == liouvillian_kron(system).tobytes()
+    generator = _generator(system)
+    assert generator.dtype == np.float64
+    u = _BASIS.T  # columns are the flattened basis matrices
+    assert np.allclose(u.conj().T @ u, np.eye(25), rtol=0.0, atol=1e-15)
+    expected = u.conj().T @ liouvillian_kron(system) @ u
+    assert np.max(np.abs(generator - expected)) <= 1e-13 * np.max(np.abs(expected))
+
+
+def _cond(vecs):
+    singular = np.linalg.svd(vecs, compute_uv=False)
+    return singular[0] / singular[-1]
+
+
+def test_real_and_complex_generators_make_the_same_fallback_decision():
+    # The change of basis is unitary, so both eigenbases are equally well
+    # conditioned up to the choice of vectors in degenerate eigenspaces.
+    for omega0, delta, quad, gamma, shift in itertools.product(
+            (0.3, 8.0, 10.0), (0.0, 0.4, 1.5), (0.0, 25.0, 100.0, 250.0, 1000.0),
+            (0.0, 0.5, 2.0), (-3.0, -0.7, 0.0, 1.9, 3.0)):
+        drive = DriveParams(omega0=khz_to_angular(omega0), delta=khz_to_angular(delta))
+        system = build_f2_system(drive, khz_to_angular(shift), khz_to_angular(quad),
+                                 khz_to_angular(gamma))
+        real = _cond(np.linalg.eig(_generator(system))[1])
+        complex_ = _cond(np.linalg.eig(liouvillian_kron(system))[1])
+        assert (real <= MAX_EIGENVECTOR_COND) == (complex_ <= MAX_EIGENVECTOR_COND)
+
+
+def test_expm_fallback_matches_the_spectral_path(monkeypatch):
+    system = build_f2_system(DRIVE, khz_to_angular(1.5), khz_to_angular(25.0),
+                             khz_to_angular(0.5))
+    rho0 = DensityMatrix.pure(0)
+    spectral_rhos = evolve_density(system, rho0, TIMES)
+    spectral_p1 = p1_multilevel(DRIVE, khz_to_angular(1.5), khz_to_angular(25.0),
+                                khz_to_angular(0.5), TIMES).values
+    # no eigenbasis passes a zero bound, so every sample is an expm
+    monkeypatch.setattr(multilevel, "MAX_EIGENVECTOR_COND", 0.0)
+    assert np.max(np.abs(evolve_density(system, rho0, TIMES) - spectral_rhos)) < 1e-10
+    fallback_p1 = p1_multilevel(DRIVE, khz_to_angular(1.5), khz_to_angular(25.0),
+                                khz_to_angular(0.5), TIMES).values
+    assert np.max(np.abs(fallback_p1 - spectral_p1)) < 1e-10
 
 
 @pytest.mark.parametrize("omega0_khz", [0.3, 8.0, 10.0, 17.5])
@@ -205,12 +276,14 @@ def test_coupling_is_the_per_element_ladder(omega0_khz):
 @pytest.mark.parametrize("quad_khz", [25.0, 250.0])
 @pytest.mark.parametrize("gamma_khz", [0.0, 0.5])
 def test_p1_multilevel_is_bitwise_the_kron_eig_path(quad_khz, gamma_khz):
+    # The real generator and the complex Liouvillian round differently, so
+    # the two paths agree within 1e-12 rather than bit for bit.
     drive = DriveParams(omega0=khz_to_angular(8.0), delta=khz_to_angular(0.4))
     times = np.arange(126) * 0.008
     for shift_khz in (-3.0, -0.7, 0.0, 1.9):
         args = (drive, khz_to_angular(shift_khz), khz_to_angular(quad_khz),
                 khz_to_angular(gamma_khz), times)
-        assert p1_multilevel(*args).values.tobytes() == p1_kron_eig(*args).tobytes()
+        assert np.max(np.abs(p1_multilevel(*args).values - p1_kron_eig(*args))) < 1e-12
 
 
 def test_spectral_falls_back_to_expm_on_defective_matrix():
