@@ -235,8 +235,8 @@ def main(argv=None) -> int:
         data = load_scenario_dict(config_path)
         if args.seed is not None:
             data["seed"] = args.seed
-        digest = scenario_hash(data)
         scenario = parse_scenario(data, base_dir=config_path.parent)
+        digest = scenario_hash(data, config_path.parent)
         if args.subcommand != "reproduce" and scenario.command != args.subcommand:
             raise ScenarioError(
                 f"command: scenario declares {scenario.command!r}, "

@@ -20,7 +20,9 @@ trial; each start's result is bitwise the one it would reach alone. Both
 models hand their starts to one driver, `_fit_rows`: every start of every
 trace runs in one stack, each row against its own trace, and each trace's
 converged start with the lowest ssr wins. The single-frequency fit has one
-start per FFT peak, at decay rate 1/span. The two-frequency fit takes two
+start per FFT peak, at the decay rate the demodulated tone shows between
+the two halves of the window (1/span for the Gaussian decay, and at least
+1/span for the exponential one). The two-frequency fit takes two
 starts per trace from a coarse grid and works on a block of traces that
 share one time grid: the grid's per-node bases are built once per block and
 one matmul screens every node for every trace. A flat window (peak-to-peak
@@ -241,9 +243,12 @@ def fit_single_frequency(trace: OscillationTrace, window=None, *,
     """Fit the single damped cosine with drift on the given time window.
 
     The default window is (0.01, 0.6) ms. Each FFT peak of the detrended
-    window (up to five, strongest first) gets one start: its frequency, the
-    decay rate 1/span, a quadrature demodulation for the phase, half the
-    peak-to-peak for the amplitude and a straight line for the drift. All
+    window (up to five, strongest first) gets one start: its frequency, a
+    quadrature demodulation for the phase, half the peak-to-peak for the
+    amplitude and a straight line for the drift. The exponential decay rate
+    starts at the fall of the demodulated amplitude from the first half of
+    the window to the second, ln(|D1| / |D2|) / (t[h] - t[0]) over h = n // 2
+    samples each, but not below 1/span; the Gaussian rate starts at 1/span. All
     starts run in one stack, and the converged fit with the lowest ssr is
     returned. A flat window returns an A ~ 0 fit with infinite CIs rather
     than raising; FitFailure is raised only when no start converges within
@@ -262,10 +267,20 @@ def fit_single_frequency(trace: OscillationTrace, window=None, *,
     b0, c0 = _detrend_line(t, y)
     resid = y - (b0 * t + c0)
     a_guess = max(float(np.ptp(y)) / 2.0, 1e-12)
+    half = t.size // 2
     p0 = []
     for omega_guess in _fft_peak_frequencies(t, resid, 5):
-        demod = np.sum(resid * np.exp(-1j * omega_guess * t))
-        p0.append([a_guess, 1.0 / span, omega_guess, float(np.angle(demod)), b0, c0])
+        demod = resid * np.exp(-1j * omega_guess * t)
+        gamma_guess = 1.0 / span
+        if decay == "exp":
+            # The tone's demodulated amplitude over the first and second half
+            # of the window falls by exp(gamma (t[half] - t[0])).
+            d1, d2 = abs(demod[:half].sum()), abs(demod[half:2 * half].sum())
+            if d1 > d2 > 0:
+                gamma_guess = max(gamma_guess,
+                                  (math.log(d1) - math.log(d2)) / (t[half] - t[0]))
+        p0.append([a_guess, gamma_guess, omega_guess, float(np.angle(np.sum(demod))),
+                   b0, c0])
     (fit,) = _fit_rows(lambda P, Yp: _single_eval(P, t, Yp, decay), [np.array(p0)], y[None],
                        lambda res, cov, y: _package_single(res, cov, y, decay),
                        "single-frequency", max_iter)

@@ -3,13 +3,25 @@
 One Levenberg-style damped Gauss-Newton loop, `stacked_levenberg_marquardt`,
 advances a stack of starts at once: every row keeps its own damping, step
 acceptance, stop rule, iteration count and message, and a row that has
-finished is frozen and leaves the stack. The model is evaluated once per
-trial: one callable returns the residual and the Jacobian from a single
-pass, and the accepted trial's Jacobian carries over to the next iteration
-and, at the end, into the result. The callable also gets the start index
-of each row it evaluates, so the rows of one stack may fit different data.
-The stacked products and solves are bitwise equal to the per-row 2-D
-calls, so each row's result equals that start run alone.
+finished is frozen and leaves the stack. A row stops on the first of:
+its ssr dropping by less than 1e-12 relative, its step falling below
+1e-12 relative, no decreasing step, or the relative offset of Bates and
+Watts (Technometrics 23, 1981, 179-183) falling below `RO_TOL`. That
+offset, RO^2 = (q1 / k) / ((ssr - q1) / (n - k)), compares the part of the
+residual in the model's tangent plane with the rest, so it measures the
+remaining move in units of the parameters' own uncertainty; q1 = dp.J^T r
+comes from the accepted step, so it costs no extra solve. It needs
+residual degrees of freedom (n > k), and a fit with almost no misfit,
+where ssr - q1 vanishes and RO is undefined, still ends on the 1e-12
+rules.
+
+The model is evaluated once per trial: one callable returns the residual
+and the Jacobian from a single pass, and the accepted trial's Jacobian
+carries over to the next iteration and, at the end, into the result. The
+callable also gets the start index of each row it evaluates, so the rows
+of one stack may fit different data. The stacked products and solves are
+bitwise equal to the per-row 2-D calls, so each row's result equals that
+start run alone.
 `levenberg_marquardt` is the one-start wrapper.
 Problem sizes here are tiny (hundreds of samples, at most eight
 parameters), so dense normal equations are perfectly fine and keep the
@@ -23,18 +35,38 @@ import math
 
 import numpy as np
 
+# A row stops once the relative offset of its step falls below this: the move
+# left is then about 1e-4 of the parameters' own statistical uncertainty.
+RO_TOL = 1e-4
+
 
 class LsqResult:
-    """Where one start ended: params, ssr, n_iter, converged, message and
-    jac, the Jacobian at params."""
+    """Where one start ended: params, ssr, n_iter, converged, message, jac,
+    the Jacobian at params, and relative_offset, the relative offset of
+    the last step taken (0 after no decreasing step, nan where undefined:
+    no step, no residual degrees of freedom or no misfit off the tangent
+    plane)."""
 
-    def __init__(self, params, ssr, n_iter, converged, message="", jac=None):
+    def __init__(self, params, ssr, n_iter, converged, message="", jac=None,
+                 relative_offset=math.nan):
         self.params = params
         self.ssr = ssr
         self.n_iter = n_iter
         self.converged = converged
         self.message = message
         self.jac = jac
+        self.relative_offset = relative_offset
+
+
+def _relative_offset(q1, ssr, n, k):
+    """Bates and Watts' relative offset sqrt((q1 / k) / ((ssr - q1) / (n - k)))
+    of a residual with squared norm ssr whose tangent-plane part has squared
+    norm q1, for n residuals and k parameters; nan where it is undefined
+    (n <= k, or ssr - q1 <= 0)."""
+    rest = ssr - q1
+    if n <= k or not rest > 0:
+        return math.nan
+    return math.sqrt(max(q1, 0.0) / k * (n - k) / rest)
 
 
 def _solve_damped(jtj, jtr, lam):
@@ -154,30 +186,39 @@ def stacked_levenberg_marquardt(evaluate, p0, *, max_iter=200, lam0=1e-3):
     non-convergence; the caller checks `converged` and decides.
     """
     p = np.array(p0, dtype=float)
-    s = p.shape[0]
+    s, k = p.shape
     rows = np.arange(s)  # the start each active row belongs to
     r, jac = evaluate(p, rows)
+    n = r.shape[1]
+    tol2k = RO_TOL * RO_TOL * k
     out_p = p.copy()
     out_ssr = np.empty(s)
     out_jac = np.empty_like(jac)
-    n_iter = np.full(s, max(max_iter, 0))
-    converged = np.zeros(s, dtype=bool)
-    message = ["iteration cap reached"] * s
+    out_ro = np.empty(s)
+    n_iter = np.empty(s, dtype=int)
+    converged = np.empty(s, dtype=bool)
+    message = [""] * s
 
     ssr = _sq_norms(r)
     lam = np.full(s, float(lam0))
+    # Each row's last step: q1 = dp.J^T r and the ssr it started from.
+    q1 = ssr_from = np.full(s, math.nan)
 
     def retire(done, it, text, conv):
         for pos in np.flatnonzero(done):
             row = rows[pos]
             out_p[row], out_ssr[row], out_jac[row] = p[pos], ssr[pos], jac[pos]
             n_iter[row], converged[row], message[row] = it, conv, text[pos]
+            out_ro[row] = _relative_offset(q1[pos], ssr_from[pos], n, k)
+
+    def keep(live):
+        return (x[live] for x in (p, r, ssr, lam, rows, jac, q1, ssr_from))
 
     for it in range(1, max_iter + 1):
         bad = ~(np.isfinite(jac).all(axis=(1, 2)) & np.isfinite(ssr))
         if bad.any():
             retire(bad, it, ["non-finite residual or Jacobian"] * len(p), False)
-            p, r, ssr, lam, rows, jac = (x[~bad] for x in (p, r, ssr, lam, rows, jac))
+            p, r, ssr, lam, rows, jac, q1, ssr_from = keep(~bad)
             if not rows.size:
                 break
         jt = jac.transpose(0, 2, 1)
@@ -213,16 +254,24 @@ def stacked_levenberg_marquardt(evaluate, p0, *, max_iter=200, lam0=1e-3):
         rel_drop = (ssr - ssr_new) / np.maximum(ssr, 1e-300)
         rel_step = (np.abs(dp) / np.maximum(np.abs(p_new), 1e-12)).max(axis=1)
         stop = ~ok | (rel_drop < 1e-12) | (rel_step < 1e-12)
+        q1 = (dp[:, None] @ jtr)[:, 0, 0]
+        if n > k:
+            # RO < RO_TOL without a division: q1 (n - k) < tol^2 k (ssr - q1).
+            # It never holds where ssr - q1 <= 0 and RO is undefined.
+            stop |= q1 * (n - k + tol2k) < tol2k * ssr
+        ssr_from = ssr
         p, r, ssr, jac = p_new, r_new, ssr_new, jac_new
         lam = np.maximum(lam / 3.0, 1e-14)
         if stop.any():
             retire(stop, it, ["converged" if o else "no decreasing step" for o in ok], True)
-            p, r, ssr, lam, rows, jac = (x[~stop] for x in (p, r, ssr, lam, rows, jac))
+            p, r, ssr, lam, rows, jac, q1, ssr_from = keep(~stop)
             if not rows.size:
                 break
-    out_p[rows], out_ssr[rows], out_jac[rows] = p, ssr, jac
+    retire(np.ones(rows.size, dtype=bool), max(max_iter, 0),
+           ["iteration cap reached"] * rows.size, False)
     return [LsqResult(params=out_p[i], ssr=float(out_ssr[i]), n_iter=int(n_iter[i]),
-                      converged=bool(converged[i]), message=message[i], jac=out_jac[i])
+                      converged=bool(converged[i]), message=message[i], jac=out_jac[i],
+                      relative_offset=float(out_ro[i]))
             for i in range(s)]
 
 

@@ -127,6 +127,8 @@ class LevelSystem:
             raise ValueError("coupling must have shape (5, 5)")
         if not np.array_equal(coupling, coupling.T):
             raise ValueError("coupling must be symmetric")
+        if not np.isfinite(coupling).all():
+            raise ValueError(f"coupling must be finite, got {coupling}")
         if np.any(coupling[_NOT_ADJACENT] != 0.0):
             raise ValueError("couplings are allowed between adjacent levels only")
         if not (math.isfinite(self.gamma) and self.gamma >= 0):

@@ -290,10 +290,47 @@ def load_scenario_dict(path) -> dict:
     return data
 
 
-def scenario_hash(data: dict) -> str:
+def scenario_hash(data: dict, base_dir=None) -> str:
+    """SHA-256 of the scenario mapping's canonical JSON.
+
+    With base_dir, the bytes of every file the distribution reads, a
+    `distribution.file` or a `distribution.fieldmap` given as a file path,
+    are folded in, read relative to base_dir as `parse_scenario` reads
+    them; a scenario that reads no file keeps the hash of its mapping.
+    """
     canonical = json.dumps(data, sort_keys=True, separators=(",", ":"),
                            ensure_ascii=True)
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    digest = hashlib.sha256(canonical.encode())
+    if base_dir is not None:
+        for key, name in _referenced_files(data):
+            try:
+                content = (Path(base_dir) / name).read_bytes()
+            except OSError as exc:
+                raise ScenarioError(f"{key}: cannot read {name}: {exc}") from exc
+            # Canonical JSON holds no NUL byte, so the appended parts cannot
+            # be mistaken for mapping text.
+            digest.update(b"\0" + key.encode() + b"\0" + hashlib.sha256(content).digest())
+    return digest.hexdigest()
+
+
+def _is_file_reference(ref) -> bool:
+    """A fieldmap reference with a path separator or a YAML suffix names a
+    file; any other names a bundled preset."""
+    return "/" in ref or ref.endswith((".yaml", ".yml"))
+
+
+def _referenced_files(data):
+    """(key, name) of each file the scenario's distribution reads."""
+    d = data.get("distribution")
+    if not isinstance(d, dict):
+        return []
+    if "fieldmap" in d:
+        ref = d["fieldmap"]
+        return ([("distribution.fieldmap", ref)]
+                if isinstance(ref, str) and _is_file_reference(ref) else [])
+    if isinstance(d.get("file"), str):
+        return [("distribution.file", d["file"])]
+    return []
 
 
 def _parse_profile(d, path) -> AxisProfile:
@@ -382,7 +419,7 @@ def _parse_field_dist(d, path) -> FieldDistSpec:
 def _resolve_fieldmap_reference(ref, path, base_dir) -> DetuningDistribution:
     if not isinstance(ref, str) or not ref:
         raise ScenarioError(f"{path}: expected a preset name or a file path")
-    if "/" in ref or ref.endswith((".yaml", ".yml")):
+    if _is_file_reference(ref):
         sub_path = Path(base_dir) / ref
         if not sub_path.is_file():
             raise ScenarioError(f"{path}: file not found: {sub_path}")

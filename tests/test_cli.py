@@ -14,7 +14,7 @@ from rabisim.cli import main
 from rabisim.model import DriveParams, p1_two_level_damped
 from rabisim.output import read_csv
 from rabisim.scenario import (ScenarioError, load_scenario_dict, parse_scenario,
-                              preset_file)
+                              preset_file, scenario_hash)
 from rabisim.units import khz_to_angular
 
 SIMULATE_YAML = """\
@@ -145,6 +145,38 @@ def test_seed_override_changes_metadata_only(tmp_path):
     assert m1["seed"] == "5" and m2["seed"] == "99"
     assert m1["scenario_hash"] != m2["scenario_hash"]
     assert r1 == r2
+
+
+def test_scenario_hash_covers_the_referenced_distribution_file(tmp_path):
+    # One scenario beside three d.txt files: the hash follows the file's
+    # bytes, and the mapping alone gives the hash of the one-argument call.
+    config = _write(tmp_path, SIMULATE_YAML.replace(
+        "{kind: gaussian, sigma_khz: 0.0}", "{file: d.txt}"))
+    hashes = []
+    for i, rows in enumerate(["-1.0 1.0\n1.0 1.0\n", "-2.0 1.0\n2.0 1.0\n",
+                              "-1.0 1.0\n1.0 1.0\n"]):
+        (tmp_path / "d.txt").write_text(rows)
+        out = tmp_path / f"out{i}"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+        hashes.append(read_csv(out / "homog.csv")[0]["scenario_hash"])
+    assert hashes[0] != hashes[1]
+    assert hashes[0] == hashes[2]
+    data = load_scenario_dict(config)
+    assert scenario_hash(data) not in hashes
+    assert scenario_hash(data, tmp_path) == hashes[2]
+
+
+def test_scenario_hash_of_a_fieldmap_reference(tmp_path):
+    # A fieldmap file's bytes are folded in; a bundled preset name is not a
+    # file, so that scenario keeps the hash of its mapping.
+    field = "name: cell\ncommand: field-dist\nfieldmap: {b_set_khz: 18167.0, n_bins: 8}\n"
+    (tmp_path / "field.yaml").write_text(field)
+    by_file = {"distribution": {"fieldmap": "field.yaml"}}
+    before = scenario_hash(by_file, tmp_path)
+    (tmp_path / "field.yaml").write_text(field.replace("n_bins: 8", "n_bins: 9"))
+    assert scenario_hash(by_file, tmp_path) not in (before, scenario_hash(by_file))
+    by_name = {"distribution": {"fieldmap": "fig6-field"}}
+    assert scenario_hash(by_name, tmp_path) == scenario_hash(by_name)
 
 
 def test_svg_flag_writes_plot(tmp_path):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from rabisim import lsq
 from rabisim.lsq import (
+    RO_TOL,
     LsqResult,
     ci95,
     covariance,
@@ -32,6 +34,9 @@ def test_linear_problem_exact():
     assert res.converged
     assert res.params == pytest.approx([2.0, -1.0], abs=1e-8)
     assert res.ssr == pytest.approx(0.0, abs=1e-16)
+    # A zero-residual fit leaves no misfit off the tangent plane, where the
+    # relative offset is undefined: it ends on the 1e-12 rules.
+    assert (res.n_iter, res.message) == (6, "converged")
 
 
 def test_rosenbrock_valley():
@@ -45,6 +50,9 @@ def test_rosenbrock_valley():
     res = levenberg_marquardt(residual, jacobian, np.array([-1.2, 1.0]), max_iter=500)
     assert res.converged
     assert res.params == pytest.approx([1.0, 1.0], abs=1e-6)
+    # n = k = 2: no residual degrees of freedom, so no relative-offset stop.
+    assert (res.n_iter, res.message) == (17, "converged")
+    assert np.isnan(res.relative_offset)
 
 
 def test_exponential_decay_recovery():
@@ -139,10 +147,18 @@ def _reference_solve_damped(jtj, jtr, lam):
         return np.linalg.lstsq(a, jtr, rcond=None)[0]
 
 
+def _offset(q1, ssr, n, k):
+    if n <= k or not ssr - q1 > 0:
+        return float("nan")
+    return float(np.sqrt(max(q1, 0.0) / k * (n - k) / (ssr - q1)))
+
+
 def _reference_lm(residual, jacobian, p0, *, max_iter=200, ftol=1e-12, xtol=1e-12,
-                  lam0=1e-3):
-    """The one-start loop the stacked loop replaced, kept as the oracle."""
+                  lam0=1e-3, ro_tol=RO_TOL):
+    """The one-start loop the stacked loop replaced, kept as the oracle,
+    with the relative-offset stop added."""
     p = np.asarray(p0, dtype=float).copy()
+    q1 = ssr_from = float("nan")
     r = residual(p)
     ssr = float(r @ r)
     lam = lam0
@@ -170,25 +186,32 @@ def _reference_lm(residual, jacobian, p0, *, max_iter=200, ftol=1e-12, xtol=1e-1
                 break
             lam *= 5.0
         if not accepted:
+            q1, ssr_from = 0.0, ssr
             converged = True
             message = "no decreasing step"
             break
         rel_drop = (ssr - ssr_new) / max(ssr, 1e-300)
         rel_step = float(np.max(np.abs(dp) / np.maximum(np.abs(p_new), 1e-12)))
+        # The relative offset of the accepted step, (q1 / k) / ((ssr - q1) / (n - k)),
+        # compared without dividing: RO < tol iff q1 (n - k + tol^2 k) < tol^2 k ssr.
+        q1, ssr_from = float(dp @ jtr), ssr
+        n, k = jac.shape
+        small_offset = n > k and q1 * (n - k + ro_tol**2 * k) < ro_tol**2 * k * ssr
         p, r, ssr = p_new, r_new, ssr_new
         lam = max(lam / 3.0, 1e-14)
-        if rel_drop < ftol or rel_step < xtol:
+        if rel_drop < ftol or rel_step < xtol or small_offset:
             converged = True
             message = "converged"
             break
     return LsqResult(params=p, ssr=ssr, n_iter=n_iter, converged=converged,
-                     message=message)
+                     message=message, relative_offset=_offset(q1, ssr_from, *jac.shape))
 
 
 def _assert_bitwise_equal(res, ref):
     assert np.array_equal(res.params, ref.params, equal_nan=True)
     assert res.ssr == ref.ssr or (np.isnan(res.ssr) and np.isnan(ref.ssr))
     assert (res.n_iter, res.converged, res.message) == (ref.n_iter, ref.converged, ref.message)
+    assert np.array_equal(res.relative_offset, ref.relative_offset, equal_nan=True)
 
 
 _T = np.linspace(0.0, 2.0, 80)
@@ -291,3 +314,41 @@ def test_rows_read_their_own_data_and_match_solo_runs():
         "converged", "no decreasing step", "iteration cap reached",
         "non-finite residual or Jacobian"]
     assert seen[0] == [0, 1, 2, 3] and [0, 2] in seen
+
+
+_NOISY_Y = _Y + 0.05 * np.random.default_rng(3).standard_normal(_T.size)
+_NOISY_P0 = np.array([[1.0, 0.5], [10.0, 5.0], [0.5, 0.1], [3.0, 1.0], [5.0, 3.0]])
+
+
+def _noisy_evaluate(P, rows):
+    a, b = P.T[..., None]
+    e = np.exp(-b * _T)
+    return a * e - _NOISY_Y, np.stack([e, -a * _T * e], axis=-1)
+
+
+def test_noisy_rows_match_the_reference_with_the_offset_stop():
+    stacked = stacked_levenberg_marquardt(_noisy_evaluate, _NOISY_P0)
+    for row, res in zip(_NOISY_P0, stacked):
+        ref = _reference_lm(_solo(lambda P: _noisy_evaluate(P, None)[0]),
+                            _solo(lambda P: _noisy_evaluate(P, None)[1]), row)
+        _assert_bitwise_equal(res, ref)
+
+
+def test_relative_offset_stops_noisy_fits_early_near_the_tight_optimum(monkeypatch):
+    loose = stacked_levenberg_marquardt(_noisy_evaluate, _NOISY_P0)
+    monkeypatch.setattr(lsq, "RO_TOL", 0.0)
+    tight = stacked_levenberg_marquardt(_noisy_evaluate, _NOISY_P0)
+    early = [i for i, (a, b) in enumerate(zip(loose, tight)) if a.n_iter < b.n_iter]
+    assert early  # the clause stops some rows, and never delays one
+    assert all(a.n_iter <= b.n_iter for a, b in zip(loose, tight))
+    for i, (a, b) in enumerate(zip(loose, tight)):
+        assert a.converged and b.converged and a.message == b.message == "converged"
+        ci = np.array(ci95(covariance(b.jac, b.ssr), _T.size - 2, np.eye(2)))
+        assert (np.abs(a.params - b.params) <= 1e-4 * ci).all(), i
+    for i in early:
+        # A row the clause stopped recorded an offset below the tolerance,
+        # and the loop without the clause passed through the same iterate.
+        assert loose[i].relative_offset < RO_TOL
+        (capped,) = stacked_levenberg_marquardt(_noisy_evaluate, _NOISY_P0[i:i + 1],
+                                                max_iter=loose[i].n_iter)
+        assert np.array_equal(capped.params, loose[i].params)

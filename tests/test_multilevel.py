@@ -79,14 +79,16 @@ def test_level_system_validation():
         with pytest.raises(ValueError, match="gamma"):
             LevelSystem(level_shifts=shifts, coupling=good, gamma=bad)
     # the symmetry test compares exactly: nan is never equal to itself,
-    # inf equals inf, and -0.0 equals 0.0
+    # inf equals inf (and then fails the finiteness test, since no
+    # evolution can run on it), and -0.0 equals 0.0
     nan = good.copy()
     nan[0, 1] = nan[1, 0] = np.nan
     with pytest.raises(ValueError, match="symmetric"):
         LevelSystem(level_shifts=shifts, coupling=nan, gamma=0.0)
     inf = good.copy()
     inf[2, 3] = inf[3, 2] = np.inf
-    LevelSystem(level_shifts=shifts, coupling=inf, gamma=0.0)
+    with pytest.raises(ValueError, match="coupling must be finite"):
+        LevelSystem(level_shifts=shifts, coupling=inf, gamma=0.0)
     signed = good.copy()
     signed[3, 4], signed[4, 3] = 0.0, -0.0
     signed[0, 3], signed[3, 0] = -0.0, 0.0
