@@ -15,9 +15,8 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import __version__
-from .ensemble import EnsembleConfig, ensemble_signal
+from .ensemble import ensemble_signal
 from .fieldmap import field_magnitude_histogram
-from .model import DriveParams
 from .multilevel import InvariantViolation
 from .scans import scan_detuning
 from .scenario import (PRESET_NAMES, Scenario, ScenarioError, _named,
@@ -28,23 +27,12 @@ from .output import write_csv, write_svg_lines
 from .units import angular_to_khz
 
 
-def _ensemble_config(scenario: Scenario, omega0, delta, sigma=None):
-    dist = scenario.distribution
-    if sigma is not None:
-        dist = replace(dist, sigma=float(sigma))
-    return EnsembleConfig(drive=DriveParams(omega0=omega0, delta=delta),
-                          distribution=dist, atom_model=scenario.atom_model,
-                          quadrature_nodes=scenario.quadrature_nodes,
-                          support_half_width=scenario.support_half_width)
-
-
 # Each command takes (scenario, meta) and returns (tables, plot): tables is a
 # list of (file suffix, columns, rows) and plot is (series, x_label, y_label).
 # run_scenario names and writes the files.
 
 def run_simulate(scenario: Scenario, meta):
-    config = _ensemble_config(scenario, scenario.omega0_list[0],
-                              scenario.deltas[0])
+    _, _, config = next(scenario.blocks())
     trace = ensemble_signal(config, scenario.times)
     rows = list(zip(trace.times, trace.values))
     return ([("", ("t_ms", "signal"), rows)],
@@ -78,42 +66,38 @@ def run_scan(scenario: Scenario, meta):
     columns, plotted = _SCAN_TABLES[analysis.kind]
     rows = []
     series = []
-    sigmas = scenario.sigma_list or (scenario.distribution.std_shift(),)
-    for omega0 in scenario.omega0_list:
-        for sigma in sigmas:
-            config = _ensemble_config(scenario, omega0, scenario.deltas[0],
-                                      sigma if scenario.sigma_list else None)
-            window = analysis.window
-            if window is None and analysis.kind == "two":
-                periods = analysis.window_periods * 2.0 * math.pi / omega0
-                window = (0.0, min(periods, float(scenario.times[-1])))
-            results = scan_detuning(
-                config, scenario.deltas, analysis=analysis.kind,
-                times=scenario.times, window=window, decay=analysis.decay,
-                fft_options=analysis.fft)
-            o_khz = angular_to_khz(omega0)
-            s_khz = angular_to_khz(sigma)
-            for r in results:
-                cells = _scan_cells(r, o_khz, s_khz)
-                rows.append(tuple(cells[c] if c in cells else getattr(r, c)
-                                  for c in columns))
-            series.append((f"O0={o_khz:g}, sigma={s_khz:g} kHz",
-                           [r.detuning_khz for r in results],
-                           [getattr(r, plotted) for r in results]))
+    for omega0, sigma, config in scenario.blocks():
+        window = analysis.window
+        if window is None and analysis.kind == "two":
+            periods = analysis.window_periods * 2.0 * math.pi / omega0
+            window = (0.0, min(periods, float(scenario.times[-1])))
+        results = scan_detuning(
+            config, scenario.deltas, analysis=analysis.kind,
+            times=scenario.times, window=window, decay=analysis.decay,
+            fft_options=analysis.fft)
+        o_khz = angular_to_khz(omega0)
+        s_khz = angular_to_khz(sigma)
+        for r in results:
+            cells = _scan_cells(r, o_khz, s_khz)
+            rows.append(tuple(cells[c] if c in cells else getattr(r, c)
+                              for c in columns))
+        series.append((f"O0={o_khz:g}, sigma={s_khz:g} kHz",
+                       [r.detuning_khz for r in results],
+                       [getattr(r, plotted) for r in results]))
     y_label = "fraction_a" if analysis.kind == "two" else "frequency (kHz)"
     return [("", columns, rows)], (series, "detuning (kHz)", y_label)
 
 
 def run_spectrum(scenario: Scenario, meta):
     analysis = scenario.analysis
-    omega0 = scenario.omega0_list[0]
+    _, _, block = next(scenario.blocks())
     spectra_rows = []
     peak_rows = []
     track_rows = []
     series = []
     offset = 0.0
     for delta in scenario.deltas:
-        config = _ensemble_config(scenario, omega0, delta)
+        config = replace(block, drive=replace(block.drive, delta=delta))
         trace = ensemble_signal(config, scenario.times)
         spec = fft_spectrum(trace, **analysis.fft)
         d_khz = angular_to_khz(delta)

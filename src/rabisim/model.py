@@ -108,9 +108,10 @@ def p1_two_level_damped(drive: DriveParams, local_detuning, t, gamma):
 
     gamma is the dephasing rate (rad/ms equivalents, numerically 1/ms); the
     factor 1/2 is the usual share of the coherence decay seen by the
-    population oscillation. Exact for a dephased two-level atom on
-    resonance, a mild approximation off resonance; the density-matrix model
-    in multilevel.py is the reference when that distinction matters.
+    population oscillation. It keeps the mean at amp / 2, which a dephased
+    atom does not: at omega0 9 kHz and gamma 1 kHz over 0-1 ms, one atom
+    differs from multilevel.p1_multilevel at a 1e5 kHz quadratic shift, the
+    reference, by up to 0.026, 0.247 and 0.289 at delta 0, 9 and 18 kHz.
     """
     if gamma < 0:
         raise ValueError("gamma must be non-negative")

@@ -25,11 +25,12 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .ensemble import (MIN_QUADRATURE_NODES, AtomModel, DetuningDistribution,
-                       _parametric_rule, load_empirical_distribution,
-                       quadrature_node_count)
+from .ensemble import (MAX_QUADRATURE_NODES, MIN_QUADRATURE_NODES, AtomModel,
+                       DetuningDistribution, EnsembleConfig, QuadratureSupportError,
+                       _signal_rule, load_empirical_distribution)
 from .fieldmap import (AxisProfile, FieldGridModel, ProbeBeam,
                        field_magnitude_histogram, histogram_to_distribution)
+from .model import DriveParams
 from .spectrum import MIN_FFT_SAMPLES
 from .units import khz_to_angular
 
@@ -48,7 +49,6 @@ PRESET_NAMES = ("fig1b", "fig3a", "fig3b", "fig4", "fig5", "fig6a", "fig6b",
 # on a 2-CPU x86-64 host.
 MAX_SAMPLES = 100_000
 MAX_DETUNINGS = 10_000
-MAX_QUADRATURE_NODES = 20_001
 MAX_GRID_POINTS = 10_000_000
 MAX_BINS = 100_000
 
@@ -261,6 +261,19 @@ class Scenario:
     support_half_width: float = 8.0
     analysis: AnalysisOptions = field(default_factory=AnalysisOptions)
     field_dist: FieldDistSpec | None = None
+
+    def blocks(self):
+        """(omega0, sigma, config) of every block a run simulates, in run
+        order: omega0 outer, then sigma from sigma_list or the distribution's
+        own spread, each config driven at deltas[0]."""
+        dist = self.distribution
+        for omega0 in self.omega0_list:
+            for sigma in self.sigma_list or (dist.std_shift(),):
+                yield omega0, sigma, EnsembleConfig(
+                    drive=DriveParams(omega0=omega0, delta=self.deltas[0]),
+                    distribution=replace(dist, sigma=sigma) if self.sigma_list else dist,
+                    atom_model=self.atom_model, quadrature_nodes=self.quadrature_nodes,
+                    support_half_width=self.support_half_width)
 
 
 def presets_root() -> Path:
@@ -557,28 +570,6 @@ def _parse_analysis(d, path, command) -> AnalysisOptions:
                            window_periods=periods, fft=fft, track=track)
 
 
-def _check_rules(distribution, sigma_list, omega0_list, t_end, nodes, half_width,
-                 atom_kind):
-    """Build the rule `ensemble._signal_rule` sums for each (sigma, omega0)
-    block, which the run then finds in `_parametric_rule`'s cache. A mass
-    miss names the support; a grid that needs more than `nodes` nodes, which
-    the run would sum aliased on the cap, names the cap and the largest need."""
-    need = 0
-    for sigma in sigma_list or (distribution.sigma,):
-        for omega0 in omega0_list if sigma > 0 else ():
-            count = quadrature_node_count(replace(distribution, sigma=sigma), omega0, t_end,
-                                          half_width, MAX_QUADRATURE_NODES + 1, atom_kind)
-            with _named("ensemble.support_half_width"):
-                _parametric_rule(sigma, distribution.skew, min(count, nodes), half_width)
-            need = max(need, count)
-    if need > nodes:
-        count = (f"more than {MAX_QUADRATURE_NODES}" if need > MAX_QUADRATURE_NODES
-                 else str(need))
-        raise ScenarioError(
-            f"ensemble.quadrature_nodes: this time grid and distribution need "
-            f"{count} quadrature nodes, more than the {nodes} allowed")
-
-
 def parse_scenario(data: dict, base_dir=None) -> Scenario:
     """Validate a scenario mapping and convert it to internal units."""
     data = _expect_mapping(data, "scenario")
@@ -668,13 +659,17 @@ def parse_scenario(data: dict, base_dir=None) -> Scenario:
                         "ensemble.support_half_width")
     if half_width < 5.0:
         raise ScenarioError("ensemble.support_half_width: must be at least 5")
-    if distribution.is_parametric:
-        _check_rules(distribution, sigma_list, omega0_list, float(np.max(np.abs(times))),
-                     nodes, half_width, atom_model.kind)
 
-    return Scenario(name=name, command=command, seed=seed, basename=basename,
-                    omega0_list=omega0_list, deltas=deltas,
-                    sigma_list=sigma_list, distribution=distribution,
-                    atom_model=atom_model, times=times,
-                    quadrature_nodes=nodes, support_half_width=half_width,
-                    analysis=analysis)
+    scenario = Scenario(name=name, command=command, seed=seed, basename=basename,
+                        omega0_list=omega0_list, deltas=deltas,
+                        sigma_list=sigma_list, distribution=distribution,
+                        atom_model=atom_model, times=times,
+                        quadrature_nodes=nodes, support_half_width=half_width,
+                        analysis=analysis)
+    # Build the rule each block sums, which the run then finds in the cache;
+    # the first block, in run order, whose rule is refused names the refusal.
+    with (_named("ensemble.quadrature_nodes"),
+          _named("ensemble.support_half_width", QuadratureSupportError)):
+        for _, _, config in scenario.blocks():
+            _signal_rule(config, float(times[-1]))
+    return scenario

@@ -77,7 +77,7 @@ def test_traced_parametric_multilevel_simulate_runs_the_sized_rule(tmp_path):
         "atom_model": {"kind": "multilevel", "quadratic_shift_khz": 250.0},
         "time_grid": {"t_max_ms": 0.2, "dt_ms": 0.008},
     })
-    config = cli._ensemble_config(scenario, scenario.omega0_list[0], scenario.deltas[0])
+    _, _, config = next(scenario.blocks())
     nodes = ensemble._signal_rule(config, scenario.times[-1])[0].size
     assert 201 < nodes < config.quadrature_nodes
     with _tracing().Tracer() as tracer:

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,10 @@ import rabisim
 from rabisim.cli import main
 from rabisim.model import DriveParams, p1_two_level_damped
 from rabisim.output import read_csv
+from rabisim.ensemble import DetuningDistribution, EnsembleConfig, ensemble_signal
 from rabisim.scenario import (ScenarioError, load_scenario_dict, parse_scenario,
                               preset_file, scenario_hash)
-from rabisim.units import khz_to_angular
+from rabisim.units import angular_to_khz, khz_to_angular
 
 SIMULATE_YAML = """\
 name: homogeneous-check
@@ -511,6 +513,88 @@ def test_aliased_grid_names_the_nodes_it_needs():
     data["distribution"]["sigma_khz"] = 1000.0
     with pytest.raises(ScenarioError, match="need more than 20001 quadrature nodes"):
         parse_scenario(data)
+
+
+# Two drives and two spreads, listed out of order: the blocks run omega0
+# outer and sigma inner, in the order given.
+_FOUR_BLOCKS = ("name: blocks\ncommand: scan\n"
+                "drive: {omega0_khz: 9.0, delta_list_khz: [0.0, 5.0]}\n"
+                "scan: {omega0_list_khz: [15.0, 9.0], sigma_list_khz: [8.0, 4.0]}\n"
+                "distribution: {kind: gaussian, sigma_khz: 6.0}\n"
+                "time_grid: {t_max_ms: 1.0, dt_ms: 0.008}\n"
+                "analysis: {kind: fft}\n")
+
+
+def test_scan_rows_follow_the_blocks(tmp_path, capsys):
+    config = _write(tmp_path, _FOUR_BLOCKS)
+    scenario = parse_scenario(load_scenario_dict(config))
+    blocks = [(angular_to_khz(omega0), angular_to_khz(sigma))
+              for omega0, sigma, _ in scenario.blocks()]
+    assert np.allclose(blocks, [(15.0, 8.0), (15.0, 4.0), (9.0, 8.0), (9.0, 4.0)])
+    for omega0, sigma, config_ in scenario.blocks():
+        assert config_.drive.omega0 == omega0
+        assert config_.drive.delta == scenario.deltas[0]
+        assert config_.distribution.sigma == sigma
+    out, _ = _run_fresh(tmp_path, capsys, ["scan", "--config", str(config)])
+    _, columns, rows = read_csv(out / "blocks.csv")
+    assert columns[:2] == ["omega0_khz", "sigma_khz"]
+    expected = [block for block in blocks for _ in scenario.deltas]
+    assert np.allclose([(float(row[0]), float(row[1])) for row in rows], expected,
+                       rtol=1e-12, atol=0.0)
+
+
+def test_refusal_names_the_first_failing_block():
+    # Over 0-12 ms the blocks in run order need 791, 3,479, 1,512 and 6,798
+    # nodes: at 0.25 kHz the amplitude's poles, not the phase, set the
+    # count. The second block is the first above the 2001 allowed.
+    data = yaml.safe_load("name: blocks\ncommand: scan\n"
+                          "drive: {omega0_khz: 9.0, delta_list_khz: [0.0]}\n"
+                          "scan: {omega0_list_khz: [9.0, 0.25], sigma_list_khz: [4.0, 18.0]}\n"
+                          "distribution: {kind: gaussian, sigma_khz: 6.0}\n"
+                          "time_grid: {t_max_ms: 12.0, dt_ms: 0.004}\n")
+    with pytest.raises(ScenarioError, match=r"^ensemble.quadrature_nodes: this time grid and "
+                                            r"distribution need 3479 quadrature nodes, "
+                                            r"more than the 2001 allowed$"):
+        parse_scenario(data)
+    data["ensemble"] = {"quadrature_nodes": 3479}
+    with pytest.raises(ScenarioError, match="need 6798 quadrature nodes, more than "
+                                            "the 3479 allowed"):
+        parse_scenario(data)
+    data["ensemble"] = {"quadrature_nodes": 6798}
+    assert len(list(parse_scenario(data).blocks())) == 4
+
+
+@pytest.mark.parametrize("sigma_khz", [18.0, 1000.0])
+def test_cli_and_api_refuse_in_one_text(tmp_path, capsys, sigma_khz):
+    # The exact count at sigma 18 kHz, "more than 20001" at 1000 kHz.
+    config = _write(tmp_path, "name: long\ncommand: simulate\n"
+                              "drive: {omega0_khz: 9.0, delta_khz: 2.0}\n"
+                              + _ALIASED.replace("18.0", str(sigma_khz)))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    api = EnsembleConfig(
+        drive=DriveParams(omega0=khz_to_angular(9.0), delta=khz_to_angular(2.0)),
+        distribution=DetuningDistribution(kind="gaussian", sigma=khz_to_angular(sigma_khz)))
+    with pytest.raises(ValueError) as info:
+        ensemble_signal(api, np.arange(0.0, 40.0 + 0.002, 0.004))
+    assert err == f"rabisim: ensemble.quadrature_nodes: {info.value}\n"
+
+
+@pytest.mark.parametrize("half_width", ["1.0e+155", "1.0e+307"])
+def test_huge_support_half_width_exits_2_without_warnings(tmp_path, capsys, half_width):
+    # At 1e155 the density's z * z overflows, and at 1e307 the width of the
+    # support itself. The rule refuses both, naming the support, and raises
+    # no floating-point warning on the way.
+    config = _write(tmp_path, "name: wide\ncommand: simulate\n"
+                              "drive: {omega0_khz: 9.0, delta_khz: 0.0}\n"
+                              "distribution: {kind: gaussian, sigma_khz: 2.0}\n"
+                              f"ensemble: {{support_half_width: {half_width}}}\n" + _GRID)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("rabisim: ensemble.support_half_width: ")
+    assert err.count("\n") == 1
 
 
 def _with_distribution(name, distribution):

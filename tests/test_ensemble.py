@@ -1,5 +1,7 @@
+import ast
 import math
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -192,7 +194,7 @@ def test_signal_refuses_a_cap_below_the_sized_count():
     # mass is still reported first.
     times = np.arange(0.0, 12.0 + 0.002, 0.004)
     with pytest.raises(ValueError, match="need 3479 quadrature nodes, more than "
-                                         "quadrature_nodes = 2001"):
+                                         "the 2001 allowed"):
         ensemble_signal(_config(18.0), times)
     assert ensemble_signal(_config(18.0, quadrature_nodes=3479), times).values.size == 3001
     with pytest.raises(QuadratureSupportError):
@@ -213,15 +215,15 @@ def test_quadrature_miss_names_the_rule(half_width, miss):
 
 
 def _record_rule_densities(monkeypatch):
-    """Clear the rule cache and record the sigma of each density evaluation
-    on a rule's grid; the node count's shape terms, cached on their own,
-    evaluate it at the two support ends only."""
+    """Clear the rule cache and record the sigma and node count of each
+    density evaluation on a rule's grid; the node count's shape terms,
+    cached on their own, evaluate it at the two support ends only."""
     calls = []
     real = ensemble.skewed_gaussian_density
 
     def density(sigma, skew, x):
         if np.size(x) > 2:
-            calls.append(sigma)
+            calls.append((sigma, np.size(x)))
         return real(sigma, skew, x)
     monkeypatch.setattr(ensemble, "skewed_gaussian_density", density)
     ensemble._parametric_rule.cache_clear()
@@ -262,17 +264,35 @@ def test_one_rule_per_distribution(monkeypatch):
             parse_scenario(data)
 
 
-@pytest.mark.parametrize("preset, blocks", [("fig5", 5), ("fig1b", 1)])
-def test_parse_and_run_build_each_rule_once(tmp_path, monkeypatch, preset, blocks):
-    # parse_scenario checks the rule of each sigma block, and the run sums
-    # that same rule from the cache: one density evaluation per block.
+# Every preset with a parametric distribution, and the distinct rules its
+# blocks sum: fig3a's four drives share one, fig7a's two.
+@pytest.mark.parametrize("preset, rules", [
+    ("fig5", 5), ("fig1b", 1), ("fig3a", 1), ("fig3b", 1), ("fig4", 1),
+    ("fig7a", 2), ("fig7b", 1)])
+def test_parse_and_run_build_each_rule_once(tmp_path, monkeypatch, preset, rules):
+    # parse_scenario checks the rule of each block, and the run sums that
+    # same rule from the cache: one density evaluation per distinct rule.
     calls = _record_rule_densities(monkeypatch)
     data = load_scenario_dict(preset_file(preset))
     scenario = parse_scenario(data)
-    assert len(calls) == blocks
+    assert len(calls) == rules
     run_scenario(scenario, scenario_hash(data), tmp_path)
-    assert len(calls) == blocks
-    assert len(set(calls)) == blocks
+    assert len(calls) == rules
+    assert len(set(calls)) == rules
+    assert set(calls) == {(config.distribution.sigma,
+                           ensemble._signal_rule(config, scenario.times[-1])[0].size)
+                          for _, _, config in scenario.blocks()}
+
+
+def test_only_ensemble_names_the_rule_builders():
+    # The rule is sized and built in ensemble alone; every other module,
+    # parse_scenario included, reaches it through _signal_rule.
+    for path in sorted(Path(ensemble.__file__).parent.glob("*.py")):
+        if path.name == "ensemble.py":
+            continue
+        names = {getattr(node, key) for node in ast.walk(ast.parse(path.read_text()))
+                 for key in ("id", "attr", "name") if isinstance(getattr(node, key, None), str)}
+        assert not names & {"_parametric_rule", "quadrature_node_count"}, path.name
 
 
 @pytest.fixture(scope="module")

@@ -13,6 +13,7 @@ from rabisim.model import (
     p1_two_level_damped,
     uniform_grid,
 )
+from rabisim.multilevel import p1_multilevel
 from rabisim.units import TWO_PI, angular_to_khz, field_mg_to_khz, khz_to_angular
 
 
@@ -137,6 +138,25 @@ def test_first_order_small_sigma_error_frozen():
     shows up here.
     """
     assert 3e-2 < _small_sigma_error(1, 0.0) < 5e-2
+
+
+@pytest.mark.parametrize("delta_khz, low, high", [
+    (0.0, 0.020, 0.030), (9.0, 0.240, 0.255), (18.0, 0.280, 0.295)])
+def test_damped_two_level_gap_to_master_equation_frozen(delta_khz, low, high):
+    """The envelope exp(-gamma t / 2) is not the dephased atom's decay.
+
+    One atom at omega0 9 kHz and gamma 1 kHz over 0-1 ms differs from the
+    five-level master equation at a 1e5 kHz quadratic shift, which leaves
+    one two-level transition, by up to 0.026, 0.247 and 0.289 at delta 0, 9
+    and 18 kHz. The brackets pin those levels so a change to either kernel
+    shows up here.
+    """
+    drive = DriveParams(omega0=khz_to_angular(9.0), delta=khz_to_angular(delta_khz))
+    gamma = khz_to_angular(1.0)
+    times = np.arange(0.0, 1.0 + 0.004, 0.008)
+    damped = p1_two_level_damped(drive, 0.0, times, gamma)
+    master = p1_multilevel(drive, 0.0, khz_to_angular(1e5), gamma, times).values
+    assert low < np.max(np.abs(damped - master)) < high
 
 
 def test_second_order_small_sigma_holds_for_red_detuning():
