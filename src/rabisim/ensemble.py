@@ -86,6 +86,10 @@ class QuadratureSupportError(ValueError):
     """The quadrature support misses a non-negligible part of the distribution."""
 
 
+class SpreadError(ValueError):
+    """A parametric spread so small that its density overflows float64."""
+
+
 def _skew_normal_params(sigma, skew):
     """Location xi, scale w and d = alpha / sqrt(1 + alpha^2) of the
     skew-normal with mean 0, std sigma and shape alpha = skew; hypot lets d
@@ -238,6 +242,7 @@ def _signal_rule(config: EnsembleConfig, t_end):
     An empirical distribution is summed over its own support and sigma = 0
     is the single shift 0. A parametric rule is `_parametric_rule` on
     `quadrature_node_count` nodes for the config's atom model. It raises
+    SpreadError for a sigma so small that its density overflows,
     QuadratureSupportError when it misses more than 1e-6 of the mass, and
     then ValueError when that count is above config.quadrature_nodes, naming
     it exactly up to MAX_QUADRATURE_NODES or a higher cap; parse_scenario
@@ -322,14 +327,20 @@ def _parametric_rule(sigma, skew, nodes, half_width):
     h^4. The total captured mass must account for the whole distribution
     to within 1e-6 or the rule is rejected. The miss comes from a support
     too narrow for the tail or, at large |skew|, from nodes too coarse for
-    the near-step of the density at its mode. A support whose width
-    overflows float64 is rejected before any node is placed.
+    the near-step of the density at its mode. A sigma whose density
+    overflows float64 (SpreadError) and a support whose width overflows it
+    are rejected before any node is placed.
 
     The rule depends on the distribution, not on the drive, so it is built
     once per distribution and node count and shared read-only by every
     call. A rejected rule is not cached: lru_cache keeps no exceptions, so
     each call raises.
     """
+    # The density peaks near 2 / w for the skew-normal scale w, which
+    # overflows for a subnormal sigma.
+    if not math.isfinite(2.0 / _skew_normal_params(sigma, skew)[1]):
+        raise SpreadError(f"sigma = {sigma:.3g} rad/ms is too small: "
+                          "its density overflows float64")
     half = half_width * sigma
     if not math.isfinite(2.0 * half):
         raise QuadratureSupportError(f"the support +-{half_width:g} sigma is too wide "

@@ -27,7 +27,7 @@ import yaml
 
 from .ensemble import (MAX_QUADRATURE_NODES, MIN_QUADRATURE_NODES, AtomModel,
                        DetuningDistribution, EnsembleConfig, QuadratureSupportError,
-                       _signal_rule, load_empirical_distribution)
+                       SpreadError, _signal_rule, load_empirical_distribution)
 from .fieldmap import (AxisProfile, FieldGridModel, ProbeBeam,
                        field_magnitude_histogram, histogram_to_distribution)
 from .model import DriveParams
@@ -667,9 +667,13 @@ def parse_scenario(data: dict, base_dir=None) -> Scenario:
                         quadrature_nodes=nodes, support_half_width=half_width,
                         analysis=analysis)
     # Build the rule each block sums, which the run then finds in the cache;
-    # the first block, in run order, whose rule is refused names the refusal.
+    # the first block, in run order, whose rule is refused names the refusal,
+    # and a spread too small for its density names the field it came from.
     with (_named("ensemble.quadrature_nodes"),
           _named("ensemble.support_half_width", QuadratureSupportError)):
-        for _, _, config in scenario.blocks():
-            _signal_rule(config, float(times[-1]))
+        for _, sigma, config in scenario.blocks():
+            spread = ("distribution.sigma_khz" if sigma_list is None
+                      else f"scan.sigma_list_khz[{sigma_list.index(sigma)}]")
+            with _named(spread, SpreadError):
+                _signal_rule(config, float(times[-1]))
     return scenario

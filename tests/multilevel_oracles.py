@@ -6,15 +6,18 @@ generator in a basis of Hermitian matrices. Two integrators step through
 the complex Liouvillian of `liouvillian_kron` instead, so the tests can
 check the spectral path against a generator the package does not build:
 DOP853 at tight tolerances, and a fixed-step classical Runge-Kutta loop for
-step-halving checks. Both return the (n_times, 5, 5) state stack and check
-its invariants the way `evolve_density` does.
+step-halving checks. Both build the Hamiltonian from the system's level
+shifts and couplings here, so they share no code with the package's
+generator, and both return the (n_times, 5, 5) state stack and check its
+invariants the way `evolve_density` does.
 
 The package forms its couplings without an element loop; `ladder_coupling`
 keeps that form, and the tests require the package to match it bitwise.
 `liouvillian_kron` and `p1_kron_eig` keep the complex path through np.kron,
-eig, np.linalg.cond and solve; the tests require the real generator to be
-that Liouvillian in the package's basis, and the package's trace to match
-the complex path within 1e-12.
+eig, np.linalg.cond and solve over all 25 modes; the tests require the real
+generator to be that Liouvillian in the package's basis, and the package's
+trace, summed over one member of each conjugate pair, to match the complex
+path within 1e-12.
 """
 
 import numpy as np
@@ -38,9 +41,10 @@ def ladder_coupling(omega0):
 
 
 def liouvillian_kron(system):
-    """-i (H (x) I - I (x) H^T) through np.kron, plus a dense diagonal
-    dephasing matrix that is zero at the populations."""
-    h = system.hamiltonian()
+    """-i (H (x) I - I (x) H^T) through np.kron for the rotating-frame
+    Hamiltonian H = diag(level_shifts) + coupling / 2, plus a dense
+    diagonal dephasing matrix that is zero at the populations."""
+    h = np.diag(system.level_shifts) + 0.5 * system.coupling
     n = h.shape[0]
     eye = np.eye(n)
     lv = -1j * (np.kron(h, eye) - np.kron(eye, h.T))

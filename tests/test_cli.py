@@ -597,6 +597,30 @@ def test_huge_support_half_width_exits_2_without_warnings(tmp_path, capsys, half
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("field,sections", [
+    ("distribution.sigma_khz", "distribution: {kind: gaussian, sigma_khz: 1.0e-310}\n"),
+    ("scan.sigma_list_khz[1]", "distribution: {kind: skewed_gaussian, sigma_khz: 2.0, skew: 3.0}\n"
+                               "scan: {sigma_list_khz: [2.0, 1.0e-310]}\n"),
+], ids=["distribution", "sigma_list"])
+def test_subnormal_spread_exits_2_naming_its_field(tmp_path, capsys, field, sections):
+    # A subnormal sigma makes the density's 2 / w overflow; the refusal names
+    # the spread, not the support that no width could mend.
+    config = _write(tmp_path, "name: narrow\ncommand: scan\n"
+                              "drive: {omega0_khz: 9.0, delta_list_khz: [0.0, 1.0]}\n"
+                              + sections + _GRID)
+    assert main(["scan", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"rabisim: {field}: ")
+    assert err.count("\n") == 1
+
+
+def test_tiny_normal_spread_still_runs(tmp_path):
+    config = _write(tmp_path, "name: narrow\ncommand: simulate\n"
+                              "drive: {omega0_khz: 9.0, delta_khz: 0.0}\n"
+                              "distribution: {kind: gaussian, sigma_khz: 1.0e-300}\n" + _GRID)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+
+
 def _with_distribution(name, distribution):
     return {**load_scenario_dict(preset_file(name)), "distribution": distribution}
 

@@ -17,6 +17,7 @@ from rabisim.ensemble import (
     DetuningDistribution,
     EnsembleConfig,
     QuadratureSupportError,
+    SpreadError,
     _sample_shifts,
     ensemble_signal,
     load_empirical_distribution,
@@ -212,6 +213,15 @@ def test_quadrature_miss_names_the_rule(half_width, miss):
     message = str(info.value)
     assert f"2001 nodes over +-{half_width:g} sigma misses {miss}" in message
     assert "widen" not in message
+
+
+def test_subnormal_spread_is_refused_as_a_spread():
+    # The density's 2 / w overflows below about 1.1e-308 rad/ms, which no
+    # support width mends, so the refusal names sigma.
+    with pytest.raises(SpreadError, match="sigma = 1e-310 rad/ms is too small"):
+        ensemble._parametric_rule(1e-310, 0.0, 201, 8.0)
+    _, weights = ensemble._parametric_rule(1e-300, 0.0, 201, 8.0)
+    assert abs(weights.sum() - 1.0) < 1e-12
 
 
 def _record_rule_densities(monkeypatch):

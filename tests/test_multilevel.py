@@ -21,6 +21,7 @@ from rabisim.multilevel import (
     InvariantViolation,
     LevelSystem,
     _check_invariants,
+    _conjugate_pairs,
     _generator,
     _spectral,
     build_f2_system,
@@ -164,10 +165,13 @@ def test_rk4_agrees_with_adaptive():
 
 
 def test_evolve_reduces_to_measured_level():
-    system = build_f2_system(DRIVE, 0.0, khz_to_angular(100.0), 0.0)
-    trace = evolve(system, DensityMatrix.pure(0), TIMES)
-    rhos = evolve_density(system, DensityMatrix.pure(0), TIMES)
-    assert np.allclose(trace.values, rhos[:, 1, 1].real)
+    # evolve reads back the populations alone, evolve_density every row
+    for gamma_khz in (0.0, 1.0):
+        system = build_f2_system(DRIVE, 0.0, khz_to_angular(100.0),
+                                 khz_to_angular(gamma_khz))
+        trace = evolve(system, DensityMatrix.pure(0), TIMES)
+        rhos = evolve_density(system, DensityMatrix.pure(0), TIMES)
+        assert np.max(np.abs(trace.values - rhos[:, 1, 1].real)) <= 1e-15
 
 
 def test_evolve_rejects_bad_input():
@@ -239,18 +243,33 @@ def _cond(vecs):
     return singular[0] / singular[-1]
 
 
+# The 675 atoms of the conjugate-pair checks: omega0, delta, quadratic
+# shift, gamma and local shift, all in kHz.
+PAIR_GRID = list(itertools.product(
+    (0.3, 8.0, 10.0), (0.0, 0.4, 1.5), (0.0, 25.0, 100.0, 250.0, 1000.0),
+    (0.0, 0.5, 2.0), (-3.0, -0.7, 0.0, 1.9, 3.0)))
+
+
+def _f2_system(omega0, delta, quad, gamma, shift):
+    drive = DriveParams(omega0=khz_to_angular(omega0), delta=khz_to_angular(delta))
+    return build_f2_system(drive, khz_to_angular(shift), khz_to_angular(quad),
+                           khz_to_angular(gamma))
+
+
 def test_real_and_complex_generators_make_the_same_fallback_decision():
     # The change of basis is unitary, so both eigenbases are equally well
-    # conditioned up to the choice of vectors in degenerate eigenspaces.
-    for omega0, delta, quad, gamma, shift in itertools.product(
-            (0.3, 8.0, 10.0), (0.0, 0.4, 1.5), (0.0, 25.0, 100.0, 250.0, 1000.0),
-            (0.0, 0.5, 2.0), (-3.0, -0.7, 0.0, 1.9, 3.0)):
-        drive = DriveParams(omega0=khz_to_angular(omega0), delta=khz_to_angular(delta))
-        system = build_f2_system(drive, khz_to_angular(shift), khz_to_angular(quad),
-                                 khz_to_angular(gamma))
-        real = _cond(np.linalg.eig(_generator(system))[1])
+    # conditioned up to the choice of vectors in degenerate eigenspaces;
+    # the pair basis is the real eigenbasis times a unitary matrix, so its
+    # condition number is the real eigenbasis's own.
+    for atom in PAIR_GRID:
+        system = _f2_system(*atom)
+        generator = _generator(system)
+        real = _cond(np.linalg.eig(generator)[1])
+        pairs = _cond(_conjugate_pairs(generator)[3])
         complex_ = _cond(np.linalg.eig(liouvillian_kron(system))[1])
         assert (real <= MAX_EIGENVECTOR_COND) == (complex_ <= MAX_EIGENVECTOR_COND)
+        assert (pairs <= MAX_EIGENVECTOR_COND) == (complex_ <= MAX_EIGENVECTOR_COND)
+        assert abs(pairs - real) <= 1e-8 * real
 
 
 def test_expm_fallback_matches_the_spectral_path(monkeypatch):
@@ -278,8 +297,9 @@ def test_coupling_is_the_per_element_ladder(omega0_khz):
 @pytest.mark.parametrize("quad_khz", [25.0, 250.0])
 @pytest.mark.parametrize("gamma_khz", [0.0, 0.5])
 def test_p1_multilevel_is_bitwise_the_kron_eig_path(quad_khz, gamma_khz):
-    # The real generator and the complex Liouvillian round differently, so
-    # the two paths agree within 1e-12 rather than bit for bit.
+    # The real generator and the complex Liouvillian round differently, and
+    # the package sums one member of each conjugate pair, so the two paths
+    # agree within 1e-12 rather than bit for bit.
     drive = DriveParams(omega0=khz_to_angular(8.0), delta=khz_to_angular(0.4))
     times = np.arange(126) * 0.008
     for shift_khz in (-3.0, -0.7, 0.0, 1.9):
@@ -288,13 +308,25 @@ def test_p1_multilevel_is_bitwise_the_kron_eig_path(quad_khz, gamma_khz):
         assert np.max(np.abs(p1_multilevel(*args).values - p1_kron_eig(*args))) < 1e-12
 
 
+def test_p1_multilevel_matches_the_kron_eig_path_across_the_pair_grid():
+    # Up to 100 kHz of quadratic shift. Beyond it the real and the complex
+    # eig round the eigenvalues apart by about 1e-16 |lam|, a phase error
+    # that grows with t: at 1 ms the paths differ by up to 1.3e-12 at
+    # 250 kHz and 6.4e-12 at 1000 kHz, whether or not the pairs are summed.
+    times = np.arange(126) * 0.008
+    for omega0, delta, quad, gamma, shift in [a for a in PAIR_GRID if a[2] <= 100.0][::3]:
+        args = (DriveParams(omega0=khz_to_angular(omega0), delta=khz_to_angular(delta)),
+                khz_to_angular(shift), khz_to_angular(quad), khz_to_angular(gamma), times)
+        assert np.max(np.abs(p1_multilevel(*args).values - p1_kron_eig(*args))) < 1e-12
+
+
 def test_spectral_falls_back_to_expm_on_defective_matrix():
     # a 2x2 Jordan block has a single eigenvector, so the eigenbasis is
     # singular and only the matrix-exponential path is exact
     a = -0.3
-    lv = np.array([[a, 1.0], [0.0, a]], dtype=complex)
+    lv = np.array([[a, 1.0], [0.0, a]])
     assert np.linalg.cond(np.linalg.eig(lv)[1]) > MAX_EIGENVECTOR_COND
-    y0 = np.array([0.2, 1.0], dtype=complex)
+    y0 = np.array([0.2, 1.0])
     times = np.linspace(0.5, 2.5, 11)
     dt = times - times[0]
     exact = np.stack([np.exp(a * dt) * (y0[0] + dt * y0[1]),
@@ -305,14 +337,17 @@ def test_spectral_falls_back_to_expm_on_defective_matrix():
 def test_spectral_falls_back_without_warning_on_singular_eigenbasis():
     # a nilpotent Jordan block whose two eigenvectors eig returns exactly
     # parallel: the smallest singular value of V is 0 and cond(V) is inf
-    lv = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
+    lv = np.array([[0.0, 0.0], [1.0, 0.0]])
     vecs = np.linalg.eig(lv)[1]
     assert np.linalg.svd(vecs, compute_uv=False)[-1] == 0.0
     assert np.linalg.cond(vecs) == np.inf
-    y0 = np.array([0.2, 1.0], dtype=complex)
+    y0 = np.array([0.2, 1.0])
     times = np.linspace(0.0, 2.0, 9)
     exact = np.stack([np.full(times.size, y0[0]), y0[1] + times * y0[0]], axis=1)
     assert np.max(np.abs(_spectral(lv, y0, times) - exact)) < 1e-12
+    # the pair sum assumes a real generator and start
+    with pytest.raises(TypeError):
+        _spectral(lv.astype(complex), y0, times)
 
 
 def test_invariant_check_rejects_non_finite_states():
