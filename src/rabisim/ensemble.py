@@ -204,8 +204,10 @@ class AtomModel:
     def __post_init__(self):
         if self.kind not in FREQUENCY_SLOPES:
             raise ValueError(f"unknown atom model kind {self.kind!r}")
-        if self.gamma < 0:
-            raise ValueError("gamma must be >= 0")
+        for name in ("gamma", "quadratic_shift"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
 
 
 @dataclass(frozen=True)

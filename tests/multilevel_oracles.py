@@ -16,8 +16,9 @@ keeps that form, and the tests require the package to match it bitwise.
 `liouvillian_kron` and `p1_kron_eig` keep the complex path through np.kron,
 eig, np.linalg.cond and solve over all 25 modes; the tests require the real
 generator to be that Liouvillian in the package's basis, and the package's
-trace, summed over one member of each conjugate pair, to match the complex
-path within 1e-12.
+trace, summed over one member of each conjugate pair or (at gamma = 0)
+propagated as a state vector, to match the complex path within 1e-12 up to
+a phase error that grows with the energies and t.
 """
 
 import numpy as np

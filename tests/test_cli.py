@@ -347,13 +347,20 @@ _ALIASED_MULTILEVEL = ("distribution: {kind: gaussian, sigma_khz: 18.0}\n"
                        "time_grid: {t_max_ms: 4.0, dt_ms: 0.004}\n")
 _GAUSSIAN = "distribution: {kind: gaussian, sigma_khz: 8.0}\n"
 _GRID = "time_grid: {t_max_ms: 1.0, dt_ms: 0.008}\n"
-# At a 10,000,000 kHz quadratic shift and a 1 Hz drive the five-level
-# density matrix drifts off its trace by about 5e-6 over 10 s, past the 1e-6
-# the evolution allows.
-_DRIFTING = ("distribution: {kind: gaussian, sigma_khz: 0.0}\n"
-             "atom_model: {kind: multilevel, gamma_khz: 0.0, "
-             "quadratic_shift_khz: 10000000.0}\n"
-             "time_grid: {t_max_ms: 10000.0, dt_ms: 100.0}\n")
+
+
+def _far_five_level(gamma_khz):
+    """One five-level atom at a 10,000,000 kHz quadratic shift over 10 s."""
+    return ("distribution: {kind: gaussian, sigma_khz: 0.0}\n"
+            f"atom_model: {{kind: multilevel, gamma_khz: {gamma_khz}, "
+            "quadratic_shift_khz: 10000000.0}\n"
+            "time_grid: {t_max_ms: 10000.0, dt_ms: 100.0}\n")
+
+
+# With a 1 Hz drive and a 1 Hz dephasing rate the density matrix of that
+# atom drifts off its trace by about 2e-4, past the 1e-6 the evolution
+# allows. Undamped, the atom is a pure state and does not drift.
+_DRIFTING = _far_five_level(0.001)
 # A hop far below the sample spacing would fit 8,000,000 windows.
 _DENSE_TRACK = ("distribution: {kind: gaussian, sigma_khz: 8.0}\n"
                 "time_grid: {t_max_ms: 2.0, dt_ms: 0.008}\n"
@@ -441,6 +448,20 @@ def test_unrunnable_inputs_exit_2(tmp_path, capsys, command, body, named):
     assert captured.err.startswith(f"rabisim: {named}: ")
     assert "Traceback" not in captured.err and captured.out == ""
     assert sorted(tmp_path.iterdir()) == sorted([config, *inputs])
+
+
+def test_undamped_far_five_level_atom_runs(tmp_path, capsys):
+    # The drifting atom above without dephasing: its pure state keeps its
+    # norm, so the run writes the two-level Rabi trace of its 1 Hz drive.
+    config = _write(tmp_path, "name: far\ncommand: simulate\n"
+                              "drive: {omega0_khz: 0.001}\n" + _far_five_level(0.0))
+    out, names = _run_fresh(tmp_path, capsys, ["simulate", "--config", str(config)])
+    assert names == ["far.csv"]
+    _, cols, rows = read_csv(out / "far.csv")
+    assert cols == ["t_ms", "signal"]
+    t, signal = np.array(rows, dtype=float).T
+    assert t.size == 101
+    assert np.max(np.abs(signal - np.sin(0.5 * khz_to_angular(0.001) * t) ** 2)) < 1e-9
 
 
 _SKEWED_RED_TRACK = ("name: red\ncommand: spectrum\n"

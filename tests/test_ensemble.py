@@ -430,6 +430,16 @@ def test_multilevel_and_empirical_rules_keep_their_nodes():
     assert ensemble._signal_rule(empirical, TIMES[-1])[0].size == 7
 
 
+@pytest.mark.parametrize("field", ["gamma", "quadratic_shift"])
+@pytest.mark.parametrize("value", [-1.0, math.nan, math.inf, -math.inf])
+def test_atom_model_refuses_negative_and_non_finite_rates(field, value):
+    # Unrefused, a NaN gamma would run undamped (the kernels branch on
+    # gamma > 0 and gamma == 0) and an infinite one write NaN at t = 0.
+    for kind in ("analytic_two_level", "multilevel"):
+        with pytest.raises(ValueError, match=f"^{field} must be finite and non-negative"):
+            AtomModel(kind=kind, **{field: value})
+
+
 def _five_level_sum(config, shifts, weights, times):
     model = config.atom_model
     return sum(weight * p1_multilevel(config.drive, shift, model.quadratic_shift,

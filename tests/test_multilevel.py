@@ -308,16 +308,83 @@ def test_p1_multilevel_is_bitwise_the_kron_eig_path(quad_khz, gamma_khz):
         assert np.max(np.abs(p1_multilevel(*args).values - p1_kron_eig(*args))) < 1e-12
 
 
+def _rounding_bound(system, quad_khz, times, flat_up_to_khz):
+    """1e-12 up to flat_up_to_khz of quadratic shift, eps max|E| t_end above.
+
+    Two eigensolvers round the eigenvalues apart by about eps |E| for the
+    energies E of H, a phase error that grows with t: at 1 ms the 25x25
+    paths differ by up to 1.3e-12 at 250 kHz and 6.4e-12 at 1000 kHz, and
+    the pure-state path differs from either by up to 2.4e-12 at 1000 kHz.
+    """
+    if quad_khz <= flat_up_to_khz:
+        return 1e-12
+    energies = np.linalg.eigvalsh(np.diag(system.level_shifts) + 0.5 * system.coupling)
+    return np.finfo(float).eps * np.abs(energies).max() * (times[-1] - times[0])
+
+
+def _pair_grid_args(omega0, delta, quad, gamma, shift, times):
+    return (DriveParams(omega0=khz_to_angular(omega0), delta=khz_to_angular(delta)),
+            khz_to_angular(shift), khz_to_angular(quad), khz_to_angular(gamma), times)
+
+
 def test_p1_multilevel_matches_the_kron_eig_path_across_the_pair_grid():
-    # Up to 100 kHz of quadratic shift. Beyond it the real and the complex
-    # eig round the eigenvalues apart by about 1e-16 |lam|, a phase error
-    # that grows with t: at 1 ms the paths differ by up to 1.3e-12 at
-    # 250 kHz and 6.4e-12 at 1000 kHz, whether or not the pairs are summed.
+    # The damped atoms, which take the 25x25 conjugate-pair path, sampled;
+    # the undamped ones are checked in full below.
     times = np.arange(126) * 0.008
-    for omega0, delta, quad, gamma, shift in [a for a in PAIR_GRID if a[2] <= 100.0][::3]:
-        args = (DriveParams(omega0=khz_to_angular(omega0), delta=khz_to_angular(delta)),
-                khz_to_angular(shift), khz_to_angular(quad), khz_to_angular(gamma), times)
-        assert np.max(np.abs(p1_multilevel(*args).values - p1_kron_eig(*args))) < 1e-12
+    for atom in [a for a in PAIR_GRID if a[3] > 0.0][::3]:
+        args = _pair_grid_args(*atom, times)
+        bound = _rounding_bound(_f2_system(*atom), atom[2], times, 100.0)
+        assert np.max(np.abs(p1_multilevel(*args).values - p1_kron_eig(*args))) <= bound
+
+
+UNDAMPED_GRID = [a for a in PAIR_GRID if a[3] == 0.0]
+
+
+def test_undamped_p1_multilevel_matches_the_kron_eig_path():
+    times = np.arange(126) * 0.008
+    for atom in UNDAMPED_GRID:
+        args = _pair_grid_args(*atom, times)
+        bound = _rounding_bound(_f2_system(*atom), atom[2], times, 250.0)
+        assert np.max(np.abs(p1_multilevel(*args).values - p1_kron_eig(*args))) <= bound
+
+
+def test_undamped_p1_multilevel_matches_the_density_matrix_path():
+    # The state-vector path against the package's own 25x25 evolution.
+    times = np.arange(126) * 0.008
+    for atom in UNDAMPED_GRID:
+        system = _f2_system(*atom)
+        reference = evolve(system, DensityMatrix.pure(0), times).values
+        bound = _rounding_bound(system, atom[2], times, 250.0)
+        assert np.max(np.abs(p1_multilevel(*_pair_grid_args(*atom, times)).values
+                             - reference)) <= bound
+
+
+def test_p1_multilevel_is_continuous_at_zero_dephasing():
+    # The smallest rates take the 25x25 path. Dephasing moves a population
+    # by up to about gamma t / 3 (2e-9 at 1e-9 kHz over 1 ms), so the rate
+    # is small enough for that to stay near 2e-13.
+    times = np.arange(126) * 0.008
+    for omega0, delta, quad, _, shift in UNDAMPED_GRID:
+        damped = p1_multilevel(*_pair_grid_args(omega0, delta, quad, 1e-13, shift, times))
+        undamped = p1_multilevel(*_pair_grid_args(omega0, delta, quad, 0.0, shift, times))
+        bound = _rounding_bound(_f2_system(omega0, delta, quad, 0.0, shift), quad, times, 250.0)
+        assert np.max(np.abs(damped.values - undamped.values)) <= bound
+
+
+def test_damped_p1_multilevel_is_bitwise_evolve():
+    times = np.arange(126) * 0.008
+    for atom in [a for a in PAIR_GRID if a[3] > 0.0][::7]:
+        expected = evolve(_f2_system(*atom), DensityMatrix.pure(0), times).values
+        assert p1_multilevel(*_pair_grid_args(*atom, times)).values.tobytes() == expected.tobytes()
+
+
+def test_undamped_p1_multilevel_checks_the_trace(monkeypatch):
+    # An eigenbasis scaled by 1.001 is no longer orthogonal: the state's
+    # norm, and with it the summed populations, moves by 2e-3.
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda h: (eigh(h)[0], 1.001 * eigh(h)[1]))
+    with pytest.raises(InvariantViolation, match="trace drift"):
+        p1_multilevel(DRIVE, 0.0, khz_to_angular(100.0), 0.0, TIMES)
 
 
 def test_spectral_falls_back_to_expm_on_defective_matrix():
