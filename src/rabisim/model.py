@@ -8,6 +8,7 @@ in ms; see units.py for the boundary conventions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,8 +114,8 @@ def p1_two_level_damped(drive: DriveParams, local_detuning, t, gamma):
     differs from multilevel.p1_multilevel at a 1e5 kHz quadratic shift, the
     reference, by up to 0.026, 0.247 and 0.289 at delta 0, 9 and 18 kHz.
     """
-    if gamma < 0:
-        raise ValueError("gamma must be non-negative")
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise ValueError(f"gamma must be finite and non-negative, got {gamma}")
     t = np.asarray(t, dtype=float)
     omega_r = generalized_rabi(drive, local_detuning)
     amp = (drive.omega0 / omega_r) ** 2

@@ -10,35 +10,33 @@ The master equation drho/dt = -i [H, rho] + D(rho) is linear and
 time-independent. H is real, so it maps Hermitian matrices to Hermitian
 matrices: in the orthonormal basis of 5 diagonal, 10 symmetric and 10
 antisymmetric unit matrices it is a fixed real 25x25 generator G acting on
-the 25 real coordinates x of rho, and x(t) = exp(G (t - t0)) x(t0). The
-change of basis is unitary, so G has the eigenvalues and the eigenvector
-condition number of the complex Liouvillian, and rho is Hermitian by
-construction. The propagator eigendecomposes G once and evaluates every
-sample in one expression. G is real, so its complex eigenpairs come in
-exact conjugate pairs, and x(t) is the real part of a sum over the real
-modes and one member of each pair (13 to 17 of the 25 modes on a driven
-atom). The condition number comes from the real matrix of the kept
-vectors' real and imaginary parts, which has the full eigenvector
-matrix's singular values. Near an exceptional point of G its eigenvectors
-become almost parallel; when their condition number exceeds 1e8 it falls
-back to a matrix exponential per sample instead of returning inaccurate
-values. scipy.linalg is imported only on that fallback, so the spectral
-path needs numpy alone.
+the 25 real coordinates x of rho, and rho is Hermitian by construction.
+The commutator is skew-adjoint in the Hilbert-Schmidt inner product, so G
+is a skew-symmetric matrix minus the non-negative dephasing diagonal, and
+||exp(G t)||_2 <= 1 for t >= 0.
 
-One damped atom (p1_multilevel at gamma > 0) costs one real eig of G, one
-real SVD for the condition number, one real solve, and one (samples x kept
-modes) table of exponentials summed into the five populations: only rho_11
-and the trace are read back. G is one product of the level shifts,
-couplings and gamma with module constants. That is about 0.4 ms an atom on
-a 126-sample grid (timeit, 2-CPU host, one BLAS thread).
+On the uniform grid t0 + k dt the samples are x_k = M^k x(t0) with one
+propagator M = exp(G dt), taken by Pade-13 scaling and squaring (Higham,
+SIAM J. Matrix Anal. Appl. 26, 2005, 1179-1193) in numpy alone. The
+sample table is built by doubling: rows [m, 2m) are rows [0, m) times
+(M^m)^T, and M^m is squared between passes. No step amplifies an error,
+so rounding grows at most like k eps along the table, and with no
+eigenvectors there is no condition number to test, nor an exceptional
+point of G to fall back from.
+
+One damped atom (p1_multilevel at gamma > 0) costs one product of the
+level shifts, couplings and gamma with module constants for G, one
+25x25 exponential and log2(samples) table passes; only rho_11 and the
+trace are read back. That is about 0.18 ms an atom on a 126-sample grid
+(timeit, 2-CPU host, one BLAS thread), the exponential and the table
+about 0.1 ms of it.
 
 At gamma = 0 the evolution is unitary and p1_multilevel's pure start stays
 pure, so it propagates the state vector instead: one eigh of the real
-symmetric 5x5 Hamiltonian, whose orthogonal eigenbasis needs neither the
-condition test nor the fallback, and one (samples x 5) table of phases.
-That is about 0.09 ms an atom on the same grid. evolve and evolve_density
-keep the density-matrix path at every gamma, which makes them the
-independent reference for this one.
+symmetric 5x5 Hamiltonian and one (samples x 5) table of phases. evolve
+and evolve_density keep the density-matrix path at every gamma, which
+makes them the independent reference for this one. Every path takes t0
+and dt from one uniform_grid call, so a non-uniform grid is refused.
 """
 
 from __future__ import annotations
@@ -49,7 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DriveParams, OscillationTrace
+from .model import DriveParams, OscillationTrace, uniform_grid
 from .units import khz_to_angular
 
 # Ladder couplings (1/2) sqrt(F(F+1) - m(m+-1)) relative to the 2<->1 element,
@@ -109,11 +107,14 @@ M_VALUES = np.array([2.0, 1.0, 0.0, -1.0, -2.0])
 
 DEFAULT_QUADRATIC_SHIFT = khz_to_angular(100.0)
 
-_SQRT2 = math.sqrt(2.0)
-
-# Above this condition number of the eigenvector matrix the spectral
-# propagator is judged too close to a defective generator.
-MAX_EIGENVECTOR_COND = 1e8
+# Coefficients b_0..b_13 of the [13/13] Pade approximant of exp, and the
+# largest 1-norm at which it is exact to unit roundoff (Higham 2005, see
+# the module docstring; the same constants as scipy.linalg.expm).
+_PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+           1187353796428800.0, 129060195264000.0, 10559470521600.0,
+           670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+           960960.0, 16380.0, 182.0, 1.0)
+_THETA13 = 5.371920351148152
 
 
 class InvariantViolation(RuntimeError):
@@ -236,57 +237,49 @@ def _generator(system: LevelSystem) -> np.ndarray:
     return (params @ _GENERATORS).reshape(25, 25)
 
 
-def _conjugate_pairs(lv):
-    """Eigenpairs of a real lv, one member of each conjugate pair:
-    (lam, vecs, pair, basis).
+def _expm(a):
+    """exp(a) for a real square a by Pade-13 scaling and squaring.
 
-    np.linalg.eig (LAPACK dgeev) returns the complex eigenpairs of a real
-    matrix as exact conjugates, and real eigenvalues with zero imaginary
-    part. lam and vecs keep the real modes r and the member w of each pair
-    with Im lam > 0; pair marks the kept pairs. basis is the real matrix
-    [r, sqrt(2) Re w, sqrt(2) Im w], the full eigenvector matrix V times a
-    unitary matrix, so it has exactly V's singular values.
+    a is scaled by 2^-s until its 1-norm is at most _THETA13, where the
+    [13/13] Pade approximant r = (v - u)^-1 (v + u) of the exponential is
+    exact to unit roundoff, and r is squared s times. A norm of inf or nan
+    leaves s = 0 and a non-finite result, which the trace check refuses.
     """
-    lam, vecs = np.linalg.eig(lv)
-    keep = lam.imag >= 0
-    lam, vecs = lam[keep], vecs[:, keep]
-    pair = lam.imag > 0
-    basis = np.concatenate((vecs.real * np.where(pair, _SQRT2, 1.0),
-                            _SQRT2 * vecs.imag[:, pair]), axis=1)
-    return lam, vecs, pair, basis
+    s = max(0, math.frexp(np.abs(a).sum(axis=0).max() / _THETA13)[1])
+    a = a * 0.5 ** s
+    b, eye = _PADE13, np.eye(a.shape[0])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for _ in range(s):
+        r = r @ r
+    return r
 
 
-def _spectral(lv, y0, times, rows=slice(None)):
-    """Rows `rows` of exp(lv (t - t0)) y0 at every sample, t0 = times[0],
-    for a real lv and y0.
+def _propagate(g, x0, dt, n):
+    """exp(g k dt) x0 for k = 0 .. n-1, as a real (n, x0.size) table.
 
-    One eigendecomposition lv = V diag(lam) V^-1 serves all samples. Its
-    complex modes come in conjugate pairs with conjugate coefficients c on
-    the real y0, so each pair adds 2 Re(c exp(lam dt) w) for its kept
-    member w (`_conjugate_pairs`): the sum runs over one member of each
-    pair. Solving the real basis B z = y0 gives 2c = sqrt(2) (z_re -
-    i z_im) for a pair, and c = z for a real mode. When V is too
-    ill-conditioned for that to be accurate (lv at or near a defective
-    matrix), each sample is a matrix exponential instead.
+    Row 0 is x0. Rows [m, 2m) are rows [0, m) @ (M^m)^T for the propagator
+    M = exp(g dt), and M^m is squared for the next pass, as
+    `ensemble._rotations` builds its phases: one exponential and log2(n)
+    passes. Row k is within about k eps of the exact power when
+    ||M||_2 <= 1, since no pass or squaring amplifies an earlier error.
     """
-    if np.iscomplexobj(lv) or np.iscomplexobj(y0):
-        raise TypeError("the conjugate-pair propagator takes a real lv and y0")
-    dt = times - times[0]
-    lam, vecs, pair, basis = _conjugate_pairs(lv)
-    # The 2-norm condition number s_max / s_min exactly as np.linalg.cond
-    # computes it, without its wrapper: a singular basis gives inf (or nan)
-    # without a warning, and both fail the test.
-    singular = np.linalg.svd(basis, compute_uv=False)
-    with np.errstate(all="ignore"):
-        cond = singular[0] / singular[-1]
-    if not cond <= MAX_EIGENVECTOR_COND:
-        from scipy.linalg import expm
-
-        return np.stack([expm(lv * tau)[rows] @ y0 for tau in dt])
-    z = np.linalg.solve(basis, y0)
-    coeffs = z[:lam.size].astype(complex)
-    coeffs[pair] = _SQRT2 * (z[:lam.size][pair] - 1j * z[lam.size:])
-    return ((np.exp(np.outer(dt, lam)) * coeffs) @ vecs[rows].T).real
+    table = np.empty((n, x0.size))
+    table[0] = x0
+    turn = _expm(g * dt)
+    m = 1
+    while m < n:
+        k = min(m, n - m)
+        np.matmul(table[:k], turn.T, out=table[m:m + k])
+        turn = turn @ turn
+        m *= 2
+    return table
 
 
 def _check_trace(traces):
@@ -302,36 +295,35 @@ def _check_invariants(rhos):
         raise InvariantViolation(f"hermiticity drift {herm_drift:.2e}")
 
 
-def _coordinates(system, rho0, times, rows=slice(None)):
-    """The sample times and rows `rows` of the real _BASIS coordinates of
-    rho at each; rows 0..4 are the populations. Every state the
-    coordinates map to is Hermitian by construction."""
-    times = np.asarray(times, dtype=float)
-    if times.size < 2:
-        raise ValueError("need at least two sample times")
+def _coordinates(system, rho0, times):
+    """t0 and dt of the uniform grid `times` and the (n_times, 25) real
+    _BASIS coordinates of rho at each sample; columns 0..4 are the
+    populations. Every state the coordinates map to is Hermitian by
+    construction."""
+    t0, dt = uniform_grid(times)
     x0 = (_BASIS.conj() @ rho0.elements.ravel()).real
-    return times, _spectral(_generator(system), x0, times, rows)
+    return t0, dt, _propagate(_generator(system), x0, dt, len(times))
 
 
 def evolve_density(system: LevelSystem, rho0: DensityMatrix, times) -> np.ndarray:
     """Evolve under the master equation; returns the (n_times, 5, 5) state stack.
 
-    Propagates exactly through one eigendecomposition of the real generator,
-    falling back to a per-sample matrix exponential when its eigenvector
-    matrix has condition number above MAX_EIGENVECTOR_COND. Raises
+    times must be a uniform, increasing grid (ValueError from
+    model.uniform_grid otherwise); the states are propagated by powers of
+    one matrix exponential of the real generator over its step. Raises
     InvariantViolation when trace or Hermiticity drifts beyond 1e-6 (or is
     not finite).
     """
-    times, coords = _coordinates(system, rho0, times)
-    rhos = (coords @ _BASIS).reshape(times.size, 5, 5)
+    _, _, coords = _coordinates(system, rho0, times)
+    rhos = (coords @ _BASIS).reshape(-1, 5, 5)
     _check_invariants(rhos)
     return rhos
 
 
-def _measured_level(times, populations):
+def _measured_level(t0, dt, populations):
     """The m=1 population trace, once the trace of every sample is checked."""
     _check_trace(populations.sum(axis=1))
-    return OscillationTrace.from_times(times, populations[:, 1])
+    return OscillationTrace(t0=t0, dt=dt, values=populations[:, 1])
 
 
 def evolve(system: LevelSystem, rho0: DensityMatrix, times) -> OscillationTrace:
@@ -342,24 +334,23 @@ def evolve(system: LevelSystem, rho0: DensityMatrix, times) -> OscillationTrace:
     finite) at any sample; rho_11 is one of its terms. Hermiticity holds by
     construction of the real coordinates, so it needs no check here.
     """
-    return _measured_level(*_coordinates(system, rho0, times, slice(5)))
+    t0, dt, coords = _coordinates(system, rho0, times)
+    return _measured_level(t0, dt, coords[:, :5])
 
 
 def _unitary_populations(system, times):
-    """The sample times and the populations |psi_j(t)|^2 of the pure state
-    that starts in m=2 (level 0) at t0 = times[0], for an undamped system.
+    """t0 and dt of the uniform grid `times` and the populations
+    |psi_j(t)|^2 of the pure state that starts in m=2 (level 0) at t0, for
+    an undamped system.
 
-    psi(t) = V exp(-i E (t - t0)) V^T e_0 from one eigh of the real
-    symmetric H = diag(level_shifts) + coupling / 2; V is orthogonal, so no
-    condition number needs testing.
+    psi(t0 + k dt) = V exp(-i E k dt) V^T e_0 from one eigh of the real
+    symmetric H = diag(level_shifts) + coupling / 2.
     """
-    times = np.asarray(times, dtype=float)
-    if times.size < 2:
-        raise ValueError("need at least two sample times")
+    t0, dt = uniform_grid(times)
     energies, vecs = np.linalg.eigh(np.diag(system.level_shifts) + 0.5 * system.coupling)
-    phases = np.exp(-1j * np.outer(times - times[0], energies))
+    phases = np.exp(-1j * np.outer(dt * np.arange(len(times)), energies))
     psi = (phases * vecs[0]) @ vecs.T
-    return times, psi.real ** 2 + psi.imag ** 2
+    return t0, dt, psi.real ** 2 + psi.imag ** 2
 
 
 def p1_multilevel(drive: DriveParams, local_shift, quadratic_shift, gamma,

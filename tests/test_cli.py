@@ -799,9 +799,8 @@ def test_module_entry_point_runs():
 
 
 def test_presets_leave_heavy_scipy_modules_unimported(tmp_path):
-    # No preset needs scipy: erf comes from math, the t quantile of
-    # lsq.ci95 is closed-form, and the expm fallback for a defective
-    # Liouvillian, imported when it runs, is reached by no preset.
+    # No preset needs scipy: erf comes from math, and the t quantile of
+    # lsq.ci95 is closed-form.
     # Importing scipy.special alone costs about 0.3 s per process. Nor does
     # any preset need the standard library's network, mail or XML packages:
     # xml.sax.saxutils alone pulls in urllib.request, ssl and email, about
@@ -850,11 +849,10 @@ def _scipy_imports(node, in_function=False):
 
 
 def test_scipy_import_sites_are_pinned():
-    # The runtime scipy dependency is one name, imported where it is used:
-    # expm for the defective-Liouvillian fallback. A new scipy import has
-    # to be added here.
+    # The package imports no scipy at all: scipy is a test dependency
+    # only. A new scipy import has to be added here.
     sites = set()
     for path in sorted(Path(rabisim.__file__).parent.glob("*.py")):
         for name, in_function in _scipy_imports(ast.parse(path.read_text())):
             sites.add((path.stem, name, "function" if in_function else "module"))
-    assert sites == {("multilevel", "scipy.linalg.expm", "function")}
+    assert sites == set()

@@ -90,9 +90,11 @@ def test_damped_population_undamped_limit():
 
 
 def test_damped_population_rejects_negative_gamma():
-    drive = DriveParams(omega0=1.0)
-    with pytest.raises(ValueError):
-        p1_two_level_damped(drive, 0.0, np.array([0.0, 0.1]), -1.0)
+    # and non-finite gamma, in the wording of AtomModel's refusal
+    drive = DriveParams(omega0=50.0)
+    for gamma in (np.nan, np.inf, -1.0):
+        with pytest.raises(ValueError, match="gamma must be finite and non-negative, got"):
+            p1_two_level_damped(drive, 0.0, np.array([0.0, 0.1]), gamma)
 
 
 def test_small_sigma_signal_sigma_zero_is_undamped():

@@ -11,19 +11,18 @@ from multilevel_oracles import (
 )
 from scipy.linalg import expm
 
-from rabisim import multilevel
 from rabisim.ensemble import AtomModel, DetuningDistribution, EnsembleConfig, ensemble_signal
-from rabisim.model import DriveParams
+from rabisim.model import DriveParams, uniform_grid
 from rabisim.multilevel import (
     _BASIS,
-    MAX_EIGENVECTOR_COND,
+    _THETA13,
     DensityMatrix,
     InvariantViolation,
     LevelSystem,
     _check_invariants,
-    _conjugate_pairs,
+    _expm,
     _generator,
-    _spectral,
+    _propagate,
     build_f2_system,
     evolve,
     evolve_density,
@@ -185,6 +184,10 @@ def test_evolve_rejects_bad_input():
         build_f2_system(DRIVE, 0.0, 1e308, 0.0)
     with pytest.raises(TypeError):
         p1_multilevel(DriveParams(omega0=10.0))  # every argument is required
+    # the propagator steps by one dt, which only a uniform grid has
+    uneven = np.r_[TIMES[:100], TIMES[100:] + 1e-4]
+    with pytest.raises(ValueError, match="uniformly spaced"):
+        evolve_density(system, DensityMatrix.pure(0), uneven)
 
 
 # DriveParams itself refuses an omega0 of nan or -inf.
@@ -236,15 +239,31 @@ def test_generator_is_the_kron_liouvillian_in_the_hermitian_basis(quad_khz, gamm
     assert np.allclose(u.conj().T @ u, np.eye(25), rtol=0.0, atol=1e-15)
     expected = u.conj().T @ liouvillian_kron(system) @ u
     assert np.max(np.abs(generator - expected)) <= 1e-13 * np.max(np.abs(expected))
+    # skew-symmetric minus a non-negative diagonal, so ||exp(G t)||_2 <= 1
+    # and the propagator's powers amplify no rounding
+    symmetric = generator + generator.T
+    assert np.array_equal(symmetric, np.diag(np.diagonal(symmetric)))
+    assert np.all(np.diagonal(symmetric) <= 0.0)
 
 
-def _cond(vecs):
-    singular = np.linalg.svd(vecs, compute_uv=False)
-    return singular[0] / singular[-1]
+@pytest.mark.parametrize("quad_khz,gamma_khz", SPECTRAL_GRID + [(1000.0, 0.5)])
+def test_expm_matches_scipy(quad_khz, gamma_khz):
+    # G dt on the perfbench step; at 1000 kHz its 1-norm is far above
+    # theta13, so the Pade approximant is squared several times. scipy
+    # picks its degree and scaling from norm estimates and rounds
+    # differently: the gap is at most about 21 eps ||a||_1 on this grid,
+    # and a 40-digit mpmath.expm puts it on scipy's side.
+    system = build_f2_system(DRIVE, khz_to_angular(1.5),
+                             khz_to_angular(quad_khz), khz_to_angular(gamma_khz))
+    a = _generator(system) * 0.008
+    norm = np.abs(a).sum(axis=0).max()
+    if quad_khz == 1000.0:
+        assert norm > 32 * _THETA13
+    assert np.max(np.abs(_expm(a) - expm(a))) <= 100 * np.finfo(float).eps * max(norm, 1.0)
 
 
-# The 675 atoms of the conjugate-pair checks: omega0, delta, quadratic
-# shift, gamma and local shift, all in kHz.
+# The 675 atoms of the grid checks: omega0, delta, quadratic shift, gamma
+# and local shift, all in kHz.
 PAIR_GRID = list(itertools.product(
     (0.3, 8.0, 10.0), (0.0, 0.4, 1.5), (0.0, 25.0, 100.0, 250.0, 1000.0),
     (0.0, 0.5, 2.0), (-3.0, -0.7, 0.0, 1.9, 3.0)))
@@ -254,37 +273,6 @@ def _f2_system(omega0, delta, quad, gamma, shift):
     drive = DriveParams(omega0=khz_to_angular(omega0), delta=khz_to_angular(delta))
     return build_f2_system(drive, khz_to_angular(shift), khz_to_angular(quad),
                            khz_to_angular(gamma))
-
-
-def test_real_and_complex_generators_make_the_same_fallback_decision():
-    # The change of basis is unitary, so both eigenbases are equally well
-    # conditioned up to the choice of vectors in degenerate eigenspaces;
-    # the pair basis is the real eigenbasis times a unitary matrix, so its
-    # condition number is the real eigenbasis's own.
-    for atom in PAIR_GRID:
-        system = _f2_system(*atom)
-        generator = _generator(system)
-        real = _cond(np.linalg.eig(generator)[1])
-        pairs = _cond(_conjugate_pairs(generator)[3])
-        complex_ = _cond(np.linalg.eig(liouvillian_kron(system))[1])
-        assert (real <= MAX_EIGENVECTOR_COND) == (complex_ <= MAX_EIGENVECTOR_COND)
-        assert (pairs <= MAX_EIGENVECTOR_COND) == (complex_ <= MAX_EIGENVECTOR_COND)
-        assert abs(pairs - real) <= 1e-8 * real
-
-
-def test_expm_fallback_matches_the_spectral_path(monkeypatch):
-    system = build_f2_system(DRIVE, khz_to_angular(1.5), khz_to_angular(25.0),
-                             khz_to_angular(0.5))
-    rho0 = DensityMatrix.pure(0)
-    spectral_rhos = evolve_density(system, rho0, TIMES)
-    spectral_p1 = p1_multilevel(DRIVE, khz_to_angular(1.5), khz_to_angular(25.0),
-                                khz_to_angular(0.5), TIMES).values
-    # no eigenbasis passes a zero bound, so every sample is an expm
-    monkeypatch.setattr(multilevel, "MAX_EIGENVECTOR_COND", 0.0)
-    assert np.max(np.abs(evolve_density(system, rho0, TIMES) - spectral_rhos)) < 1e-10
-    fallback_p1 = p1_multilevel(DRIVE, khz_to_angular(1.5), khz_to_angular(25.0),
-                                khz_to_angular(0.5), TIMES).values
-    assert np.max(np.abs(fallback_p1 - spectral_p1)) < 1e-10
 
 
 @pytest.mark.parametrize("omega0_khz", [0.3, 8.0, 10.0, 17.5])
@@ -298,8 +286,9 @@ def test_coupling_is_the_per_element_ladder(omega0_khz):
 @pytest.mark.parametrize("gamma_khz", [0.0, 0.5])
 def test_p1_multilevel_is_bitwise_the_kron_eig_path(quad_khz, gamma_khz):
     # The real generator and the complex Liouvillian round differently, and
-    # the package sums one member of each conjugate pair, so the two paths
-    # agree within 1e-12 rather than bit for bit.
+    # the package takes powers of one exponential where the oracle sums
+    # eigenmodes, so the two paths agree within 1e-12 rather than bit for
+    # bit.
     drive = DriveParams(omega0=khz_to_angular(8.0), delta=khz_to_angular(0.4))
     times = np.arange(126) * 0.008
     for shift_khz in (-3.0, -0.7, 0.0, 1.9):
@@ -311,10 +300,13 @@ def test_p1_multilevel_is_bitwise_the_kron_eig_path(quad_khz, gamma_khz):
 def _rounding_bound(system, quad_khz, times, flat_up_to_khz):
     """1e-12 up to flat_up_to_khz of quadratic shift, eps max|E| t_end above.
 
-    Two eigensolvers round the eigenvalues apart by about eps |E| for the
-    energies E of H, a phase error that grows with t: at 1 ms the 25x25
-    paths differ by up to 1.3e-12 at 250 kHz and 6.4e-12 at 1000 kHz, and
-    the pure-state path differs from either by up to 2.4e-12 at 1000 kHz.
+    Two propagators round the phases of the energies E of H apart by about
+    eps |E| t, an error that grows with t: an eigensolver rounds each
+    eigenvalue by about eps |E|, and the powers of one exponential repeat
+    its rounding of about eps |E| dt at every step. At 1 ms the damped
+    atoms differ from the kron path by up to 1.5e-12 at 250 kHz and
+    4.9e-12 at 1000 kHz, and the pure-state path differs from either 25x25
+    path by up to 2.4e-12 at 1000 kHz.
     """
     if quad_khz <= flat_up_to_khz:
         return 1e-12
@@ -328,7 +320,7 @@ def _pair_grid_args(omega0, delta, quad, gamma, shift, times):
 
 
 def test_p1_multilevel_matches_the_kron_eig_path_across_the_pair_grid():
-    # The damped atoms, which take the 25x25 conjugate-pair path, sampled;
+    # The damped atoms, which take the 25x25 propagator, sampled;
     # the undamped ones are checked in full below.
     times = np.arange(126) * 0.008
     for atom in [a for a in PAIR_GRID if a[3] > 0.0][::3]:
@@ -387,21 +379,25 @@ def test_undamped_p1_multilevel_checks_the_trace(monkeypatch):
         p1_multilevel(DRIVE, 0.0, khz_to_angular(100.0), 0.0, TIMES)
 
 
-def test_spectral_falls_back_to_expm_on_defective_matrix():
-    # a 2x2 Jordan block has a single eigenvector, so the eigenbasis is
-    # singular and only the matrix-exponential path is exact
+def _propagate_on(lv, y0, times):
+    return _propagate(lv, y0, uniform_grid(times)[1], times.size)
+
+
+def test_propagator_is_exact_on_a_defective_matrix():
+    # a 2x2 Jordan block has a single eigenvector, so an eigenbasis
+    # propagator fails here; powers of the exponential need none
     a = -0.3
     lv = np.array([[a, 1.0], [0.0, a]])
-    assert np.linalg.cond(np.linalg.eig(lv)[1]) > MAX_EIGENVECTOR_COND
+    assert np.linalg.cond(np.linalg.eig(lv)[1]) > 1e8
     y0 = np.array([0.2, 1.0])
     times = np.linspace(0.5, 2.5, 11)
     dt = times - times[0]
     exact = np.stack([np.exp(a * dt) * (y0[0] + dt * y0[1]),
                       np.exp(a * dt) * y0[1]], axis=1)
-    assert np.max(np.abs(_spectral(lv, y0, times) - exact)) < 1e-12
+    assert np.max(np.abs(_propagate_on(lv, y0, times) - exact)) < 1e-12
 
 
-def test_spectral_falls_back_without_warning_on_singular_eigenbasis():
+def test_propagator_is_exact_without_warning_on_a_singular_eigenbasis():
     # a nilpotent Jordan block whose two eigenvectors eig returns exactly
     # parallel: the smallest singular value of V is 0 and cond(V) is inf
     lv = np.array([[0.0, 0.0], [1.0, 0.0]])
@@ -411,10 +407,10 @@ def test_spectral_falls_back_without_warning_on_singular_eigenbasis():
     y0 = np.array([0.2, 1.0])
     times = np.linspace(0.0, 2.0, 9)
     exact = np.stack([np.full(times.size, y0[0]), y0[1] + times * y0[0]], axis=1)
-    assert np.max(np.abs(_spectral(lv, y0, times) - exact)) < 1e-12
-    # the pair sum assumes a real generator and start
+    assert np.max(np.abs(_propagate_on(lv, y0, times) - exact)) < 1e-12
+    # the table is real: a complex generator is refused, not truncated
     with pytest.raises(TypeError):
-        _spectral(lv.astype(complex), y0, times)
+        _propagate_on(lv.astype(complex), y0, times)
 
 
 def test_invariant_check_rejects_non_finite_states():
