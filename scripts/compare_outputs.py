@@ -3,10 +3,16 @@
 
 Usage: python3 scripts/compare_outputs.py PARENT CHANGE
 
-PARENT and CHANGE are directories written by the same commands (for
-example two runs of scripts/run_all_presets.py). The script reads the
-files with the standard library only, so it does not depend on the
-program whose outputs it checks.
+PARENT and CHANGE are directories written by the same commands, for
+example the golden preset outputs and a fresh run of them:
+
+    python3 scripts/compare_outputs.py tests/golden /tmp/goldens
+
+(`PYTHONPATH=src python3 tests/goldens.py /tmp/goldens` writes the second
+tree). The script reads the files with the standard library only, so it
+does not depend on the program whose outputs it checks. It skips files
+named made_on.txt, the record of the numpy version and BLAS core the
+goldens were written on.
 
 It exits 1 and names the first difference of each file when the two trees
 hold different file names, a CSV differs in its header, its row count, a
@@ -25,6 +31,9 @@ import csv
 import math
 import sys
 from pathlib import Path
+
+# Written beside the goldens by tests/goldens.py; not an output.
+RECORD = "made_on.txt"
 
 # Column -> function of the parent's row giving that column's 95% CI.
 _CI = {
@@ -114,8 +123,10 @@ def _compare_csv(name, parent, change, moves):
 def compare(parent, change):
     """Return (structural differences, numeric moves) between two trees."""
     parent, change = Path(parent), Path(change)
-    files_a = {p.relative_to(parent) for p in parent.rglob("*") if p.is_file()}
-    files_b = {p.relative_to(change) for p in change.rglob("*") if p.is_file()}
+    files_a = {p.relative_to(parent) for p in parent.rglob("*")
+               if p.is_file() and p.name != RECORD}
+    files_b = {p.relative_to(change) for p in change.rglob("*")
+               if p.is_file() and p.name != RECORD}
     problems = [f"only in {parent}: {p}" for p in sorted(files_a - files_b)]
     problems += [f"only in {change}: {p}" for p in sorted(files_b - files_a)]
     moves = {}
@@ -132,16 +143,22 @@ def compare(parent, change):
     return problems, moves
 
 
+def report(problems, moves):
+    """The lines main prints: one per moved column, then one per difference."""
+    lines = []
+    for (name, column), (delta, rel, per_ci) in sorted(moves.items()):
+        ci_text = "" if per_ci is None else f"  |d|/CI {per_ci:.2e}"
+        lines.append(f"{name}  {column}  max|d| {delta:.2e}  rel {rel:.2e}{ci_text}")
+    return lines + [f"DIFFERS: {problem}" for problem in problems]
+
+
 def main(argv):
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    problems, columns = compare(*argv)
-    for (name, column), (delta, rel, per_ci) in sorted(columns.items()):
-        ci_text = "" if per_ci is None else f"  |d|/CI {per_ci:.2e}"
-        print(f"{name}  {column}  max|d| {delta:.2e}  rel {rel:.2e}{ci_text}")
-    for problem in problems:
-        print(f"DIFFERS: {problem}")
+    problems, moves = compare(*argv)
+    for line in report(problems, moves):
+        print(line)
     return 1 if problems else 0
 
 

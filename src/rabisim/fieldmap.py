@@ -130,8 +130,11 @@ class FieldGridModel:
         else:
             low, high = self.bounds_z
             step = self.spacing if self.spacing_z is None else self.spacing_z
-        n = int(round((high - low) / step))
-        return low + step * np.arange(n + 1)
+        # Whole steps that fit in the span, keeping the endpoint when the
+        # span is a whole number of steps to within rounding (40 / 0.1 is
+        # 400.00000000000006); no node lies above high.
+        n = int(np.floor((high - low) / step + 1e-9))
+        return np.minimum(low + step * np.arange(n + 1), high)
 
     def component(self, key, positions):
         """Evaluate one deviation component (kHz) along its axis."""

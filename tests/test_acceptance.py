@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from goldens import golden_report
 from multilevel_oracles import evolve_rk4
 
 from rabisim.cli import main
@@ -440,8 +441,8 @@ def test_criterion_12_determinism(tmp_path):
     """Two full preset runs in one process write byte-identical CSVs.
 
     The guarantee is per numpy build and BLAS kernel: another kernel can
-    move fitted numbers at rounding level, and test_cli checks that such a
-    move changes no flag, error or text cell.
+    move fitted numbers at rounding level, and test_presets_match_the_goldens
+    bounds such a move.
     """
     t0 = time.perf_counter()
     runs = []
@@ -468,3 +469,14 @@ def test_criterion_12_determinism(tmp_path):
         + (f", mismatches: {mismatches}" if mismatches else "")
         + f"; {elapsed:.1f} s",
     )
+
+
+def test_presets_match_the_goldens(preset_outputs):
+    """The preset run matches tests/golden/ (see tests/goldens.py).
+
+    Byte for byte on the numpy version and OpenBLAS core the goldens were
+    written on; elsewhere with no flag, error or text cell moved and every
+    number within 1e-4 of its CI (1e-6 relative where it has none).
+    """
+    report = golden_report(preset_outputs["dir"])
+    assert not report, report

@@ -1,6 +1,6 @@
 import ast
 import os
-import re
+import shutil
 import subprocess
 import sys
 import warnings
@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import yaml
+from goldens import GOLDEN, golden_report
 
 import rabisim
 from rabisim.cli import main
@@ -106,33 +107,28 @@ def test_second_blas_kernel_moves_no_flag_or_text_cell(tmp_path):
     # Byte identity holds per BLAS kernel: OPENBLAS_CORETYPE picks another
     # OpenBLAS kernel for the process, which may move fitted numbers at
     # rounding level, but no flag, error or text cell, and no row. fig5
-    # runs the two-frequency block fit. Every move is bounded against the
+    # runs the two-frequency block fit. The run is judged against the
+    # goldens by their tolerance rules: every move is bounded against the
     # number's own CI.
-    script = """
+    names = ("fig3a", "fig5", "fig7b")
+    script = f"""
 import sys
 from rabisim.cli import main
-for name in ("fig3a", "fig5", "fig7b"):
-    assert main(["reproduce", name, "--out", sys.argv[1]]) == 0, name
+for name in {names!r}:
+    assert main(["reproduce", name, "--out", sys.argv[1] + "/" + name]) == 0, name
 """
     src = str(Path(rabisim.__file__).resolve().parents[1])
-    env = dict(os.environ)
+    env = dict(os.environ, OPENBLAS_CORETYPE="Prescott")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    env.pop("OPENBLAS_CORETYPE", None)
-    outs = []
-    for tag, coretype in (("default", None), ("prescott", "Prescott")):
-        out = tmp_path / tag
-        out.mkdir()
-        run_env = dict(env, OPENBLAS_CORETYPE=coretype) if coretype else env
-        proc = subprocess.run([sys.executable, "-c", script, str(out)],
-                              capture_output=True, text=True, env=run_env)
-        assert proc.returncode == 0, proc.stderr
-        outs.append(str(out))
-    compare = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
-    proc = subprocess.run([sys.executable, str(compare), *outs],
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stdout
-    per_ci = [float(m) for m in re.findall(r"\|d\|/CI (\S+)", proc.stdout)]
-    assert all(move <= 1e-4 for move in per_ci), proc.stdout
+    out = tmp_path / "prescott"
+    proc = subprocess.run([sys.executable, "-c", script, str(out)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    golden = tmp_path / "golden"
+    for name in names:
+        shutil.copytree(GOLDEN / name, golden / name)
+    report = golden_report(out, golden, exact=False)
+    assert not report, report
 
 
 def test_seed_override_changes_metadata_only(tmp_path):

@@ -1,8 +1,10 @@
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from goldens import GOLDEN, golden_report
 
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "compare_outputs.py"
 
@@ -59,9 +61,11 @@ def test_file_set_and_svg_bytes_are_compared(tmp_path):
     change = _tree(tmp_path / "b", SCAN_CSV)
     (change / "scan" / "scan.svg").write_text("<svg><polyline/></svg>\n")
     (change / "extra.csv").write_text("x\n1\n")
+    (change / "made_on.txt").write_text("numpy 0\n")  # the goldens' record is skipped
     code, out = _compare(parent, change)
     assert code == 1
     assert "extra.csv" in out and "scan/scan.svg: bytes differ" in out
+    assert "made_on.txt" not in out
 
 
 @pytest.mark.parametrize("old, new", [
@@ -82,3 +86,53 @@ def test_same_number_is_reported_beside_a_move(tmp_path):
     code, out = _compare(_tree(tmp_path / "a", SCAN_CSV), _tree(tmp_path / "b", moved))
     assert code == 1
     assert "DIFFERS: scan/scan.csv: column frequency_khz: '9.2' against '9.20'" in out
+
+
+def _edit_golden(root, rel, edit):
+    """Copy the goldens to root and apply edit(cells) to the first data row
+    of rel whose cells are all finite numbers or empty; return root."""
+    shutil.copytree(GOLDEN, root)
+    path = root / rel
+    lines = path.read_text().splitlines(keepends=True)
+    start = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    header = lines[start].rstrip("\n").split(",")
+    for i in range(start + 1, len(lines)):
+        cells = dict(zip(header, lines[i].rstrip("\n").split(",")))
+        if cells.get("error") == "" and "nan" not in cells.values():
+            edit(cells)
+            lines[i] = ",".join(cells[c] for c in header) + "\n"
+            break
+    path.write_text("".join(lines))
+    return root
+
+
+def _move_frequency(fraction):
+    def edit(cells):
+        moved = float(cells["frequency_khz"]) + fraction * float(cells["frequency_ci_khz"])
+        cells["frequency_khz"] = "%.12g" % moved
+    return edit
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "tolerance"])
+def test_golden_rule_fails_a_move_of_1e_3_of_a_ci(tmp_path, exact):
+    run = _edit_golden(tmp_path / "run", "fig7b/fig7b.csv", _move_frequency(1e-3))
+    report = golden_report(run, exact=exact)
+    assert "fig7b/fig7b.csv  frequency_khz" in report
+    assert "|d|/CI 1.00e-03" in report
+    assert ("BEYOND" in report) == (not exact)
+
+
+def test_golden_rule_passes_a_rounding_move_only_off_the_record(tmp_path):
+    run = _edit_golden(tmp_path / "run", "fig7b/fig7b.csv", _move_frequency(1e-6))
+    assert golden_report(run, exact=False) == ""
+    assert "fig7b/fig7b.csv  frequency_khz" in golden_report(run, exact=True)
+
+
+@pytest.mark.parametrize("exact", [True, False], ids=["exact", "tolerance"])
+def test_golden_rule_fails_a_flipped_flag(tmp_path, exact):
+    def flip(cells):
+        cells["indistinguishable"] = {"true": "false", "false": "true"}[cells["indistinguishable"]]
+    run = _edit_golden(tmp_path / "run", "fig5/fig5.csv", flip)
+    report = golden_report(run, exact=exact)
+    assert "DIFFERS: fig5/fig5.csv: column indistinguishable" in report
+

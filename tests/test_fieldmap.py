@@ -192,6 +192,21 @@ def test_grid_spacing_and_bounds():
     assert z.size == 401
 
 
+@pytest.mark.parametrize("low, high, step, size", [
+    (-8.0, 8.0, 0.35, 46),   # round() placed a 47th node at 8.1 mm
+    (-8.0, 8.0, 0.7, 23),    # and a 24th at 8.1 mm here
+    (-20.0, 20.0, 0.1, 401),  # 40 / 0.1 is 400.00000000000006
+    (0.0, 0.3, 0.1, 4),      # 3 * 0.1 is 0.30000000000000004
+])
+def test_axis_grid_stays_inside_its_bounds(low, high, step, size):
+    model = _model({}, spacing=step, bounds_xy=(low, high))
+    xy = model.axis_grid("xy")
+    assert xy.size == size
+    assert xy[0] == low and xy.max() <= high
+    assert high - xy[-1] < step
+    assert np.allclose(np.diff(xy), step)
+
+
 def _one_call_histogram(model, beam, n_bins):
     # the full grid held whole and binned by one np.histogram call
     xy = model.axis_grid("xy")
