@@ -16,7 +16,10 @@ Both are least-squares fits with analytic Jacobians. Each model has one
 evaluation, written for a stack of parameter rows, that returns residuals
 and Jacobian from a single pass over exp, cos and sin, so the starts of a
 fit advance in one `stacked_levenberg_marquardt` loop at one evaluation per
-trial; each start's result is bitwise the one it would reach alone. Both
+trial; each start's result is bitwise the one it would reach alone. The
+single-frequency evaluation also returns the residual curvature
+sum_i r_i Hess r_i, from the same pass, so its fits take damped Newton
+steps (see lsq); the two-frequency fit stays on Gauss-Newton. Both
 models hand their starts to one driver, `_fit_rows`: every start of every
 trace runs in one stack, each row against its own trace, and each trace's
 converged start with the lowest ssr wins. The single-frequency fit has one
@@ -164,29 +167,79 @@ def _env_exp(gamma, t):
     return np.exp(np.minimum(-gamma * t, 50.0))
 
 
-def _single_eval(P, t, y, decay):
-    """(m, n) residuals and (m, n, 6) Jacobian for an (m, 6) stack of
-    parameter rows, from one pass over exp, cos and sin; y is the (n,) data
-    or an (m, n) stack of each row's own data."""
+# The four waves of the single-frequency model: env cos, env sin and the two
+# times A, with cos and sin of omega t + phi. Every column of its Jacobian
+# and every second derivative is one of them times powers of t and gamma.
+_WAVES = ("cos", "sin", "A cos", "A sin")
+
+
+def _curvature_map(gamma_powers, entries):
+    """The (gamma_powers * 20, 36) matrix that takes a row's moments to its
+    flattened S. Moment (g, w, j) is gamma^g sum_i r_i t_i^j wave_w(t_i),
+    for g < gamma_powers, w over _WAVES and j <= 4. entries maps each upper
+    (row, col) of S's (A, gamma, omega, phi) block to its terms
+    (coefficient, g, wave, j)."""
+    out = np.zeros((gamma_powers, len(_WAVES), 5, 6, 6))
+    for (row, col), terms in entries.items():
+        for coef, g, wave, j in terms:
+            block = out[g, _WAVES.index(wave), j]
+            block[row, col] += coef
+            if row != col:
+                block[col, row] += coef
+    return out.reshape(-1, 36)
+
+
+# The second derivatives of A env cos(omega t + phi) in (A, gamma, omega,
+# phi). The exponential envelope has env' = -t env and env'' = t^2 env; the
+# Gaussian has env' = -gamma t^2 env and env'' = (gamma^2 t^4 - t^2) env.
+_SHARED_CURVATURE = {
+    (0, 2): [(-1, 0, "sin", 1)], (0, 3): [(-1, 0, "sin", 0)],
+    (2, 2): [(-1, 0, "A cos", 2)], (2, 3): [(-1, 0, "A cos", 1)],
+    (3, 3): [(-1, 0, "A cos", 0)]}
+_CURVATURE = {
+    "exp": _curvature_map(1, {
+        **_SHARED_CURVATURE, (0, 1): [(-1, 0, "cos", 1)], (1, 1): [(1, 0, "A cos", 2)],
+        (1, 2): [(1, 0, "A sin", 2)], (1, 3): [(1, 0, "A sin", 1)]}),
+    "gauss": _curvature_map(3, {
+        **_SHARED_CURVATURE, (0, 1): [(-1, 1, "cos", 2)],
+        (1, 1): [(1, 2, "A cos", 4), (-1, 0, "A cos", 2)],
+        (1, 2): [(1, 1, "A sin", 3)], (1, 3): [(1, 1, "A sin", 2)]}),
+}
+
+
+def _single_eval(P, t_powers, y, decay):
+    """(m, n) residuals, (m, n, 6) Jacobian and (m, 6, 6) residual curvature
+    S = sum_i r_i Hess r_i for an (m, 6) stack of parameter rows, from one
+    pass over exp, cos and sin. t_powers is the (5, n) table t^0 .. t^4 of
+    the window's times, and y the (n,) data or an (m, n) stack of each
+    row's own data."""
+    t = t_powers[1]
     a, gamma, omega, phi, b, c = P.T[..., None]
     if decay == "exp":
         env = _env_exp(gamma, t)
-        denv = -t * env
+        dlog_env = -t  # d ln(env) / d gamma
     else:
         env = np.exp(-0.5 * (gamma * t) ** 2)
-        denv = -gamma * t * t * env
+        dlog_env = -gamma * t * t
     phase = omega * t + phi
-    cos_part = np.cos(phase)
-    sin_part = np.sin(phase)
-    a_env = a * env
+    waves = np.empty((len(P), len(_WAVES), t.size))
+    np.multiply(env, np.cos(phase), out=waves[:, 0])
+    np.multiply(env, np.sin(phase), out=waves[:, 1])
+    np.multiply(a[..., None], waves[:, :2], out=waves[:, 2:])
     jac = np.empty((len(P), t.size, 6))
-    jac[..., 0] = env * cos_part
-    jac[..., 1] = a * denv * cos_part
-    jac[..., 2] = -a_env * t * sin_part
-    jac[..., 3] = -a_env * sin_part
+    jac[..., 0] = waves[:, 0]
+    np.multiply(dlog_env, waves[:, 2], out=jac[..., 1])
+    np.negative(waves[:, 3], out=jac[..., 3])
+    np.multiply(t, jac[..., 3], out=jac[..., 2])
     jac[..., 4] = t
     jac[..., 5] = 1.0
-    return a_env * cos_part + b * t + c - y, jac
+    r = waves[:, 2] + b * t + c - y
+    moments = (r[:, None] * waves) @ t_powers.T
+    if decay == "gauss":
+        g = gamma[..., None]
+        moments = np.concatenate([moments, g * moments, g * g * moments], axis=1)
+    curv = moments.reshape(len(P), -1) @ _CURVATURE[decay]
+    return r, jac, curv.reshape(len(P), 6, 6)
 
 
 def _r_squared(y, ssr):
@@ -281,7 +334,9 @@ def fit_single_frequency(trace: OscillationTrace, window=None, *,
                                   (math.log(d1) - math.log(d2)) / (t[half] - t[0]))
         p0.append([a_guess, gamma_guess, omega_guess, float(np.angle(np.sum(demod))),
                    b0, c0])
-    (fit,) = _fit_rows(lambda P, Yp: _single_eval(P, t, Yp, decay), [np.array(p0)], y[None],
+    t_powers = t ** np.arange(5)[:, None]
+    (fit,) = _fit_rows(lambda P, Yp: _single_eval(P, t_powers, Yp, decay),
+                       [np.array(p0)], y[None],
                        lambda res, cov, y: _package_single(res, cov, y, decay),
                        "single-frequency", max_iter)
     if isinstance(fit, FitFailure):
@@ -341,14 +396,24 @@ class _Grid:
         self.cos_bar, self.sin_bar = np.cos(phase), np.sin(phase)
         self.shared = (cos0, sin0, np.ones_like(t))
         n_nodes = self.node_omega_bar.size
-        moving = np.empty((2, omega_bar.size, gamma_b.size, t.size))  # u, v
-        np.multiply(self.env, self.cos_bar[:, None], out=moving[0])
-        np.multiply(self.env, self.sin_bar[:, None], out=moving[1])
-        moving = moving.reshape(2, n_nodes, t.size)
+        # One allocation holds u and v of every node, their projection onto
+        # the shared columns, the stacked QR's input and then q_moving. As
+        # the block's largest, it raises glibc's trim threshold to twice its
+        # size, so the whole working set, the QR's own copies included, stays
+        # in the heap from one block to the next (see
+        # ensemble._two_level_sum) instead of being faulted in again.
+        work = np.empty((3, 2, n_nodes, t.size))
+        moving, spare = work[0], work[1]
+        uv = moving.reshape(2, omega_bar.size, gamma_b.size, t.size)
+        np.multiply(self.env, self.cos_bar[:, None], out=uv[0])
+        np.multiply(self.env, self.sin_bar[:, None], out=uv[1])
         self.q_shared = np.linalg.qr(np.column_stack(self.shared))[0]
-        moving -= (moving @ self.q_shared) @ self.q_shared.T
-        q = np.linalg.qr(np.stack([moving[0], moving[1]], axis=-1))[0]
-        self.q_moving = q.transpose(1, 0, 2).reshape(t.size, 2 * n_nodes)
+        moving -= np.matmul(moving @ self.q_shared, self.q_shared.T, out=spare)
+        stacked = np.stack([moving[0], moving[1]], axis=-1,
+                           out=spare.reshape(n_nodes, t.size, 2))
+        q = np.linalg.qr(stacked)[0]
+        self.q_moving = work[2].reshape(t.size, 2 * n_nodes)
+        np.copyto(self.q_moving.reshape(t.size, n_nodes, 2), q.transpose(1, 0, 2))
 
     def screen(self, Y):
         """(m, n_nodes) screen of every node for each row of Y:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -242,13 +243,10 @@ def test_single_fit_runs_one_start_per_fft_peak(monkeypatch):
     assert ssrs[1] < ssrs[0]
 
     # Each row is bitwise its start run alone.
-    def evaluate(p):
-        r, jac = fitting._single_eval(p[None], t, y, "exp")
-        return r[0], jac[0]
-
     for start, res in zip(p0, results):
-        alone = lsq.levenberg_marquardt(lambda p: evaluate(p)[0], lambda p: evaluate(p)[1],
-                                        start)
+        (alone,) = lsq.stacked_levenberg_marquardt(
+            lambda P, rows: fitting._single_eval(P, t ** np.arange(5)[:, None], y, "exp"),
+            start[None])
         assert np.array_equal(alone.params, res.params)
         assert alone.ssr == res.ssr
         assert (alone.n_iter, alone.converged, alone.message) == (
@@ -352,7 +350,7 @@ def test_ci95_matches_a_freshly_evaluated_jacobian(monkeypatch):
     single = fit_single_frequency(trace, window)
     res = seen[-1]
     t, y = _window_slice(trace, window)
-    _, jac = fitting._single_eval(res.params[None], t, y, "exp")
+    _, jac, _ = fitting._single_eval(res.params[None], t ** np.arange(5)[:, None], y, "exp")
     fresh = fitting._package_single(res, lsq.covariance(jac[0], res.ssr), y, "exp")
     assert fresh.ci95 == single.ci95
 
@@ -600,3 +598,64 @@ def test_block_needs_one_time_grid():
     with pytest.raises(ValueError, match="share one time grid"):
         fit_two_frequency_block([short, long], omega0, (0.0, 1.0))
     assert fit_two_frequency_block([], omega0) == []
+
+
+@pytest.mark.parametrize("decay", ["exp", "gauss"])
+def test_single_curvature_is_the_hessian_less_the_gauss_newton_part(decay):
+    # S = sum_i r_i Hess r_i is the Hessian of ssr / 2 less J^T J; the
+    # Hessian here is a central difference of the analytic gradient J^T r.
+    rng = np.random.default_rng(11)
+    t = np.linspace(0.01, 0.6, 119)
+    t_powers = t ** np.arange(5)[:, None]
+    y = 0.3 * np.exp(-2.0 * t) * np.cos(57.0 * t + 0.4) + 0.05 * t + 0.5
+    P = np.column_stack([rng.uniform(0.1, 1.0, 6), rng.uniform(0.5, 5.0, 6),
+                         rng.uniform(30.0, 80.0, 6), rng.uniform(-3.0, 3.0, 6),
+                         rng.uniform(-1.0, 1.0, 6), rng.uniform(0.0, 1.0, 6)])
+    _, jac, curv = fitting._single_eval(P, t_powers, y, decay)
+
+    def gradient(p):
+        r, jac, _ = fitting._single_eval(p[None], t_powers, y, decay)
+        return jac[0].T @ r[0]
+
+    for p, jac_p, curv_p in zip(P, jac, curv):
+        steps = 1e-5 * np.maximum(np.abs(p), 1.0)
+        hessian = np.column_stack([(gradient(p + h * e) - gradient(p - h * e)) / (2.0 * h)
+                                   for h, e in zip(steps, np.eye(6))])
+        want = hessian - jac_p.T @ jac_p
+        assert np.abs(curv_p - want).max() <= 1e-6 * np.abs(curv_p).max()
+        assert np.array_equal(curv_p, curv_p.T)
+        assert not curv_p[4:].any()  # B and C enter linearly
+
+
+def test_relative_offset_stop_lands_within_1e_4_of_a_ci_on_fig7b(monkeypatch):
+    # fig7b's Omega0 = 9 kHz block: each fit the relative-offset stop ends
+    # lies within 1e-4 of its own CI of the fit run to the 1e-12 rules.
+    from rabisim.scenario import load_scenario_dict, parse_scenario, preset_file
+
+    scenario = parse_scenario(load_scenario_dict(preset_file("fig7b")))
+    ((_, _, config),) = [block for block in scenario.blocks()
+                         if block[0] == khz_to_angular(9.0)]
+    traces = [ensemble_signal(replace(config, drive=replace(config.drive, delta=delta)),
+                              scenario.times) for delta in scenario.deltas]
+    assert len(traces) == 21
+
+    def fits():
+        out = []
+        for trace in traces:
+            try:
+                out.append(fit_single_frequency(trace, scenario.analysis.window))
+            except FitFailure:
+                out.append(None)
+        return out
+
+    loose = fits()
+    monkeypatch.setattr(lsq, "RO_TOL", 0.0)
+    tight = fits()
+    names = ("A", "gamma", "omega", "phi", "B", "C")
+    worst = 0.0
+    for a, b in zip(loose, tight):
+        assert (a is None) == (b is None)
+        if a is not None:
+            worst = max(worst, *(abs(getattr(a, name) - getattr(b, name)) / b.ci95[name]
+                                 for name in names))
+    assert worst <= 1e-4

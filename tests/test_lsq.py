@@ -138,9 +138,9 @@ def test_t_quantile_matches_scipy_stdtrit():
             t_quantile_975(bad)
 
 
-def _reference_solve_damped(jtj, jtr, lam):
+def _reference_solve_damped(jtj, jtr, lam, curv=None):
     scale = np.diag(jtj).clip(min=1e-300)
-    a = jtj + lam * np.diag(scale)
+    a = (jtj if curv is None else jtj + curv) + lam * np.diag(scale)
     try:
         return np.linalg.solve(a, jtr)
     except np.linalg.LinAlgError:
@@ -154,9 +154,13 @@ def _offset(q1, ssr, n, k):
 
 
 def _reference_lm(residual, jacobian, p0, *, max_iter=200, ftol=1e-12, xtol=1e-12,
-                  lam0=1e-3, ro_tol=RO_TOL):
+                  lam0=1e-3, ro_tol=RO_TOL, curvature=None):
     """The one-start loop the stacked loop replaced, kept as the oracle,
-    with the relative-offset stop added."""
+    with the relative-offset stop added. With curvature(p), the residual
+    curvature S at p, each trial is the damped Newton step once the last
+    step's relative offset is below 1 (the damped Gauss-Newton step
+    before), and q1 comes from the damped Gauss-Newton step at the same
+    lambda."""
     p = np.asarray(p0, dtype=float).copy()
     q1 = ssr_from = float("nan")
     r = residual(p)
@@ -172,11 +176,15 @@ def _reference_lm(residual, jacobian, p0, *, max_iter=200, ftol=1e-12, xtol=1e-1
             break
         jtj = jac.T @ jac
         jtr = jac.T @ r
+        n, k = jac.shape
+        newton = curvature is not None and n > k and q1 * n < k * ssr_from
+        curv = curvature(p) if newton else None
         accepted = False
         dp = np.zeros_like(p)
         ssr_new = ssr
         for _ in range(30):
-            dp = _reference_solve_damped(jtj, jtr, lam)
+            dp = _reference_solve_damped(jtj, jtr, lam, curv)
+            dq = dp if curv is None else _reference_solve_damped(jtj, jtr, lam)
             p_try = p - dp
             r_try = residual(p_try)
             ssr_try = float(r_try @ r_try)
@@ -194,8 +202,7 @@ def _reference_lm(residual, jacobian, p0, *, max_iter=200, ftol=1e-12, xtol=1e-1
         rel_step = float(np.max(np.abs(dp) / np.maximum(np.abs(p_new), 1e-12)))
         # The relative offset of the accepted step, (q1 / k) / ((ssr - q1) / (n - k)),
         # compared without dividing: RO < tol iff q1 (n - k + tol^2 k) < tol^2 k ssr.
-        q1, ssr_from = float(dp @ jtr), ssr
-        n, k = jac.shape
+        q1, ssr_from = float(dq @ jtr), ssr
         small_offset = n > k and q1 * (n - k + ro_tol**2 * k) < ro_tol**2 * k * ssr
         p, r, ssr = p_new, r_new, ssr_new
         lam = max(lam / 3.0, 1e-14)
@@ -234,6 +241,27 @@ def _decay_jacobian(P):
 
 def _decay_evaluate(P, rows):
     return _decay_residual(P), _decay_jacobian(P)
+
+
+def _decay_curvature(P, y=_Y):
+    # S = sum_i r_i Hess r_i of a exp(-b t) - y: d2/da db = -t e and
+    # d2/db2 = a t^2 e. Rows with a negative amplitude get none, so their
+    # Newton step is their uphill Gauss-Newton step.
+    a, b = P.T[..., None]
+    e = np.exp(-b * _T)
+    w = ((a * e - y) * e)[:, None]
+    s_ab = -(w @ _T[:, None])[:, 0, 0]
+    s_bb = a[:, 0] * (w @ (_T * _T)[:, None])[:, 0, 0]
+    curv = np.stack([np.stack([np.zeros_like(s_ab), s_ab], axis=-1),
+                     np.stack([s_ab, s_bb], axis=-1)], axis=-2)
+    return np.where((a < 0)[..., None], 0.0, curv)
+
+
+def _newton_evaluate(P, rows):
+    # The noisy data: with an exact fit the relative offset never falls
+    # below 1, and every step would be the Gauss-Newton one.
+    return (_decay_residual(P, _NOISY_Y), _decay_jacobian(P),
+            _decay_curvature(P, _NOISY_Y))
 
 
 def _solo(fn):
@@ -352,3 +380,50 @@ def test_relative_offset_stops_noisy_fits_early_near_the_tight_optimum(monkeypat
         (capped,) = stacked_levenberg_marquardt(_noisy_evaluate, _NOISY_P0[i:i + 1],
                                                 max_iter=loose[i].n_iter)
         assert np.array_equal(capped.params, loose[i].params)
+
+
+def test_newton_rows_match_solo_runs_and_the_reference():
+    # A model that returns its curvature takes damped Newton steps near the
+    # optimum; each stacked row is bitwise its start run alone and the
+    # one-start oracle, in each of the four end states.
+    p0 = np.array([[1.0, 0.5], [-5.0, 1.0], [0.1, 20.0], [1.0, -1000.0]])
+    with np.errstate(all="ignore"):
+        stacked = stacked_levenberg_marquardt(_newton_evaluate, p0, max_iter=10)
+        gauss_newton = stacked_levenberg_marquardt(
+            lambda P, rows: _newton_evaluate(P, rows)[:2], p0, max_iter=10)
+        for i, (row, res) in enumerate(zip(p0, stacked)):
+            ref = _reference_lm(_solo(lambda P: _decay_residual(P, _NOISY_Y)),
+                                _solo(_decay_jacobian), row, max_iter=10,
+                                curvature=_solo(lambda P: _decay_curvature(P, _NOISY_Y)))
+            _assert_bitwise_equal(res, ref)
+            (alone,) = stacked_levenberg_marquardt(_newton_evaluate, row[None], max_iter=10)
+            _assert_bitwise_equal(alone, ref)
+            _, want, _ = _newton_evaluate(res.params[None], np.array([i]))
+            assert res.jac.tobytes() == want[0].tobytes(), res.message
+    assert [r.message for r in stacked] == [
+        "converged", "no decreasing step", "iteration cap reached",
+        "non-finite residual or Jacobian"]
+    # The Newton steps were taken: the converged and capped rows moved
+    # otherwise than on Gauss-Newton steps alone.
+    for i in (0, 2):
+        assert not np.array_equal(stacked[i].params, gauss_newton[i].params)
+
+
+def test_newton_rows_reach_the_gauss_newton_optimum():
+    # The decay fit to the noisy data, with the relative-offset stop on the
+    # Gauss-Newton step solved beside each Newton step: every row matches
+    # the oracle and ends at the Gauss-Newton rows' optimum.
+    def newton(P, rows):
+        r, jac = _noisy_evaluate(P, rows)
+        return r, jac, _decay_curvature(P, _NOISY_Y)
+
+    gauss_newton = stacked_levenberg_marquardt(_noisy_evaluate, _NOISY_P0)
+    stacked = stacked_levenberg_marquardt(newton, _NOISY_P0)
+    for row, gn, res in zip(_NOISY_P0, gauss_newton, stacked):
+        ref = _reference_lm(_solo(lambda P: _noisy_evaluate(P, None)[0]),
+                            _solo(lambda P: _noisy_evaluate(P, None)[1]), row,
+                            curvature=_solo(lambda P: _decay_curvature(P, _NOISY_Y)))
+        _assert_bitwise_equal(res, ref)
+        assert res.converged and res.message == "converged"
+        ci = np.array(ci95(covariance(res.jac, res.ssr), _T.size - 2, np.eye(2)))
+        assert (np.abs(res.params - gn.params) <= 1e-3 * ci).all()
