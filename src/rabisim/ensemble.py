@@ -41,7 +41,7 @@ from .units import khz_to_angular
 _SQRT2PI = math.sqrt(2.0 * math.pi)
 _erf = np.frompyfunc(math.erf, 1, 1)  # elementwise stdlib erf, object dtype out
 
-_MC_CHUNK = 2500  # atoms per Monte Carlo chunk; see monte_carlo_signal
+_MC_CHUNK = 2500  # atoms per parametric Monte Carlo chunk; see monte_carlo_signal
 
 # The rule is floored at this many nodes, the least a config may ask for.
 MIN_QUADRATURE_NODES = 201
@@ -465,6 +465,15 @@ def ensemble_signal(config: EnsembleConfig, times) -> OscillationTrace:
     return OscillationTrace(t0=t0, dt=dt, values=values)
 
 
+def _support_draws(dist: DetuningDistribution, n, rng):
+    """Indices into an empirical distribution's support of n atoms drawn
+    by inverse CDF from one rng.random(n) stream."""
+    cdf = np.cumsum(dist.weights)
+    cdf[-1] = 1.0
+    idx = np.searchsorted(cdf, rng.random(n), side="right")
+    return np.clip(idx, 0, dist.shifts.size - 1)
+
+
 def _sample_shifts(dist: DetuningDistribution, n, rng):
     if dist.is_parametric:
         # x = d |z0| + sqrt(1 - d^2) z1 is skew-normal with shape d. z1 is
@@ -473,23 +482,24 @@ def _sample_shifts(dist: DetuningDistribution, n, rng):
         z1 = rng.normal(size=n)
         z0 = rng.normal(size=n)
         return xi + w * (d * np.abs(z0) + math.sqrt(1.0 - d * d) * z1)
-    # Empirical: inverse CDF over the discrete support.
-    cdf = np.cumsum(dist.weights)
-    cdf[-1] = 1.0
-    idx = np.searchsorted(cdf, rng.random(n), side="right")
-    return dist.shifts[np.clip(idx, 0, dist.shifts.size - 1)]
+    return dist.shifts[_support_draws(dist, n, rng)]
 
 
 def monte_carlo_signal(config: EnsembleConfig, times, n_samples, seed=0) -> OscillationTrace:
     """Monte Carlo estimate of ensemble_signal.
 
-    Unbiased and bit-deterministic for a fixed seed: the samples are summed
-    in fixed chunks of _MC_CHUNK = 2500 atoms, so the summation order does
-    not depend on n_samples' factorization. The chunk is that small so a
-    chunk's two rotation tables, 2500 x 16 bytes per row, stay in a
-    typical L2 cache: about 0.9 MB on a 126-sample grid, where 20,000 atoms
-    took about 7 MB and about 1.7 times as long. Only the analytic atom model
-    is supported; the density-matrix kernel would make sampling noise the
+    Unbiased and bit-deterministic for a fixed seed. An empirical
+    distribution's atoms can take only its support's shifts, so the drawn
+    support indices are counted and each support point is summed once,
+    weighted by its count: the same estimate as summing the atoms one by
+    one, up to rounding, at the cost of the support's size whatever
+    n_samples is. A parametric draw is summed in fixed chunks of
+    _MC_CHUNK = 2500 atoms, so the summation order does not depend on
+    n_samples' factorization. The chunk is that small so a chunk's two
+    rotation tables, 2500 x 16 bytes per row, stay in a typical L2 cache:
+    about 0.9 MB on a 126-sample grid, where 20,000 atoms took about 7 MB
+    and about 1.7 times as long. Only the analytic atom model is
+    supported; the density-matrix kernel would make sampling noise the
     least of the costs.
     """
     n_samples = int(n_samples)
@@ -500,8 +510,13 @@ def monte_carlo_signal(config: EnsembleConfig, times, n_samples, seed=0) -> Osci
     times = np.asarray(times, dtype=float)
     t0, dt = uniform_grid(times)
     rng = np.random.default_rng(seed)
-    samples = _sample_shifts(config.distribution, n_samples, rng)
-    gamma = config.atom_model.gamma
+    dist, gamma = config.distribution, config.atom_model.gamma
+    if not dist.is_parametric:
+        counts = np.bincount(_support_draws(dist, n_samples, rng),
+                             minlength=dist.shifts.size)
+        acc = _two_level_sum(config.drive, dist.shifts, counts, gamma, times, t0, dt)
+        return OscillationTrace(t0=t0, dt=dt, values=acc / n_samples)
+    samples = _sample_shifts(dist, n_samples, rng)
     acc = np.zeros_like(times)
     for start in range(0, n_samples, _MC_CHUNK):
         acc += _two_level_sum(config.drive, samples[start:start + _MC_CHUNK], 1.0, gamma,

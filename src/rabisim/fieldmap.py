@@ -220,14 +220,21 @@ def field_magnitude_histogram(model: FieldGridModel, beam: ProbeBeam,
 
     The grid is never held whole. The separable terms u = dx^2 + dy^2 over
     the (x, y) plane and v = (b_set + dz)^2 along z give each point's
-    deviation as sqrt(u + v) - b_set. Correctly rounded +, sqrt and - are
-    monotone, so the range is the deviation at (min u, min v) and at
-    (max u, max v), bitwise the extremes of the full grid; a nan or an
-    overflow anywhere makes one of them non-finite. The flattened grid is
-    then binned in blocks of HIST_BLOCK points, numpy's own block size, so
-    each bin adds its weights in the same order as one np.histogram call
-    over the full grid would, and the counts match it bitwise while memory
-    stays flat in the grid size.
+    deviation as sqrt(u + v) - b_set, so an (x, y) point enters only
+    through its u. Correctly rounded +, sqrt and - are monotone, so the
+    range is the deviation at (min u, min v) and at (max u, max v),
+    bitwise the extremes of the full grid; a nan or an overflow anywhere
+    makes one of them non-finite.
+
+    The flattened grid, one row of z points per (x, y) point, is binned in
+    blocks of HIST_BLOCK points, numpy's own block size. A block bins the
+    deviation once per distinct u among its rows and z point it covers,
+    with np.histogram's edges and rule, and then adds its points' weights
+    into the bins in flat order with one bincount. Each bin thus adds its
+    weights in the same order as one np.histogram call over the full grid
+    would, and the counts match it bitwise while memory stays flat in the
+    grid size. A field with no transverse part has one u, so a block
+    computes one deviation per z point instead of one per grid point.
     """
     n_bins = int(n_bins)
     if n_bins < 1:
@@ -253,15 +260,32 @@ def field_magnitude_histogram(model: FieldGridModel, beam: ProbeBeam,
         raise ValueError("beam weight vanishes on the entire grid")
     w = (w_xy / total).ravel()
 
+    edges = np.histogram_bin_edges(np.array([lo, hi]), bins=n_bins, range=(lo, hi))
+    # the bin i with edges[i] <= d < edges[i + 1], the last bin also taking
+    # d = edges[-1]: np.histogram's own rule
+    inner = edges[1:-1]
     counts = np.zeros(n_bins)
     size = u.size * v.size
     for start in range(0, size, HIST_BLOCK):
-        row, col = np.divmod(np.arange(start, min(start + HIST_BLOCK, size)), v.size)
-        deviation = np.sqrt(u[row] + v[col])
+        n = min(HIST_BLOCK, size - start)
+        r0, c0 = divmod(start, v.size)
+        r1 = (start + n - 1) // v.size
+        # The block covers m columns of rows r0..r1: the s from c0 on and,
+        # when it is narrower than a row and wraps into the next, the m - s
+        # from 0. Laid out as (rows, m) with the columns ascending, its
+        # points are the contiguous run from offset m - s.
+        m = min(v.size, n)
+        s = min(m, v.size - c0)
+        cols = np.r_[0:m - s, c0:c0 + s]
+        # np.unique sorts u, so each column's deviations ascend: the order
+        # in which searchsorted is fastest.
+        u_block, row = np.unique(u[r0:r1 + 1], return_inverse=True)
+        deviation = np.sqrt(v[cols][:, None] + u_block)
         deviation -= model.b_set
-        block, edges = np.histogram(deviation, bins=n_bins, range=(lo, hi),
-                                    weights=w[row])
-        counts += block
+        bins = np.searchsorted(inner, deviation, side="right").T[row].ravel()
+        weight = np.repeat(w[r0:r1 + 1], m)
+        run = slice(m - s, m - s + n)
+        counts += np.bincount(bins[run], weights=weight[run], minlength=n_bins)
     centers = 0.5 * (edges[:-1] + edges[1:])
     weights = counts / counts.sum()
     mean, std, below, above, third = _bin_statistics(centers, weights)

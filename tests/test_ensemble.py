@@ -574,11 +574,54 @@ def test_long_time_signal_settles_to_weighted_offset():
     assert np.mean(late) == pytest.approx(expected, abs=1e-4)
 
 
+def _empirical_config(shifts_khz, weights, delta_khz=0.0):
+    dist = DetuningDistribution(kind="empirical", shifts=khz_to_angular(np.asarray(shifts_khz)),
+                                weights=np.asarray(weights))
+    return EnsembleConfig(drive=DriveParams(omega0=OMEGA0, delta=khz_to_angular(delta_khz)),
+                          distribution=dist)
+
+
 def test_monte_carlo_same_seed_bit_identical():
     cfg = _config(8.0, delta_khz=3.0)
     a = monte_carlo_signal(cfg, TIMES, 10_000, seed=13)
     b = monte_carlo_signal(cfg, TIMES, 10_000, seed=13)
     assert np.array_equal(a.values, b.values)
+
+
+def test_empirical_monte_carlo_same_seed_bit_identical():
+    cfg = _empirical_config([-4.0, 0.0, 6.0], [0.3, 0.5, 0.2], delta_khz=3.0)
+    a = monte_carlo_signal(cfg, TIMES, 10_000, seed=13)
+    b = monte_carlo_signal(cfg, TIMES, 10_000, seed=13)
+    assert np.array_equal(a.values, b.values)
+
+
+def test_empirical_monte_carlo_sums_each_support_point_once(monkeypatch):
+    # The drawn atoms take at most the support's shifts, so the kernel runs
+    # once over the support, however many atoms are drawn.
+    config = _oracle_configs(0.0)[2]
+    support = config.distribution.shifts.size
+    sizes = []
+    real = ensemble._two_level_sum
+    monkeypatch.setattr(ensemble, "_two_level_sum",
+                        lambda drive, shifts, *args: sizes.append(shifts.size)
+                        or real(drive, shifts, *args))
+    for n in (1000, 46000, 200_000):
+        sizes.clear()
+        monte_carlo_signal(config, TIMES, n, seed=3)
+        assert len(sizes) == 1 and sizes[0] <= support
+
+
+def test_monte_carlo_undrawn_support_point_contributes_nothing():
+    # A zero-weight point at resonance is never drawn: the estimate is the
+    # one without it, where a single atom there would add about 1e-3.
+    shifts, weights = [-4.0, 0.0, 6.0], [0.3, 0.5, 0.2]
+    without = _empirical_config(shifts, weights, delta_khz=3.0)
+    with_point = _empirical_config(shifts + [-3.0], weights + [0.0], delta_khz=3.0)
+    draws = ensemble._support_draws(with_point.distribution, 1000, np.random.default_rng(4))
+    assert draws.max() < 3
+    a = monte_carlo_signal(without, TIMES, 1000, seed=4).values
+    b = monte_carlo_signal(with_point, TIMES, 1000, seed=4).values
+    assert np.max(np.abs(a - b)) < 1e-15
 
 
 def _oracle_populations(drive, shifts, gamma, times):

@@ -32,6 +32,16 @@ def _skewed_profiles(scale=1.0):
     }
 
 
+def _both_gradient_profiles():
+    # transverse gradients along x and y, as in fig8, give 1,087 distinct
+    # u = dx^2 + dy^2 over the 33 x 33 plane of 1,089 points
+    return {
+        "b0x": AxisProfile(kind="piecewise_linear", nodes=((-8.0, -0.4), (8.0, 0.5))),
+        "b0y": AxisProfile(kind="piecewise_linear", nodes=((-8.0, 0.3), (8.0, -0.25))),
+        "b0z": AxisProfile(kind="polynomial", coefficients=(0.5, 0.1, -0.02)),
+    }
+
+
 def test_profile_evaluation():
     const = AxisProfile(kind="constant", value=0.4)
     assert np.allclose(const(np.array([-5.0, 0.0, 5.0])), 0.4)
@@ -235,6 +245,12 @@ _CASES = {
     "436689": (_skewed_profiles(), dict(spacing_z=0.1)),
     # every deviation equal, so numpy widens the range by +-0.5 kHz
     "uniform": ({"b0z": AxisProfile(kind="constant", value=2.5)}, dict(spacing_z=0.1)),
+    # an axial sag alone, as in fig6-field: one u, spread over many bins
+    "axial-sag": ({"b0z": AxisProfile(kind="polynomial",
+                                      coefficients=(-1.575, -0.525, -0.04375))},
+                  dict(spacing_z=0.1)),
+    # both transverse gradients: (nearly) every u distinct
+    "both-gradients": (_both_gradient_profiles(), dict(spacing_z=0.1)),
 }
 
 
@@ -251,9 +267,11 @@ def test_blocked_histogram_equals_one_call(case, sign, beam):
     assert np.array_equal(hist.weights, weights)
 
 
-def test_histogram_memory_flat_in_grid_size():
+@pytest.mark.parametrize("profiles", [_skewed_profiles(), _both_gradient_profiles()],
+                         ids=["skewed", "both-gradients"])
+def test_histogram_memory_flat_in_grid_size(profiles):
     # 33 x 33 x 2,001 points: the whole grid as float64 alone is 17 MB
-    model = _model(_skewed_profiles(), spacing_z=0.02)
+    model = _model(profiles, spacing_z=0.02)
     assert model.axis_grid("z").size == 2001
     tracemalloc.start()
     try:
