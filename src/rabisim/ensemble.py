@@ -465,13 +465,28 @@ def ensemble_signal(config: EnsembleConfig, times) -> OscillationTrace:
     return OscillationTrace(t0=t0, dt=dt, values=values)
 
 
+def _support_cdf(dist: DetuningDistribution):
+    cdf = np.cumsum(dist.weights)
+    cdf[-1] = 1.0
+    return cdf
+
+
 def _support_draws(dist: DetuningDistribution, n, rng):
     """Indices into an empirical distribution's support of n atoms drawn
     by inverse CDF from one rng.random(n) stream."""
-    cdf = np.cumsum(dist.weights)
-    cdf[-1] = 1.0
-    idx = np.searchsorted(cdf, rng.random(n), side="right")
+    idx = np.searchsorted(_support_cdf(dist), rng.random(n), side="right")
     return np.clip(idx, 0, dist.shifts.size - 1)
+
+
+def _support_counts(dist: DetuningDistribution, n, rng):
+    """How many of the n atoms _support_draws would draw from rng land on
+    each support point. A draw u lands on the first point whose CDF value
+    exceeds u, and the last point takes the rest. So point i gets
+    #{u < cdf[i]} - #{u < cdf[i - 1]} draws, which np.searchsorted finds
+    fast in the sorted draws; searching each unsorted draw in the CDF is
+    its slow path."""
+    below = np.searchsorted(np.sort(rng.random(n)), _support_cdf(dist)[:-1], side="left")
+    return np.diff(below, prepend=0, append=n)
 
 
 def _sample_shifts(dist: DetuningDistribution, n, rng):
@@ -489,11 +504,11 @@ def monte_carlo_signal(config: EnsembleConfig, times, n_samples, seed=0) -> Osci
     """Monte Carlo estimate of ensemble_signal.
 
     Unbiased and bit-deterministic for a fixed seed. An empirical
-    distribution's atoms can take only its support's shifts, so the drawn
-    support indices are counted and each support point is summed once,
-    weighted by its count: the same estimate as summing the atoms one by
-    one, up to rounding, at the cost of the support's size whatever
-    n_samples is. A parametric draw is summed in fixed chunks of
+    distribution's atoms can take only its support's shifts, so the draws
+    are counted per support point (_support_counts) and each point is
+    summed once, weighted by its count: the same estimate as summing the
+    atoms one by one, up to rounding, at the cost of the support's size
+    whatever n_samples is. A parametric draw is summed in fixed chunks of
     _MC_CHUNK = 2500 atoms, so the summation order does not depend on
     n_samples' factorization. The chunk is that small so a chunk's two
     rotation tables, 2500 x 16 bytes per row, stay in a typical L2 cache:
@@ -512,8 +527,7 @@ def monte_carlo_signal(config: EnsembleConfig, times, n_samples, seed=0) -> Osci
     rng = np.random.default_rng(seed)
     dist, gamma = config.distribution, config.atom_model.gamma
     if not dist.is_parametric:
-        counts = np.bincount(_support_draws(dist, n_samples, rng),
-                             minlength=dist.shifts.size)
+        counts = _support_counts(dist, n_samples, rng)
         acc = _two_level_sum(config.drive, dist.shifts, counts, gamma, times, t0, dt)
         return OscillationTrace(t0=t0, dt=dt, values=acc / n_samples)
     samples = _sample_shifts(dist, n_samples, rng)

@@ -275,14 +275,21 @@ def _fit_rows(evaluate, starts, Y, package, what, max_iter):
 
     starts holds one (k_j, n_params) start array per row of Y, and
     evaluate(P, Yp) returns the residuals and Jacobian of a parameter stack
-    against Yp, each parameter row's own trace. Returns the _winner of each
-    trace's starts, in order, package(res, cov, y) building a fit of trace y.
+    against Yp, each parameter row's own trace, or the one (n,) trace of
+    all rows. Returns the _winner of each trace's starts, in order,
+    package(res, cov, y) building a fit of trace y.
     """
     counts = [len(p0) for p0 in starts]
-    owner = np.repeat(np.arange(len(starts)), counts)
+    if len(Y) == 1:
+        def evaluate_rows(P, rows):
+            return evaluate(P, Y[0])
+    else:
+        owner = np.repeat(np.arange(len(starts)), counts)
+
+        def evaluate_rows(P, rows):
+            return evaluate(P, Y[owner[rows]])
     results = iter(lsq.stacked_levenberg_marquardt(
-        lambda P, rows: evaluate(P, Y[owner[rows]]), np.concatenate(starts),
-        max_iter=max_iter))
+        evaluate_rows, np.concatenate(starts), max_iter=max_iter))
     return [_winner([next(results) for _ in range(k)],
                     lambda res, cov: package(res, cov, y), what, max_iter)
             for y, k in zip(Y, counts)]
@@ -357,7 +364,9 @@ def _package_single(res, cov, y, decay) -> SingleFreqFit:
     if decay == "gauss":
         # the Gaussian envelope is even in gamma, so the sign carries nothing
         gamma = abs(gamma)
-    ci = dict(zip(_SINGLE_PARAM_NAMES, lsq.ci95(cov, y.size - 6, np.eye(6))))
+    # The delta method on unit rows: the CIs of the parameters themselves.
+    half = lsq.t_quantile_975(y.size - 6) * np.sqrt(np.maximum(np.diag(cov), 0.0))
+    ci = dict(zip(_SINGLE_PARAM_NAMES, half.tolist()))
     return SingleFreqFit(A=float(a), gamma=float(gamma), omega=float(omega),
                          phi=float(phi), B=float(b), C=float(c),
                          r_squared=_r_squared(y, res.ssr), ci95=ci, decay=decay,

@@ -27,10 +27,11 @@ falling below `RO_TOL`. That offset, RO^2 = (q1 / k) / ((ssr - q1) /
 (n - k)), compares the part of the residual in the model's tangent plane
 with the rest, so it measures the remaining move in units of the
 parameters' own uncertainty. q1 = dq.J^T r takes the damped Gauss-Newton
-step dq of the accepted trial: the step itself without S, and with S the
-second system of the same stacked solve, so it costs no extra solve. RO
-needs residual degrees of freedom (n > k), and a fit with almost no
-misfit, where ssr - q1 vanishes and RO is undefined, still ends on the
+step dq of the accepted trial: the step itself where no row of the stack
+takes a Newton step, as in every first iteration, and otherwise the
+second system of the same stacked solve, so it costs no extra solve
+call. RO needs residual degrees of freedom (n > k), and a fit with almost
+no misfit, where ssr - q1 vanishes and RO is undefined, still ends on the
 1e-12 rules.
 
 The model is evaluated once per trial: one callable returns the residual,
@@ -40,6 +41,15 @@ end, into the result. The callable also gets the start index of each row
 it evaluates, so the rows of one stack may fit different data. The
 stacked products and solves are bitwise equal to the per-row 2-D calls,
 so each row's result equals that start run alone.
+
+As in MINPACK's lmder (Moré, The Levenberg-Marquardt algorithm:
+implementation and theory, LNM 630, 1978, 105-116), the control of each
+row is scalar: its ssr, lambda, q1, the ssr its last step started from,
+whether its trial was accepted and whether it stops are Python floats,
+bools and lists, and NumPy does only the stacked work, the normal
+equations, the solve and the evaluation. Most stacks hold one row (one
+FFT peak), where a NumPy call on a one-element array costs more than the
+arithmetic it does; they run the same loop as the many-row stacks.
 `levenberg_marquardt` is the one-start Gauss-Newton wrapper.
 Problem sizes here are tiny (hundreds of samples, at most eight
 parameters), so dense normal equations are perfectly fine and keep the
@@ -91,28 +101,22 @@ def _relative_offset(q1, ssr, n, k):
     return math.sqrt(max(q1, 0.0) / k * (n - k) / rest)
 
 
-def _solve_damped(jtj, jtr, lam, curv=None):
-    """Solve (J^T J + lam diag(J^T J)) dp = J^T r for a stack of rows.
+def _solve_damped(a, jtr, damping):
+    """Solve (A + diag(d)) dp = J^T r for every system of a stack of rows.
 
-    jtj is (m, k, k), jtr (m, k, 1), lam (m,). Returns the pair of (m, k)
-    steps (taken, Gauss-Newton): with the (m, k, k) curvature curv the step
-    taken is the Newton step, J^T J + curv in place of J^T J, and both come
-    from one stacked solve; without it both are the Gauss-Newton step. A
-    singular system falls back to its least-squares solution without
-    touching the others.
+    a is the (m, k, k) stack of undamped matrices A, or (2, m, k, k) for two
+    systems per row; jtr is (m, k, 1) and damping the (m, k) diagonals d,
+    lambda diag(J^T J) (floored at 1e-300) per row. Returns the steps,
+    shaped a.shape[:-1]. A singular system falls back to its least-squares
+    solution without touching the others.
     """
-    m, k, _ = jtj.shape
-    if curv is None:
-        a = jtj.copy()
-    else:
-        a = np.empty((2, m, k, k))
-        np.add(jtj, curv, out=a[0])
-        a[1] = jtj
-    # Strided views of each system's diagonal, damped by lam diag(J^T J).
+    m, k = damping.shape
+    a = a.copy()
+    # A strided view of each system's diagonal.
     diag = a.reshape(-1, m, k * k)[..., ::k + 1]
-    diag += lam[:, None] * np.maximum(jtj.reshape(m, k * k)[:, ::k + 1], 1e-300)
+    diag += damping
     try:
-        out = np.linalg.solve(a, jtr)[..., 0]
+        return np.linalg.solve(a, jtr)[..., 0]
     except np.linalg.LinAlgError:
         out = np.empty(a.shape[:-1])
         for i in np.ndindex(a.shape[:-2]):
@@ -121,12 +125,13 @@ def _solve_damped(jtj, jtr, lam, curv=None):
                 out[i] = np.linalg.solve(a_i, b_i)
             except np.linalg.LinAlgError:
                 out[i] = np.linalg.lstsq(a_i, b_i, rcond=None)[0]
-    return (out, out) if curv is None else out
+        return out
 
 
 def _sq_norms(r):
-    # Row-wise r @ r; the stacked matmul is bitwise the 1-D dot (einsum is not).
-    return (r[:, None] @ r[..., None])[:, 0, 0]
+    # Row-wise r @ r, as floats; the stacked matmul is bitwise the 1-D dot
+    # (einsum is not).
+    return (r[:, None] @ r[..., None]).ravel().tolist()
 
 
 def covariance(jac, ssr):
@@ -227,38 +232,33 @@ def stacked_levenberg_marquardt(evaluate, p0, *, max_iter=200, lam0=1e-3):
     model = evaluate(p, rows)  # r, the Jacobian and, if given, S
     n = model[0].shape[1]
     tol2k = RO_TOL * RO_TOL * k
-    out_p = p.copy()
-    out_ssr = np.empty(s)
-    out_jac = np.empty_like(model[1])
-    out_ro = np.empty(s)
-    n_iter = np.empty(s, dtype=int)
-    converged = np.empty(s, dtype=bool)
-    message = [""] * s
-
+    results = [None] * s
+    # Each active row's ssr and damping, and its last step: q1 = dq.J^T r
+    # of its Gauss-Newton step dq and the ssr it started from.
     ssr = _sq_norms(model[0])
-    lam = np.full(s, float(lam0))
-    # Each row's last step: q1 = dq.J^T r of its Gauss-Newton step dq and
-    # the ssr it started from.
-    q1 = ssr_from = np.full(s, math.nan)
+    lam = [float(lam0)] * s
+    q1 = ssr_from = [math.nan] * s
 
-    def retire(done, it, text, conv):
-        for pos in np.flatnonzero(done):
-            row = rows[pos]
-            out_p[row], out_ssr[row], out_jac[row] = p[pos], ssr[pos], model[1][pos]
-            n_iter[row], converged[row], message[row] = it, conv, text[pos]
-            out_ro[row] = _relative_offset(q1[pos], ssr_from[pos], n, k)
+    def retire(done, it, converged, messages):
+        for pos in done:
+            results[rows[pos]] = LsqResult(
+                params=p[pos].copy(), ssr=ssr[pos], n_iter=it, converged=converged,
+                message=messages[pos], jac=model[1][pos].copy(),
+                relative_offset=_relative_offset(q1[pos], ssr_from[pos], n, k))
 
-    def keep(live):
-        return (*(x[live] for x in (p, ssr, lam, rows, q1, ssr_from)),
-                tuple(x[live] for x in model))
+    def keep(done):
+        live = [pos for pos in range(len(ssr)) if pos not in done]
+        return (p[live], rows[live], tuple(x[live] for x in model),
+                *([x[pos] for pos in live] for x in (ssr, lam, q1, ssr_from)))
 
     for it in range(1, max_iter + 1):
-        bad = ~(np.isfinite(model[1]).all(axis=(1, 2)) & np.isfinite(ssr))
-        if bad.any():
-            retire(bad, it, ["non-finite residual or Jacobian"] * len(p), False)
-            p, ssr, lam, rows, q1, ssr_from, model = keep(~bad)
-            if not rows.size:
-                break
+        finite = np.isfinite(model[1]).all(axis=(1, 2)).tolist()
+        bad = {pos for pos, x in enumerate(ssr) if not (finite[pos] and math.isfinite(x))}
+        if bad:
+            retire(bad, it, False, ["non-finite residual or Jacobian"] * len(ssr))
+            if len(bad) == len(ssr):
+                return results
+            p, rows, model, ssr, lam, q1, ssr_from = keep(bad)
         r, jac, *curv = model
         jt = jac.transpose(0, 2, 1)
         jtj = jt @ jac
@@ -270,58 +270,72 @@ def stacked_levenberg_marquardt(evaluate, p0, *, max_iter=200, lam0=1e-3):
         # float precision: it keeps its iterate (dp = 0) and its model
         # outputs, and stops. Every ssr is finite here, so `<=` also rejects
         # non-finite trials. dq is the Gauss-Newton step, which gives q1:
-        # with S it is solved beside the Newton step, and the rows whose last
-        # step had a relative offset below 1 take the Newton step, the others
-        # dq; without S the step taken is dq.
-        newton = ((n > k) & (q1 * n < k * ssr_from))[:, None] if curv else None
-        dp = dq = np.zeros(p.shape)
+        # the rows whose last step had a relative offset below 1 take the
+        # Newton step, solved beside dq, and the others dq. Without S, or
+        # without such a row, only dq is solved.
+        newton = [bool(curv) and n > k and a * n < k * b for a, b in zip(q1, ssr_from)]
+        m = len(ssr)
+        if any(newton):
+            systems = np.empty((2, m, k, k))
+            np.add(jtj, curv[0], out=systems[0])
+            systems[1] = jtj
+            pick = None if all(newton) else np.array(newton)[:, None]
+        else:
+            systems = jtj
+        scale = np.maximum(jtj.reshape(m, k * k)[:, ::k + 1], 1e-300)
+        ok = [False] * m
+        dp = dq = None
         ssr_new, model_new = ssr, model
-        ok = np.zeros(len(p), dtype=bool)
         for attempt in range(30):
             if attempt:
-                lam = np.where(ok, lam, 5.0 * lam)
-            dp_t, dq_t = _solve_damped(jtj, jtr, lam, *curv)
-            if curv:
-                dp_t = np.where(newton, dp_t, dq_t)
-            trial = evaluate(p - dp_t, rows)
+                lam = [x if o else 5.0 * x for x, o in zip(lam, ok)]
+            steps = _solve_damped(systems, jtr, np.array(lam)[:, None] * scale)
+            if systems is jtj:
+                dp_t = dq_t = steps
+            else:
+                dp_t, dq_t = steps
+                if pick is not None:
+                    dp_t = np.where(pick, dp_t, dq_t)
+            p_t = p - dp_t
+            trial = evaluate(p_t, rows)
             ssr_t = _sq_norms(trial[0])
-            take = ~ok & (ssr_t <= ssr)
-            if take.all():
-                dp, dq, ssr_new, model_new, ok = dp_t, dq_t, ssr_t, trial, take
+            take = [not o and a <= b for o, a, b in zip(ok, ssr_t, ssr)]
+            if all(take):
+                p_new, dp, dq, ssr_new, model_new, ok = p_t, dp_t, dq_t, ssr_t, trial, take
                 break
-            if not take.any():
+            took = [pos for pos, t in enumerate(take) if t]
+            if not took:
                 continue
-            dp = np.where(take[:, None], dp_t, dp)
-            dq = np.where(take[:, None], dq_t, dq)
-            ssr_new = np.where(take, ssr_t, ssr_new)
-            model_new = tuple(np.where(take.reshape(-1, *[1] * (x.ndim - 1)), x_t, x)
-                              for x, x_t in zip(model_new, trial))
-            ok |= take
-            if ok.all():
+            if dp is None:
+                p_new, dp, dq = p.copy(), np.zeros(p.shape), np.zeros(p.shape)
+                ssr_new, model_new = list(ssr), tuple(x.copy() for x in model)
+            p_new[took], dp[took], dq[took] = p_t[took], dp_t[took], dq_t[took]
+            for x, x_t in zip(model_new, trial):
+                x[took] = x_t[took]
+            for pos in took:
+                ssr_new[pos], ok[pos] = ssr_t[pos], True
+            if all(ok):
                 break
-        p_new = p - dp
-        rel_drop = (ssr - ssr_new) / np.maximum(ssr, 1e-300)
-        rel_step = (np.abs(dp) / np.maximum(np.abs(p_new), 1e-12)).max(axis=1)
-        stop = ~ok | (rel_drop < 1e-12) | (rel_step < 1e-12)
-        q1 = (dq[:, None] @ jtr)[:, 0, 0]
-        if n > k:
-            # RO < RO_TOL without a division: q1 (n - k) < tol^2 k (ssr - q1).
-            # It never holds where ssr - q1 <= 0 and RO is undefined.
-            stop |= q1 * (n - k + tol2k) < tol2k * ssr
+        if dp is None:
+            p_new, dp, dq = p, np.zeros(p.shape), np.zeros(p.shape)
+        rel_step = np.abs(dp / np.maximum(np.abs(p_new), 1e-12)).max(axis=1).tolist()
+        q1 = (dq[:, None] @ jtr).ravel().tolist()
+        # RO < RO_TOL without a division: q1 (n - k) < tol^2 k (ssr - q1). It
+        # never holds where ssr - q1 <= 0 and RO is undefined.
+        stop = {pos for pos in range(m)
+                if not ok[pos] or (ssr[pos] - ssr_new[pos]) / max(ssr[pos], 1e-300) < 1e-12
+                or rel_step[pos] < 1e-12
+                or (n > k and q1[pos] * (n - k + tol2k) < tol2k * ssr[pos])}
         ssr_from = ssr
         p, ssr, model = p_new, ssr_new, model_new
-        lam = np.maximum(lam / 3.0, 1e-14)
-        if stop.any():
-            retire(stop, it, ["converged" if o else "no decreasing step" for o in ok], True)
-            p, ssr, lam, rows, q1, ssr_from, model = keep(~stop)
-            if not rows.size:
-                break
-    retire(np.ones(rows.size, dtype=bool), max(max_iter, 0),
-           ["iteration cap reached"] * rows.size, False)
-    return [LsqResult(params=out_p[i], ssr=float(out_ssr[i]), n_iter=int(n_iter[i]),
-                      converged=bool(converged[i]), message=message[i], jac=out_jac[i],
-                      relative_offset=float(out_ro[i]))
-            for i in range(s)]
+        lam = [max(x / 3.0, 1e-14) for x in lam]
+        if stop:
+            retire(stop, it, True, ["converged" if o else "no decreasing step" for o in ok])
+            if len(stop) == m:
+                return results
+            p, rows, model, ssr, lam, q1, ssr_from = keep(stop)
+    retire(range(len(ssr)), max(max_iter, 0), False, ["iteration cap reached"] * len(ssr))
+    return results
 
 
 def levenberg_marquardt(residual, jacobian, p0, *, max_iter=200, lam0=1e-3):

@@ -624,6 +624,51 @@ def test_monte_carlo_undrawn_support_point_contributes_nothing():
     assert np.max(np.abs(a - b)) < 1e-15
 
 
+class _FixedDraws:
+    """Stands in for a Generator: random(n) hands out the given draws."""
+
+    def __init__(self, draws):
+        self.draws = np.asarray(draws, dtype=float)
+
+    def random(self, n):
+        assert n == self.draws.size
+        return self.draws.copy()
+
+
+def _binned_draws(dist, n, rng):
+    return np.bincount(ensemble._support_draws(dist, n, rng), minlength=dist.shifts.size)
+
+
+def test_support_counts_equal_the_binned_draws_around_zero_weight_points():
+    # Zero weights first, inside and last leave runs of equal CDF values.
+    weights = [0.0, 0.2, 0.0, 0.0, 0.5, 0.3, 0.0]
+    dist = DetuningDistribution(kind="empirical", shifts=np.arange(7.0), weights=weights)
+    for seed in range(5):
+        counts = ensemble._support_counts(dist, 10_000, np.random.default_rng(seed))
+        binned = _binned_draws(dist, 10_000, np.random.default_rng(seed))
+        assert counts.dtype == binned.dtype
+        assert np.array_equal(counts, binned)
+        assert counts.sum() == 10_000 and not counts[[0, 2, 3]].any()
+
+
+def test_support_counts_equal_the_binned_draws_at_the_cdf_values():
+    # A draw equal to a CDF value belongs to the next point with weight,
+    # after every zero-weight point sharing that value; draws one ulp to
+    # either side, 0 and unsorted order are checked too.
+    weights = [0.1, 0.0, 0.25, 0.0, 0.0, 0.4, 0.25]
+    dist = DetuningDistribution(kind="empirical", shifts=np.arange(7.0), weights=weights)
+    cdf = ensemble._support_cdf(dist)[:-1]
+    draws = np.concatenate([cdf, np.nextafter(cdf, 0.0), np.nextafter(cdf, 1.0), [0.0],
+                            np.random.default_rng(8).random(50)])
+    draws = draws[np.random.default_rng(9).permutation(draws.size)]
+    counts = ensemble._support_counts(dist, draws.size, _FixedDraws(draws))
+    assert np.array_equal(counts, _binned_draws(dist, draws.size, _FixedDraws(draws)))
+    assert not counts[[1, 3, 4]].any()
+    # cdf[0] = cdf[1]: the two draws at that value and the two one ulp above
+    # it land on point 2.
+    assert counts[2] >= 4
+
+
 def _oracle_populations(drive, shifts, gamma, times):
     """Per-atom populations, one row per shift, from model.p1_two_level: the
     reference for the ensemble module's kernel. The envelope damps the

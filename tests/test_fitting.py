@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lsq_oracles import assert_bitwise_equal, reference_lm
+
 from rabisim import fitting, lsq
 from rabisim.fitting import (
     FitFailure,
@@ -627,17 +629,24 @@ def test_single_curvature_is_the_hessian_less_the_gauss_newton_part(decay):
         assert not curv_p[4:].any()  # B and C enter linearly
 
 
-def test_relative_offset_stop_lands_within_1e_4_of_a_ci_on_fig7b(monkeypatch):
-    # fig7b's Omega0 = 9 kHz block: each fit the relative-offset stop ends
-    # lies within 1e-4 of its own CI of the fit run to the 1e-12 rules.
+def _fig7b_block(omega0_khz):
+    """The scenario of the fig7b preset and the traces of its block at
+    Omega0 / 2 pi = omega0_khz, one per detuning."""
     from rabisim.scenario import load_scenario_dict, parse_scenario, preset_file
 
     scenario = parse_scenario(load_scenario_dict(preset_file("fig7b")))
     ((_, _, config),) = [block for block in scenario.blocks()
-                         if block[0] == khz_to_angular(9.0)]
+                         if block[0] == khz_to_angular(omega0_khz)]
     traces = [ensemble_signal(replace(config, drive=replace(config.drive, delta=delta)),
                               scenario.times) for delta in scenario.deltas]
     assert len(traces) == 21
+    return scenario, traces
+
+
+def test_relative_offset_stop_lands_within_1e_4_of_a_ci_on_fig7b(monkeypatch):
+    # fig7b's Omega0 = 9 kHz block: each fit the relative-offset stop ends
+    # lies within 1e-4 of its own CI of the fit run to the 1e-12 rules.
+    scenario, traces = _fig7b_block(9.0)
 
     def fits():
         out = []
@@ -659,3 +668,41 @@ def test_relative_offset_stop_lands_within_1e_4_of_a_ci_on_fig7b(monkeypatch):
             worst = max(worst, *(abs(getattr(a, name) - getattr(b, name)) / b.ci95[name]
                                  for name in names))
     assert worst <= 1e-4
+
+
+def test_single_fits_match_the_one_start_oracle_on_fig7b(monkeypatch):
+    # fig7b's Omega0 = 5 kHz block, every start also run through the
+    # one-start oracle with the model's curvature: each start's LM result,
+    # relative offset included, is bitwise the oracle's, and so are the
+    # phi, B, C, ssr and n_iter of the fit built from the winner, which no
+    # golden pins. The rows at delta = +-25 kHz reach the iteration cap, and
+    # their FitFailure's last_fit is compared.
+    scenario, traces = _fig7b_block(5.0)
+    window = scenario.analysis.window
+    stacks = _record_stacks(monkeypatch)
+    capped = []
+    for delta, trace in zip(scenario.deltas, traces):
+        stacks.clear()
+        try:
+            fit = fit_single_frequency(trace, window)
+        except FitFailure as failure:
+            fit = failure.last_fit
+            capped.append(delta)
+        ((p0, results),) = stacks
+        t, y = _window_slice(trace, window)
+        t_powers = t ** np.arange(5)[:, None]
+
+        def output(i):
+            return lambda p: fitting._single_eval(p[None], t_powers, y, "exp")[i][0]
+
+        refs = [reference_lm(output(0), output(1), start, curvature=output(2))
+                for start in p0]
+        for res, ref in zip(results, refs):
+            assert_bitwise_equal(res, ref)
+        best = min([ref for ref in refs if ref.converged] or refs, key=lambda ref: ref.ssr)
+        want = fitting._package_single(
+            best, lsq.covariance(output(1)(best.params), best.ssr), y, "exp")
+        assert fit.converged == best.converged
+        for name in ("phi", "B", "C", "ssr", "n_iter"):
+            assert getattr(fit, name) == getattr(want, name), (delta, name)
+    assert capped == [khz_to_angular(-25.0), khz_to_angular(25.0)]

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from lsq_oracles import assert_bitwise_equal, reference_lm
+
 from rabisim import lsq
 from rabisim.lsq import (
     RO_TOL,
@@ -138,89 +140,6 @@ def test_t_quantile_matches_scipy_stdtrit():
             t_quantile_975(bad)
 
 
-def _reference_solve_damped(jtj, jtr, lam, curv=None):
-    scale = np.diag(jtj).clip(min=1e-300)
-    a = (jtj if curv is None else jtj + curv) + lam * np.diag(scale)
-    try:
-        return np.linalg.solve(a, jtr)
-    except np.linalg.LinAlgError:
-        return np.linalg.lstsq(a, jtr, rcond=None)[0]
-
-
-def _offset(q1, ssr, n, k):
-    if n <= k or not ssr - q1 > 0:
-        return float("nan")
-    return float(np.sqrt(max(q1, 0.0) / k * (n - k) / (ssr - q1)))
-
-
-def _reference_lm(residual, jacobian, p0, *, max_iter=200, ftol=1e-12, xtol=1e-12,
-                  lam0=1e-3, ro_tol=RO_TOL, curvature=None):
-    """The one-start loop the stacked loop replaced, kept as the oracle,
-    with the relative-offset stop added. With curvature(p), the residual
-    curvature S at p, each trial is the damped Newton step once the last
-    step's relative offset is below 1 (the damped Gauss-Newton step
-    before), and q1 comes from the damped Gauss-Newton step at the same
-    lambda."""
-    p = np.asarray(p0, dtype=float).copy()
-    q1 = ssr_from = float("nan")
-    r = residual(p)
-    ssr = float(r @ r)
-    lam = lam0
-    n_iter = 0
-    converged = False
-    message = "iteration cap reached"
-    for n_iter in range(1, max_iter + 1):
-        jac = jacobian(p)
-        if not np.all(np.isfinite(jac)) or not np.isfinite(ssr):
-            message = "non-finite residual or Jacobian"
-            break
-        jtj = jac.T @ jac
-        jtr = jac.T @ r
-        n, k = jac.shape
-        newton = curvature is not None and n > k and q1 * n < k * ssr_from
-        curv = curvature(p) if newton else None
-        accepted = False
-        dp = np.zeros_like(p)
-        ssr_new = ssr
-        for _ in range(30):
-            dp = _reference_solve_damped(jtj, jtr, lam, curv)
-            dq = dp if curv is None else _reference_solve_damped(jtj, jtr, lam)
-            p_try = p - dp
-            r_try = residual(p_try)
-            ssr_try = float(r_try @ r_try)
-            if np.isfinite(ssr_try) and ssr_try <= ssr:
-                p_new, r_new, ssr_new = p_try, r_try, ssr_try
-                accepted = True
-                break
-            lam *= 5.0
-        if not accepted:
-            q1, ssr_from = 0.0, ssr
-            converged = True
-            message = "no decreasing step"
-            break
-        rel_drop = (ssr - ssr_new) / max(ssr, 1e-300)
-        rel_step = float(np.max(np.abs(dp) / np.maximum(np.abs(p_new), 1e-12)))
-        # The relative offset of the accepted step, (q1 / k) / ((ssr - q1) / (n - k)),
-        # compared without dividing: RO < tol iff q1 (n - k + tol^2 k) < tol^2 k ssr.
-        q1, ssr_from = float(dq @ jtr), ssr
-        small_offset = n > k and q1 * (n - k + ro_tol**2 * k) < ro_tol**2 * k * ssr
-        p, r, ssr = p_new, r_new, ssr_new
-        lam = max(lam / 3.0, 1e-14)
-        if rel_drop < ftol or rel_step < xtol or small_offset:
-            converged = True
-            message = "converged"
-            break
-    return LsqResult(params=p, ssr=ssr, n_iter=n_iter, converged=converged,
-                     message=message, relative_offset=_offset(q1, ssr_from, *jac.shape))
-
-
-def _assert_bitwise_equal(res, ref):
-    assert np.array_equal(res.params, ref.params, equal_nan=True)
-    assert res.ssr == ref.ssr or (np.isnan(res.ssr) and np.isnan(ref.ssr))
-    assert (res.n_iter, res.converged, res.message) == (ref.n_iter, ref.converged, ref.message)
-    assert np.array_equal(res.relative_offset, ref.relative_offset, equal_nan=True)
-
-
 _T = np.linspace(0.0, 2.0, 80)
 _Y = 3.0 * np.exp(-1.7 * _T)
 
@@ -273,12 +192,12 @@ def test_stacked_rows_match_solo_runs():
     with np.errstate(all="ignore"):
         stacked = stacked_levenberg_marquardt(_decay_evaluate, p0, max_iter=10)
         for row, res in zip(p0, stacked):
-            ref = _reference_lm(_solo(_decay_residual), _solo(_decay_jacobian), row,
-                                max_iter=10)
-            _assert_bitwise_equal(res, ref)
+            ref = reference_lm(_solo(_decay_residual), _solo(_decay_jacobian), row,
+                               max_iter=10)
+            assert_bitwise_equal(res, ref)
             alone = levenberg_marquardt(_solo(_decay_residual), _solo(_decay_jacobian),
                                         row, max_iter=10)
-            _assert_bitwise_equal(alone, ref)
+            assert_bitwise_equal(alone, ref)
     assert [r.message for r in stacked] == [
         "converged", "no decreasing step", "iteration cap reached",
         "non-finite residual or Jacobian"]
@@ -309,8 +228,8 @@ def test_singular_damped_system_falls_back_to_lstsq():
         np.linalg.solve(jac0.T @ jac0, jac0.T @ _decay_residual(p0[1:])[0])
     stacked = stacked_levenberg_marquardt(_decay_evaluate, p0, lam0=0.0)
     for row, res in zip(p0, stacked):
-        ref = _reference_lm(_solo(_decay_residual), _solo(_decay_jacobian), row, lam0=0.0)
-        _assert_bitwise_equal(res, ref)
+        ref = reference_lm(_solo(_decay_residual), _solo(_decay_jacobian), row, lam0=0.0)
+        assert_bitwise_equal(res, ref)
     assert stacked[0].converged
 
 
@@ -333,11 +252,11 @@ def test_rows_read_their_own_data_and_match_solo_runs():
             (alone,) = stacked_levenberg_marquardt(
                 lambda P, rows, y=y: (_decay_residual(P, y), _decay_jacobian(P)),
                 row[None], max_iter=10)
-            _assert_bitwise_equal(res, alone)
+            assert_bitwise_equal(res, alone)
             assert res.jac.tobytes() == alone.jac.tobytes()
-            ref = _reference_lm(lambda p, y=y: _decay_residual(p[None], y)[0],
-                                _solo(_decay_jacobian), row, max_iter=10)
-            _assert_bitwise_equal(res, ref)
+            ref = reference_lm(lambda p, y=y: _decay_residual(p[None], y)[0],
+                               _solo(_decay_jacobian), row, max_iter=10)
+            assert_bitwise_equal(res, ref)
     assert [r.message for r in stacked] == [
         "converged", "no decreasing step", "iteration cap reached",
         "non-finite residual or Jacobian"]
@@ -357,9 +276,9 @@ def _noisy_evaluate(P, rows):
 def test_noisy_rows_match_the_reference_with_the_offset_stop():
     stacked = stacked_levenberg_marquardt(_noisy_evaluate, _NOISY_P0)
     for row, res in zip(_NOISY_P0, stacked):
-        ref = _reference_lm(_solo(lambda P: _noisy_evaluate(P, None)[0]),
-                            _solo(lambda P: _noisy_evaluate(P, None)[1]), row)
-        _assert_bitwise_equal(res, ref)
+        ref = reference_lm(_solo(lambda P: _noisy_evaluate(P, None)[0]),
+                           _solo(lambda P: _noisy_evaluate(P, None)[1]), row)
+        assert_bitwise_equal(res, ref)
 
 
 def test_relative_offset_stops_noisy_fits_early_near_the_tight_optimum(monkeypatch):
@@ -392,12 +311,12 @@ def test_newton_rows_match_solo_runs_and_the_reference():
         gauss_newton = stacked_levenberg_marquardt(
             lambda P, rows: _newton_evaluate(P, rows)[:2], p0, max_iter=10)
         for i, (row, res) in enumerate(zip(p0, stacked)):
-            ref = _reference_lm(_solo(lambda P: _decay_residual(P, _NOISY_Y)),
-                                _solo(_decay_jacobian), row, max_iter=10,
-                                curvature=_solo(lambda P: _decay_curvature(P, _NOISY_Y)))
-            _assert_bitwise_equal(res, ref)
+            ref = reference_lm(_solo(lambda P: _decay_residual(P, _NOISY_Y)),
+                               _solo(_decay_jacobian), row, max_iter=10,
+                               curvature=_solo(lambda P: _decay_curvature(P, _NOISY_Y)))
+            assert_bitwise_equal(res, ref)
             (alone,) = stacked_levenberg_marquardt(_newton_evaluate, row[None], max_iter=10)
-            _assert_bitwise_equal(alone, ref)
+            assert_bitwise_equal(alone, ref)
             _, want, _ = _newton_evaluate(res.params[None], np.array([i]))
             assert res.jac.tobytes() == want[0].tobytes(), res.message
     assert [r.message for r in stacked] == [
@@ -420,10 +339,31 @@ def test_newton_rows_reach_the_gauss_newton_optimum():
     gauss_newton = stacked_levenberg_marquardt(_noisy_evaluate, _NOISY_P0)
     stacked = stacked_levenberg_marquardt(newton, _NOISY_P0)
     for row, gn, res in zip(_NOISY_P0, gauss_newton, stacked):
-        ref = _reference_lm(_solo(lambda P: _noisy_evaluate(P, None)[0]),
-                            _solo(lambda P: _noisy_evaluate(P, None)[1]), row,
-                            curvature=_solo(lambda P: _decay_curvature(P, _NOISY_Y)))
-        _assert_bitwise_equal(res, ref)
+        ref = reference_lm(_solo(lambda P: _noisy_evaluate(P, None)[0]),
+                           _solo(lambda P: _noisy_evaluate(P, None)[1]), row,
+                           curvature=_solo(lambda P: _decay_curvature(P, _NOISY_Y)))
+        assert_bitwise_equal(res, ref)
         assert res.converged and res.message == "converged"
         ci = np.array(ci95(covariance(res.jac, res.ssr), _T.size - 2, np.eye(2)))
         assert (np.abs(res.params - gn.params) <= 1e-3 * ci).all()
+
+
+def test_only_gauss_newton_systems_are_solved_without_a_newton_row(monkeypatch):
+    # A row takes a Newton step only once its last step's relative offset
+    # is below 1, so every first iteration, and every Gauss-Newton model,
+    # solves one system per row; the Newton iterations solve two.
+    def newton(P, rows):
+        r, jac = _noisy_evaluate(P, rows)
+        return r, jac, _decay_curvature(P, _NOISY_Y)
+
+    shapes = []
+    real = lsq._solve_damped
+    monkeypatch.setattr(lsq, "_solve_damped",
+                        lambda a, *rest: shapes.append(a.shape) or real(a, *rest))
+    stacked_levenberg_marquardt(_noisy_evaluate, _NOISY_P0)
+    assert shapes and all(shape[-3:] == shape for shape in shapes)
+    shapes.clear()
+    stacked = stacked_levenberg_marquardt(newton, _NOISY_P0)
+    assert shapes[0] == (5, 2, 2)
+    assert {len(shape) for shape in shapes} == {3, 4}
+    assert all(res.converged for res in stacked)
