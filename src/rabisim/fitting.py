@@ -27,14 +27,19 @@ start per FFT peak, at the decay rate the demodulated tone shows between
 the two halves of the window (1/span for the Gaussian decay, and at least
 1/span for the exponential one). The two-frequency fit takes two
 starts per trace from a coarse grid and works on a block of traces that
-share one time grid: the grid's per-node bases are built once per block and
-one matmul screens every node for every trace. A flat window (peak-to-peak
-below 1e-14 of its level, or of 1 for a level below 1) gets a flat fit under
-either model and runs no start.
+share one time grid: the grid's per-node bases are built once per time
+grid, window and omega0, so later blocks on them reuse it, and one matmul
+screens every node for every trace. What a fit needs of its window besides
+the data (the slice, times, powers of t, Hann window, FFT bin frequencies
+and detrend design) is built once per time grid and window and shared
+read-only by every later fit on it. A flat window (peak-to-peak below 1e-14
+of its level, or of 1 for a level below 1) gets a flat fit under either
+model and runs no start.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -81,7 +86,8 @@ class SingleFreqFit:
     def __post_init__(self):
         if self.omega < 0:
             raise ValueError("omega must be non-negative")
-        object.__setattr__(self, "r_squared", float(np.clip(self.r_squared, 0.0, 1.0)))
+        # Clamped to [0, 1]; a NaN stays NaN.
+        object.__setattr__(self, "r_squared", float(min(max(self.r_squared, 0.0), 1.0)))
 
 
 @dataclass(frozen=True)
@@ -118,32 +124,71 @@ class TwoFreqFit:
             raise ValueError("gamma_b must be non-negative")
         if self.omega_bar < self.omega0:
             raise ValueError("omega_bar must not fall below omega0")
-        object.__setattr__(self, "r_squared", float(np.clip(self.r_squared, 0.0, 1.0)))
+        object.__setattr__(self, "r_squared", float(min(max(self.r_squared, 0.0), 1.0)))
 
 
-def _window_slice(trace: OscillationTrace, window):
-    t_min, t_max = float(window[0]), float(window[1])
+@dataclass(frozen=True, eq=False)
+class _Window:
+    """The data-independent inputs of every fit on one window of one time
+    grid. rows is the window's slice of a trace's samples and t their times
+    (the window holds one run of samples, since the times rise); t_powers
+    is the (5, n) table t^0 .. t^4, hann np.hanning(n), freqs the bin
+    frequencies of the 4n-point zero-padded rfft and design the [t, 1]
+    detrend design. Every array is read-only."""
+
+    rows: slice
+    t: np.ndarray
+    t_powers: np.ndarray
+    hann: np.ndarray
+    freqs: np.ndarray
+    design: np.ndarray
+
+
+def _fit_window(trace: OscillationTrace, window) -> _Window:
+    """The _Window of trace's time grid for window = (t_min, t_max)."""
+    return _grid_window(float(trace.t0), float(trace.dt), len(trace),
+                        float(window[0]), float(window[1]))
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_window(t0, dt, n, t_min, t_max) -> _Window:
+    """The _Window of [t_min, t_max] on the n-sample grid t0 + k dt.
+
+    The points of a scan, and the windows of a track at each of its
+    detunings, share their grid and window, so each window is built once
+    and shared read-only by every later fit on it. The cache holds at most
+    16 windows, about 88 bytes a window sample: 8.8 MB a window, 141 MB in
+    all, at the 100,000-sample grid limit. A refused window is not cached:
+    lru_cache keeps no exceptions, so each call raises.
+    """
     if not t_max > t_min:
         raise ValueError("fit window must have t_max > t_min")
-    t = trace.times
-    eps = 0.5 * trace.dt
-    if t_min < t[0] - eps or t_max > t[-1] + eps:
+    times = t0 + dt * np.arange(n)
+    eps = 0.5 * dt
+    if t_min < times[0] - eps or t_max > times[-1] + eps:
         raise ValueError(
             f"fit window [{t_min}, {t_max}] falls outside the trace "
-            f"[{t[0]:.6g}, {t[-1]:.6g}]"
+            f"[{times[0]:.6g}, {times[-1]:.6g}]"
         )
-    mask = (t >= t_min - 1e-12) & (t <= t_max + 1e-12)
-    if int(mask.sum()) < 30:
+    mask = (times >= t_min - 1e-12) & (times <= t_max + 1e-12)
+    t = times[mask]
+    if t.size < 30:
         raise ValueError("fit window must contain at least 30 samples")
-    return t[mask], trace.values[mask]
+    first = int(np.argmax(mask))
+    win = _Window(rows=slice(first, first + t.size), t=t,
+                  t_powers=t ** np.arange(5)[:, None], hann=np.hanning(t.size),
+                  freqs=np.fft.rfftfreq(4 * t.size, d=t[1] - t[0]),
+                  design=np.column_stack([t, np.ones_like(t)]))
+    for a in (win.t, win.t_powers, win.hann, win.freqs, win.design):
+        a.flags.writeable = False
+    return win
 
 
-def _fft_peak_frequencies(t, y, n_peaks):
-    """Angular frequencies of the strongest spectral peaks of y (detrended)."""
-    n = y.size
-    nfft = 4 * n
-    power = np.abs(np.fft.rfft(y * np.hanning(n), n=nfft))
-    freqs = np.fft.rfftfreq(nfft, d=t[1] - t[0])
+def _fft_peak_frequencies(win: _Window, y, n_peaks):
+    """Angular frequencies of the strongest spectral peaks of y (detrended),
+    the samples of window win."""
+    t, freqs = win.t, win.freqs
+    power = np.abs(np.fft.rfft(y * win.hann, n=4 * y.size))
     floor = 0.5 / (t[-1] - t[0])  # stay clear of the DC leakage
     idx = _find_peaks(power, 0.05 * power.max())
     idx = [i for i in idx if freqs[i] > floor]
@@ -155,9 +200,8 @@ def _fft_peak_frequencies(t, y, n_peaks):
     return out
 
 
-def _detrend_line(t, y):
-    a = np.column_stack([t, np.ones_like(t)])
-    coef, *_ = np.linalg.lstsq(a, y, rcond=None)
+def _detrend_line(win: _Window, y):
+    coef, *_ = np.linalg.lstsq(win.design, y, rcond=None)
     return coef[0], coef[1]
 
 
@@ -249,10 +293,10 @@ def _r_squared(y, ssr):
     return 1.0 - ssr / ss_tot
 
 
-def _is_flat(y):
-    """A window whose peak-to-peak is rounding of its level holds no
+def _is_flat(y, ptp):
+    """A window whose peak-to-peak ptp is rounding of its level holds no
     oscillation; both models return a flat fit on it without a start."""
-    return float(np.ptp(y)) < 1e-14 * max(1.0, abs(float(y.mean())))
+    return ptp < 1e-14 * max(1.0, abs(float(y.mean())))
 
 
 def _winner(results, package, what, max_iter):
@@ -316,20 +360,22 @@ def fit_single_frequency(trace: OscillationTrace, window=None, *,
     """
     if decay not in ("exp", "gauss"):
         raise ValueError(f"unknown decay model {decay!r}")
-    t, y = _window_slice(trace, (0.01, 0.6) if window is None else window)
+    win = _fit_window(trace, (0.01, 0.6) if window is None else window)
+    t, y = win.t, trace.values[win.rows]
     span = t[-1] - t[0]
-    if _is_flat(y):
+    ptp = float(np.ptp(y))
+    if _is_flat(y, ptp):
         ci = {name: math.inf for name in _SINGLE_PARAM_NAMES}
         return SingleFreqFit(A=0.0, gamma=0.0, omega=0.0, phi=0.0, B=0.0,
                              C=float(y.mean()), r_squared=0.0, ci95=ci,
                              decay=decay, converged=True, flat=True)
 
-    b0, c0 = _detrend_line(t, y)
+    b0, c0 = _detrend_line(win, y)
     resid = y - (b0 * t + c0)
-    a_guess = max(float(np.ptp(y)) / 2.0, 1e-12)
+    a_guess = max(ptp / 2.0, 1e-12)
     half = t.size // 2
     p0 = []
-    for omega_guess in _fft_peak_frequencies(t, resid, 5):
+    for omega_guess in _fft_peak_frequencies(win, resid, 5):
         demod = resid * np.exp(-1j * omega_guess * t)
         gamma_guess = 1.0 / span
         if decay == "exp":
@@ -341,8 +387,7 @@ def fit_single_frequency(trace: OscillationTrace, window=None, *,
                                   (math.log(d1) - math.log(d2)) / (t[half] - t[0]))
         p0.append([a_guess, gamma_guess, omega_guess, float(np.angle(np.sum(demod))),
                    b0, c0])
-    t_powers = t ** np.arange(5)[:, None]
-    (fit,) = _fit_rows(lambda P, Yp: _single_eval(P, t_powers, Yp, decay),
+    (fit,) = _fit_rows(lambda P, Yp: _single_eval(P, win.t_powers, Yp, decay),
                        [np.array(p0)], y[None],
                        lambda res, cov, y: _package_single(res, cov, y, decay),
                        "single-frequency", max_iter)
@@ -388,10 +433,10 @@ class _Grid:
     Node i is (omega_bar[i // 16], gamma_b[i % 16]); its design columns are
     cos0 and sin0 (cos and sin of omega0 t), u = env cos(omega_bar t),
     v = env sin(omega_bar t) and the offset. No column depends on the data,
-    so one grid serves every trace on the axis: the three columns all nodes
-    share are projected out of every u and v through one reduced QR, and
-    one stacked reduced QR gives each node an orthonormal basis Q_i of its
-    [u_perp v_perp].
+    so one grid serves every trace on the axis, read-only: the three columns
+    all nodes share are projected out of every u and v through one reduced
+    QR, and one stacked reduced QR gives each node an orthonormal basis Q_i
+    of its [u_perp v_perp].
     """
 
     def __init__(self, t, omega0, cos0, sin0):
@@ -423,6 +468,9 @@ class _Grid:
         q = np.linalg.qr(stacked)[0]
         self.q_moving = work[2].reshape(t.size, 2 * n_nodes)
         np.copyto(self.q_moving.reshape(t.size, n_nodes, 2), q.transpose(1, 0, 2))
+        for a in (self.node_omega_bar, self.node_gamma_b, self.env, self.cos_bar,
+                  self.sin_bar, *self.shared, self.q_shared, self.q_moving):
+            a.flags.writeable = False
 
     def screen(self, Y):
         """(m, n_nodes) screen of every node for each row of Y:
@@ -476,6 +524,19 @@ class _Grid:
         return [first, best_of(far)] if far.size else [first]
 
 
+@functools.lru_cache(maxsize=1)
+def _two_freq_grid(win: _Window, omega0) -> _Grid:
+    """The _Grid of omega0 on window win, with cos0 and sin0 of omega0 t.
+
+    A _Window stands for its time grid and window while it stays cached, so
+    the blocks of a scan, which share both and omega0, build one grid. The
+    cache holds that one grid, about 19 kB a window sample: 1.9 GB at the
+    100,000-sample grid limit, which building it takes anyway.
+    """
+    t = win.t
+    return _Grid(t, omega0, np.cos(omega0 * t), np.sin(omega0 * t))
+
+
 def _two_freq_eval(P, t, y, omega0, cos0, sin0):
     """(m, n) residuals and (m, n, 7) Jacobian of the two-frequency model
     for an (m, 7) stack of parameter rows; y is the (n,) data or an (m, n)
@@ -524,7 +585,8 @@ def fit_two_frequency_block(traces, omega0, window=None, *, max_iter=200):
     is bitwise what the trace would give alone. A flat window gets an
     A = B = 0 fit with infinite CIs and runs no start. Initialization scans
     a coarse 24 x 16 (omega_bar, gamma_b) grid where the amplitudes and
-    offset are linear: the grid's bases are built once for the block, one
+    offset are linear: the grid's bases are built once for the block (and
+    kept for the next block on the same time grid, window and omega0), one
     matmul screens the residual sum of every node for every trace, and the
     nodes the screen cannot separate from a trace's best are re-solved
     exactly with lstsq and ranked by (residual sum, grid index), as a
@@ -545,16 +607,17 @@ def fit_two_frequency_block(traces, omega0, window=None, *, max_iter=200):
     if window is None:
         t_end = first.t0 + first.dt * (len(first) - 1)
         window = (first.t0, min(first.t0 + 10.0 * 2.0 * math.pi / omega0, t_end))
-    t, _ = _window_slice(first, window)
-    Y = np.array([_window_slice(tr, window)[1] for tr in traces])
+    win = _fit_window(first, window)
+    t = win.t
+    Y = np.array([tr.values[win.rows] for tr in traces])
 
-    fits = [_flat_two(y, omega0) if _is_flat(y) else None for y in Y]
+    fits = [_flat_two(y, omega0) if _is_flat(y, float(np.ptp(y))) else None for y in Y]
     live = [j for j, fit in enumerate(fits) if fit is None]
     if not live:
         return fits
     Y = Y[live]
-    cos0, sin0 = np.cos(omega0 * t), np.sin(omega0 * t)
-    grid = _Grid(t, omega0, cos0, sin0)
+    grid = _two_freq_grid(win, omega0)
+    cos0, sin0, _ = grid.shared
     starts = [np.array([[*coef, max(omega_bar - omega0, 1e-6), gamma_b]
                         for _, omega_bar, gamma_b, coef in grid.starts(y, screen)])
               for y, screen in zip(Y, grid.screen(Y))]

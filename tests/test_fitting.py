@@ -13,7 +13,6 @@ from rabisim.fitting import (
     FitFailure,
     _detrend_line,
     _fft_peak_frequencies,
-    _window_slice,
     fit_single_frequency,
     fit_two_frequency,
     fit_two_frequency_block,
@@ -23,6 +22,12 @@ from rabisim.model import DriveParams, OscillationTrace
 from rabisim.units import TWO_PI, khz_to_angular
 
 TIMES = np.arange(0.0, 2.0, 0.004)
+
+
+def _window_samples(trace, window):
+    """The fit window of trace and the trace's samples on it."""
+    win = fitting._fit_window(trace, window)
+    return win, trace.values[win.rows]
 
 
 def _damped_cosine(a, gamma, omega, phi, slope=0.0, offset=0.0, times=TIMES, noise=None):
@@ -90,8 +95,9 @@ def test_fft_starts_fall_back_to_the_strongest_bin_without_a_peak():
     # A detrended parabola has a smooth spectrum with no interior peak, so
     # the one start is the strongest bin above the DC floor.
     t = np.arange(0.0, 2.0, 0.004)
-    ts, y = _window_slice(OscillationTrace.from_times(t, 0.3 * t * t), (0.01, 0.6))
-    slope, offset = _detrend_line(ts, y)
+    win, y = _window_samples(OscillationTrace.from_times(t, 0.3 * t * t), (0.01, 0.6))
+    ts = win.t
+    slope, offset = _detrend_line(win, y)
     resid = y - (slope * ts + offset)
     nfft = 4 * resid.size
     power = np.abs(np.fft.rfft(resid * np.hanning(resid.size), n=nfft))
@@ -99,7 +105,7 @@ def test_fft_starts_fall_back_to_the_strongest_bin_without_a_peak():
     above = freqs > 0.5 / (ts[-1] - ts[0])
     assert fitting._find_peaks(power, 0.05 * power.max()).size == 0
     best = freqs[above][np.argmax(power[above])]
-    assert _fft_peak_frequencies(ts, resid, 5) == [2.0 * math.pi * best]
+    assert _fft_peak_frequencies(win, resid, 5) == [2.0 * math.pi * best]
 
 
 def test_single_fit_flat_trace():
@@ -193,11 +199,12 @@ def _record_stacks(monkeypatch):
     return stacks
 
 
-def _halves_rate(t, y, omega):
+def _halves_rate(win, y, omega):
     """ln(|D1| / |D2|) / (t[h] - t[0]), at least 1/span: D1 and D2 are the
     detrended window's demodulated sums over its first and second h = n // 2
     samples."""
-    b0, c0 = _detrend_line(t, y)
+    t = win.t
+    b0, c0 = _detrend_line(win, y)
     z = (y - (b0 * t + c0)) * np.exp(-1j * omega * t)
     h = t.size // 2
     rate = math.log(abs(z[:h].sum()) / abs(z[h:2 * h].sum())) / (t[h] - t[0])
@@ -209,15 +216,15 @@ def test_single_fit_runs_one_start_per_fft_peak(monkeypatch):
     window = (0.01, 1.8)
     clean = _damped_cosine(0.4, 2.0, khz_to_angular(9.0), 0.3, slope=0.05, offset=0.5)
     fit = fit_single_frequency(clean, window)
-    t, y = _window_slice(clean, window)
-    span = t[-1] - t[0]
+    win, y = _window_samples(clean, window)
+    span = win.t[-1] - win.t[0]
     assert fit.r_squared > 0.9999
     assert len(stacks) == 1
     (p0, results), = stacks
     assert p0.shape == (1, 6)
     # The decay rate starts where the demodulated tone's fall between the
     # halves of the window puts it, here within 1 % of the true 2/ms.
-    assert p0[0, 1] == pytest.approx(_halves_rate(t, y, p0[0, 2]), rel=1e-12)
+    assert p0[0, 1] == pytest.approx(_halves_rate(win, y, p0[0, 2]), rel=1e-12)
     assert p0[0, 1] == pytest.approx(2.0, rel=1e-2)
     assert fit.ssr == results[0].ssr
 
@@ -228,15 +235,15 @@ def test_single_fit_runs_one_start_per_fft_peak(monkeypatch):
          + 0.2 * np.cos(khz_to_angular(15.0) * TIMES) + 0.5)
     two_tone = OscillationTrace.from_times(TIMES, y)
     fit = fit_single_frequency(two_tone, window)
-    t, y = _window_slice(two_tone, window)
-    b0, c0 = _detrend_line(t, y)
-    peaks = _fft_peak_frequencies(t, y - (b0 * t + c0), 5)
+    win, y = _window_samples(two_tone, window)
+    b0, c0 = _detrend_line(win, y)
+    peaks = _fft_peak_frequencies(win, y - (b0 * win.t + c0), 5)
     assert len(peaks) >= 2
     assert len(stacks) == 1
     (p0, results), = stacks
     assert p0.shape == (len(peaks), 6)
     assert list(p0[:, 2]) == peaks
-    rates = [_halves_rate(t, y, omega) for omega in peaks]
+    rates = [_halves_rate(win, y, omega) for omega in peaks]
     assert list(p0[:, 1]) == pytest.approx(rates, rel=1e-12)
     assert (p0[:, 1] >= 1.0 / span).all()
     assert all(res.converged for res in results)
@@ -247,7 +254,7 @@ def test_single_fit_runs_one_start_per_fft_peak(monkeypatch):
     # Each row is bitwise its start run alone.
     for start, res in zip(p0, results):
         (alone,) = lsq.stacked_levenberg_marquardt(
-            lambda P, rows: fitting._single_eval(P, t ** np.arange(5)[:, None], y, "exp"),
+            lambda P, rows: fitting._single_eval(P, win.t ** np.arange(5)[:, None], y, "exp"),
             start[None])
         assert np.array_equal(alone.params, res.params)
         assert alone.ssr == res.ssr
@@ -351,8 +358,9 @@ def test_ci95_matches_a_freshly_evaluated_jacobian(monkeypatch):
     trace = _damped_cosine(0.4, 2.0, khz_to_angular(9.0), 0.3, slope=0.05, offset=0.5)
     single = fit_single_frequency(trace, window)
     res = seen[-1]
-    t, y = _window_slice(trace, window)
-    _, jac, _ = fitting._single_eval(res.params[None], t ** np.arange(5)[:, None], y, "exp")
+    win, y = _window_samples(trace, window)
+    _, jac, _ = fitting._single_eval(res.params[None], win.t ** np.arange(5)[:, None], y,
+                                     "exp")
     fresh = fitting._package_single(res, lsq.covariance(jac[0], res.ssr), y, "exp")
     assert fresh.ci95 == single.ci95
 
@@ -361,7 +369,8 @@ def test_ci95_matches_a_freshly_evaluated_jacobian(monkeypatch):
     trace = _two_component(0.1, 0.2, 0.25, khz_to_angular(14.0), -0.4, 12.0, 0.45, omega0)
     two = fit_two_frequency(trace, omega0, window=window)
     res = seen[-1]
-    t, y = _window_slice(trace, window)
+    win, y = _window_samples(trace, window)
+    t = win.t
     _, jac = fitting._two_freq_eval(res.params[None], t, y, omega0,
                                     np.cos(omega0 * t), np.sin(omega0 * t))
     fresh = fitting._package_two(res, lsq.covariance(jac[0], res.ssr), y, omega0)
@@ -479,8 +488,8 @@ def _reference_grid_starts(t, y, omega0):
 
 
 def _block(traces, window):
-    t, _ = _window_slice(traces[0], window)
-    return t, np.array([_window_slice(trace, window)[1] for trace in traces])
+    win = fitting._fit_window(traces[0], window)
+    return win.t, np.array([trace.values[win.rows] for trace in traces])
 
 
 def _assert_same_starts(traces, omega0, window=(0.0, 1.5)):
@@ -689,8 +698,8 @@ def test_single_fits_match_the_one_start_oracle_on_fig7b(monkeypatch):
             fit = failure.last_fit
             capped.append(delta)
         ((p0, results),) = stacks
-        t, y = _window_slice(trace, window)
-        t_powers = t ** np.arange(5)[:, None]
+        win, y = _window_samples(trace, window)
+        t_powers = win.t ** np.arange(5)[:, None]
 
         def output(i):
             return lambda p: fitting._single_eval(p[None], t_powers, y, "exp")[i][0]
@@ -706,3 +715,131 @@ def test_single_fits_match_the_one_start_oracle_on_fig7b(monkeypatch):
         for name in ("phi", "B", "C", "ssr", "n_iter"):
             assert getattr(fit, name) == getattr(want, name), (delta, name)
     assert capped == [khz_to_angular(-25.0), khz_to_angular(25.0)]
+
+
+def _outcome(fit_fn, *args):
+    """repr of a fit, or of a FitFailure's text and last_fit: repr spells
+    every float exactly, so equal reprs are bitwise-equal fits."""
+    try:
+        return repr(fit_fn(*args))
+    except FitFailure as failure:
+        return repr((str(failure), failure.last_fit))
+
+
+def test_fits_on_a_cached_window_equal_fits_on_a_fresh_one(monkeypatch):
+    # fig7b's Omega0 = 5 kHz block, its two capped rows included: every
+    # fit after the first reads the window the first one built, and each
+    # equals the fit run after the window cache is cleared.
+    scenario, traces = _fig7b_block(5.0)
+    window = scenario.analysis.window
+    fitting._grid_window.cache_clear()
+    warm = [_outcome(fit_single_frequency, trace, window) for trace in traces]
+    assert fitting._grid_window.cache_info().hits == len(traces) - 1
+    cold = []
+    for trace in traces:
+        fitting._grid_window.cache_clear()
+        cold.append(_outcome(fit_single_frequency, trace, window))
+    assert cold == warm
+    assert sum("did not converge" in text for text in warm) == 2
+
+    # A sliding-window track: its second run reads every window from the
+    # cache, and equals a run that clears the cache before each fit.
+    from rabisim.spectrum import fft_spectrum, sliding_window_frequency
+
+    trace = _damped_cosine(0.4, 1.0, khz_to_angular(9.0), 0.3, slope=0.05, offset=0.5,
+                           noise=1e-3 * np.random.default_rng(5).standard_normal(TIMES.size))
+    spec = fft_spectrum(trace)
+    fitting._grid_window.cache_clear()
+    sliding_window_frequency(trace, spec, 0.4, 0.2)
+    warm = repr(sliding_window_frequency(trace, spec, 0.4, 0.2))
+    info = fitting._grid_window.cache_info()
+    assert (info.hits, info.misses) == (8, 8)
+    assert warm.count("FrequencyTrackPoint(") == 8
+    real = fitting.fit_single_frequency
+
+    def fresh(*args, **kwargs):
+        fitting._grid_window.cache_clear()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fitting, "fit_single_frequency", fresh)
+    assert repr(sliding_window_frequency(trace, spec, 0.4, 0.2)) == warm
+
+
+@pytest.mark.parametrize("window, text", [
+    ((0.5, 0.5), "fit window must have t_max > t_min"),
+    ((5.0, -1.0), "fit window must have t_max > t_min"),
+    ((0.01, 5.0), "fit window [0.01, 5.0] falls outside the trace [0, 1.996]"),
+    ((-1.0, 0.05), "fit window [-1.0, 0.05] falls outside the trace [0, 1.996]"),
+    ((0.0, 0.1), "fit window must contain at least 30 samples"),
+], ids=["empty", "reversed", "past_the_end", "before_the_start_and_short", "short"])
+def test_refused_windows_keep_their_text_and_are_not_cached(window, text):
+    # The first failing check names the window, as before the window cache.
+    trace = _damped_cosine(0.4, 2.0, khz_to_angular(9.0), 0.3)
+    fitting._grid_window.cache_clear()
+    for _ in range(2):
+        with pytest.raises(ValueError) as excinfo:
+            fit_single_frequency(trace, window)
+        assert str(excinfo.value) == text
+    info = fitting._grid_window.cache_info()
+    assert (info.currsize, info.hits, info.misses) == (0, 0, 2)
+    with pytest.raises(ValueError) as excinfo:
+        fit_two_frequency(trace, khz_to_angular(9.0), window)
+    assert str(excinfo.value) == text
+
+
+def test_fits_leave_their_traces_unchanged():
+    # The fits read a trace through a view of its samples.
+    omega0 = khz_to_angular(9.0)
+    single = _damped_cosine(0.4, 2.0, omega0, 0.3, slope=0.05, offset=0.5)
+    two = _two_component(0.1, 0.2, 0.25, khz_to_angular(14.0), -0.4, 12.0, 0.45, omega0)
+    copies = [single.values.copy(), two.values.copy()]
+    fit_single_frequency(single, (0.01, 1.8))
+    fit_two_frequency(two, omega0, window=(0.0, 1.5))
+    for trace, copy in zip((single, two), copies):
+        assert np.array_equal(trace.values, copy)
+        assert trace.values.flags.writeable
+
+
+def test_fig5_blocks_build_one_grid(monkeypatch, tmp_path):
+    # fig5's five sigma blocks share Omega0, the time grid and the window,
+    # so the first block's start grid serves the other four.
+    from rabisim import cli
+    from rabisim.scenario import load_scenario_dict, parse_scenario, preset_file
+
+    data = load_scenario_dict(preset_file("fig5"))
+    scenario = parse_scenario(data)
+    assert len(list(scenario.blocks())) == 5
+    built = []
+    real = fitting._Grid
+    monkeypatch.setattr(fitting, "_Grid", lambda *args: built.append(args) or real(*args))
+    fitting._two_freq_grid.cache_clear()
+    cli.run_scenario(scenario, "0" * 64, tmp_path)
+    assert len(built) == 1
+
+
+def test_cached_window_and_grid_are_read_only():
+    omega0 = khz_to_angular(9.0)
+    trace = _two_component(0.1, 0.2, 0.25, khz_to_angular(14.0), -0.4, 12.0, 0.45, omega0)
+    fit_two_frequency(trace, omega0, window=(0.0, 1.5))
+    win = fitting._fit_window(trace, (0.0, 1.5))
+    grid = fitting._two_freq_grid(win, omega0)
+    assert fitting._two_freq_grid.cache_info().hits >= 1
+    arrays = [win.t, win.t_powers, win.hann, win.freqs, win.design,
+              grid.node_omega_bar, grid.node_gamma_b, grid.env, grid.cos_bar,
+              grid.sin_bar, *grid.shared, grid.q_shared, grid.q_moving]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a.flat[0] = 1.0
+
+
+@pytest.mark.parametrize("value", [math.nan, -0.0, 0.0, -1.0, 0.25, 1.0, 2.0,
+                                   math.inf, -math.inf])
+def test_r_squared_is_clamped_bitwise_as_np_clip_clamps(value):
+    want = repr(float(np.clip(value, 0.0, 1.0)))
+    single = fitting.SingleFreqFit(A=0.1, gamma=1.0, omega=2.0, phi=0.0, B=0.0, C=0.0,
+                                   r_squared=value)
+    two = fitting.TwoFreqFit(A=0.1, phi_a=0.0, B_amp=0.1, omega_bar=2.0, phi_b=0.0,
+                             gamma_b=1.0, offset=0.0, omega0=1.0, r_squared=value,
+                             fraction_a=0.5)
+    assert repr(single.r_squared) == repr(two.r_squared) == want
